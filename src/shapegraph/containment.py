@@ -6,11 +6,11 @@ bounded exhaustive counter-example search for everything else.
 from __future__ import annotations
 
 import time
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations, product
 
-from .core import ONE, OPT, STAR, Edge, Graph, Interval, interval_sum
+from .core import OPT, STAR, Edge, Graph, Interval, Worklist, interval_sum
 from .errors import BudgetError, ClassPreconditionError
 from . import rbe as _rbe
 from . import validation as _val
@@ -317,7 +317,7 @@ def canonical_code(g: Graph):
 
 
 class _CachedTyper:
-    """Maximal-typing computation whose per-node satisfaction checks are
+    """The worklist refinement of validation.max_typing, with per-node checks
     memoized on the out-neighborhood shape, shared across candidates."""
 
     def __init__(self, s: Schema):
@@ -328,29 +328,28 @@ class _CachedTyper:
         """True iff some node ends up untyped (early exit: type sets only
         shrink, so an empty set is final)."""
         typing = {n: frozenset(self.s.types) for n in g.nodes}
-        while True:
-            nxt = {}
-            for n in g.nodes:
-                key = tuple(
-                    sorted(
-                        (e.label, typing[e.target], e.occur.min) for e in g.out(n)
-                    )
+        work = Worklist(g.nodes)
+        for n in work:
+            key = tuple(
+                sorted(
+                    (e.label, typing[e.target], e.occur.min) for e in g.out(n)
                 )
-                kept = []
-                for t in typing[n]:
-                    ck = (t, key)
-                    r = self.cache.get(ck)
-                    if r is None:
-                        r = _val.satisfies_type(g, self.s, typing, n, t)
-                        self.cache[ck] = r
-                    if r:
-                        kept.append(t)
-                if not kept:
-                    return True
-                nxt[n] = frozenset(kept)
-            if nxt == typing:
-                return False
-            typing = nxt
+            )
+            kept = []
+            for t in typing[n]:
+                ck = (t, key)
+                r = self.cache.get(ck)
+                if r is None:
+                    r = _val.satisfies_type(g, self.s, typing, n, t)
+                    self.cache[ck] = r
+                if r:
+                    kept.append(t)
+            if not kept:
+                return True
+            if len(kept) < len(typing[n]):
+                typing[n] = frozenset(kept)
+                work.extend(e.source for e in g.incoming(n))
+        return False
 
 
 def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):

@@ -9,7 +9,7 @@ provided for all of them.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .errors import GraphKindError, ParseError, UnpackBudgetError
@@ -70,10 +70,6 @@ ZERO = Interval(0, 0)
 BASIC_INTERVALS = (ONE, OPT, PLUS, STAR)
 
 
-def interval_add(a: Interval, b: Interval) -> Interval:
-    return a + b
-
-
 def interval_sum(intervals) -> Interval:
     """Fold of pointwise addition; the empty fold is [0;0]."""
     acc = ZERO
@@ -118,17 +114,6 @@ def bag(*symbols) -> Bag:
     return Counter(symbols)
 
 
-def bag_union(w1: Bag, w2: Bag) -> Bag:
-    out = Counter(w1)
-    for a, k in w2.items():
-        out[a] += k
-    return out
-
-
-def bag_size(w: Bag) -> int:
-    return sum(w.values())
-
-
 def bag_key(w: Bag):
     """Hashable canonical form (for memo tables)."""
     return tuple(sorted((a, k) for a, k in w.items() if k))
@@ -143,6 +128,30 @@ class Edge:
     label: str
     target: str
     occur: Interval = ONE
+
+
+def _kind_fault(edges, kind: str):
+    """The first edge that keeps `edges` from forming a graph of the given
+    kind, with the reason, or None when they form one."""
+    triples = set()
+    for e in edges:
+        if kind == "simple":
+            if e.occur != ONE:
+                return e, "simple graph requires occurrence 1 on edge"
+        elif kind == "shape":
+            if not e.occur.basic:
+                return e, "shape graph requires a basic occurrence on edge"
+        elif kind == "compressed":
+            if not e.occur.singleton:
+                return e, "compressed graph requires a singleton occurrence on edge"
+        else:
+            raise GraphKindError(f"unknown graph kind {kind!r}")
+        if kind != "shape":
+            t = (e.source, e.label, e.target)
+            if t in triples:
+                return e, "duplicate (source,label,target) edge"
+            triples.add(t)
+    return None
 
 
 class Graph:
@@ -172,6 +181,12 @@ class Graph:
         for e in self.edges:
             self._out[e.source] += (e,)
             self._in[e.target] += (e,)
+        # A simple graph is also compressed: [1;1] is a singleton.
+        self._simple = _kind_fault(self.edges, "simple") is None
+        self._compressed = self._simple or _kind_fault(self.edges, "compressed") is None
+
+    def __contains__(self, n) -> bool:
+        return n in self._out
 
     def out(self, n: str) -> tuple[Edge, ...]:
         return self._out[n]
@@ -181,15 +196,7 @@ class Graph:
 
     @property
     def is_simple(self) -> bool:
-        triples = set()
-        for e in self.edges:
-            if e.occur != ONE:
-                return False
-            t = (e.source, e.label, e.target)
-            if t in triples:
-                return False
-            triples.add(t)
-        return True
+        return self._simple
 
     @property
     def is_shape(self) -> bool:
@@ -197,15 +204,7 @@ class Graph:
 
     @property
     def is_compressed(self) -> bool:
-        triples = set()
-        for e in self.edges:
-            if not e.occur.singleton:
-                return False
-            t = (e.source, e.label, e.target)
-            if t in triples:
-                return False
-            triples.add(t)
-        return True
+        return self._compressed
 
     def labels(self) -> tuple[str, ...]:
         return tuple(sorted({e.label for e in self.edges}))
@@ -214,27 +213,10 @@ class Graph:
         """Raise GraphKindError unless this graph meets the declared kind."""
         if kind == "general":
             return
-        triples = set()
-        for e in self.edges:
-            desc = f"{e.source} {e.label} {e.target} {e.occur}"
-            if kind == "simple":
-                if e.occur != ONE:
-                    raise GraphKindError(f"simple graph requires occurrence 1 on edge: {desc}")
-            elif kind == "shape":
-                if not e.occur.basic:
-                    raise GraphKindError(f"shape graph requires a basic occurrence on edge: {desc}")
-            elif kind == "compressed":
-                if not e.occur.singleton:
-                    raise GraphKindError(
-                        f"compressed graph requires a singleton occurrence on edge: {desc}"
-                    )
-            else:
-                raise GraphKindError(f"unknown graph kind {kind!r}")
-            if kind in ("simple", "compressed"):
-                t = (e.source, e.label, e.target)
-                if t in triples:
-                    raise GraphKindError(f"duplicate (source,label,target) edge: {desc}")
-                triples.add(t)
+        fault = _kind_fault(self.edges, kind)
+        if fault is not None:
+            e, why = fault
+            raise GraphKindError(f"{why}: {e.source} {e.label} {e.target} {e.occur}")
 
     def __eq__(self, other):
         return (
@@ -248,6 +230,29 @@ class Graph:
 
     def __repr__(self):
         return f"Graph({len(self.nodes)} nodes, {len(self.edges)} edges, kind={self.kind!r})"
+
+
+class Worklist:
+    """FIFO queue of items to re-check, none queued twice.  Refinement is
+    monotone, so re-queueing the readers of each state that shrank until
+    the queue is empty leaves the unique greatest fixpoint."""
+
+    def __init__(self, items=()):
+        self._queue: deque = deque()
+        self._waiting: set = set()
+        self.extend(items)
+
+    def extend(self, items) -> None:
+        for x in items:
+            if x not in self._waiting:
+                self._waiting.add(x)
+                self._queue.append(x)
+
+    def __iter__(self):
+        while self._queue:
+            x = self._queue.popleft()
+            self._waiting.discard(x)
+            yield x
 
 
 def parse_graph(text: str) -> Graph:

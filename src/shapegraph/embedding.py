@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import INF, Graph, Interval, interval_sum
+from .core import Graph, Worklist, interval_sum
 from .errors import ClassPreconditionError, WorkCapError
 
 
@@ -29,12 +29,6 @@ class RoutingInstance:
     sources: tuple
     sinks: tuple
     allowed: frozenset
-
-    def source_interval(self, v):
-        return dict(self.sources)[v]
-
-    def sink_interval(self, u):
-        return dict(self.sinks)[u]
 
 
 def verify_routing(inst: RoutingInstance, lam: dict) -> bool:
@@ -288,28 +282,28 @@ def find_witness(inst: RoutingInstance, work_cap: int = DEFAULT_ROUTING_CAP):
 def max_simulation(g: Graph, h: Graph) -> SimulationRelation:
     """The greatest simulation of g in h, with a witness per surviving pair.
 
-    Starts from all pairs and removes witness-less pairs round by round over
-    a snapshot of the previous round, until a fixed point.
+    Starts from all pairs and drops the witness-less ones.  When (n, m)
+    drops, the related pairs with same-label edges into n and m are
+    re-checked; a pair keeps the witness of its last check, as any later
+    drop that witness used would have queued the pair again.
     """
-    rel = {(n, m) for n in g.nodes for m in h.nodes}
-    while True:
-        removed = set()
-        for n in g.nodes:
-            for m in h.nodes:
-                if (n, m) not in rel:
-                    continue
-                if find_witness(routing_instance(g, h, n, m, rel)) is None:
-                    removed.add((n, m))
-        if not removed:
-            break
-        rel -= removed
+    pairs = [(n, m) for n in g.nodes for m in h.nodes]
+    rel = set(pairs)
     witnesses = {}
-    for n in g.nodes:
-        for m in h.nodes:
-            if (n, m) in rel:
-                lam = find_witness(routing_instance(g, h, n, m, rel))
-                assert lam is not None
-                witnesses[(n, m)] = lam
+    work = Worklist(pairs)
+    for n, m in work:
+        lam = find_witness(routing_instance(g, h, n, m, rel))
+        if lam is not None:
+            witnesses[(n, m)] = lam
+            continue
+        rel.discard((n, m))
+        witnesses.pop((n, m), None)
+        work.extend(
+            (e.source, f.source)
+            for e in g.incoming(n)
+            for f in h.incoming(m)
+            if e.label == f.label and (e.source, f.source) in rel
+        )
     return SimulationRelation(frozenset(rel), witnesses)
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .core import ONE, Bag, Counter, Graph
+from .core import ONE, Bag, Counter, Graph, Worklist
 from .errors import AlphabetError, GraphKindError, WorkCapError
 from . import presburger as _pa
 from . import rbe as _rbe
@@ -28,7 +28,7 @@ def signature(g: Graph, typing: dict, n) -> _rbe.Rbe:
     """∥ over out-edges of (| over types of the edge's target); on compressed
     graphs each factor carries the edge's occurrence as an exponent.  An edge
     whose target carries no types contributes the empty-language factor."""
-    if n not in set(g.nodes):
+    if n not in g:
         raise ValueError(f"unknown node {n!r}")
     factors = []
     for e in g.out(n):
@@ -57,7 +57,7 @@ def satisfies_type(
     matching, capped at choice_cap combinations.
     """
     _check_data_graph(g)
-    if n not in set(g.nodes):
+    if n not in g:
         raise ValueError(f"unknown node {n!r}")
     if ty not in s.defs:
         raise ValueError(f"unknown type {ty!r}")
@@ -138,20 +138,20 @@ def _satisfies_exhaustive(out, choices, delta: _rbe.Rbe, choice_cap: int) -> boo
 
 
 def max_typing(g: Graph, s: Schema, choice_cap: int = DEFAULT_CHOICE_CAP) -> dict:
-    """The unique maximal typing: start from all pairs and remove failing
-    ones round by round (snapshot per round) until a fixed point."""
+    """The unique maximal typing: start from all types at every node, drop
+    the types a node fails, and re-check a node only after the type set of
+    one of its successors shrank, so the work follows the failures."""
     _check_data_graph(g)
     typing = {n: frozenset(s.types) for n in g.nodes}
-    while True:
-        nxt = {
-            n: frozenset(
-                t for t in typing[n] if satisfies_type(g, s, typing, n, t, choice_cap=choice_cap)
-            )
-            for n in g.nodes
-        }
-        if nxt == typing:
-            return typing
-        typing = nxt
+    work = Worklist(g.nodes)
+    for n in work:
+        kept = frozenset(
+            t for t in typing[n] if satisfies_type(g, s, typing, n, t, choice_cap=choice_cap)
+        )
+        if kept != typing[n]:
+            typing[n] = kept
+            work.extend(e.source for e in g.incoming(n))
+    return typing
 
 
 def validates(g: Graph, s: Schema, choice_cap: int = DEFAULT_CHOICE_CAP) -> bool:

@@ -110,6 +110,19 @@ def star_chain_pair():
     return g, h
 
 
+def bug_chain_graph(n=200):
+    """n bugs linked by related-edges, the last one without a reporter: under
+    the bug schema the failure travels back to bug0 one edge at a time."""
+    edges = [Edge("user", "name", "lit")]
+    for i in range(n):
+        b = f"bug{i}"
+        edges.append(Edge(b, "descr", "lit"))
+        if i < n - 1:
+            edges.append(Edge(b, "reportedBy", "user"))
+            edges.append(Edge(b, "related", f"bug{i + 1}"))
+    return Graph((), edges, kind="simple")
+
+
 # --- Random generators -------------------------------------------------------
 
 BASIC = [ONE, OPT, PLUS, STAR]

@@ -1,6 +1,9 @@
 import random
+from itertools import product
 
 import pytest
+
+import shapegraph.embedding
 
 from shapegraph import (
     Edge,
@@ -24,12 +27,42 @@ from shapegraph.errors import ClassPreconditionError
 
 from conftest import (
     BASIC,
+    bug_chain_graph,
     chain_graph,
     chain_schema,
     random_shape_graph,
     random_simple_graph,
     star_chain_pair,
 )
+
+
+def reference_simulation(g, h):
+    """The greatest simulation round by round, from the definitions: (n, m)
+    stays while some map of n's out-edges to same-label out-edges of m, with
+    targets related in the previous round, keeps the interval sum sent to
+    each out-edge f of m inside occur(f)."""
+
+    def witnessed(rel, n, m):
+        g_out, h_out = g.out(n), h.out(m)
+        options = [
+            [f for f in h_out if f.label == e.label and (e.target, f.target) in rel]
+            for e in g_out
+        ]
+        for image in product(*options):
+            if all(
+                f.occur.min <= sum(e.occur.min for e, f2 in zip(g_out, image) if f2 is f)
+                and sum(e.occur.max for e, f2 in zip(g_out, image) if f2 is f) <= f.occur.max
+                for f in h_out
+            ):
+                return True
+        return False
+
+    rel = {(n, m) for n in g.nodes for m in h.nodes}
+    while True:
+        nxt = {(n, m) for n, m in rel if witnessed(rel, n, m)}
+        if nxt == rel:
+            return rel
+        rel = nxt
 
 
 def random_routing_instance(rng: random.Random, max_side=4, basic_only=True):
@@ -134,6 +167,67 @@ class TestSimulationProperties:
                     break
                 rel -= bad
             assert rel <= best.pairs
+
+    @pytest.mark.parametrize("g_kind", ["simple", "shape"])
+    def test_equals_round_by_round_reference(self, g_kind):
+        rng = random.Random(71 if g_kind == "simple" else 73)
+        for _ in range(200):
+            if g_kind == "simple":
+                g = random_simple_graph(rng, max_nodes=4)
+            else:
+                g = random_shape_graph(rng, max_nodes=4)
+            h = random_shape_graph(rng, max_nodes=4)
+            sim = max_simulation(g, h)
+            assert sim.pairs == reference_simulation(g, h)
+            assert verify_witness(g, h, sim)
+
+    def test_witness_found_before_a_successor_drops_is_replaced(self, monkeypatch):
+        # (g0, h0) is checked first and routes its a-edge to h1; (g1, h1)
+        # drops later because g1 lacks the c-edge h1 demands, so (g0, h0)
+        # must end with a witness through h2 instead.
+        g = Graph(("g0", "g1"), [Edge("g0", "a", "g1")], kind="simple")
+        h = Graph(
+            ("h0", "h1", "h2", "h3"),
+            [Edge("h0", "a", "h1", STAR), Edge("h0", "a", "h2", STAR), Edge("h1", "c", "h3")],
+            kind="shape",
+        )
+        found = []
+        build, search = shapegraph.embedding.routing_instance, shapegraph.embedding.find_witness
+
+        def recording_instance(g_, h_, n, m, rel):
+            found.append([(n, m), None])
+            return build(g_, h_, n, m, rel)
+
+        def recording_search(inst):
+            lam = search(inst)
+            found[-1][1] = lam
+            return lam
+
+        monkeypatch.setattr(shapegraph.embedding, "routing_instance", recording_instance)
+        monkeypatch.setattr(shapegraph.embedding, "find_witness", recording_search)
+        sim = max_simulation(g, h)
+        assert found[0] == [("g0", "h0"), {0: 0}]  # through h1, which drops
+        assert ("g1", "h1") not in sim.pairs and ("g0", "h0") in sim.pairs
+        assert sim.witnesses[("g0", "h0")] == {0: 1}
+        assert verify_witness(g, h, sim)
+
+    def test_failure_chain_work_is_linear(self, monkeypatch, bug_schema):
+        g = bug_chain_graph(200)
+        h = to_shape_graph(bug_schema)
+        calls = [0]
+        search = shapegraph.embedding.find_witness
+
+        def counting(inst):
+            calls[0] += 1
+            return search(inst)
+
+        monkeypatch.setattr(shapegraph.embedding, "find_witness", counting)
+        ok, sim = embeds(g, h)
+        assert not ok and ("bug0", "Bug") not in sim.pairs
+        assert verify_witness(g, h, sim)
+        # A round-based fixpoint re-checks every pair once per hop of the
+        # failure, about 200 times here.
+        assert calls[0] <= 3 * len(g.nodes) * len(h.nodes)
 
     def test_rerunning_is_fixed_point(self):
         g, h = star_chain_pair()

@@ -1,7 +1,10 @@
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
+
+import shapegraph.validation
 
 from shapegraph import (
     Edge,
@@ -14,7 +17,7 @@ from shapegraph import (
     signature,
     validates,
 )
-from shapegraph.errors import GraphKindError, WorkCapError
+from shapegraph.errors import AlphabetError, GraphKindError, WorkCapError
 from shapegraph.rbe import Disj, EMPTY, bag_matches, rbe_to_text
 from shapegraph.validation import DEFAULT_WIDTH_CAP
 from shapegraph import Schema
@@ -22,11 +25,53 @@ from shapegraph import Schema
 from conftest import (
     BUG_GRAPH_TEXT,
     BUG_SCHEMA_TEXT,
+    bug_chain_graph,
     chain_graph,
     chain_schema,
+    random_compressed_graph,
     random_rbe0_schema,
     random_simple_graph,
 )
+
+
+def reference_typing(g, s):
+    """The maximal typing round by round, from the definitions: n keeps t
+    while one choice of a type per out-edge target, each edge counted by its
+    cardinality, gives a bag in L(δ(t)); every round reads only the previous
+    round's typing."""
+
+    def holds(typing, n, t):
+        edges = [e for e in g.out(n) if e.occur.min > 0]
+        for combo in product(*(sorted(typing[e.target]) for e in edges)):
+            w = Counter()
+            for e, u in zip(edges, combo):
+                w[(e.label, u)] += e.occur.min
+            try:
+                if bag_matches(s.defs[t], w):
+                    return True
+            except AlphabetError:
+                pass
+        return False
+
+    typing = {n: frozenset(s.types) for n in g.nodes}
+    while True:
+        nxt = {n: frozenset(t for t in typing[n] if holds(typing, n, t)) for n in g.nodes}
+        if nxt == typing:
+            return typing
+        typing = nxt
+
+
+def random_compressed_with_zero_edges(rng):
+    g = random_compressed_graph(rng, max_nodes=4, max_card=2)
+    used = {(e.source, e.label, e.target) for e in g.edges}
+    zeros = [
+        Edge(a, lab, b, Interval(0, 0))
+        for a in g.nodes
+        for b in g.nodes
+        for lab in ("a", "b")
+        if (a, lab, b) not in used and rng.random() < 0.2
+    ]
+    return Graph(g.nodes, list(g.edges) + zeros, kind="compressed")
 
 
 class TestSignature:
@@ -88,6 +133,37 @@ class TestMaxTyping:
                     augmented = dict(typing)
                     augmented[n] = typing[n] | {t}
                     assert not satisfies_type(g, s, augmented, n, t)
+
+    @pytest.mark.parametrize("kind", ["simple", "compressed"])
+    def test_equals_round_by_round_reference(self, kind):
+        rng = random.Random(61 if kind == "simple" else 67)
+        for _ in range(60):
+            if kind == "simple":
+                g = random_simple_graph(rng, max_nodes=5)
+            else:
+                g = random_compressed_with_zero_edges(rng)
+            s = random_rbe0_schema(rng, max_types=4)
+            # An equivalent non-flat schema takes the exhaustive route.
+            wrapped = Schema({t: Disj(e, EMPTY) for t, e in s.defs.items()})
+            expected = reference_typing(g, s)
+            assert max_typing(g, s) == expected
+            assert max_typing(g, wrapped) == expected
+
+    def test_failure_chain_work_is_linear(self, monkeypatch, bug_schema):
+        g = bug_chain_graph(200)
+        calls = [0]
+        check = shapegraph.validation.satisfies_type
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(shapegraph.validation, "satisfies_type", counting)
+        typing = max_typing(g, bug_schema)
+        assert typing["bug0"] == frozenset() and typing["user"] == frozenset({"User"})
+        # A round-based fixpoint re-checks every node once per hop of the
+        # failure, about 200 times here.
+        assert calls[0] <= 3 * len(g.nodes) * len(bug_schema.types)
 
     def test_requires_data_graph_kind(self):
         g = Graph(("x",), [Edge("x", "a", "x", Interval(0, 3))], kind="general")
