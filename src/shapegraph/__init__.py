@@ -57,7 +57,6 @@ from .schema import (
     parse_schema,
     serialize_schema,
     star_closed_references,
-    to_interval_graph,
     to_shape_graph,
 )
 from .validation import max_typing, satisfies_type, signature, validates

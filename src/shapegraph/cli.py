@@ -46,14 +46,15 @@ def _load_schema(path: str) -> _schema.Schema:
 
 
 def handles_errors(f):
-    """Map library errors to the exit-code contract: resource caps to 2,
-    everything else (parse, kind, precondition, I/O) to 3."""
+    """Map library errors to the exit-code contract: resource caps,
+    Python's recursion limit included, to 2, everything else (parse, kind,
+    precondition, I/O) to 3."""
 
     @functools.wraps(f)
     def wrapper(*args, **kwargs):
         try:
             return f(*args, **kwargs)
-        except (WorkCapError, BudgetError) as exc:
+        except (WorkCapError, BudgetError, RecursionError) as exc:
             click.echo(f"unknown: {exc}", err=True)
             sys.exit(2)
         except click.ClickException:

@@ -7,18 +7,19 @@ out-edge f of m keeps the interval sum of λ's preimage inside occur(f).
 
 Witness existence is abstracted as a flow-routing problem over bipartite
 sources (out-edges of n) and sinks (out-edges of m).  For basic intervals
-it is decided in polynomial time by augmenting paths; the residual moves
-are exactly the push-forth edges (evict a source from a saturated or
+it is the unit case of one capacitated lower-bound flow (feasible_flow),
+decided in polynomial time by augmenting paths; the residual moves are
+exactly the push-forth edges (evict a source from a saturated or
 overflowing sink) and pull-back edges (draw a min-1 source into a sink in
-deficit).  For arbitrary intervals an exact backtracking search is used.
+deficit).  The same flow decides flat type satisfaction in validation.
+For arbitrary intervals an exact backtracking search is used.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from .core import Graph, Worklist, interval_sum
+from .core import INF, Graph, Worklist, interval_sum
 from .errors import ClassPreconditionError, WorkCapError
 
 
@@ -45,19 +46,19 @@ def verify_routing(inst: RoutingInstance, lam: dict) -> bool:
     return all(interval_sum(inflow[u]).subset(sink_ivs[u]) for u in inflow)
 
 
-# --- Basic intervals: polynomial routing ------------------------------------
+# --- One capacitated flow ----------------------------------------------------
 #
-# With basic intervals and the "w.l.o.g." pass dropping allowed pairs whose
-# source max exceeds the sink max, the constraints reduce to: a max-1 sink
-# holds at most one source (else it overflows), and a min-1 sink must hold at
-# least one min-1 source (else it is in deficit).  That is a degree-
-# constrained assignment, solved by shortest augmenting paths in a residual
-# network whose edges are the push-forth and pull-back moves; per-sink
-# strong demands appear as lower bounds.
+# A source ships an integer supply over its allowed arcs; a sink takes a
+# total inside [lo; hi].  A source that counts adds its flow to both sides
+# of the bounds of the sinks it feeds, one that does not only to the upper
+# side.  The lower bounds (every supply shipped in full, every sink's
+# counted flow at least lo) go away by the SS/TT transform, so one max flow
+# decides feasibility, at a cost that depends on the number of sources,
+# sinks and arcs and not on the supplies.
 
 
 class _Network:
-    """Unit-capacity-style max flow (shortest augmenting paths)."""
+    """Max flow by shortest augmenting paths."""
 
     def __init__(self, n):
         self.adj = [[] for _ in range(n)]
@@ -68,89 +69,111 @@ class _Network:
         return len(self.adj[a]) - 1
 
     def maxflow(self, s, t):
+        adj = self.adj
         total = 0
         while True:
-            prev = {s: None}
-            queue = deque([s])
-            while queue and t not in prev:
-                x = queue.popleft()
-                for i, (y, cap, _) in enumerate(self.adj[x]):
-                    if cap > 0 and y not in prev:
-                        prev[y] = (x, i)
+            # BFS parents: the node each node was reached from and the
+            # index of the arc used, in that node's list.
+            parent = [-1] * len(adj)
+            via = [0] * len(adj)
+            parent[s] = s
+            queue = [s]
+            for x in queue:
+                for i, (y, cap, _) in enumerate(adj[x]):
+                    if cap > 0 and parent[y] < 0:
+                        parent[y] = x
+                        via[y] = i
                         queue.append(y)
-            if t not in prev:
+                if parent[t] >= 0:
+                    break
+            if parent[t] < 0:
                 return total
-            # Bottleneck along the path, then apply.
             path = []
             y = t
-            while prev[y] is not None:
-                x, i = prev[y]
-                path.append((x, i))
-                y = x
-            amount = min(self.adj[x][i][1] for x, i in path)
-            for x, i in path:
-                edge = self.adj[x][i]
+            while y != s:
+                path.append(adj[parent[y]][via[y]])
+                y = parent[y]
+            amount = min(edge[1] for edge in path)
+            for edge in path:
                 edge[1] -= amount
-                self.adj[edge[0]][edge[2]][1] += amount
+                adj[edge[0]][edge[2]][1] += amount
             total += amount
 
 
+def feasible_flow(sources, sinks, arcs):
+    """The flow on each arc of a feasible routing, or None.
+
+    sources: (supply, counts) pairs; sinks: (lo, hi) pairs, hi possibly INF;
+    arcs: (source index, sink index) pairs.  Every source ships exactly its
+    supply; each sink receives at most hi in all and at least lo from
+    counting sources.
+    """
+    fed = {v for v, _ in arcs}
+    if any(x and v not in fed for v, (x, _) in enumerate(sources)):
+        return None
+
+    n_v = len(sources)
+    demand = sum(lo for lo, _ in sinks)
+    supply = sum(x for x, _ in sources)
+    big = supply + demand + 1
+    S, T, SS, TT = 0, 1, 2, 3
+    vnode = 4
+    unode = vnode + n_v
+    gate = {}
+    for j, (lo, _) in enumerate(sinks):
+        if lo:
+            gate[j] = unode + len(sinks) + len(gate)
+    net = _Network(unode + len(sinks) + len(gate))
+
+    # S→v with lower bound = capacity = supply.
+    for i, (x, _) in enumerate(sources):
+        net.add(SS, vnode + i, x)
+    net.add(S, TT, supply)
+    # gate→u with lower bound lo carries the counted flow into u.
+    for j, (lo, hi) in enumerate(sinks):
+        if lo:
+            net.add(SS, unode + j, lo)
+            net.add(gate[j], TT, lo)
+            net.add(gate[j], unode + j, big if hi == INF else hi - lo)
+        net.add(unode + j, T, big if hi == INF else hi)
+    net.add(T, S, big)
+    arc_ids = []
+    for v, u in arcs:
+        x, counts = sources[v]
+        target = gate[u] if counts and u in gate else unode + u
+        arc_ids.append((vnode + v, net.add(vnode + v, target, x), x))
+
+    if net.maxflow(SS, TT) != supply + demand:
+        return None
+    return [x - net.adj[a][i][1] for a, i, x in arc_ids]
+
+
 def witness_exists_basic(inst: RoutingInstance):
-    """Routing λ for a basic-interval instance, or None when infeasible."""
+    """Routing λ for a basic-interval instance, or None when infeasible.
+
+    After the pass that drops the pairs whose source max exceeds the sink
+    max, this is the unit case of feasible_flow: a source ships 1 and counts
+    toward a sink's min exactly when its own min is 1.
+    """
     for _, iv in inst.sources + inst.sinks:
         if not iv.basic:
             raise ClassPreconditionError(f"non-basic interval {iv} in routing instance")
 
-    src_iv = dict(inst.sources)
-    sink_iv = dict(inst.sinks)
-    # Preprocessing per the proof: drop pairs with v.max > u.max, then fail
-    # any source left without an admissible sink.
-    allowed = {
-        (v, u)
-        for (v, u) in inst.allowed
-        if v in src_iv and u in sink_iv and src_iv[v].max <= sink_iv[u].max
-    }
-    by_source = {v: [] for v, _ in inst.sources}
-    for v, _ in inst.sources:
-        for u, _ in inst.sinks:
-            if (v, u) in allowed:
-                by_source[v].append(u)
-    if any(not opts for opts in by_source.values()):
+    sink_pos = {u: j for j, (u, _) in enumerate(inst.sinks)}
+    arcs = [
+        (i, sink_pos[u])
+        for i, (v, v_iv) in enumerate(inst.sources)
+        for u, u_iv in inst.sinks
+        if (v, u) in inst.allowed and v_iv.max <= u_iv.max
+    ]
+    flow = feasible_flow(
+        [(1, iv.min == 1) for _, iv in inst.sources],
+        [(iv.min, iv.max) for _, iv in inst.sinks],
+        arcs,
+    )
+    if flow is None:
         return None
-
-    n_v = len(inst.sources)
-    min1 = [u for u, iv in inst.sinks if iv.min == 1]
-    big = n_v + len(inst.sinks) + 1
-
-    S, T, SS, TT = 0, 1, 2, 3
-    vnode = {v: 4 + i for i, (v, _) in enumerate(inst.sources)}
-    unode = {u: 4 + n_v + j for j, (u, _) in enumerate(inst.sinks)}
-    gate = {u: 4 + n_v + len(inst.sinks) + j for j, u in enumerate(min1)}
-    net = _Network(4 + n_v + len(inst.sinks) + len(min1))
-
-    for v, _ in inst.sources:
-        net.add(SS, vnode[v], 1)
-    for u in min1:
-        cap_u = 1 if sink_iv[u].max == 1 else big
-        net.add(SS, unode[u], 1)
-        net.add(gate[u], TT, 1)
-        net.add(gate[u], unode[u], cap_u - 1)
-    net.add(S, TT, n_v)
-    for u, iv in inst.sinks:
-        net.add(unode[u], T, 1 if iv.max == 1 else big)
-    net.add(T, S, big)
-    choice_edges = {}
-    for v, _ in inst.sources:
-        for u in by_source[v]:
-            target = gate[u] if sink_iv[u].min == 1 and src_iv[v].min == 1 else unode[u]
-            choice_edges[(v, u)] = net.add(vnode[v], target, 1)
-
-    if net.maxflow(SS, TT) != n_v + len(min1):
-        return None
-    lam = {}
-    for (v, u), i in choice_edges.items():
-        if net.adj[vnode[v]][i][1] == 0:  # the unit capacity was used
-            lam[v] = u
+    lam = {inst.sources[i][0]: inst.sinks[j][0] for (i, j), x in zip(arcs, flow) if x}
     assert verify_routing(inst, lam), "routing extraction produced an invalid witness"
     return lam
 

@@ -80,11 +80,6 @@ class Or(PAFormula):
 
 
 @dataclass(frozen=True)
-class Not(PAFormula):
-    body: PAFormula
-
-
-@dataclass(frozen=True)
 class Exists(PAFormula):
     variables: tuple
     body: PAFormula
@@ -122,8 +117,6 @@ def free_variables(f: PAFormula) -> frozenset:
         for p in f.parts:
             out |= free_variables(p)
         return out
-    if isinstance(f, Not):
-        return free_variables(f.body)
     if isinstance(f, Exists):
         return free_variables(f.body) - frozenset(f.variables)
     raise TypeError(f"not a formula: {f!r}")
@@ -320,11 +313,6 @@ def _eval(f: PAFormula, env: dict, st: _EvalState):
             if r == UNKNOWN:
                 unknown = True
         return UNKNOWN if unknown else False
-    if isinstance(f, Not):
-        r = _eval(f.body, env, st)
-        if r == UNKNOWN:
-            return UNKNOWN
-        return not r
     if isinstance(f, Exists):
         return _eval_exists(f, env, st)
     raise TypeError(f"not a formula: {f!r}")
@@ -402,8 +390,6 @@ def to_sexpr(f: PAFormula) -> str:
         if not f.parts:
             return "(or)"
         return "(or " + " ".join(to_sexpr(p) for p in f.parts) + ")"
-    if isinstance(f, Not):
-        return f"(not {to_sexpr(f.body)})"
     if isinstance(f, Exists):
         return "(exists (" + " ".join(f.variables) + ") " + to_sexpr(f.body) + ")"
     raise TypeError(f"not a formula: {f!r}")

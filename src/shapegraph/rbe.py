@@ -110,14 +110,6 @@ def alphabet(e: Rbe) -> frozenset:
     return alphabet(e.left) | alphabet(e.right)
 
 
-def rbe_size(e: Rbe) -> int:
-    if isinstance(e, (Epsilon, Empty, Sym)):
-        return 1
-    if isinstance(e, Repeat):
-        return 1 + rbe_size(e.body)
-    return 1 + rbe_size(e.left) + rbe_size(e.right)
-
-
 def eps_in(e: Rbe) -> bool:
     """Whether the empty bag belongs to L(e)."""
     if isinstance(e, Epsilon):
@@ -307,31 +299,6 @@ def rbe0_matches(e0: Rbe0, w: Bag) -> bool:
         if w[a] not in interval_sum(ivs):
             return False
     return True
-
-
-def atoms_of(e: Rbe, basic_only: bool = True):
-    """Atom list (symbol, interval) for a flat expression, or None.
-
-    With basic_only=False arbitrary intervals on atoms are allowed, which is
-    what interval-graph constructions need.
-    """
-    if isinstance(e, Epsilon):
-        return ()
-    out = []
-    ok = _collect_any(e, out) if not basic_only else _collect_atoms(e, out)
-    return tuple(out) if ok else None
-
-
-def _collect_any(e: Rbe, out: list) -> bool:
-    if isinstance(e, Concat):
-        return _collect_any(e.left, out) and _collect_any(e.right, out)
-    if isinstance(e, Sym):
-        out.append((e.symbol, ONE))
-        return True
-    if isinstance(e, Repeat) and isinstance(e.body, Sym):
-        out.append((e.body.symbol, e.interval))
-        return True
-    return False
 
 
 # --- Parsing and printing ---------------------------------------------------

@@ -102,26 +102,16 @@ def serialize_schema(s: Schema) -> str:
 def to_shape_graph(s: Schema) -> Graph:
     """One node per type, one edge per flat atom; requires every definition
     to be in the flat basic-interval fragment."""
-    return _to_graph(s, basic_only=True, kind="shape")
-
-
-def to_interval_graph(s: Schema) -> Graph:
-    """Like to_shape_graph but admits arbitrary intervals on atoms."""
-    return _to_graph(s, basic_only=False, kind="general")
-
-
-def _to_graph(s: Schema, basic_only: bool, kind: str) -> Graph:
     edges = []
     for t in s.types:
-        atoms = _rbe.atoms_of(s.defs[t], basic_only=basic_only)
-        if atoms is None:
+        e0 = _rbe.to_rbe0(s.defs[t])
+        if e0 is None:
             raise ClassPreconditionError(
-                f"definition of type {t} is not a parallel composition of "
-                f"{'basic-interval ' if basic_only else ''}atoms"
+                f"definition of type {t} is not a parallel composition of basic-interval atoms"
             )
-        for (lab, target), iv in atoms:
+        for (lab, target), iv in e0.atoms:
             edges.append(Edge(t, lab, target, iv))
-    return Graph(s.types, edges, kind=kind)
+    return Graph(s.types, edges, kind="shape")
 
 
 def from_shape_graph(g: Graph) -> Schema:

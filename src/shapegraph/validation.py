@@ -7,16 +7,16 @@ are treated as untyped.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations_with_replacement, product
+from math import comb
 
 from .core import ONE, Bag, Counter, Graph, Worklist
 from .errors import AlphabetError, GraphKindError, WorkCapError
-from . import presburger as _pa
 from . import rbe as _rbe
+from .embedding import feasible_flow
 from .schema import Schema
 
 DEFAULT_CHOICE_CAP = 2**16
-DEFAULT_WIDTH_CAP = 64
 
 
 def _check_data_graph(g: Graph):
@@ -47,14 +47,15 @@ def satisfies_type(
     n,
     ty: str,
     choice_cap: int = DEFAULT_CHOICE_CAP,
-    width_cap: int = DEFAULT_WIDTH_CAP,
 ) -> bool:
     """L(signature of n) ∩ L(δ(ty)) ≠ ∅.
 
-    Flat definitions on unit-width nodes go through bipartite flow routing;
-    wide compressed nodes go through the linear-arithmetic construction; the
-    general case enumerates one type per out-edge and calls exact bag
-    matching, capped at choice_cap combinations.
+    Flat definitions go through one capacitated flow from the out-edges,
+    each shipping its cardinality, to the atoms of the definition, at a
+    cost that does not depend on the cardinalities.  The general case
+    enumerates, per out-edge, a multiset of target types as large as its
+    cardinality and calls exact bag matching, capped at choice_cap
+    combinations.
     """
     _check_data_graph(g)
     if n not in g:
@@ -69,33 +70,55 @@ def satisfies_type(
 
     e0 = _rbe.to_rbe0(s.defs[ty])
     if e0 is not None:
-        if sum(e.occur.min for e in out) <= width_cap:
-            return _satisfies_flat(out, choices, e0)
-        return _satisfies_psi(out, choices, e0)
+        return _satisfies_flat(out, choices, e0)
     return _satisfies_exhaustive(out, choices, s.defs[ty], choice_cap)
 
 
 def _satisfies_flat(out, choices, e0: _rbe.Rbe0) -> bool:
-    # One-node routing instance: each (expanded) out-edge is a unit source,
-    # each atom of the definition a sink.
-    from .embedding import RoutingInstance, witness_exists_basic
+    # One source per out-edge with its cardinality as supply, one sink per
+    # atom of the definition; every unit counts toward the atom's min.
+    arcs = [
+        (i, j)
+        for i, e in enumerate(out)
+        for j, ((lab, t), _) in enumerate(e0.atoms)
+        if e.label == lab and t in choices[i]
+    ]
+    flow = feasible_flow(
+        [(e.occur.min, True) for e in out],
+        [(iv.min, iv.max) for _, iv in e0.atoms],
+        arcs,
+    )
+    if flow is None:
+        return False
+    assert _verify_flat_routing(out, choices, e0, zip(arcs, flow)), (
+        "flow extraction produced an invalid routing"
+    )
+    return True
 
-    sources = []
-    for i, e in enumerate(out):
-        for c in range(e.occur.min):
-            sources.append(((i, c), ONE))
-    sinks = tuple((j, iv) for j, (_, iv) in enumerate(e0.atoms))
-    allowed = set()
-    for i, e in enumerate(out):
-        for j, ((lab, t), _) in enumerate(e0.atoms):
-            if e.label == lab and t in choices[i]:
-                for c in range(e.occur.min):
-                    allowed.add(((i, c), j))
-    inst = RoutingInstance(tuple(sources), sinks, frozenset(allowed))
-    return witness_exists_basic(inst) is not None
+
+def _verify_flat_routing(out, choices, e0: _rbe.Rbe0, flows) -> bool:
+    """Independent check of a routing ((edge, atom), units): each edge sends
+    exactly its cardinality to atoms of its label and of a type of its
+    target, and each atom's total lies in the atom's interval."""
+    sent = [0] * len(out)
+    received = [0] * len(e0.atoms)
+    for (i, j), x in flows:
+        (lab, t), _ = e0.atoms[j]
+        if x < 0 or (x and (out[i].label != lab or t not in choices[i])):
+            return False
+        sent[i] += x
+        received[j] += x
+    return all(x == e.occur.min for x, e in zip(sent, out)) and all(
+        x in iv for x, (_, iv) in zip(received, e0.atoms)
+    )
 
 
 def _satisfies_psi(out, choices, e0: _rbe.Rbe0) -> bool:
+    """The Presburger opinion on a flat check: a bounded search for a model
+    of the linear-arithmetic formula of signature ∩ definition.  No
+    validation path calls it; tests use it as an independent oracle."""
+    from . import presburger as _pa
+
     factors = []
     for e, ch in zip(out, choices):
         factor = _rbe.disj_all([_rbe.Sym((e.label, t)) for t in ch])
@@ -117,18 +140,22 @@ def _satisfies_psi(out, choices, e0: _rbe.Rbe0) -> bool:
 
 
 def _satisfies_exhaustive(out, choices, delta: _rbe.Rbe, choice_cap: int) -> bool:
+    # The k copies behind an edge of cardinality k may each take their own
+    # type, so an edge contributes a multiset of k types.
     total = 1
-    for c in choices:
-        total *= len(c)
+    for e, c in zip(out, choices):
+        total *= comb(len(c) + e.occur.min - 1, e.occur.min)
         if total > choice_cap:
             raise WorkCapError(
                 f"type-choice space exceeds {choice_cap} combinations",
                 partial=None,
             )
-    for combo in product(*choices):
+    per_edge = [combinations_with_replacement(c, e.occur.min) for e, c in zip(out, choices)]
+    for combo in product(*per_edge):
         w: Bag = Counter()
-        for e, t in zip(out, combo):
-            w[(e.label, t)] += e.occur.min
+        for e, types in zip(out, combo):
+            for t in types:
+                w[(e.label, t)] += 1
         try:
             if _rbe.bag_matches(delta, w):
                 return True

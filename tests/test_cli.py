@@ -65,6 +65,14 @@ class TestExitCodes:
         r = runner.invoke(main, ["classify", files["tmp"] + "/absent.schema"])
         assert r.exit_code == 3
 
+    def test_recursion_limit_is_2(self, runner, tmp_path):
+        # The binary expression tree of a 1200-atom rule is deeper than
+        # Python's recursion limit.
+        deep = tmp_path / "deep.schema"
+        deep.write_text("t -> " + " , ".join(["a::t?"] * 1200) + "\n")
+        r = runner.invoke(main, ["--json", "classify", str(deep)])
+        assert r.exit_code == 2
+
     def test_unknown_subcommand_is_3(self, runner):
         r = runner.invoke(main, ["frobnicate"])
         assert r.exit_code == 3

@@ -97,6 +97,14 @@ class TestCounterexampleSearch:
         v = find_counterexample(h, k, Budget(max_nodes=3, max_card=2))
         assert isinstance(v, Unknown)
 
+    def test_copies_of_a_compressed_edge_take_their_own_types(self):
+        # The candidate v0 a v1 [2;2] validates k: one copy of v1 reads as p,
+        # the other as q.
+        h = parse_schema("r -> a::u , a::u\nu -> eps\n")
+        k = parse_schema("r -> (a::p , a::q) | b::z\np -> eps\nq -> eps\nz -> eps\n")
+        v = contains(h, k, method="search", budget=Budget(max_nodes=3, max_card=2, timeout=None))
+        assert isinstance(v, Unknown)
+
     def test_timeout_reports_unknown(self):
         s = parse_schema(BUG_SCHEMA_TEXT)
         v = find_counterexample(s, s, Budget(max_nodes=6, max_card=3, timeout=0.01))

@@ -1,28 +1,32 @@
 import random
 from collections import Counter
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
+import shapegraph.embedding
 import shapegraph.validation
 
 from shapegraph import (
     Edge,
     Graph,
     Interval,
+    ONE,
     max_typing,
     parse_graph,
     parse_schema,
     satisfies_type,
     signature,
+    unpack,
     validates,
 )
 from shapegraph.errors import AlphabetError, GraphKindError, WorkCapError
-from shapegraph.rbe import Disj, EMPTY, bag_matches, rbe_to_text
-from shapegraph.validation import DEFAULT_WIDTH_CAP
+from shapegraph.rbe import Disj, EMPTY, Repeat, Sym, bag_matches, concat_all, rbe_to_text, to_rbe0
+from shapegraph.validation import _satisfies_psi
 from shapegraph import Schema
 
 from conftest import (
+    BASIC,
     BUG_GRAPH_TEXT,
     BUG_SCHEMA_TEXT,
     bug_chain_graph,
@@ -36,16 +40,18 @@ from conftest import (
 
 def reference_typing(g, s):
     """The maximal typing round by round, from the definitions: n keeps t
-    while one choice of a type per out-edge target, each edge counted by its
-    cardinality, gives a bag in L(δ(t)); every round reads only the previous
-    round's typing."""
+    while one choice of a type for each of the k copies behind an out-edge
+    of cardinality k gives a bag in L(δ(t)); every round reads only the
+    previous round's typing."""
 
     def holds(typing, n, t):
         edges = [e for e in g.out(n) if e.occur.min > 0]
-        for combo in product(*(sorted(typing[e.target]) for e in edges)):
+        per_edge = [combinations_with_replacement(sorted(typing[e.target]), e.occur.min) for e in edges]
+        for combo in product(*per_edge):
             w = Counter()
-            for e, u in zip(edges, combo):
-                w[(e.label, u)] += e.occur.min
+            for e, types in zip(edges, combo):
+                for u in types:
+                    w[(e.label, u)] += 1
             try:
                 if bag_matches(s.defs[t], w):
                     return True
@@ -72,6 +78,37 @@ def random_compressed_with_zero_edges(rng):
         if (a, lab, b) not in used and rng.random() < 0.2
     ]
     return Graph(g.nodes, list(g.edges) + zeros, kind="compressed")
+
+
+def random_non_flat_schema(rng):
+    """Each rule a choice between two concatenations of repeated a-atoms or
+    choices of a-atoms."""
+    types = [f"t{i}" for i in range(rng.randint(1, 3))]
+
+    def atom():
+        return Sym(("a", rng.choice(types)))
+
+    def part():
+        body = atom() if rng.random() < 0.5 else Disj(atom(), atom())
+        iv = rng.choice(BASIC)
+        return body if iv == ONE else Repeat(body, iv)
+
+    def rule():
+        return concat_all(part() for _ in range(rng.randint(0, 3)))
+
+    return Schema({t: Disj(rule(), rule()) for t in types})
+
+
+def random_wide_graph(rng, max_nodes):
+    """Compressed graph over the label a with edge widths 0..6."""
+    nodes = [f"c{i}" for i in range(rng.randint(1, max_nodes))]
+    edges = []
+    for a in nodes:
+        for b in nodes:
+            if rng.random() < 0.4:
+                k = rng.randint(0, 6)
+                edges.append(Edge(a, "a", b, Interval(k, k)))
+    return Graph(nodes, edges, kind="compressed")
 
 
 class TestSignature:
@@ -181,13 +218,55 @@ class TestCompressed:
         s2 = parse_schema("t -> a::u?\nu -> eps\n")
         assert not validates(g, s2)
 
-    def test_wide_node_uses_arithmetic_route(self):
-        width = DEFAULT_WIDTH_CAP + 5
-        g = parse_graph(f"graph compressed\nhub a leaf [{width};{width}]\n")
-        s = parse_schema("t -> a::u*\nu -> eps\n")
-        assert validates(g, s)
-        s2 = parse_schema("t -> a::u\nu -> eps\n")
-        assert not validates(g, s2)
+    def test_wide_node_network_does_not_grow(self, monkeypatch):
+        network = shapegraph.embedding._Network
+        init, add = network.__init__, network.add
+        nodes, arcs = [0], [0]
+
+        def counting_init(self, n):
+            nodes[0] += n
+            init(self, n)
+
+        def counting_add(self, a, b, cap):
+            arcs[0] += 1
+            return add(self, a, b, cap)
+
+        monkeypatch.setattr(network, "__init__", counting_init)
+        monkeypatch.setattr(network, "add", counting_add)
+        valid = parse_schema("t -> a::u*\nu -> eps\n")
+        invalid = parse_schema("t -> a::u\nu -> eps\n")
+        sizes = []
+        for width in (65, 10**3, 10**6):
+            g = parse_graph(f"graph compressed\nhub a leaf [{width};{width}]\n")
+            nodes[0] = arcs[0] = 0
+            assert validates(g, valid)
+            assert not validates(g, invalid)
+            sizes.append((nodes[0], arcs[0]))
+        # The same networks at every width: only the supplies grow.
+        assert sizes[0][1] > 0 and sizes == [sizes[0]] * 3
+
+    def test_simple_hub_validates(self, bug_schema):
+        edges = [Edge("user", "name", "lit")]
+        for i in range(81):
+            edges += [Edge(f"bug{i}", "descr", "lit"), Edge(f"bug{i}", "reportedBy", "user")]
+        edges += [Edge("bug0", "related", f"bug{i}") for i in range(1, 81)]
+        g = Graph((), edges, kind="simple")
+        assert len(g.out("bug0")) == 82
+        assert validates(g, bug_schema)
+
+    def test_copies_of_an_edge_take_their_own_types(self):
+        g = parse_graph("graph compressed\nx a y [2;2]\n")
+        s = parse_schema("t -> (a::u , a::w) | b::z\nu -> eps\nw -> eps\nz -> eps\n")
+        typing = {"x": frozenset(), "y": frozenset({"u", "w"})}
+        assert satisfies_type(g, s, typing, "x", "t")
+        assert validates(g, s) and validates(unpack(g)[0], s)
+
+    def test_agrees_with_unpack_under_non_flat_schemas(self):
+        rng = random.Random(33)
+        for _ in range(60):
+            f = random_compressed_graph(rng, max_nodes=3, labels=("a",), max_card=3)
+            s = random_non_flat_schema(rng)
+            assert validates(f, s) == validates(unpack(f)[0], s)
 
     def test_zero_cardinality_edge_is_epsilon(self):
         g = Graph(("x", "y"), [Edge("x", "a", "y", Interval(0, 0))], kind="compressed")
@@ -197,20 +276,33 @@ class TestCompressed:
 
 
 class TestRouteAgreement:
+    @staticmethod
+    def assert_routes_agree(g, s):
+        typing = {n: frozenset(s.types) for n in g.nodes}
+        # An equivalent non-flat definition forces the exhaustive route.
+        wrapped = Schema({t: Disj(e, EMPTY) for t, e in s.defs.items()})
+        for n in g.nodes:
+            out = [e for e in g.out(n) if e.occur.max != 0]
+            choices = [sorted(typing[e.target]) for e in out]
+            for t in s.types:
+                flow = satisfies_type(g, s, typing, n, t)
+                # Presburger arithmetic as an independent third opinion.
+                arith = _satisfies_psi(out, choices, to_rbe0(s.defs[t]))
+                exhaustive = satisfies_type(g, wrapped, typing, n, t)
+                assert flow == arith == exhaustive
+
     def test_flow_vs_arithmetic_vs_exhaustive(self):
         rng = random.Random(29)
         for _ in range(80):
             g = random_simple_graph(rng, max_nodes=3, labels=("a",))
-            s = random_rbe0_schema(rng, max_types=3, labels=("a",))
-            typing = {n: frozenset(s.types) for n in g.nodes}
-            # An equivalent non-flat definition forces the exhaustive route.
-            wrapped = Schema({t: Disj(e, EMPTY) for t, e in s.defs.items()})
-            for n in g.nodes:
-                for t in s.types:
-                    flow = satisfies_type(g, s, typing, n, t)
-                    arith = satisfies_type(g, s, typing, n, t, width_cap=0)
-                    exhaustive = satisfies_type(g, wrapped, typing, n, t)
-                    assert flow == arith == exhaustive
+            self.assert_routes_agree(g, random_rbe0_schema(rng, max_types=3, labels=("a",)))
+
+    def test_flow_vs_arithmetic_vs_exhaustive_on_wide_nodes(self):
+        # Smaller than above: the Presburger search grows fast with widths.
+        rng = random.Random(31)
+        for _ in range(80):
+            g = random_wide_graph(rng, max_nodes=2)
+            self.assert_routes_agree(g, random_rbe0_schema(rng, max_types=2, labels=("a",)))
 
     def test_choice_cap_is_hard_error(self):
         n = 17
