@@ -12,7 +12,6 @@ from .core import (
     Graph,
     Interval,
     bag,
-    interval_subset,
     interval_sum,
     parse_graph,
     parse_interval_token,

@@ -179,9 +179,9 @@ def classify(ctx, schema):
 
 
 def _budget_options(f):
-    f = click.option("--max-nodes", type=int, default=6, show_default=True)(f)
-    f = click.option("--max-card", type=int, default=3, show_default=True)(f)
-    f = click.option("--timeout", type=float, default=60.0, show_default=True)(f)
+    f = click.option("--max-nodes", type=click.IntRange(min=1), default=6, show_default=True)(f)
+    f = click.option("--max-card", type=click.IntRange(min=1), default=3, show_default=True)(f)
+    f = click.option("--timeout", type=click.FloatRange(min=0, min_open=True), default=60.0, show_default=True)(f)
     return f
 
 

@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement, permutations, product
 
-from .core import OPT, STAR, Edge, Graph, Interval, Worklist, interval_sum
+from .core import OPT, STAR, Edge, Graph, Interval, interval_sum
 from .errors import BudgetError, ClassPreconditionError
 from . import rbe as _rbe
 from . import validation as _val
@@ -233,10 +233,10 @@ def _distributions(c, slots, max_card):
             yield (first,) + rest
 
 
-def _bags_matching(delta, caps):
-    """All bags w ∈ L(delta) with per-symbol counts within caps."""
+def _bags_matching(s: Schema, t, caps):
+    """All bags w ∈ L(δ(t)) with per-symbol counts within caps."""
+    delta, e0 = s.defs[t], s.flat[t]
     symbols = sorted(_rbe.alphabet(delta), key=str)
-    e0 = _rbe.to_rbe0(delta)
     if e0 is not None:
         per_symbol = {a: [] for a in symbols}
         for a, iv in e0.atoms:
@@ -316,42 +316,6 @@ def canonical_code(g: Graph):
     return (len(nodes), best)
 
 
-class _CachedTyper:
-    """The worklist refinement of validation.max_typing, with per-node checks
-    memoized on the out-neighborhood shape, shared across candidates."""
-
-    def __init__(self, s: Schema):
-        self.s = s
-        self.cache: dict = {}
-
-    def fails(self, g: Graph) -> bool:
-        """True iff some node ends up untyped (early exit: type sets only
-        shrink, so an empty set is final)."""
-        typing = {n: frozenset(self.s.types) for n in g.nodes}
-        work = Worklist(g.nodes)
-        for n in work:
-            key = tuple(
-                sorted(
-                    (e.label, typing[e.target], e.occur.min) for e in g.out(n)
-                )
-            )
-            kept = []
-            for t in typing[n]:
-                ck = (t, key)
-                r = self.cache.get(ck)
-                if r is None:
-                    r = _val.satisfies_type(g, self.s, typing, n, t)
-                    self.cache[ck] = r
-                if r:
-                    kept.append(t)
-            if not kept:
-                return True
-            if len(kept) < len(typing[n]):
-                typing[n] = frozenset(kept)
-                work.extend(e.source for e in g.incoming(n))
-        return False
-
-
 def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
     """Exhaustive bounded search for a graph validating h but not k.
 
@@ -366,11 +330,15 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
     under different types by different referers are not enumerated.  Within
     this space the search is exhaustive and the reported witness has minimal
     node count.
+
+    Every candidate is typed against k by one validation.Typer, which stops
+    at the first untyped node; its checks are memoized on the out-signature
+    and shared across all candidates.
     """
     budget.check()
     start = time.monotonic()
     types = h.types
-    typer = _CachedTyper(k)
+    typer = _val.Typer(k)
 
     def timed_out():
         return budget.timeout is not None and time.monotonic() - start > budget.timeout
@@ -392,7 +360,7 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
                     for a in _rbe.alphabet(h.defs[t])
                 }
                 spec_list = []
-                for w in _bags_matching(h.defs[t], caps):
+                for w in _bags_matching(h, t, caps):
                     symbols = sorted(w, key=str)
                     dists = [
                         list(_distributions(w[a], len(targets_of[a[1]]), budget.max_card))
@@ -436,7 +404,7 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
                     [Edge(names[a], lab, names[b], Interval(c, c)) for a, lab, b, c in edges],
                     kind=kind,
                 )
-                if typer.fails(g):
+                if typer.typing(g, stop_untyped=True) is None:
                     # Independent re-verification before reporting.
                     if _val.validates(g, h) and not _val.validates(g, k):
                         total_card = sum(c for *_, c in edges)

@@ -78,10 +78,6 @@ def interval_sum(intervals) -> Interval:
     return acc
 
 
-def interval_subset(a: Interval, b: Interval) -> bool:
-    return a.subset(b)
-
-
 def parse_interval_token(tok: str) -> Interval:
     """Parse an occurrence token: 1 ? + * [n;m] [n;inf] or a bare natural k."""
     shorthand = {"1": ONE, "?": OPT, "+": PLUS, "*": STAR}
@@ -112,11 +108,6 @@ Bag = Counter
 
 def bag(*symbols) -> Bag:
     return Counter(symbols)
-
-
-def bag_key(w: Bag):
-    """Hashable canonical form (for memo tables)."""
-    return tuple(sorted((a, k) for a, k in w.items() if k))
 
 
 # --- Graphs ----------------------------------------------------------------
@@ -205,9 +196,6 @@ class Graph:
     @property
     def is_compressed(self) -> bool:
         return self._compressed
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(sorted({e.label for e in self.edges}))
 
     def check_kind(self, kind: str) -> None:
         """Raise GraphKindError unless this graph meets the declared kind."""

@@ -309,17 +309,28 @@ def max_simulation(g: Graph, h: Graph) -> SimulationRelation:
     drops, the related pairs with same-label edges into n and m are
     re-checked; a pair keeps the witness of its last check, as any later
     drop that witness used would have queued the pair again.
+
+    Witness searches are memoized on the out-signature: m and n's out-edges
+    in order as (label, occurrence, the h-nodes still related to the
+    target).  Equal keys give the same routing instance, so one witness
+    serves, index for index, every g-node with the same key.
     """
     pairs = [(n, m) for n in g.nodes for m in h.nodes]
     rel = set(pairs)
+    related = dict.fromkeys(g.nodes, frozenset(h.nodes))
+    memo = {}
     witnesses = {}
     work = Worklist(pairs)
     for n, m in work:
-        lam = find_witness(routing_instance(g, h, n, m, rel))
+        key = (m, tuple((e.label, e.occur, related[e.target]) for e in g.out(n)))
+        if key not in memo:
+            memo[key] = find_witness(routing_instance(g, h, n, m, rel))
+        lam = memo[key]
         if lam is not None:
             witnesses[(n, m)] = lam
             continue
         rel.discard((n, m))
+        related[n] = related[n] - {m}
         witnesses.pop((n, m), None)
         work.extend(
             (e.source, f.source)

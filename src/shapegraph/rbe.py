@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import product
 
 from .core import (
     BASIC_INTERVALS,
@@ -18,9 +19,7 @@ from .core import (
     PLUS,
     STAR,
     Bag,
-    Counter,
     Interval,
-    bag_key,
     interval_sum,
     parse_interval_token,
 )
@@ -140,24 +139,11 @@ def max_finite_constant(e: Rbe) -> int:
 DEFAULT_MATCH_CAP = 10**6
 
 
-def _sub_bags(w: Bag):
-    """All sub-bags of w, as Counters (including empty and w itself)."""
-    items = sorted((a, k) for a, k in w.items() if k)
-    out = [Counter()]
-    for a, k in items:
-        nxt = []
-        for base in out:
-            for c in range(k + 1):
-                b = Counter(base)
-                if c:
-                    b[a] = c
-                nxt.append(b)
-        out = nxt
-    return out
-
-
 def bag_matches(e: Rbe, w: Bag, work_cap: int = DEFAULT_MATCH_CAP) -> bool:
     """Exact membership w ∈ L(e) by exhaustive decomposition with memoization.
+
+    Inside one call a bag is a count vector over the alphabet of e, and
+    memo keys use the identity of each sub-expression, which e keeps alive.
 
     Raises AlphabetError when w uses symbols outside the alphabet of e, and
     WorkCapError when the decomposition exceeds work_cap steps.
@@ -166,6 +152,8 @@ def bag_matches(e: Rbe, w: Bag, work_cap: int = DEFAULT_MATCH_CAP) -> bool:
     extra = {a for a, k in w.items() if k and a not in sigma}
     if extra:
         raise AlphabetError(f"bag uses symbols outside the expression alphabet: {sorted(map(str, extra))}")
+    symbols = list(sigma)
+    index = {a: i for i, a in enumerate(symbols)}
     memo: dict = {}
     work = [0]
 
@@ -174,73 +162,78 @@ def bag_matches(e: Rbe, w: Bag, work_cap: int = DEFAULT_MATCH_CAP) -> bool:
         if work[0] > work_cap:
             raise WorkCapError(f"bag matching exceeded {work_cap} steps")
 
-    def m(e: Rbe, w: Bag) -> bool:
-        key = (e, bag_key(w))
+    def splits(v):
+        """Every (v1, v - v1) with v1 a sub-vector of v."""
+        for v1 in product(*[range(k + 1) for k in v]):
+            yield v1, tuple(a - b for a, b in zip(v, v1))
+
+    def m(e: Rbe, v: tuple) -> bool:
+        key = (id(e), v)
         if key in memo:
             return memo[key]
         tick()
-        r = compute(e, w)
+        r = compute(e, v)
         memo[key] = r
         return r
 
-    def compute(e: Rbe, w: Bag) -> bool:
-        size = sum(w.values())
+    def compute(e: Rbe, v: tuple) -> bool:
+        size = sum(v)
         if isinstance(e, Epsilon):
             return size == 0
         if isinstance(e, Empty):
             return False
         if isinstance(e, Sym):
-            return size == 1 and w[e.symbol] == 1
+            return size == 1 and v[index[e.symbol]] == 1
         if isinstance(e, Disj):
-            return m(e.left, w) or m(e.right, w)
+            return m(e.left, v) or m(e.right, v)
         if isinstance(e, Intersect):
-            return m(e.left, w) and m(e.right, w)
+            return m(e.left, v) and m(e.right, v)
         if isinstance(e, Concat):
-            for w1 in _sub_bags(w):
+            for v1, v2 in splits(v):
                 tick()
-                if m(e.left, w1) and m(e.right, w - w1):
+                if m(e.left, v1) and m(e.right, v2):
                     return True
             return False
         if isinstance(e, Repeat):
             iv = e.interval
             if size == 0:
                 return iv.min == 0 or eps_in(e.body)
-            # Decompose w into j nonempty parts of L(body); padding by empty
+            # Decompose v into j nonempty parts of L(body); padding by empty
             # iterations lifts j up to iv.min when the body accepts ε.
             hi = size if iv.max == INF else min(size, iv.max)
             can_pad = eps_in(e.body)
             for j in range(1, hi + 1):
-                if (j >= iv.min or can_pad) and dec(e.body, w, j):
+                if (j >= iv.min or can_pad) and dec(e.body, v, j):
                     return True
             return False
         raise TypeError(f"not an expression: {e!r}")
 
-    def dec(body: Rbe, w: Bag, j: int) -> bool:
-        key = (body, bag_key(w), j)
+    def dec(body: Rbe, v: tuple, j: int) -> bool:
+        key = (id(body), v, j)
         if key in memo:
             return memo[key]
         tick()
-        size = sum(w.values())
+        size = sum(v)
         if j == 1:
-            r = size > 0 and m(body, w)
+            r = size > 0 and m(body, v)
         elif size < j:
             r = False
         else:
-            # The part containing the least symbol is canonical, which avoids
-            # enumerating the same partition in several orders.
-            least = min(a for a, k in w.items() if k)
+            # The part containing the first symbol present is canonical,
+            # which avoids enumerating the same partition in several orders.
+            first = next(i for i, k in enumerate(v) if k)
             r = False
-            for w1 in _sub_bags(w):
-                if not w1[least]:
+            for v1, v2 in splits(v):
+                if not v1[first]:
                     continue
                 tick()
-                if m(body, w1) and dec(body, w - w1, j - 1):
+                if m(body, v1) and dec(body, v2, j - 1):
                     r = True
                     break
         memo[key] = r
         return r
 
-    return m(e, w)
+    return m(e, tuple(w.get(a, 0) for a in symbols))
 
 
 # --- The flat fragment ------------------------------------------------------

@@ -15,7 +15,8 @@ from . import rbe as _rbe
 class Schema:
     """Types plus a total definition map from type name to expression.
 
-    Expression atoms are Sym((label, type)) pairs.
+    Expression atoms are Sym((label, type)) pairs.  flat maps each type
+    to the flat form of its definition, or None when it has none.
     """
 
     def __init__(self, defs: dict):
@@ -27,13 +28,7 @@ class Schema:
                     raise ValueError(f"atom {sym!r} in rule for {t} is not label::Type")
                 if sym[1] not in self.defs:
                     raise ParseError(f"rule for {t} references undefined type {sym[1]}")
-
-    def labels(self) -> tuple[str, ...]:
-        out = set()
-        for e in self.defs.values():
-            for lab, _ in _rbe.alphabet(e):
-                out.add(lab)
-        return tuple(sorted(out))
+        self.flat: dict[str, _rbe.Rbe0 | None] = {t: _rbe.to_rbe0(e) for t, e in self.defs.items()}
 
     def __eq__(self, other):
         return isinstance(other, Schema) and self.defs == other.defs
@@ -104,7 +99,7 @@ def to_shape_graph(s: Schema) -> Graph:
     to be in the flat basic-interval fragment."""
     edges = []
     for t in s.types:
-        e0 = _rbe.to_rbe0(s.defs[t])
+        e0 = s.flat[t]
         if e0 is None:
             raise ClassPreconditionError(
                 f"definition of type {t} is not a parallel composition of basic-interval atoms"
@@ -162,7 +157,7 @@ def classify(s: Schema):
     diagnostics: list[str] = []
     flat = True
     for t in s.types:
-        if _rbe.to_rbe0(s.defs[t]) is None:
+        if s.flat[t] is None:
             diagnostics.append(f"rule for {t} is not a parallel composition of basic-interval atoms")
             flat = False
     if not flat:

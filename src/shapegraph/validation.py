@@ -68,7 +68,7 @@ def satisfies_type(
     if any(not c for c in choices):
         return False  # an edge to an untyped node is unsatisfiable
 
-    e0 = _rbe.to_rbe0(s.defs[ty])
+    e0 = s.flat[ty]
     if e0 is not None:
         return _satisfies_flat(out, choices, e0)
     return _satisfies_exhaustive(out, choices, s.defs[ty], choice_cap)
@@ -164,21 +164,48 @@ def _satisfies_exhaustive(out, choices, delta: _rbe.Rbe, choice_cap: int) -> boo
     return False
 
 
+class Typer:
+    """The maximal-typing fixpoint for one schema.  A node's check reads
+    only its type set and its out-signature, each out-edge as (label,
+    occurrence, the target's type set), so the kept types are memoized on
+    that pair and shared by every node, of every graph typed, with the same
+    one.  The signature is ordered by (label, occurrence)."""
+
+    def __init__(self, s: Schema, choice_cap: int = DEFAULT_CHOICE_CAP):
+        self.s = s
+        self.choice_cap = choice_cap
+        self.memo: dict = {}
+
+    def typing(self, g: Graph, stop_untyped: bool = False) -> dict | None:
+        """The maximal typing of g; with stop_untyped, None as soon as a
+        node is left untyped (type sets only shrink, so that is final)."""
+        _check_data_graph(g)
+        typing = dict.fromkeys(g.nodes, frozenset(self.s.types))
+        work = Worklist(g.nodes)
+        for n in work:
+            out = sorted(g.out(n), key=lambda e: (e.label, e.occur.min, e.occur.max))
+            key = (typing[n], tuple((e.label, e.occur, typing[e.target]) for e in out))
+            kept = self.memo.get(key)
+            if kept is None:
+                kept = self.memo[key] = frozenset(
+                    t for t in typing[n]
+                    if satisfies_type(g, self.s, typing, n, t, choice_cap=self.choice_cap)
+                )
+            if kept != typing[n]:
+                if stop_untyped and not kept:
+                    return None
+                typing[n] = kept
+                work.extend(e.source for e in g.incoming(n))
+        return typing
+
+
 def max_typing(g: Graph, s: Schema, choice_cap: int = DEFAULT_CHOICE_CAP) -> dict:
     """The unique maximal typing: start from all types at every node, drop
     the types a node fails, and re-check a node only after the type set of
-    one of its successors shrank, so the work follows the failures."""
-    _check_data_graph(g)
-    typing = {n: frozenset(s.types) for n in g.nodes}
-    work = Worklist(g.nodes)
-    for n in work:
-        kept = frozenset(
-            t for t in typing[n] if satisfies_type(g, s, typing, n, t, choice_cap=choice_cap)
-        )
-        if kept != typing[n]:
-            typing[n] = kept
-            work.extend(e.source for e in g.incoming(n))
-    return typing
+    one of its successors shrank, so the work follows the failures.  Checks
+    are memoized on the out-signature: nodes with the same type set and
+    out-signature share one check (see Typer)."""
+    return Typer(s, choice_cap).typing(g)
 
 
 def validates(g: Graph, s: Schema, choice_cap: int = DEFAULT_CHOICE_CAP) -> bool:

@@ -123,6 +123,25 @@ def bug_chain_graph(n=200):
     return Graph((), edges, kind="simple")
 
 
+def users_graph(n=200):
+    """n users, each with a name-edge to the one literal: n + 1 nodes and
+    only two out-signatures, whatever n."""
+    return Graph((), [Edge(f"user{i}", "name", "lit") for i in range(n)], kind="simple")
+
+
+def with_twins(g: Graph, rng: random.Random) -> Graph:
+    """g plus a twin of each node with the same out-edges as the node; each
+    edge goes to its target or to the target's twin, at random, so nodes
+    with equal out-signatures recur."""
+    twin = {n: f"{n}'" for n in g.nodes}
+    edges = []
+    for e in g.edges:
+        target = rng.choice((e.target, twin[e.target]))
+        for source in (e.source, twin[e.source]):
+            edges.append(Edge(source, e.label, target, e.occur))
+    return Graph(g.nodes + tuple(twin.values()), edges, kind=g.kind)
+
+
 # --- Random generators -------------------------------------------------------
 
 BASIC = [ONE, OPT, PLUS, STAR]

@@ -111,6 +111,16 @@ class TestExitCodes:
         )
         assert r.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--max-nodes", "0"), ("--max-card", "0"), ("--timeout", "0"), ("--timeout", "-1")],
+    )
+    @pytest.mark.parametrize("command", ["counterexample", "contains"])
+    def test_malformed_budget_is_3(self, runner, files, command, option, value):
+        r = runner.invoke(main, [command, files["chain.schema"], files["chain.schema"], option, value])
+        assert r.exit_code == 3
+        assert option in r.output and "unknown" not in r.output
+
 
 class TestOutputFormats:
     def test_typing_dump(self, runner, files):

@@ -33,6 +33,8 @@ from conftest import (
     random_shape_graph,
     random_simple_graph,
     star_chain_pair,
+    users_graph,
+    with_twins,
 )
 
 
@@ -228,6 +230,37 @@ class TestSimulationProperties:
         # A round-based fixpoint re-checks every pair once per hop of the
         # failure, about 200 times here.
         assert calls[0] <= 3 * len(g.nodes) * len(h.nodes)
+
+    def test_identical_nodes_share_witness_searches(self, monkeypatch, bug_schema):
+        h = to_shape_graph(bug_schema)
+        calls = [0]
+        search = shapegraph.embedding.find_witness
+
+        def counting(inst):
+            calls[0] += 1
+            return search(inst)
+
+        monkeypatch.setattr(shapegraph.embedding, "find_witness", counting)
+        counts = []
+        for n in (20, 200):
+            calls[0] = 0
+            g = users_graph(n)
+            ok, sim = embeds(g, h)
+            assert ok and all((f"user{i}", "User") in sim.pairs for i in range(n))
+            assert verify_witness(g, h, sim)
+            counts.append(calls[0])
+        # Per h-node, at most the literal's key and a user's key before and
+        # after a drop at the literal.
+        assert counts[0] == counts[1] <= len(h.nodes) * 3
+
+    def test_twin_nodes_equal_reference(self):
+        rng = random.Random(83)
+        for _ in range(100):
+            g = with_twins(random_simple_graph(rng, max_nodes=4), rng)
+            h = random_shape_graph(rng, max_nodes=4)
+            sim = max_simulation(g, h)
+            assert sim.pairs == reference_simulation(g, h)
+            assert verify_witness(g, h, sim)
 
     def test_rerunning_is_fixed_point(self):
         g, h = star_chain_pair()

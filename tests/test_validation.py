@@ -22,7 +22,7 @@ from shapegraph import (
 )
 from shapegraph.errors import AlphabetError, GraphKindError, WorkCapError
 from shapegraph.rbe import Disj, EMPTY, Repeat, Sym, bag_matches, concat_all, rbe_to_text, to_rbe0
-from shapegraph.validation import _satisfies_psi
+from shapegraph.validation import Typer, _satisfies_psi
 from shapegraph import Schema
 
 from conftest import (
@@ -35,6 +35,8 @@ from conftest import (
     random_compressed_graph,
     random_rbe0_schema,
     random_simple_graph,
+    users_graph,
+    with_twins,
 )
 
 
@@ -201,6 +203,38 @@ class TestMaxTyping:
         # A round-based fixpoint re-checks every node once per hop of the
         # failure, about 200 times here.
         assert calls[0] <= 3 * len(g.nodes) * len(bug_schema.types)
+
+    def test_identical_nodes_share_checks(self, monkeypatch, bug_schema):
+        calls = [0]
+        check = shapegraph.validation.satisfies_type
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(shapegraph.validation, "satisfies_type", counting)
+        counts = []
+        for n in (20, 200):
+            calls[0] = 0
+            typing = max_typing(users_graph(n), bug_schema)
+            assert typing["lit"] == frozenset({"Literal"})
+            assert all(typing[f"user{i}"] == frozenset({"User"}) for i in range(n))
+            counts.append(calls[0])
+        # At most four (type set, out-signature) keys occur: the literal's,
+        # a user's before the literal's type set shrinks, and after it, both
+        # for a user not yet checked and for user0, already down to {User}.
+        assert counts[0] == counts[1] <= len(bug_schema.types) * 4
+
+    def test_shared_typer_on_twin_nodes_equals_reference(self):
+        rng = random.Random(79)
+        for _ in range(25):
+            s = random_rbe0_schema(rng, max_types=4)
+            typer = Typer(s)
+            for _ in range(3):
+                g = with_twins(random_simple_graph(rng, max_nodes=4), rng)
+                expected = reference_typing(g, s)
+                assert typer.typing(g) == expected
+                assert (typer.typing(g, stop_untyped=True) is None) == (not all(expected.values()))
 
     def test_requires_data_graph_kind(self):
         g = Graph(("x",), [Edge("x", "a", "x", Interval(0, 3))], kind="general")
