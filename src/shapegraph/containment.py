@@ -8,9 +8,10 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, permutations, product
+from functools import partial
+from itertools import accumulate, combinations_with_replacement, permutations, product
 
-from .core import OPT, STAR, Edge, Graph, Interval, interval_sum
+from .core import ONE, OPT, STAR, Edge, Graph, Interval, interval_sum
 from .errors import BudgetError, ClassPreconditionError
 from . import rbe as _rbe
 from . import validation as _val
@@ -214,23 +215,27 @@ def characterizing_graph(h: Schema) -> Graph:
 # --- Bounded counter-example search ------------------------------------------
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _distributions(c, slots, max_card):
-    if slots == 0:
-        if c == 0:
-            yield ()
-        return
-    for first in range(min(c, max_card) + 1):
-        for rest in _distributions(c - first, slots - 1, max_card):
-            yield (first,) + rest
+def _tuples(total, parts, cap):
+    """Every tuple of `parts` naturals at most cap that sum to total, in
+    lexicographic order.  Iterative: raise the rightmost entry that has
+    some sum after it to take, then pack that rest as far right as it goes."""
+    c, i, rest = [0] * parts, 0, total
+    while True:
+        for j in reversed(range(i, parts)):
+            c[j] = min(cap, rest)
+            rest -= c[j]
+        if rest:
+            return
+        yield tuple(c)
+        for i in reversed(range(parts)):
+            if rest and c[i] < cap:
+                break
+            rest += c[i]
+        else:
+            return
+        c[i] += 1
+        rest -= 1
+        i += 1
 
 
 def _bags_matching(s: Schema, t, caps):
@@ -257,23 +262,21 @@ def _bags_matching(s: Schema, t, caps):
     return out
 
 
-def _connected(n_nodes, edges):
-    if n_nodes <= 1:
-        return True
-    parent = list(range(n_nodes))
+def _weakly_connected(out, inc):
+    """Weak connectivity from index lists, as in validation.Typer.fixpoint."""
+    seen = {0}
+    order = [0]
+    for i in order:
+        for j in inc[i] + [b for _, _, b in out[i]]:
+            if j not in seen:
+                seen.add(j)
+                order.append(j)
+    return len(seen) == len(out)
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    for a, _, b, _ in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    roots = {find(i) for i in range(n_nodes)}
-    return len(roots) == 1
+def _candidate_graph(names, out):
+    edges = [Edge(names[a], lab, names[b], Interval(c, c)) for a, o in enumerate(out) for lab, c, b in o]
+    return Graph(names, edges, kind="simple" if all(e.occur == ONE for e in edges) else "compressed")
 
 
 def canonical_code(g: Graph):
@@ -331,27 +334,27 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
     this space the search is exhaustive and the reported witness has minimal
     node count.
 
-    Every candidate is typed against k by one validation.Typer, which stops
-    at the first untyped node; its checks are memoized on the out-signature
-    and shared across all candidates.
+    Candidates are typed against k on their index lists by the fixpoint of
+    one validation.Typer, whose memo over interned type-set ids is shared by
+    all of them; a candidate's Graph is built only for a memo miss or for
+    the re-verification of a node left untyped.
     """
     budget.check()
     start = time.monotonic()
     types = h.types
     typer = _val.Typer(k)
+    reverified = set()
 
     def timed_out():
         return budget.timeout is not None and time.monotonic() - start > budget.timeout
 
     for n_nodes in range(1, budget.max_nodes + 1):
+        names = [f"v{i}" for i in range(n_nodes)]
         hits = []
-        for counts in _compositions(n_nodes, len(types)):
-            node_type = []
-            for t, c in zip(types, counts):
-                node_type.extend([t] * c)
-            targets_of = {t: [i for i, tt in enumerate(node_type) if tt == t] for t in types}
+        for counts in _tuples(n_nodes, len(types), n_nodes):
+            ends = list(accumulate(counts))
+            targets_of = {t: list(range(e - c, e)) for t, c, e in zip(types, counts, ends)}
             specs = {}
-            feasible = True
             for t, c in zip(types, counts):
                 if c == 0:
                     continue
@@ -359,55 +362,53 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
                     a: budget.max_card * len(targets_of[a[1]])
                     for a in _rbe.alphabet(h.defs[t])
                 }
-                spec_list = []
+                # Each spec is a node's out-list, as (label, k, target index).
+                spec_list = specs[t] = []
                 for w in _bags_matching(h, t, caps):
                     symbols = sorted(w, key=str)
                     dists = [
-                        list(_distributions(w[a], len(targets_of[a[1]]), budget.max_card))
+                        list(_tuples(w[a], len(targets_of[a[1]]), budget.max_card))
                         for a in symbols
                     ]
                     for combo in product(*dists):
-                        spec_list.append(tuple(zip(symbols, combo)))
+                        spec_list.append([(lab, card, targets_of[tgt_t][slot])
+                                          for (lab, tgt_t), dist in zip(symbols, combo)
+                                          for slot, card in enumerate(dist) if card])
                 if not spec_list:
-                    feasible = False
                     break
-                specs[t] = spec_list
-            if not feasible:
+            if not all(specs.values()):
                 continue
 
-            group_choices = []
-            for t, c in zip(types, counts):
-                if c == 0:
-                    continue
-                group_choices.append(
-                    (targets_of[t], list(combinations_with_replacement(range(len(specs[t])), c)))
-                )
+            # Nodes are numbered by type in order, so the picks of the
+            # groups, concatenated, give the out-list of each node in turn.
+            group_choices = [
+                (specs[t], list(combinations_with_replacement(range(len(specs[t])), c)))
+                for t, c in zip(types, counts) if c
+            ]
             for picks in product(*[choices for _, choices in group_choices]):
                 if timed_out():
                     if hits:
                         break
                     return Unknown("timeout before exhausting the budget")
-                edges = []
-                for (members, _), pick in zip(group_choices, picks):
-                    t = node_type[members[0]]
-                    for node_i, spec_i in zip(members, pick):
-                        for (lab, tgt_t), dist in specs[t][spec_i]:
-                            for slot, card in enumerate(dist):
-                                if card:
-                                    edges.append((node_i, lab, targets_of[tgt_t][slot], card))
-                if not _connected(n_nodes, edges):
+                out = [group[i] for (group, _), pick in zip(group_choices, picks) for i in pick]
+                inc = [[] for _ in names]
+                for a, o in enumerate(out):
+                    for _, _, b in o:
+                        inc[b].append(a)
+                if not _weakly_connected(out, inc):
                     continue
-                names = [f"v{i}" for i in range(n_nodes)]
-                kind = "compressed" if any(c > 1 for *_, c in edges) else "simple"
-                g = Graph(
-                    names,
-                    [Edge(names[a], lab, names[b], Interval(c, c)) for a, lab, b, c in edges],
-                    kind=kind,
-                )
-                if typer.typing(g, stop_untyped=True) is None:
-                    # Independent re-verification before reporting.
+                graph = partial(_candidate_graph, names, out)
+                if typer.fixpoint(out, inc, names, graph, stop_untyped=True) is None:
+                    # Independent re-verification before reporting, once per
+                    # labelled graph: candidates of different node types
+                    # can share one.
+                    key = tuple(map(tuple, out))
+                    if key in reverified:
+                        continue
+                    reverified.add(key)
+                    g = graph()
                     if _val.validates(g, h) and not _val.validates(g, k):
-                        total_card = sum(c for *_, c in edges)
+                        total_card = sum(c for o in out for _, c, _ in o)
                         hits.append((total_card, g))
             if hits and timed_out():
                 break

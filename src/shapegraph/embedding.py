@@ -111,6 +111,9 @@ def feasible_flow(sources, sinks, arcs):
     fed = {v for v, _ in arcs}
     if any(x and v not in fed for v, (x, _) in enumerate(sources)):
         return None
+    counted = {u for v, u in arcs if sources[v][0] and sources[v][1]}
+    if any(lo and u not in counted for u, (lo, _) in enumerate(sinks)):
+        return None
 
     n_v = len(sources)
     demand = sum(lo for lo, _ in sinks)

@@ -165,37 +165,56 @@ def _satisfies_exhaustive(out, choices, delta: _rbe.Rbe, choice_cap: int) -> boo
 
 
 class Typer:
-    """The maximal-typing fixpoint for one schema.  A node's check reads
-    only its type set and its out-signature, each out-edge as (label,
-    occurrence, the target's type set), so the kept types are memoized on
-    that pair and shared by every node, of every graph typed, with the same
-    one.  The signature is ordered by (label, occurrence)."""
+    """The maximal-typing fixpoint for one schema.  Type sets are interned
+    as ints, 0 for all types.  A node's check reads only its type set and
+    its out-edges as (label, k, target's type set) for occurrence [k;k],
+    ordered by (label, k), so the kept types are memoized on that pair and
+    shared by every node, of every graph typed, with the same one."""
 
     def __init__(self, s: Schema, choice_cap: int = DEFAULT_CHOICE_CAP):
         self.s = s
         self.choice_cap = choice_cap
         self.memo: dict = {}
+        self.sets = [frozenset(s.types)]
+        self.ids = {self.sets[0]: 0}
 
     def typing(self, g: Graph, stop_untyped: bool = False) -> dict | None:
         """The maximal typing of g; with stop_untyped, None as soon as a
         node is left untyped (type sets only shrink, so that is final)."""
         _check_data_graph(g)
-        typing = dict.fromkeys(g.nodes, frozenset(self.s.types))
-        work = Worklist(g.nodes)
-        for n in work:
-            out = sorted(g.out(n), key=lambda e: (e.label, e.occur.min, e.occur.max))
-            key = (typing[n], tuple((e.label, e.occur, typing[e.target]) for e in out))
-            kept = self.memo.get(key)
+        index = {n: i for i, n in enumerate(g.nodes)}
+        out = [[(e.label, e.occur.min, index[e.target]) for e in g.out(n)] for n in g.nodes]
+        inc = [[index[e.source] for e in g.incoming(n)] for n in g.nodes]
+        ids = self.fixpoint(out, inc, g.nodes, lambda: g, stop_untyped)
+        return None if ids is None else {n: self.sets[i] for n, i in zip(g.nodes, ids)}
+
+    def fixpoint(self, out, inc, names, graph, stop_untyped: bool = False):
+        """Type-set ids per node of the graph whose node i has out-edges
+        out[i], as (label, k, target index), and in-edges from inc[i].  A
+        memo miss checks node names[i] of graph(), called at most once."""
+        sets, ids, memo = self.sets, self.ids, self.memo
+        out = [sorted(o, key=lambda e: e[:2]) for o in out]
+        typing = [0] * len(out)
+        g = None
+        work = Worklist(range(len(out)))
+        for i in work:
+            key = (typing[i], tuple([(lab, k, typing[j]) for lab, k, j in out[i]]))
+            kept = memo.get(key)
             if kept is None:
-                kept = self.memo[key] = frozenset(
-                    t for t in typing[n]
-                    if satisfies_type(g, self.s, typing, n, t, choice_cap=self.choice_cap)
+                g = g or graph()
+                targets = {names[j]: sets[typing[j]] for _, _, j in out[i]}
+                types = frozenset(
+                    t for t in sets[typing[i]]
+                    if satisfies_type(g, self.s, targets, names[i], t, choice_cap=self.choice_cap)
                 )
-            if kept != typing[n]:
-                if stop_untyped and not kept:
+                kept = memo[key] = ids.setdefault(types, len(sets))
+                if kept == len(sets):
+                    sets.append(types)
+            if kept != typing[i]:
+                if stop_untyped and not sets[kept]:
                     return None
-                typing[n] = kept
-                work.extend(e.source for e in g.incoming(n))
+                typing[i] = kept
+                work.extend(inc[i])
         return typing
 
 
@@ -203,8 +222,8 @@ def max_typing(g: Graph, s: Schema, choice_cap: int = DEFAULT_CHOICE_CAP) -> dic
     """The unique maximal typing: start from all types at every node, drop
     the types a node fails, and re-check a node only after the type set of
     one of its successors shrank, so the work follows the failures.  Checks
-    are memoized on the out-signature: nodes with the same type set and
-    out-signature share one check (see Typer)."""
+    are memoized on the out-signature over interned type-set ids: nodes
+    with the same type set and out-signature share one check (see Typer)."""
     return Typer(s, choice_cap).typing(g)
 
 

@@ -1,6 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
+
+from shapegraph import containment, validation
 
 from shapegraph import (
     Budget,
@@ -22,6 +25,7 @@ from shapegraph import (
 )
 from shapegraph.containment import canonical_code, contains_detshex0minus
 from shapegraph.errors import ClassPreconditionError
+from shapegraph.fixtures import exponential_family
 
 from conftest import BUG_SCHEMA_TEXT, chain_schema, random_minus_schema
 
@@ -104,6 +108,58 @@ class TestCounterexampleSearch:
         k = parse_schema("r -> (a::p , a::q) | b::z\np -> eps\nq -> eps\nz -> eps\n")
         v = contains(h, k, method="search", budget=Budget(max_nodes=3, max_card=2, timeout=None))
         assert isinstance(v, Unknown)
+
+    def test_many_types_do_not_deepen_recursion(self):
+        # One composition part per h-type: a generator nested once per part
+        # would pass Python's recursion limit here.
+        h = parse_schema("".join(f"t{i} -> eps\n" for i in range(1100)))
+        k = parse_schema("u -> a::u\n")
+        v = contains(h, k, method="search", budget=Budget(max_nodes=1, max_card=1, timeout=None))
+        assert isinstance(v, NotContained)
+        assert v.witness.nodes == ("v0",) and not v.witness.edges
+
+    def test_graphs_built_only_for_misses_and_untyped(self, monkeypatch):
+        counts = Counter()
+        search_typers = []
+
+        class CountingGraph(containment.Graph):
+            def __init__(self, *args, **kwargs):
+                counts["builds"] += 1
+                super().__init__(*args, **kwargs)
+
+        class CountingTyper(validation.Typer):
+            def fixpoint(self, *args, **kwargs):
+                ids = super().fixpoint(*args, **kwargs)
+                if self is search_typers[0]:
+                    counts["untyped"] += ids is None
+                return ids
+
+        def recording_typer(*args, **kwargs):
+            typer = CountingTyper(*args, **kwargs)
+            search_typers.append(typer)
+            return typer
+
+        def counting_connected(out, inc):
+            counts["candidates"] += 1
+            return connected(out, inc)
+
+        connected = getattr(containment, "_weakly_connected", None)
+        monkeypatch.setattr(containment, "Graph", CountingGraph)
+        monkeypatch.setattr(validation, "Typer", recording_typer)
+        # Every enumerated candidate goes through the connectivity test.
+        monkeypatch.setattr(containment, "_weakly_connected", counting_connected, raising=False)
+        h, k = exponential_family(1)
+        v = find_counterexample(h, k, Budget(max_nodes=6, max_card=1, timeout=None))
+        assert isinstance(v, NotContained)
+        assert v.witness.nodes == ("v0", "v1", "v2", "v3")
+        assert v.witness.edges == (
+            Edge("v0", "L", "v2"),
+            Edge("v0", "R", "v1"),
+            Edge("v2", "a1", "v3"),
+        )
+        misses = len(search_typers[0].memo)
+        assert counts["builds"] <= misses + counts["untyped"]
+        assert 4 * counts["builds"] < counts["candidates"]
 
     def test_timeout_reports_unknown(self):
         s = parse_schema(BUG_SCHEMA_TEXT)

@@ -226,15 +226,18 @@ class TestMaxTyping:
         assert counts[0] == counts[1] <= len(bug_schema.types) * 4
 
     def test_shared_typer_on_twin_nodes_equals_reference(self):
+        # Compressed graphs put out-edges of cardinality k > 1 in the memo
+        # keys, next to the simple graphs' k = 1.
         rng = random.Random(79)
         for _ in range(25):
             s = random_rbe0_schema(rng, max_types=4)
             typer = Typer(s)
             for _ in range(3):
-                g = with_twins(random_simple_graph(rng, max_nodes=4), rng)
-                expected = reference_typing(g, s)
-                assert typer.typing(g) == expected
-                assert (typer.typing(g, stop_untyped=True) is None) == (not all(expected.values()))
+                for base in (random_simple_graph(rng, max_nodes=4), random_compressed_graph(rng, max_nodes=3)):
+                    g = with_twins(base, rng)
+                    expected = reference_typing(g, s)
+                    assert typer.typing(g) == expected
+                    assert (typer.typing(g, stop_untyped=True) is None) == (not all(expected.values()))
 
     def test_requires_data_graph_kind(self):
         g = Graph(("x",), [Edge("x", "a", "x", Interval(0, 3))], kind="general")
@@ -278,6 +281,23 @@ class TestCompressed:
             sizes.append((nodes[0], arcs[0]))
         # The same networks at every width: only the supplies grow.
         assert sizes[0][1] > 0 and sizes == [sizes[0]] * 3
+
+    def test_unmatched_atom_needs_no_network(self, monkeypatch):
+        calls = [0]
+        maxflow = shapegraph.embedding._Network.maxflow
+
+        def counting(self, s, t):
+            calls[0] += 1
+            return maxflow(self, s, t)
+
+        monkeypatch.setattr(shapegraph.embedding._Network, "maxflow", counting)
+        # The b-atom needs one edge and no out-edge has label b.
+        g = parse_graph("graph compressed\nx a y [2;2]\n")
+        s = parse_schema("t -> a::u* , b::u\nu -> eps\n")
+        typing = {"x": frozenset({"t", "u"}), "y": frozenset({"t", "u"})}
+        assert not satisfies_type(g, s, typing, "x", "t")
+        assert not satisfies_type(g, s, typing, "y", "t")
+        assert calls[0] == 0
 
     def test_simple_hub_validates(self, bug_schema):
         edges = [Edge("user", "name", "lit")]
