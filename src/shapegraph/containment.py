@@ -8,7 +8,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import accumulate, combinations_with_replacement, permutations, product
 
 from .core import ONE, OPT, STAR, Edge, Graph, Interval, interval_sum
@@ -343,7 +343,6 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
     start = time.monotonic()
     types = h.types
     typer = _val.Typer(k)
-    reverified = set()
 
     def timed_out():
         return budget.timeout is not None and time.monotonic() - start > budget.timeout
@@ -362,7 +361,8 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
                     a: budget.max_card * len(targets_of[a[1]])
                     for a in _rbe.alphabet(h.defs[t])
                 }
-                # Each spec is a node's out-list, as (label, k, target index).
+                # Each spec is a node's out-list, as (label, k, target index),
+                # sorted on (label, k) as the fixpoint takes it.
                 spec_list = specs[t] = []
                 for w in _bags_matching(h, t, caps):
                     symbols = sorted(w, key=str)
@@ -371,9 +371,9 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
                         for a in symbols
                     ]
                     for combo in product(*dists):
-                        spec_list.append([(lab, card, targets_of[tgt_t][slot])
-                                          for (lab, tgt_t), dist in zip(symbols, combo)
-                                          for slot, card in enumerate(dist) if card])
+                        spec_list.append(sorted((lab, card, targets_of[tgt_t][slot])
+                                                for (lab, tgt_t), dist in zip(symbols, combo)
+                                                for slot, card in enumerate(dist) if card))
                 if not spec_list:
                     break
             if not all(specs.values()):
@@ -397,15 +397,9 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
                         inc[b].append(a)
                 if not _weakly_connected(out, inc):
                     continue
-                graph = partial(_candidate_graph, names, out)
-                if typer.fixpoint(out, inc, names, graph, stop_untyped=True) is None:
-                    # Independent re-verification before reporting, once per
-                    # labelled graph: candidates of different node types
-                    # can share one.
-                    key = tuple(map(tuple, out))
-                    if key in reverified:
-                        continue
-                    reverified.add(key)
+                graph = cache(partial(_candidate_graph, names, out))
+                if typer.fixpoint(out, inc, graph, stop_untyped=True) is None:
+                    # Independent re-verification before reporting.
                     g = graph()
                     if _val.validates(g, h) and not _val.validates(g, k):
                         total_card = sum(c for o in out for _, c, _ in o)

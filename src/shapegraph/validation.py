@@ -178,22 +178,22 @@ class Typer:
         self.sets = [frozenset(s.types)]
         self.ids = {self.sets[0]: 0}
 
-    def typing(self, g: Graph, stop_untyped: bool = False) -> dict | None:
-        """The maximal typing of g; with stop_untyped, None as soon as a
-        node is left untyped (type sets only shrink, so that is final)."""
+    def typing(self, g: Graph) -> dict:
+        """The maximal typing of g."""
         _check_data_graph(g)
         index = {n: i for i, n in enumerate(g.nodes)}
-        out = [[(e.label, e.occur.min, index[e.target]) for e in g.out(n)] for n in g.nodes]
+        out = [sorted((e.label, e.occur.min, index[e.target]) for e in g.out(n)) for n in g.nodes]
         inc = [[index[e.source] for e in g.incoming(n)] for n in g.nodes]
-        ids = self.fixpoint(out, inc, g.nodes, lambda: g, stop_untyped)
-        return None if ids is None else {n: self.sets[i] for n, i in zip(g.nodes, ids)}
+        ids = self.fixpoint(out, inc, lambda: g)
+        return {n: self.sets[i] for n, i in zip(g.nodes, ids)}
 
-    def fixpoint(self, out, inc, names, graph, stop_untyped: bool = False):
+    def fixpoint(self, out, inc, graph, stop_untyped: bool = False):
         """Type-set ids per node of the graph whose node i has out-edges
-        out[i], as (label, k, target index), and in-edges from inc[i].  A
-        memo miss checks node names[i] of graph(), called at most once."""
+        out[i], as (label, k, target index) sorted on (label, k), and
+        in-edges from inc[i]; with stop_untyped, None as soon as a node is
+        left untyped (type sets only shrink, so that is final).  A memo miss
+        checks node i of graph(), whose nodes are in index order."""
         sets, ids, memo = self.sets, self.ids, self.memo
-        out = [sorted(o, key=lambda e: e[:2]) for o in out]
         typing = [0] * len(out)
         g = None
         work = Worklist(range(len(out)))
@@ -202,10 +202,10 @@ class Typer:
             kept = memo.get(key)
             if kept is None:
                 g = g or graph()
-                targets = {names[j]: sets[typing[j]] for _, _, j in out[i]}
+                targets = {g.nodes[j]: sets[typing[j]] for _, _, j in out[i]}
                 types = frozenset(
                     t for t in sets[typing[i]]
-                    if satisfies_type(g, self.s, targets, names[i], t, choice_cap=self.choice_cap)
+                    if satisfies_type(g, self.s, targets, g.nodes[i], t, choice_cap=self.choice_cap)
                 )
                 kept = memo[key] = ids.setdefault(types, len(sets))
                 if kept == len(sets):
