@@ -8,7 +8,6 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, partial
 from itertools import accumulate, combinations_with_replacement, permutations, product
 
 from .core import ONE, OPT, STAR, Edge, Graph, Interval, interval_sum
@@ -238,24 +237,24 @@ def _tuples(total, parts, cap):
         i += 1
 
 
-def _bags_matching(s: Schema, t, caps):
-    """All bags w ∈ L(δ(t)) with per-symbol counts within caps."""
+def _bags_matching(s: Schema, t, symbols, caps):
+    """All bags w ∈ L(δ(t)) over symbols, the alphabet of δ(t) sorted by
+    str, with the count of symbols[i] at most caps[i]."""
     delta, e0 = s.defs[t], s.flat[t]
-    symbols = sorted(_rbe.alphabet(delta), key=str)
     if e0 is not None:
         per_symbol = {a: [] for a in symbols}
         for a, iv in e0.atoms:
             per_symbol[a].append(iv)
         ranges = []
-        for a in symbols:
+        for a, cap in zip(symbols, caps):
             iv = interval_sum(per_symbol[a])
-            ranges.append([c for c in range(caps.get(a, 0) + 1) if c in iv])
+            ranges.append([c for c in range(cap + 1) if c in iv])
         out = []
         for combo in product(*ranges):
             out.append(Counter({a: c for a, c in zip(symbols, combo) if c}))
         return out
     out = []
-    for combo in product(*[range(caps.get(a, 0) + 1) for a in symbols]):
+    for combo in product(*[range(cap + 1) for cap in caps]):
         w = Counter({a: c for a, c in zip(symbols, combo) if c})
         if _rbe.bag_matches(delta, w):
             out.append(w)
@@ -343,6 +342,16 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
     start = time.monotonic()
     types = h.types
     typer = _val.Typer(k)
+    symbols_of = {t: sorted(_rbe.alphabet(h.defs[t]), key=str) for t in types}
+    bags = {}  # (type, caps) -> _bags_matching, shared by every node count
+    built = None
+
+    def graph():
+        # The Graph of the candidate now typed (names, out), built once.
+        nonlocal built
+        if built is None:
+            built = _candidate_graph(names, out)
+        return built
 
     def timed_out():
         return budget.timeout is not None and time.monotonic() - start > budget.timeout
@@ -357,14 +366,13 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
             for t, c in zip(types, counts):
                 if c == 0:
                     continue
-                caps = {
-                    a: budget.max_card * len(targets_of[a[1]])
-                    for a in _rbe.alphabet(h.defs[t])
-                }
+                caps = tuple(budget.max_card * len(targets_of[a[1]]) for a in symbols_of[t])
+                if (t, caps) not in bags:
+                    bags[(t, caps)] = _bags_matching(h, t, symbols_of[t], caps)
                 # Each spec is a node's out-list, as (label, k, target index),
                 # sorted on (label, k) as the fixpoint takes it.
                 spec_list = specs[t] = []
-                for w in _bags_matching(h, t, caps):
+                for w in bags[(t, caps)]:
                     symbols = sorted(w, key=str)
                     dists = [
                         list(_tuples(w[a], len(targets_of[a[1]]), budget.max_card))
@@ -397,7 +405,7 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
                         inc[b].append(a)
                 if not _weakly_connected(out, inc):
                     continue
-                graph = cache(partial(_candidate_graph, names, out))
+                built = None  # a new candidate: graph() builds its Graph
                 if typer.fixpoint(out, inc, graph, stop_untyped=True) is None:
                     # Independent re-verification before reporting.
                     g = graph()

@@ -7,12 +7,16 @@ out-edge f of m keeps the interval sum of λ's preimage inside occur(f).
 
 Witness existence is abstracted as a flow-routing problem over bipartite
 sources (out-edges of n) and sinks (out-edges of m).  For basic intervals
-it is the unit case of one capacitated lower-bound flow (feasible_flow),
-decided in polynomial time by augmenting paths; the residual moves are
-exactly the push-forth edges (evict a source from a saturated or
-overflowing sink) and pull-back edges (draw a min-1 source into a sink in
-deficit).  The same flow decides flat type satisfaction in validation.
-For arbitrary intervals an exact backtracking search is used.
+it is the unit case of one capacitated lower-bound flow (feasible_flow).
+A source with one admissible sink is routed straight to it; the sources
+with a choice go through a network decided in polynomial time by
+augmenting paths, whose residual moves are exactly the push-forth edges
+(evict a source from a saturated or overflowing sink) and pull-back edges
+(draw a min-1 source into a sink in deficit).  The same flow decides flat
+type satisfaction in validation.  Every routing returned as a "yes" is
+re-checked independently (verify_routing, and in validation
+_verify_flat_routing).  For arbitrary intervals an exact backtracking
+search is used.
 """
 
 from __future__ import annotations
@@ -53,8 +57,8 @@ def verify_routing(inst: RoutingInstance, lam: dict) -> bool:
 # of the bounds of the sinks it feeds, one that does not only to the upper
 # side.  The lower bounds (every supply shipped in full, every sink's
 # counted flow at least lo) go away by the SS/TT transform, so one max flow
-# decides feasibility, at a cost that depends on the number of sources,
-# sinks and arcs and not on the supplies.
+# decides feasibility, at a cost that depends on the number of sources
+# with a choice, sinks and arcs and not on the supplies.
 
 
 class _Network:
@@ -107,48 +111,79 @@ def feasible_flow(sources, sinks, arcs):
     arcs: (source index, sink index) pairs.  Every source ships exactly its
     supply; each sink receives at most hi in all and at least lo from
     counting sources.
-    """
-    fed = {v for v, _ in arcs}
-    if any(x and v not in fed for v, (x, _) in enumerate(sources)):
-        return None
-    counted = {u for v, u in arcs if sources[v][0] and sources[v][1]}
-    if any(lo and u not in counted for u, (lo, _) in enumerate(sinks)):
-        return None
 
-    n_v = len(sources)
-    demand = sum(lo for lo, _ in sinks)
-    supply = sum(x for x, _ in sources)
+    A source with one arc has no choice: its supply goes straight to that
+    arc's sink, off the sink's hi and, if it counts, off its lo.  Only the
+    sources with a choice, positive supply and two arcs or more, enter the
+    network, against the sinks' residual bounds; when there are none, no
+    network is built.  Callers still re-check every flow returned.
+    """
+    arcs_of = [[] for _ in sources]
+    for a, (v, _) in enumerate(arcs):
+        arcs_of[v].append(a)
+    flow = [0] * len(arcs)
+    lo = [b for b, _ in sinks]
+    hi = [b for _, b in sinks]
+    free = []
+    for v, (x, counts) in enumerate(sources):
+        if not x:
+            continue
+        if not arcs_of[v]:
+            return None
+        if len(arcs_of[v]) > 1:
+            free.append(v)
+            continue
+        (a,) = arcs_of[v]
+        u = arcs[a][1]
+        flow[a] = x
+        hi[u] -= x
+        if hi[u] < 0:
+            return None
+        if counts:
+            lo[u] = max(0, lo[u] - x)
+    counted = {arcs[a][1] for v in free if sources[v][1] for a in arcs_of[v]}
+    if any(lo[u] and u not in counted for u in range(len(sinks))):
+        return None
+    if not free:
+        return flow
+
+    demand = sum(lo)
+    supply = sum(sources[v][0] for v in free)
     big = supply + demand + 1
     S, T, SS, TT = 0, 1, 2, 3
     vnode = 4
-    unode = vnode + n_v
+    unode = vnode + len(free)
     gate = {}
-    for j, (lo, _) in enumerate(sinks):
-        if lo:
+    for j in range(len(sinks)):
+        if lo[j]:
             gate[j] = unode + len(sinks) + len(gate)
     net = _Network(unode + len(sinks) + len(gate))
 
     # S→v with lower bound = capacity = supply.
-    for i, (x, _) in enumerate(sources):
-        net.add(SS, vnode + i, x)
+    for i, v in enumerate(free):
+        net.add(SS, vnode + i, sources[v][0])
     net.add(S, TT, supply)
     # gate→u with lower bound lo carries the counted flow into u.
-    for j, (lo, hi) in enumerate(sinks):
-        if lo:
-            net.add(SS, unode + j, lo)
-            net.add(gate[j], TT, lo)
-            net.add(gate[j], unode + j, big if hi == INF else hi - lo)
-        net.add(unode + j, T, big if hi == INF else hi)
+    for j in range(len(sinks)):
+        if lo[j]:
+            net.add(SS, unode + j, lo[j])
+            net.add(gate[j], TT, lo[j])
+            net.add(gate[j], unode + j, big if hi[j] == INF else hi[j] - lo[j])
+        net.add(unode + j, T, big if hi[j] == INF else hi[j])
     net.add(T, S, big)
     arc_ids = []
-    for v, u in arcs:
+    for i, v in enumerate(free):
         x, counts = sources[v]
-        target = gate[u] if counts and u in gate else unode + u
-        arc_ids.append((vnode + v, net.add(vnode + v, target, x), x))
+        for a in arcs_of[v]:
+            u = arcs[a][1]
+            target = gate[u] if counts and u in gate else unode + u
+            arc_ids.append((a, vnode + i, net.add(vnode + i, target, x), x))
 
     if net.maxflow(SS, TT) != supply + demand:
         return None
-    return [x - net.adj[a][i][1] for a, i, x in arc_ids]
+    for a, node, i, x in arc_ids:
+        flow[a] = x - net.adj[node][i][1]
+    return flow
 
 
 def witness_exists_basic(inst: RoutingInstance):

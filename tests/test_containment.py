@@ -95,6 +95,22 @@ class TestCounterexampleSearch:
         assert len(g.nodes) == 2
         assert sum(e.occur.min for e in g.edges) == 2
 
+    def test_each_bag_list_computed_once(self, monkeypatch):
+        keys = []
+        bags_matching = containment._bags_matching
+
+        def recording(s, t, symbols, caps):
+            keys.append((t, caps))
+            return bags_matching(s, t, symbols, caps)
+
+        monkeypatch.setattr(containment, "_bags_matching", recording)
+        h = parse_schema("t -> a::u\nu -> eps\n")
+        k = parse_schema("t -> a::u*\nu -> eps\n")
+        v = find_counterexample(h, k, Budget(max_nodes=4, max_card=2, claim_complete=True))
+        assert isinstance(v, Contained)
+        # u's empty alphabet gives the key ("u", ()) in every composition.
+        assert ("u", ()) in keys and len(keys) == len(set(keys))
+
     def test_unknown_without_claim(self):
         h = parse_schema("t -> a::u\nu -> eps\n")
         k = parse_schema("t -> a::u*\nu -> eps\n")

@@ -6,6 +6,7 @@ import pytest
 import shapegraph.embedding
 
 from shapegraph import (
+    INF,
     Edge,
     Graph,
     Interval,
@@ -22,7 +23,7 @@ from shapegraph import (
     witness_exists_basic,
     witness_exists_general,
 )
-from shapegraph.embedding import find_witness, routing_instance
+from shapegraph.embedding import feasible_flow, find_witness, routing_instance
 from shapegraph.errors import ClassPreconditionError
 
 from conftest import (
@@ -124,6 +125,109 @@ class TestRouting:
             lam = witness_exists_general(inst)
             if lam is not None:
                 assert verify_routing(inst, lam)
+
+
+def splits(x, parts):
+    """Every way to write x as an ordered sum of `parts` naturals."""
+    if parts == 0:
+        return [()] if x == 0 else []
+    return [(k,) + rest for k in range(x + 1) for rest in splits(x - k, parts - 1)]
+
+
+def flow_respects(sources, sinks, arcs, flow):
+    """The docstring of feasible_flow as a check on one flow per arc."""
+    if len(flow) != len(arcs) or any(f < 0 for f in flow):
+        return False
+    sent = [0] * len(sources)
+    total = [0] * len(sinks)
+    counted = [0] * len(sinks)
+    for (v, u), f in zip(arcs, flow):
+        sent[v] += f
+        total[u] += f
+        if sources[v][1]:
+            counted[u] += f
+    return sent == [x for x, _ in sources] and all(
+        t <= hi and c >= lo for t, c, (lo, hi) in zip(total, counted, sinks)
+    )
+
+
+def brute_force_feasible(sources, sinks, arcs):
+    """Some split of every supply over its source's arcs meets the sinks'
+    bounds; never builds a network."""
+    per_source = []
+    for v, (x, _) in enumerate(sources):
+        mine = [a for a, (w, _) in enumerate(arcs) if w == v]
+        per_source.append([dict(zip(mine, split)) for split in splits(x, len(mine))])
+    for choice in product(*per_source):
+        flow = [0] * len(arcs)
+        for part in choice:
+            for a, f in part.items():
+                flow[a] = f
+        if flow_respects(sources, sinks, arcs, flow):
+            return True
+    return False
+
+
+def random_flow_instance(rng: random.Random):
+    """Up to 4 sources, one each of forced (one arc), free (two arcs or
+    more) and zero-supply, the rest random; up to 3 sinks."""
+    n_sinks = rng.randint(2, 3)
+    kinds = ["forced", "free", "zero"] + rng.choice([[], ["any"]])
+    rng.shuffle(kinds)
+    sources, arcs = [], []
+    for v, kind in enumerate(kinds):
+        if kind == "forced":
+            targets = [rng.randrange(n_sinks)]
+        elif kind == "free":
+            targets = rng.sample(range(n_sinks), rng.randint(2, n_sinks))
+        else:
+            targets = [u for u in range(n_sinks) if rng.random() < 0.5]
+        sources.append((0 if kind == "zero" else rng.randint(0 if kind == "any" else 1, 3), rng.random() < 0.7))
+        arcs += [(v, u) for u in targets]
+    rng.shuffle(arcs)
+    sinks = []
+    for _ in range(n_sinks):
+        lo = rng.choice([0, 0, 1, 2, 3])
+        sinks.append((lo, rng.choice([lo, lo + 1, lo + 3, INF])))
+    return sources, sinks, arcs
+
+
+class TestFeasibleFlow:
+    def test_equals_brute_force(self):
+        rng = random.Random(47)
+        outcomes = []
+        for _ in range(400):
+            sources, sinks, arcs = random_flow_instance(rng)
+            flow = feasible_flow(sources, sinks, arcs)
+            expected = brute_force_feasible(sources, sinks, arcs)
+            assert (flow is not None) == expected, (sources, sinks, arcs)
+            if flow is not None:
+                assert flow_respects(sources, sinks, arcs, flow), (sources, sinks, arcs, flow)
+            outcomes.append(expected)
+        assert 50 < sum(outcomes) < 350
+
+    def test_network_covers_only_sources_with_a_choice(self, monkeypatch):
+        sizes = []
+        init = shapegraph.embedding._Network.__init__
+
+        def recording(self, n):
+            sizes.append(n)
+            init(self, n)
+
+        monkeypatch.setattr(shapegraph.embedding._Network, "__init__", recording)
+        sources = [(2, True), (1, True), (0, False), (3, False)]
+        sinks = [(1, 5), (0, INF)]
+        # Sources 0 and 3 have one arc, source 2 ships nothing: only
+        # source 1 has a choice.
+        arcs = [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (3, 1)]
+        flow = feasible_flow(sources, sinks, arcs)
+        assert flow is not None and flow_respects(sources, sinks, arcs, flow)
+        # S, T, SS, TT, one source node, two sink nodes and no gate: the
+        # forced source already covers sink 0's lower bound.
+        assert sizes == [4 + 1 + 2]
+        sizes.clear()
+        assert feasible_flow(sources, [(1, 5), (0, 2)], arcs) is None
+        assert sizes == []  # source 3 alone overflows sink 1
 
 
 class TestWorkedEmbedding:

@@ -275,17 +275,23 @@ class TestCompressed:
 
         monkeypatch.setattr(network, "__init__", counting_init)
         monkeypatch.setattr(network, "add", counting_add)
-        valid = parse_schema("t -> a::u*\nu -> eps\n")
-        invalid = parse_schema("t -> a::u\nu -> eps\n")
-        sizes = []
-        for width in (65, 10**3, 10**6):
-            g = parse_graph(f"graph compressed\nhub a leaf [{width};{width}]\n")
-            nodes[0] = arcs[0] = 0
-            assert validates(g, valid)
-            assert not validates(g, invalid)
-            sizes.append((nodes[0], arcs[0]))
-        # The same networks at every width: only the supplies grow.
-        assert sizes[0][1] > 0 and sizes == [sizes[0]] * 3
+
+        def sizes(valid, invalid):
+            out = []
+            for width in (65, 10**3, 10**6):
+                g = parse_graph(f"graph compressed\nhub a leaf [{width};{width}]\n")
+                nodes[0] = arcs[0] = 0
+                assert validates(g, parse_schema(valid))
+                assert not validates(g, parse_schema(invalid))
+                out.append((nodes[0], arcs[0]))
+            return out
+
+        # One admissible atom: the edge is routed straight to it.
+        assert sizes("t -> a::u*\nu -> eps\n", "t -> a::u\nu -> eps\n") == [(0, 0)] * 3
+        # Two admissible atoms: the same networks at every width, only the
+        # supplies grow.
+        two = sizes("t -> a::u* , a::w*\nu -> eps\nw -> eps\n", "t -> a::u , a::w\nu -> eps\nw -> eps\n")
+        assert two[0][1] > 0 and two == [two[0]] * 3
 
     def test_unmatched_atom_needs_no_network(self, monkeypatch):
         calls = [0]
