@@ -10,7 +10,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, combinations_with_replacement, permutations, product
 
-from .core import ONE, OPT, STAR, Edge, Graph, Interval, interval_sum
+from .core import ONE, OPT, STAR, Edge, Graph, Interval
 from .errors import BudgetError, ClassPreconditionError
 from . import rbe as _rbe
 from . import validation as _val
@@ -239,26 +239,10 @@ def _tuples(total, parts, cap):
 
 def _bags_matching(s: Schema, t, symbols, caps):
     """All bags w ∈ L(δ(t)) over symbols, the alphabet of δ(t) sorted by
-    str, with the count of symbols[i] at most caps[i]."""
-    delta, e0 = s.defs[t], s.flat[t]
-    if e0 is not None:
-        per_symbol = {a: [] for a in symbols}
-        for a, iv in e0.atoms:
-            per_symbol[a].append(iv)
-        ranges = []
-        for a, cap in zip(symbols, caps):
-            iv = interval_sum(per_symbol[a])
-            ranges.append([c for c in range(cap + 1) if c in iv])
-        out = []
-        for combo in product(*ranges):
-            out.append(Counter({a: c for a, c in zip(symbols, combo) if c}))
-        return out
-    out = []
-    for combo in product(*[range(cap + 1) for cap in caps]):
-        w = Counter({a: c for a, c in zip(symbols, combo) if c})
-        if _rbe.bag_matches(delta, w):
-            out.append(w)
-    return out
+    str, with the count of symbols[i] at most caps[i]: the Parikh vectors
+    of δ(t) inside caps, flat or not, in lexicographic order."""
+    vectors = sorted(_rbe.parikh_vectors(s.defs[t], symbols, caps))
+    return [Counter({a: c for a, c in zip(symbols, v) if c}) for v in vectors]
 
 
 def _weakly_connected(out, inc):

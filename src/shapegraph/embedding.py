@@ -12,8 +12,9 @@ A source with one admissible sink is routed straight to it; the sources
 with a choice go through a network decided in polynomial time by
 augmenting paths, whose residual moves are exactly the push-forth edges
 (evict a source from a saturated or overflowing sink) and pull-back edges
-(draw a min-1 source into a sink in deficit).  The same flow decides flat
-type satisfaction in validation.  Every routing returned as a "yes" is
+(draw a min-1 source into a sink in deficit).  The same flow decides type
+satisfaction in validation, once per check for a flat definition and once
+per Parikh vector of any other.  Every routing returned as a "yes" is
 re-checked independently (verify_routing, and in validation
 _verify_flat_routing).  For arbitrary intervals an exact backtracking
 search is used.
@@ -222,7 +223,7 @@ def witness_exists_basic(inst: RoutingInstance):
 DEFAULT_ROUTING_CAP = 10**6
 
 
-def witness_exists_general(inst: RoutingInstance, work_cap: int = DEFAULT_ROUTING_CAP):
+def witness_exists_general(inst: RoutingInstance):
     """Exact backtracking over source→sink assignments, or None.
 
     Prunes on the running interval sum per sink (max side monotone) and on
@@ -259,8 +260,8 @@ def witness_exists_general(inst: RoutingInstance, work_cap: int = DEFAULT_ROUTIN
 
     def solve(k):
         work[0] += 1
-        if work[0] > work_cap:
-            raise WorkCapError(f"routing search exceeded {work_cap} steps")
+        if work[0] > DEFAULT_ROUTING_CAP:
+            raise WorkCapError(f"routing search exceeded {DEFAULT_ROUTING_CAP} steps")
         if k == len(options):
             return all(
                 siv.min <= sum_min[j] and sum_max[j] <= siv.max
@@ -333,11 +334,11 @@ def routing_instance(g: Graph, h: Graph, n, m, rel) -> RoutingInstance:
     return RoutingInstance(sources, sinks, allowed)
 
 
-def find_witness(inst: RoutingInstance, work_cap: int = DEFAULT_ROUTING_CAP):
+def find_witness(inst: RoutingInstance):
     basic = all(iv.basic for _, iv in inst.sources + inst.sinks)
     if basic:
         return witness_exists_basic(inst)
-    return witness_exists_general(inst, work_cap=work_cap)
+    return witness_exists_general(inst)
 
 
 def max_simulation(g: Graph, h: Graph) -> SimulationRelation:

@@ -1,5 +1,6 @@
-"""Regular bag expressions: AST, exact membership, and the tractable flat
-fragment (parallel composition of symbol atoms with basic intervals).
+"""Regular bag expressions: AST, Parikh-vector sets and exact membership,
+and the tractable flat fragment (parallel composition of symbol atoms with
+basic intervals).
 
 Symbols are opaque hashables: plain strings for standalone expressions, or
 (label, type) pairs when the expression is a shape expression.
@@ -9,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
 
 from .core import (
     BASIC_INTERVALS,
@@ -109,21 +109,6 @@ def alphabet(e: Rbe) -> frozenset:
     return alphabet(e.left) | alphabet(e.right)
 
 
-def eps_in(e: Rbe) -> bool:
-    """Whether the empty bag belongs to L(e)."""
-    if isinstance(e, Epsilon):
-        return True
-    if isinstance(e, (Sym, Empty)):
-        return False
-    if isinstance(e, Disj):
-        return eps_in(e.left) or eps_in(e.right)
-    if isinstance(e, (Concat, Intersect)):
-        return eps_in(e.left) and eps_in(e.right)
-    if isinstance(e, Repeat):
-        return e.interval.min == 0 or eps_in(e.body)
-    raise TypeError(f"not an expression: {e!r}")
-
-
 def max_finite_constant(e: Rbe) -> int:
     """Largest finite interval endpoint occurring in e (0 if none)."""
     if isinstance(e, (Epsilon, Empty, Sym)):
@@ -136,104 +121,110 @@ def max_finite_constant(e: Rbe) -> int:
     return max(max_finite_constant(e.left), max_finite_constant(e.right))
 
 
-DEFAULT_MATCH_CAP = 10**6
+VECTOR_WORK = 10**6
 
 
-def bag_matches(e: Rbe, w: Bag, work_cap: int = DEFAULT_MATCH_CAP) -> bool:
-    """Exact membership w ∈ L(e) by exhaustive decomposition with memoization.
+def parikh_vectors(e: Rbe, symbols, box, total=None) -> set:
+    """The Parikh vectors of L(e) over symbols, as count tuples aligned
+    with symbols, that lie inside box and sum to at most total (to
+    sum(box) when None).  Exact: built bottom-up over an explicit stack,
+    where a symbol is its unit vector, | is union, & intersection, , the
+    Minkowski sum and a repeat the sum iterated up to its max.  Counts are
+    never negative, so a sum that leaves the box stays out of it and every
+    set can be clipped as it is made.
 
-    Inside one call a bag is a count vector over the alphabet of e, and
-    memo keys use the identity of each sub-expression, which e keeps alive.
+    Raises WorkCapError past VECTOR_WORK vector additions in one call.
+    """
+    index = {a: i for i, a in enumerate(symbols)}
+    total = sum(box) if total is None else total
+    zero = (0,) * len(box)
+    work = 0
+
+    def plus(xs, ys):
+        nonlocal work
+        work += len(xs) * len(ys)
+        if work > VECTOR_WORK:
+            raise WorkCapError(f"bag matching exceeded {VECTOR_WORK} vector additions")
+        out = set()
+        for x in xs:
+            for y in ys:
+                v = tuple([a + b for a, b in zip(x, y)])
+                if sum(v) <= total and all(a <= b for a, b in zip(v, box)):
+                    out.add(v)
+        return out
+
+    def repeat(body, iv):
+        # Sums of exactly iv.min vectors of body first, stopping early once
+        # a round changes nothing (the set is empty or stable), so a large
+        # min costs no more rounds than the box allows.  From there each
+        # round adds one more vector to the sums first reached in the round
+        # before, since the others were extended already.
+        sums = {zero}
+        for _ in range(iv.min):
+            nxt = plus(sums, body)
+            if nxt == sums:
+                break
+            sums = nxt
+        reached, frontier, rounds = set(sums), sums, 0
+        while frontier and rounds < iv.max - iv.min:
+            frontier = plus(frontier, body) - reached
+            reached |= frontier
+            rounds += 1
+        return reached
+
+    sets: dict = {}  # id(sub-expression) -> its vector set; e keeps them alive
+    stack = [e]
+    while stack:
+        x = stack[-1]
+        if id(x) in sets:
+            stack.pop()
+            continue
+        if isinstance(x, Repeat):
+            kids = (x.body,)
+        elif isinstance(x, (Disj, Concat, Intersect)):
+            kids = (x.left, x.right)
+        else:
+            kids = ()
+        todo = [k for k in kids if id(k) not in sets]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        if isinstance(x, Epsilon):
+            r = {zero}
+        elif isinstance(x, Empty):
+            r = set()
+        elif isinstance(x, Sym):
+            i = index[x.symbol]
+            r = {zero[:i] + (1,) + zero[i + 1:]} if box[i] and total else set()
+        elif isinstance(x, Repeat):
+            r = repeat(sets[id(x.body)], x.interval)
+        elif isinstance(x, Disj):
+            r = sets[id(x.left)] | sets[id(x.right)]
+        elif isinstance(x, Intersect):
+            r = sets[id(x.left)] & sets[id(x.right)]
+        elif isinstance(x, Concat):
+            r = plus(sets[id(x.left)], sets[id(x.right)])
+        else:
+            raise TypeError(f"not an expression: {x!r}")
+        sets[id(x)] = r
+    return sets[id(e)]
+
+
+def bag_matches(e: Rbe, w: Bag) -> bool:
+    """Exact membership w ∈ L(e): whether w's count vector is among the
+    Parikh vectors of L(e) inside the box of w itself (parikh_vectors).
 
     Raises AlphabetError when w uses symbols outside the alphabet of e, and
-    WorkCapError when the decomposition exceeds work_cap steps.
+    WorkCapError when the vector set takes more than VECTOR_WORK additions.
     """
     sigma = alphabet(e)
     extra = {a for a, k in w.items() if k and a not in sigma}
     if extra:
         raise AlphabetError(f"bag uses symbols outside the expression alphabet: {sorted(map(str, extra))}")
     symbols = list(sigma)
-    index = {a: i for i, a in enumerate(symbols)}
-    memo: dict = {}
-    work = [0]
-
-    def tick():
-        work[0] += 1
-        if work[0] > work_cap:
-            raise WorkCapError(f"bag matching exceeded {work_cap} steps")
-
-    def splits(v):
-        """Every (v1, v - v1) with v1 a sub-vector of v."""
-        for v1 in product(*[range(k + 1) for k in v]):
-            yield v1, tuple(a - b for a, b in zip(v, v1))
-
-    def m(e: Rbe, v: tuple) -> bool:
-        key = (id(e), v)
-        if key in memo:
-            return memo[key]
-        tick()
-        r = compute(e, v)
-        memo[key] = r
-        return r
-
-    def compute(e: Rbe, v: tuple) -> bool:
-        size = sum(v)
-        if isinstance(e, Epsilon):
-            return size == 0
-        if isinstance(e, Empty):
-            return False
-        if isinstance(e, Sym):
-            return size == 1 and v[index[e.symbol]] == 1
-        if isinstance(e, Disj):
-            return m(e.left, v) or m(e.right, v)
-        if isinstance(e, Intersect):
-            return m(e.left, v) and m(e.right, v)
-        if isinstance(e, Concat):
-            for v1, v2 in splits(v):
-                tick()
-                if m(e.left, v1) and m(e.right, v2):
-                    return True
-            return False
-        if isinstance(e, Repeat):
-            iv = e.interval
-            if size == 0:
-                return iv.min == 0 or eps_in(e.body)
-            # Decompose v into j nonempty parts of L(body); padding by empty
-            # iterations lifts j up to iv.min when the body accepts ε.
-            hi = size if iv.max == INF else min(size, iv.max)
-            can_pad = eps_in(e.body)
-            for j in range(1, hi + 1):
-                if (j >= iv.min or can_pad) and dec(e.body, v, j):
-                    return True
-            return False
-        raise TypeError(f"not an expression: {e!r}")
-
-    def dec(body: Rbe, v: tuple, j: int) -> bool:
-        key = (id(body), v, j)
-        if key in memo:
-            return memo[key]
-        tick()
-        size = sum(v)
-        if j == 1:
-            r = size > 0 and m(body, v)
-        elif size < j:
-            r = False
-        else:
-            # The part containing the first symbol present is canonical,
-            # which avoids enumerating the same partition in several orders.
-            first = next(i for i, k in enumerate(v) if k)
-            r = False
-            for v1, v2 in splits(v):
-                if not v1[first]:
-                    continue
-                tick()
-                if m(body, v1) and dec(body, v2, j - 1):
-                    r = True
-                    break
-        memo[key] = r
-        return r
-
-    return m(e, tuple(w.get(a, 0) for a in symbols))
+    v = tuple(w.get(a, 0) for a in symbols)
+    return v in parikh_vectors(e, symbols, v)
 
 
 # --- The flat fragment ------------------------------------------------------

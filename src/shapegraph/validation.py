@@ -7,16 +7,11 @@ are treated as untyped.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, product
-from math import comb
-
-from .core import ONE, Bag, Counter, Graph, Worklist
-from .errors import AlphabetError, GraphKindError, WorkCapError
+from .core import ONE, Graph, Interval, Worklist
+from .errors import GraphKindError, WorkCapError
 from . import rbe as _rbe
 from .embedding import feasible_flow
 from .schema import Schema
-
-DEFAULT_CHOICE_CAP = 2**16
 
 
 def _check_data_graph(g: Graph):
@@ -40,22 +35,15 @@ def signature(g: Graph, typing: dict, n) -> _rbe.Rbe:
     return _rbe.concat_all(factors)
 
 
-def satisfies_type(
-    g: Graph,
-    s: Schema,
-    typing: dict,
-    n,
-    ty: str,
-    choice_cap: int = DEFAULT_CHOICE_CAP,
-) -> bool:
+def satisfies_type(g: Graph, s: Schema, typing: dict, n, ty: str) -> bool:
     """L(signature of n) ∩ L(δ(ty)) ≠ ∅.
 
     Flat definitions go through one capacitated flow from the out-edges,
     each shipping its cardinality, to the atoms of the definition, at a
-    cost that does not depend on the cardinalities.  The general case
-    enumerates, per out-edge, a multiset of target types as large as its
-    cardinality and calls exact bag matching, capped at choice_cap
-    combinations.
+    cost that does not depend on the cardinalities.  Any other definition
+    goes through the Parikh vectors of δ(ty) inside the box of n's
+    out-widths, with one flow of the same kind per vector; its only bound
+    is the matcher's constant work cap (rbe.VECTOR_WORK).
     """
     _check_data_graph(g)
     if n not in g:
@@ -71,45 +59,51 @@ def satisfies_type(
     e0 = s.flat[ty]
     if e0 is not None:
         return _satisfies_flat(out, choices, e0)
-    return _satisfies_exhaustive(out, choices, s.defs[ty], choice_cap)
+    return _satisfies_exhaustive(out, choices, s.defs[ty])
 
 
 def _satisfies_flat(out, choices, e0: _rbe.Rbe0) -> bool:
-    # One source per out-edge with its cardinality as supply, one sink per
-    # atom of the definition; every unit counts toward the atom's min.
+    return _routes(out, choices, e0.atoms)
+
+
+def _routes(out, choices, atoms) -> bool:
+    """One flow routes the signature onto atoms, ((label, type), interval)
+    pairs: one source per out-edge with its cardinality as supply, one sink
+    per atom, and every unit counts toward the atom's min."""
     arcs = [
         (i, j)
         for i, e in enumerate(out)
-        for j, ((lab, t), _) in enumerate(e0.atoms)
+        for j, ((lab, t), _) in enumerate(atoms)
         if e.label == lab and t in choices[i]
     ]
     flow = feasible_flow(
         [(e.occur.min, True) for e in out],
-        [(iv.min, iv.max) for _, iv in e0.atoms],
+        [(iv.min, iv.max) for _, iv in atoms],
         arcs,
     )
     if flow is None:
         return False
-    assert _verify_flat_routing(out, choices, e0, zip(arcs, flow)), (
+    assert _verify_flat_routing(out, choices, atoms, zip(arcs, flow)), (
         "flow extraction produced an invalid routing"
     )
     return True
 
 
-def _verify_flat_routing(out, choices, e0: _rbe.Rbe0, flows) -> bool:
-    """Independent check of a routing ((edge, atom), units): each edge sends
-    exactly its cardinality to atoms of its label and of a type of its
-    target, and each atom's total lies in the atom's interval."""
+def _verify_flat_routing(out, choices, atoms, flows) -> bool:
+    """Independent check of a routing ((edge, atom), units) onto atoms,
+    ((label, type), interval) pairs: each edge sends exactly its
+    cardinality to atoms of its label and of a type of its target, and
+    each atom's total lies in the atom's interval."""
     sent = [0] * len(out)
-    received = [0] * len(e0.atoms)
+    received = [0] * len(atoms)
     for (i, j), x in flows:
-        (lab, t), _ = e0.atoms[j]
+        (lab, t), _ = atoms[j]
         if x < 0 or (x and (out[i].label != lab or t not in choices[i])):
             return False
         sent[i] += x
         received[j] += x
     return all(x == e.occur.min for x, e in zip(sent, out)) and all(
-        x in iv for x, (_, iv) in zip(received, e0.atoms)
+        x in iv for x, (_, iv) in zip(received, atoms)
     )
 
 
@@ -139,29 +133,23 @@ def _satisfies_psi(out, choices, e0: _rbe.Rbe0) -> bool:
     return r
 
 
-def _satisfies_exhaustive(out, choices, delta: _rbe.Rbe, choice_cap: int) -> bool:
-    # The k copies behind an edge of cardinality k may each take their own
-    # type, so an edge contributes a multiset of k types.
-    total = 1
-    for e, c in zip(out, choices):
-        total *= comb(len(c) + e.occur.min - 1, e.occur.min)
-        if total > choice_cap:
-            raise WorkCapError(
-                f"type-choice space exceeds {choice_cap} combinations",
-                partial=None,
-            )
-    per_edge = [combinations_with_replacement(c, e.occur.min) for e, c in zip(out, choices)]
-    for combo in product(*per_edge):
-        w: Bag = Counter()
-        for e, types in zip(out, combo):
-            for t in types:
-                w[(e.label, t)] += 1
-        try:
-            if _rbe.bag_matches(delta, w):
-                return True
-        except AlphabetError:
-            continue
-    return False
+def _satisfies_exhaustive(out, choices, delta: _rbe.Rbe) -> bool:
+    """Some bag of L(δ) reads the signature.  The candidates are the Parikh
+    vectors v of L(δ) inside the box of the widths each (label, type)
+    symbol can take from the out-edges, with n's total width as total; each
+    is decided by one flow onto the symbols as atoms [v_s; v_s], so the k
+    copies behind an edge of cardinality k may take different types."""
+    symbols = sorted(_rbe.alphabet(delta), key=str)
+    takes = [[e.label == lab and t in ch for lab, t in symbols] for e, ch in zip(out, choices)]
+    if not all(any(row) for row in takes):
+        return False  # an out-edge that no symbol of δ takes
+    box = [sum(e.occur.min for e, row in zip(out, takes) if row[j]) for j in range(len(symbols))]
+    total = sum(e.occur.min for e in out)
+    return any(
+        _routes(out, choices, [(a, Interval(k, k)) for a, k in zip(symbols, v)])
+        for v in _rbe.parikh_vectors(delta, symbols, box, total)
+        if sum(v) == total
+    )
 
 
 class Typer:
@@ -171,9 +159,8 @@ class Typer:
     ordered by (label, k), so the kept types are memoized on that pair and
     shared by every node, of every graph typed, with the same one."""
 
-    def __init__(self, s: Schema, choice_cap: int = DEFAULT_CHOICE_CAP):
+    def __init__(self, s: Schema):
         self.s = s
-        self.choice_cap = choice_cap
         self.memo: dict = {}
         self.sets = [frozenset(s.types)]
         self.ids = {self.sets[0]: 0}
@@ -205,7 +192,7 @@ class Typer:
                 targets = {g.nodes[j]: sets[typing[j]] for _, _, j in out[i]}
                 types = frozenset(
                     t for t in sets[typing[i]]
-                    if satisfies_type(g, self.s, targets, g.nodes[i], t, choice_cap=self.choice_cap)
+                    if satisfies_type(g, self.s, targets, g.nodes[i], t)
                 )
                 kept = memo[key] = ids.setdefault(types, len(sets))
                 if kept == len(sets):
@@ -218,16 +205,16 @@ class Typer:
         return typing
 
 
-def max_typing(g: Graph, s: Schema, choice_cap: int = DEFAULT_CHOICE_CAP) -> dict:
+def max_typing(g: Graph, s: Schema) -> dict:
     """The unique maximal typing: start from all types at every node, drop
     the types a node fails, and re-check a node only after the type set of
     one of its successors shrank, so the work follows the failures.  Checks
     are memoized on the out-signature over interned type-set ids: nodes
     with the same type set and out-signature share one check (see Typer)."""
-    return Typer(s, choice_cap).typing(g)
+    return Typer(s).typing(g)
 
 
-def validates(g: Graph, s: Schema, choice_cap: int = DEFAULT_CHOICE_CAP) -> bool:
+def validates(g: Graph, s: Schema) -> bool:
     """Every node gets at least one type in the maximal typing."""
-    typing = max_typing(g, s, choice_cap=choice_cap)
+    typing = max_typing(g, s)
     return all(typing[n] for n in g.nodes)

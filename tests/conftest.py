@@ -1,9 +1,12 @@
-"""Shared fixtures: the worked examples used across the suite and random
-generators for schemas, graphs, and routing instances."""
+"""Shared fixtures: the worked examples used across the suite, random
+generators for schemas, graphs, and routing instances, and a brute-force
+bag matcher that test oracles use in place of the package's."""
 
 from __future__ import annotations
 
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -21,7 +24,7 @@ from shapegraph import (
     classify,
     parse_schema,
 )
-from shapegraph.rbe import Disj, Concat, Repeat, Sym, EPSILON, concat_all
+from shapegraph.rbe import Concat, Disj, Empty, Epsilon, Intersect, Repeat, Sym, EPSILON, concat_all
 
 
 # --- Worked examples ---------------------------------------------------------
@@ -140,6 +143,71 @@ def with_twins(g: Graph, rng: random.Random) -> Graph:
         for source in (e.source, twin[e.source]):
             edges.append(Edge(source, e.label, target, e.occur))
     return Graph(g.nodes + tuple(twin.values()), edges, kind=g.kind)
+
+
+# --- Brute-force bag matching -------------------------------------------------
+
+
+def brute_matches(e, w):
+    """w ∈ L(e) by structural recursion with explicit splitting of w: an
+    oracle for bag matching that shares no code with the package's.
+    Answers are memoized per call on (sub-expression, sub-bag)."""
+    mentioned, stack = set(), [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Sym):
+            mentioned.add(x.symbol)
+        stack.extend(getattr(x, f) for f in ("left", "right", "body") if hasattr(x, f))
+    if any(a not in mentioned for a in w):
+        return False
+    memo = {}
+
+    def matches(e, w):
+        key = (id(e), tuple(sorted(w.items(), key=str)))
+        if key not in memo:
+            memo[key] = decide(e, w)
+        return memo[key]
+
+    def decide(e, w):
+        size = sum(w.values())
+        if isinstance(e, Epsilon):
+            return size == 0
+        if isinstance(e, Empty):
+            return False
+        if isinstance(e, Sym):
+            return size == 1 and w.get(e.symbol, 0) == 1
+        if isinstance(e, Disj):
+            return matches(e.left, w) or matches(e.right, w)
+        if isinstance(e, Intersect):
+            return matches(e.left, w) and matches(e.right, w)
+        if isinstance(e, Concat):
+            return any(matches(e.left, part) and matches(e.right, w - part) for part in sub_bags(w))
+        if isinstance(e, Repeat):
+            # A split into more than max(min, |w|) parts has an empty part
+            # that can be dropped without going below min.
+            top = min(e.interval.max, max(e.interval.min, size))
+            return any(splits_into(e.body, w, k) for k in range(e.interval.min, int(top) + 1))
+        raise TypeError(e)
+
+    def splits_into(body, w, k):
+        # w is the sum of k bags of L(body); parts are taken nonempty for as
+        # long as w is, so a split is tried in one order up to its empty parts.
+        if k == 0:
+            return sum(w.values()) == 0
+        if k == 1:
+            return matches(body, w)
+        return any(
+            matches(body, part) and splits_into(body, w - part, k - 1)
+            for part in sub_bags(w)
+            if sum(part.values()) or not sum(w.values())
+        )
+
+    def sub_bags(w):
+        symbols = sorted(w, key=str)
+        for split in product(*[range(w[s] + 1) for s in symbols]):
+            yield Counter({s: c for s, c in zip(symbols, split) if c})
+
+    return matches(e, w)
 
 
 # --- Random generators -------------------------------------------------------
@@ -280,7 +348,5 @@ def random_flat_rbe(rng: random.Random, symbols=("a", "b", "c"), depth=3):
 
 
 def random_bag(rng: random.Random, symbols=("a", "b", "c"), max_size=5):
-    from collections import Counter
-
     size = rng.randint(0, max_size)
     return Counter(rng.choice(symbols) for _ in range(size))

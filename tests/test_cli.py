@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -72,6 +73,19 @@ class TestExitCodes:
         deep.write_text("t -> " + " , ".join(["a::t?"] * 1200) + "\n")
         r = runner.invoke(main, ["--json", "classify", str(deep)])
         assert r.exit_code == 2
+
+    def test_vector_work_cap_is_2(self, runner, tmp_path):
+        # The Minkowski sum of a::u* and b::u* inside the box (1000, 1000)
+        # takes 1001 × 1001 additions, past the matcher's constant bound,
+        # which is counted before the sum is made.
+        g = tmp_path / "wide.graph"
+        g.write_text("graph compressed\nx a y [1000;1000]\nx b y [1000;1000]\n")
+        s = tmp_path / "wide.schema"
+        s.write_text("t -> (a::u*, b::u*) | c::u\nu -> eps\n")
+        start = time.monotonic()
+        r = runner.invoke(main, ["--json", "validate", str(g), str(s)])
+        assert r.exit_code == 2
+        assert time.monotonic() - start < 10
 
     def test_unknown_subcommand_is_3(self, runner):
         r = runner.invoke(main, ["frobnicate"])

@@ -1,11 +1,10 @@
 import random
 from collections import Counter
-from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shapegraph import Interval, ONE, OPT, PLUS, STAR, ParseError
+from shapegraph import INF, Interval, ONE, OPT, PLUS, STAR, ParseError
 from shapegraph.rbe import (
     EMPTY,
     EPSILON,
@@ -24,7 +23,7 @@ from shapegraph.rbe import (
     to_rbe0,
 )
 
-from conftest import BASIC, random_bag, random_flat_rbe
+from conftest import BASIC, brute_matches, random_bag, random_flat_rbe
 from shapegraph.errors import AlphabetError
 
 
@@ -71,6 +70,11 @@ class TestMatching:
         assert bag_matches(e, bag("a", "a", "b", "b"))
         assert not bag_matches(e, bag("a", "b"))
         assert not bag_matches(e, bag("a", "a", "b"))
+
+    def test_large_bounds_take_no_more_rounds_than_the_bag(self):
+        assert not bag_matches(parse_rbe("a^[1000000;inf]"), bag("a", "a"))
+        assert bag_matches(parse_rbe("(a?)^[1000000;1000000]"), bag("a", "a"))
+        assert bag_matches(parse_rbe("(a, b?)^[0;1000000]"), bag("a", "a", "b"))
 
     def test_intersection(self):
         e = Intersect(parse_rbe("a*, b*"), parse_rbe("(a, b)*"))
@@ -137,56 +141,43 @@ class TestParser:
         assert parse_rbe(rbe_to_text(e)) == e
 
 
+def random_rbe(rng, symbols=("a", "b"), depth=3):
+    """Random expression with repeats over any sub-expression (nested ones
+    included), intersections anywhere, ε leaves and non-basic intervals."""
+    intervals = BASIC + [Interval(2, 3), Interval(3, INF), Interval(0, 2), Interval(2, 2)]
+    r = rng.random()
+    if depth == 0 or r < 0.25:
+        return EPSILON if rng.random() < 0.15 else Sym(rng.choice(symbols))
+    if r < 0.55:
+        return Repeat(random_rbe(rng, symbols, depth - 1), rng.choice(intervals))
+    op = rng.choice([Disj, Concat, Intersect])
+    return op(random_rbe(rng, symbols, depth - 1), random_rbe(rng, symbols, depth - 1))
+
+
 class TestBruteForceCrossCheck:
-    def brute_matches(self, e, w):
-        """Independent structural-recursion oracle with explicit splitting."""
-        if e is EPSILON or isinstance(e, type(EPSILON)):
-            return sum(w.values()) == 0
-        if isinstance(e, type(EMPTY)) and not isinstance(e, type(EPSILON)):
-            return False
-        if isinstance(e, Sym):
-            return sum(w.values()) == 1 and w.get(e.symbol, 0) == 1
-        if isinstance(e, Disj):
-            return self.brute_matches(e.left, w) or self.brute_matches(e.right, w)
-        if isinstance(e, Intersect):
-            return self.brute_matches(e.left, w) and self.brute_matches(e.right, w)
-        if isinstance(e, Concat):
-            symbols = sorted(w)
-            for split in product(*[range(w[s] + 1) for s in symbols]):
-                left = Counter({s: c for s, c in zip(symbols, split) if c})
-                right = w - left
-                if self.brute_matches(e.left, left) and self.brute_matches(e.right, right):
-                    return True
-            return False
-        if isinstance(e, Repeat):
-            total = sum(w.values())
-            max_k = total if e.interval.max > total else int(e.interval.max)
-            for k in range(int(e.interval.min), max_k + 1):
-                if self.splits_into(e.body, w, k):
-                    return True
-            # k can exceed the bag size only with empty parts.
-            if e.interval.min == 0 and total == 0:
-                return True
-            return False
-        raise TypeError(e)
-
-    def splits_into(self, body, w, k):
-        if k == 0:
-            return sum(w.values()) == 0
-        if k == 1:
-            return self.brute_matches(body, w)
-        symbols = sorted(w)
-        for split in product(*[range(w[s] + 1) for s in symbols]):
-            part = Counter({s: c for s, c in zip(symbols, split) if c})
-            if sum(part.values()) == 0 and sum(w.values()) > 0:
-                continue
-            if self.brute_matches(body, part) and self.splits_into(body, w - part, k - 1):
-                return True
-        return False
-
     def test_agreement_on_random_small(self):
         rng = random.Random(17)
         for _ in range(250):
             e = random_flat_rbe(rng, symbols=("a", "b"), depth=2)
             w = random_bag(rng, ("a", "b"), 4)
-            assert matches(e, w) == self.brute_matches(e, w), (rbe_to_text(e), w)
+            assert matches(e, w) == brute_matches(e, w), (rbe_to_text(e), w)
+
+    def test_agreement_on_nested_repeats_and_intersections(self):
+        rng = random.Random(23)
+        verdicts = Counter()
+        for _ in range(2000):
+            e = random_rbe(rng)
+            w = random_bag(rng, ("a", "b"), 4)
+            verdicts[matches(e, w)] += 1
+            assert matches(e, w) == brute_matches(e, w), (rbe_to_text(e), w)
+        assert min(verdicts.values()) > 200  # both verdicts occur often
+
+    def test_epsilon_bodies_pad_up_to_the_minimum(self):
+        for text, w in (
+            ("(a | eps)^[3;3]", bag("a")),
+            ("(a?, b?)^[3;inf]", bag("a", "b", "b")),
+            ("((a, b)^[2;3])^[0;2]", bag("a", "a", "b", "b")),
+            ("((a | b)* & (a, a)*)^[2;3]", bag("a", "a", "a", "a")),
+        ):
+            e = parse_rbe(text)
+            assert bag_matches(e, w) and brute_matches(e, w), text

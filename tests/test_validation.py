@@ -20,8 +20,8 @@ from shapegraph import (
     unpack,
     validates,
 )
-from shapegraph.errors import AlphabetError, GraphKindError, WorkCapError
-from shapegraph.rbe import Disj, EMPTY, Repeat, Sym, bag_matches, concat_all, rbe_to_text, to_rbe0
+from shapegraph.errors import GraphKindError
+from shapegraph.rbe import Disj, EMPTY, Repeat, Sym, concat_all, rbe_to_text, to_rbe0
 from shapegraph.validation import Typer, _satisfies_psi
 from shapegraph import Schema
 
@@ -29,6 +29,7 @@ from conftest import (
     BASIC,
     BUG_GRAPH_TEXT,
     BUG_SCHEMA_TEXT,
+    brute_matches,
     bug_chain_graph,
     chain_graph,
     chain_schema,
@@ -54,11 +55,8 @@ def reference_typing(g, s):
             for e, types in zip(edges, combo):
                 for u in types:
                     w[(e.label, u)] += 1
-            try:
-                if bag_matches(s.defs[t], w):
-                    return True
-            except AlphabetError:
-                pass
+            if brute_matches(s.defs[t], w):
+                return True
         return False
 
     typing = {n: frozenset(s.types) for n in g.nodes}
@@ -369,15 +367,16 @@ class TestRouteAgreement:
             g = random_wide_graph(rng, max_nodes=2)
             self.assert_routes_agree(g, random_rbe0_schema(rng, max_types=2, labels=("a",)))
 
-    def test_choice_cap_is_hard_error(self):
-        n = 17
+    @pytest.mark.parametrize("n", [17, 20, 80])
+    def test_non_flat_hubs_decided_exactly(self, n):
+        # Every one of the 2^n type choices behind the hub's edges is a
+        # candidate bag; only the vectors of the rule are tried.
         nodes = ["hub"] + [f"c{i}" for i in range(n)]
-        edges = [Edge("hub", "a", f"c{i}") for i in range(n)]
-        g = Graph(nodes, edges, kind="simple")
-        defs = {f"t{j}": Disj(EMPTY, EMPTY) for j in range(2)}
-        s = parse_schema(
-            "t -> (a::u | a::w)*\nu -> eps\nw -> eps\n"
-        )
+        g = Graph(nodes, [Edge("hub", "a", f"c{i}") for i in range(n)], kind="simple")
         typing = {m: frozenset({"u", "w"}) for m in g.nodes}
-        with pytest.raises(WorkCapError):
-            satisfies_type(g, s, typing, "hub", "t", choice_cap=2**16)
+        star = parse_schema("t -> (a::u | a::w)*\nu -> eps\nw -> eps\n")
+        assert satisfies_type(g, star, typing, "hub", "t")
+        assert validates(g, star)
+        if n > 17:
+            few = parse_schema("t -> (a::u | a::w)^[0;5]\nu -> eps\nw -> eps\n")
+            assert not satisfies_type(g, few, typing, "hub", "t")
