@@ -47,8 +47,8 @@ def _load_schema(path: str) -> _schema.Schema:
 
 def handles_errors(f):
     """Map library errors to the exit-code contract: resource caps,
-    Python's recursion limit included, to 2, everything else (parse, kind,
-    precondition, I/O) to 3."""
+    Python's recursion limit included, to 2 with the envelope of an unknown
+    verdict, everything else (parse, kind, precondition, I/O) to 3."""
 
     @functools.wraps(f)
     def wrapper(*args, **kwargs):
@@ -56,7 +56,7 @@ def handles_errors(f):
             return f(*args, **kwargs)
         except (WorkCapError, BudgetError, RecursionError) as exc:
             click.echo(f"unknown: {exc}", err=True)
-            sys.exit(2)
+            _emit(click.get_current_context(), "unknown", [], code=2)
         except click.ClickException:
             raise
         except (ShapegraphError, ValueError, OSError) as exc:

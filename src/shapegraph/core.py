@@ -289,10 +289,9 @@ def parse_graph(text: str) -> Graph:
     return g
 
 
-def serialize_graph(g: Graph, kind: str | None = None) -> str:
-    kind = kind or g.kind
-    g.check_kind(kind)
-    lines = [f"graph {kind}"]
+def serialize_graph(g: Graph) -> str:
+    g.check_kind(g.kind)
+    lines = [f"graph {g.kind}"]
     with_edges = {e.source for e in g.edges} | {e.target for e in g.edges}
     for n in g.nodes:
         if n not in with_edges:

@@ -26,14 +26,7 @@ class UnpackBudgetError(ShapegraphError):
 
 
 class WorkCapError(ShapegraphError):
-    """An exact check exceeded its configured work cap; the result is unknown.
-
-    Carries whatever partial state the caller may want to report.
-    """
-
-    def __init__(self, message, partial=None):
-        self.partial = partial
-        super().__init__(message)
+    """An exact check exceeded its configured work cap; the result is unknown."""
 
 
 class AlphabetError(ShapegraphError):

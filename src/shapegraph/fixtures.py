@@ -255,7 +255,7 @@ def exponential_family(n: int):
 
     h_defs = {}
     for i in range(1, n + 1):
-        h_defs[f"t{i}"] = _rbe.Concat(atom("L", f"t{i+1}"), atom("R", f"t{i+1}"))
+        h_defs[f"t{i}"] = _rbe.Concat((atom("L", f"t{i+1}"), atom("R", f"t{i+1}")))
     h_defs[f"t{n+1}"] = leaf_rule()
     h_defs["to"] = _rbe.EPSILON
     h = Schema(h_defs)
@@ -328,8 +328,7 @@ def _typed(e: _rbe.Rbe, ty: str) -> _rbe.Rbe:
         return _rbe.Sym((e.symbol, ty))
     if isinstance(e, _rbe.Repeat):
         return _rbe.Repeat(_typed(e.body, ty), e.interval)
-    ctor = type(e)
-    return ctor(_typed(e.left, ty), _typed(e.right, ty))
+    return type(e)(tuple(_typed(p, ty) for p in e.parts))
 
 
 def union_containment_instance(e0: _rbe.Rbe, es):
@@ -348,7 +347,7 @@ def union_containment_instance(e0: _rbe.Rbe, es):
     z = "z"
     while z in used:
         z += "_"
-    h = Schema({"t": _rbe.Concat(_rbe.Sym((z, "t0")), _typed(e0, "t0")), "t0": _rbe.EPSILON})
+    h = Schema({"t": _rbe.Concat((_rbe.Sym((z, "t0")), _typed(e0, "t0"))), "t0": _rbe.EPSILON})
     union = _rbe.disj_all([_typed(e, "t0") for e in es])
-    k = Schema({"t": _rbe.Concat(_rbe.Sym((z, "t0")), union), "t0": _rbe.EPSILON})
+    k = Schema({"t": _rbe.Concat((_rbe.Sym((z, "t0")), union)), "t0": _rbe.EPSILON})
     return h, k

@@ -8,7 +8,7 @@ property exercised by the tests is psi_e(w, 1) iff w ∈ L(e).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import INF
 from .errors import WorkCapError
@@ -129,9 +129,9 @@ class _Fresh:
     def __init__(self):
         self.counter = 0
 
-    def vector(self, symbols, tag):
+    def vector(self, symbols):
         self.counter += 1
-        return {a: f"x{self.counter}_{tag}_{_sym_key(a)}" for a in symbols}
+        return {a: f"x{self.counter}_{_sym_key(a)}" for a in symbols}
 
     def scalar(self, tag):
         self.counter += 1
@@ -144,15 +144,13 @@ def _sym_key(a) -> str:
     return str(a)
 
 
-def presburger_of(e: _rbe.Rbe, symbols=None):
+def presburger_of(e: _rbe.Rbe):
     """Build psi_e with free bag variables x_<symbol> and free count n.
 
     Returns (formula, xvars, nvar) where xvars maps each alphabet symbol to
     its variable name.
     """
-    if symbols is None:
-        symbols = sorted(_rbe.alphabet(e), key=_sym_key)
-    symbols = list(symbols)
+    symbols = sorted(_rbe.alphabet(e), key=_sym_key)
     fresh = _Fresh()
     xvars = {a: f"x_{_sym_key(a)}" for a in symbols}
     nvar = "n"
@@ -184,30 +182,20 @@ def _psi(e, xvars, n, symbols, fresh) -> PAFormula:
         positive = conj(Le(const(1), nt), Exists((m,), conj(*inner)))
         zero = conj(Eq(nt, const(0)), _zero(xvars, symbols))
         return disj(zero, positive)
-    if isinstance(e, _rbe.Disj):
-        x1 = fresh.vector(symbols, "l")
-        x2 = fresh.vector(symbols, "r")
-        n1 = fresh.scalar("n")
-        n2 = fresh.scalar("n")
-        parts = [Eq(nt, tsum(var(n1), var(n2)))]
-        parts += [Eq(var(xvars[a]), tsum(var(x1[a]), var(x2[a]))) for a in symbols]
-        parts.append(_psi(e.left, x1, n1, symbols, fresh))
-        parts.append(_psi(e.right, x2, n2, symbols, fresh))
-        bound = tuple(x1[a] for a in symbols) + tuple(x2[a] for a in symbols) + (n1, n2)
-        return Exists(bound, conj(*parts))
-    if isinstance(e, _rbe.Concat):
-        x1 = fresh.vector(symbols, "l")
-        x2 = fresh.vector(symbols, "r")
-        parts = [Eq(var(xvars[a]), tsum(var(x1[a]), var(x2[a]))) for a in symbols]
-        parts.append(_psi(e.left, x1, n, symbols, fresh))
-        parts.append(_psi(e.right, x2, n, symbols, fresh))
-        bound = tuple(x1[a] for a in symbols) + tuple(x2[a] for a in symbols)
-        return Exists(bound, conj(*parts))
     if isinstance(e, _rbe.Intersect):
-        return conj(
-            _psi(e.left, xvars, n, symbols, fresh),
-            _psi(e.right, xvars, n, symbols, fresh),
-        )
+        return conj(*[_psi(p, xvars, n, symbols, fresh) for p in e.parts])
+    if isinstance(e, (_rbe.Disj, _rbe.Concat)):
+        # One bag per part, the bags summing to xvars.  A disjunction also
+        # splits the copies n between its parts; in a concatenation each
+        # part takes all n.
+        split = isinstance(e, _rbe.Disj)
+        xs = [fresh.vector(symbols) for _ in e.parts]
+        ns = [fresh.scalar("n") for _ in e.parts] if split else [n] * len(xs)
+        parts = [Eq(nt, tsum(*map(var, ns)))] if split else []
+        parts += [Eq(var(xvars[a]), tsum(*[var(x[a]) for x in xs])) for a in symbols]
+        parts += [_psi(p, x, m, symbols, fresh) for p, x, m in zip(e.parts, xs, ns)]
+        bound = tuple(x[a] for x in xs for a in symbols) + (tuple(ns) if split else ())
+        return Exists(bound, conj(*parts))
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -233,16 +221,9 @@ class _EvalState:
     cap: int
     assume_cap_sound: bool
     work: int = 0
-    work_cap: int = DEFAULT_EVAL_WORK
 
 
-def pa_eval_bounded(
-    f: PAFormula,
-    assignment: dict,
-    cap: int,
-    assume_cap_sound: bool = False,
-    work_cap: int = DEFAULT_EVAL_WORK,
-):
+def pa_eval_bounded(f: PAFormula, assignment: dict, cap: int, assume_cap_sound: bool = False):
     """Evaluate with quantified variables over {0..bound}; bounds are derived
     from equalities and inequalities in the conjunctive spine where possible
     and fall back to cap otherwise.
@@ -253,14 +234,14 @@ def pa_eval_bounded(
     missing = free_variables(f) - set(assignment)
     if missing:
         raise ValueError(f"unassigned free variables: {sorted(missing)}")
-    st = _EvalState(cap=cap, assume_cap_sound=assume_cap_sound, work_cap=work_cap)
+    st = _EvalState(cap=cap, assume_cap_sound=assume_cap_sound)
     return _eval(f, dict(assignment), st)
 
 
 def _tick(st: _EvalState):
     st.work += 1
-    if st.work > st.work_cap:
-        raise WorkCapError(f"formula evaluation exceeded {st.work_cap} steps")
+    if st.work > DEFAULT_EVAL_WORK:
+        raise WorkCapError(f"formula evaluation exceeded {DEFAULT_EVAL_WORK} steps")
 
 
 def _flatten_and(f: PAFormula, out: list):

@@ -8,11 +8,11 @@ Symbols are opaque hashables: plain strings for standalone expressions, or
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
 from .core import (
-    BASIC_INTERVALS,
     INF,
     ONE,
     OPT,
@@ -52,27 +52,31 @@ class Sym(Rbe):
 
 
 @dataclass(frozen=True)
-class Disj(Rbe):
-    left: Rbe
-    right: Rbe
-
-
-@dataclass(frozen=True)
-class Concat(Rbe):
-    left: Rbe
-    right: Rbe
-
-
-@dataclass(frozen=True)
 class Repeat(Rbe):
     body: Rbe
     interval: Interval
 
 
 @dataclass(frozen=True)
-class Intersect(Rbe):
-    left: Rbe
-    right: Rbe
+class Nary(Rbe):
+    """One operator chain: parts holds two or more sub-expressions."""
+
+    parts: tuple
+
+
+@dataclass(frozen=True)
+class Disj(Nary):
+    pass
+
+
+@dataclass(frozen=True)
+class Concat(Nary):
+    pass
+
+
+@dataclass(frozen=True)
+class Intersect(Nary):
+    pass
 
 
 EPSILON = Epsilon()
@@ -80,23 +84,17 @@ EMPTY = Empty()
 
 
 def concat_all(parts) -> Rbe:
-    parts = list(parts)
-    if not parts:
-        return EPSILON
-    e = parts[0]
-    for p in parts[1:]:
-        e = Concat(e, p)
-    return e
+    parts = tuple(parts)
+    if len(parts) < 2:
+        return parts[0] if parts else EPSILON
+    return Concat(parts)
 
 
 def disj_all(parts) -> Rbe:
-    parts = list(parts)
-    if not parts:
-        return EMPTY
-    e = parts[0]
-    for p in parts[1:]:
-        e = Disj(e, p)
-    return e
+    parts = tuple(parts)
+    if len(parts) < 2:
+        return parts[0] if parts else EMPTY
+    return Disj(parts)
 
 
 def alphabet(e: Rbe) -> frozenset:
@@ -106,7 +104,7 @@ def alphabet(e: Rbe) -> frozenset:
         return frozenset([e.symbol])
     if isinstance(e, Repeat):
         return alphabet(e.body)
-    return alphabet(e.left) | alphabet(e.right)
+    return frozenset().union(*map(alphabet, e.parts))
 
 
 def max_finite_constant(e: Rbe) -> int:
@@ -118,7 +116,7 @@ def max_finite_constant(e: Rbe) -> int:
         if e.interval.max != INF:
             k = max(k, e.interval.max)
         return max(k, max_finite_constant(e.body))
-    return max(max_finite_constant(e.left), max_finite_constant(e.right))
+    return max(map(max_finite_constant, e.parts))
 
 
 VECTOR_WORK = 10**6
@@ -181,8 +179,8 @@ def parikh_vectors(e: Rbe, symbols, box, total=None) -> set:
             continue
         if isinstance(x, Repeat):
             kids = (x.body,)
-        elif isinstance(x, (Disj, Concat, Intersect)):
-            kids = (x.left, x.right)
+        elif isinstance(x, Nary):
+            kids = x.parts
         else:
             kids = ()
         todo = [k for k in kids if id(k) not in sets]
@@ -200,11 +198,12 @@ def parikh_vectors(e: Rbe, symbols, box, total=None) -> set:
         elif isinstance(x, Repeat):
             r = repeat(sets[id(x.body)], x.interval)
         elif isinstance(x, Disj):
-            r = sets[id(x.left)] | sets[id(x.right)]
+            r = set().union(*[sets[id(p)] for p in x.parts])
         elif isinstance(x, Intersect):
-            r = sets[id(x.left)] & sets[id(x.right)]
+            r = set.intersection(*[sets[id(p)] for p in x.parts])
         elif isinstance(x, Concat):
-            r = plus(sets[id(x.left)], sets[id(x.right)])
+            # Folded left to right: the sums of the left-nested chain.
+            r = functools.reduce(plus, [sets[id(p)] for p in x.parts])
         else:
             raise TypeError(f"not an expression: {x!r}")
         sets[id(x)] = r
@@ -243,25 +242,28 @@ class Rbe0:
 
 
 def to_rbe0(e: Rbe) -> Rbe0 | None:
-    """Syntactic conversion; returns None when e is not of the flat shape."""
+    """Syntactic conversion; returns None when e is not of the flat shape.
+    A nested concatenation counts as flat: `(a, b), c` reads as a, b, c."""
     if isinstance(e, Epsilon):
         return Rbe0(())
     atoms = []
-    if not _collect_atoms(e, atoms):
-        return None
+    for x in _factors(e):
+        if isinstance(x, Sym):
+            atoms.append((x.symbol, ONE))
+        elif isinstance(x, Repeat) and isinstance(x.body, Sym) and x.interval.basic:
+            atoms.append((x.body.symbol, x.interval))
+        else:
+            return None
     return Rbe0(tuple(atoms))
 
 
-def _collect_atoms(e: Rbe, out: list) -> bool:
+def _factors(e: Rbe):
+    """The factors of e read as a concatenation, through nested ones."""
     if isinstance(e, Concat):
-        return _collect_atoms(e.left, out) and _collect_atoms(e.right, out)
-    if isinstance(e, Sym):
-        out.append((e.symbol, ONE))
-        return True
-    if isinstance(e, Repeat) and isinstance(e.body, Sym) and e.interval.basic:
-        out.append((e.body.symbol, e.interval))
-        return True
-    return False
+        for p in e.parts:
+            yield from _factors(p)
+    else:
+        yield e
 
 
 def rbe0_to_rbe(e0: Rbe0) -> Rbe:
@@ -320,6 +322,11 @@ class _ExprParser:
         self.tokens = tokens
         self.i = 0
         self.typed = typed
+        # Loosest-binding operator first.  Partials, not methods, so one
+        # nesting level costs as many frames as with one method per level.
+        cat = functools.partial(self.chain, Concat, ",", self.post)
+        inter = functools.partial(self.chain, Intersect, "&", cat)
+        self.disj = functools.partial(self.chain, Disj, "|", inter)
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None)
@@ -340,26 +347,12 @@ class _ExprParser:
             raise ParseError(f"trailing input at {v!r}")
         return e
 
-    def disj(self) -> Rbe:
-        e = self.inter()
-        while self.peek() == ("punct", "|"):
+    def chain(self, cls, op, next_level) -> Rbe:
+        parts = [next_level()]
+        while self.peek() == ("punct", op):
             self.take()
-            e = Disj(e, self.inter())
-        return e
-
-    def inter(self) -> Rbe:
-        e = self.cat()
-        while self.peek() == ("punct", "&"):
-            self.take()
-            e = Intersect(e, self.cat())
-        return e
-
-    def cat(self) -> Rbe:
-        e = self.post()
-        while self.peek() == ("punct", ","):
-            self.take()
-            e = Concat(e, self.post())
-        return e
+            parts.append(next_level())
+        return cls(tuple(parts)) if len(parts) > 1 else parts[0]
 
     def post(self) -> Rbe:
         e = self.primary()
@@ -408,18 +401,13 @@ def parse_rbe(text: str, typed: bool = False) -> Rbe:
     return _ExprParser(tokens, typed).parse()
 
 
-def _needs_parens(e: Rbe, context: str) -> bool:
-    order = {"disj": 0, "inter": 1, "cat": 2, "post": 3}
-    level = (
-        0 if isinstance(e, Disj)
-        else 1 if isinstance(e, Intersect)
-        else 2 if isinstance(e, Concat)
-        else 3
-    )
-    return level < order[context]
+# Precedence (higher binds tighter) and separator of each operator.  Every
+# part prints in the next-higher context, so a nested chain keeps its
+# parentheses and the text parses back to the same tree.
+_OPERATORS = {Disj: (0, " | "), Intersect: (1, " & "), Concat: (2, ", ")}
 
 
-def _fmt(e: Rbe, context: str) -> str:
+def _fmt(e: Rbe, context: int) -> str:
     if isinstance(e, Epsilon):
         return "eps"
     if isinstance(e, Empty):
@@ -428,9 +416,9 @@ def _fmt(e: Rbe, context: str) -> str:
         s = e.symbol
         return f"{s[0]}::{s[1]}" if isinstance(s, tuple) else str(s)
     if isinstance(e, Repeat):
-        body = _fmt(e.body, "post")
+        body = _fmt(e.body, 0)
         if not isinstance(e.body, (Sym, Epsilon)):
-            body = f"({_fmt(e.body, 'disj')})"
+            body = f"({body})"
         iv = e.interval
         mark = {OPT: "?", STAR: "*", PLUS: "+"}.get(iv)
         if mark:
@@ -438,17 +426,12 @@ def _fmt(e: Rbe, context: str) -> str:
         if iv.singleton:
             return f"{body}^{iv.min}"
         return f"{body}^{iv}"
-    if isinstance(e, Concat):
-        s = f"{_fmt(e.left, 'cat')}, {_fmt(e.right, 'post')}"
-        return f"({s})" if _needs_parens(e, context) else s
-    if isinstance(e, Intersect):
-        s = f"{_fmt(e.left, 'inter')} & {_fmt(e.right, 'cat')}"
-        return f"({s})" if _needs_parens(e, context) else s
-    if isinstance(e, Disj):
-        s = f"{_fmt(e.left, 'disj')} | {_fmt(e.right, 'inter')}"
-        return f"({s})" if _needs_parens(e, context) else s
+    if isinstance(e, Nary):
+        level, sep = _OPERATORS[type(e)]
+        s = sep.join(_fmt(p, level + 1) for p in e.parts)
+        return f"({s})" if level < context else s
     raise TypeError(f"not an expression: {e!r}")
 
 
 def rbe_to_text(e: Rbe) -> str:
-    return _fmt(e, "disj")
+    return _fmt(e, 0)

@@ -6,6 +6,7 @@ classes.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 
 from .core import ONE, OPT, PLUS, STAR, Edge, Graph
 from .errors import ClassPreconditionError, ParseError
@@ -166,9 +167,9 @@ def classify(s: Schema):
     g = to_shape_graph(s)
     deterministic = True
     for n in g.nodes:
-        labels = [e.label for e in g.out(n)]
-        for lab in sorted(set(labels)):
-            if labels.count(lab) > 1:
+        counts = Counter(e.label for e in g.out(n))
+        for lab in sorted(counts):
+            if counts[lab] > 1:
                 diagnostics.append(f"type {n} uses label {lab} more than once")
                 deterministic = False
     if not deterministic:

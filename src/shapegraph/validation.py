@@ -119,7 +119,7 @@ def _satisfies_psi(out, choices, e0: _rbe.Rbe0) -> bool:
         if e.occur != ONE:
             factor = _rbe.Repeat(factor, e.occur)
         factors.append(factor)
-    expr = _rbe.Intersect(_rbe.concat_all(factors), _rbe.rbe0_to_rbe(e0))
+    expr = _rbe.Intersect((_rbe.concat_all(factors), _rbe.rbe0_to_rbe(e0)))
     formula, xvars, nvar = _pa.presburger_of(expr)
     body = _pa.Exists(tuple(xvars.values()), formula) if xvars else formula
     cap = max(

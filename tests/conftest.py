@@ -157,7 +157,10 @@ def brute_matches(e, w):
         x = stack.pop()
         if isinstance(x, Sym):
             mentioned.add(x.symbol)
-        stack.extend(getattr(x, f) for f in ("left", "right", "body") if hasattr(x, f))
+        elif isinstance(x, Repeat):
+            stack.append(x.body)
+        else:
+            stack.extend(getattr(x, "parts", ()))
     if any(a not in mentioned for a in w):
         return False
     memo = {}
@@ -177,17 +180,26 @@ def brute_matches(e, w):
         if isinstance(e, Sym):
             return size == 1 and w.get(e.symbol, 0) == 1
         if isinstance(e, Disj):
-            return matches(e.left, w) or matches(e.right, w)
+            return any(matches(p, w) for p in e.parts)
         if isinstance(e, Intersect):
-            return matches(e.left, w) and matches(e.right, w)
+            return all(matches(p, w) for p in e.parts)
         if isinstance(e, Concat):
-            return any(matches(e.left, part) and matches(e.right, w - part) for part in sub_bags(w))
+            return concat_matches(e.parts, w)
         if isinstance(e, Repeat):
             # A split into more than max(min, |w|) parts has an empty part
             # that can be dropped without going below min.
             top = min(e.interval.max, max(e.interval.min, size))
             return any(splits_into(e.body, w, k) for k in range(e.interval.min, int(top) + 1))
         raise TypeError(e)
+
+    def concat_matches(parts, w):
+        # w is the sum of one bag of each part, split off the first part.
+        if len(parts) == 1:
+            return matches(parts[0], w)
+        return any(
+            matches(parts[0], part) and concat_matches(parts[1:], w - part)
+            for part in sub_bags(w)
+        )
 
     def splits_into(body, w, k):
         # w is the sum of k bags of L(body); parts are taken nonempty for as
@@ -329,7 +341,7 @@ def random_flat_rbe(rng: random.Random, symbols=("a", "b", "c"), depth=3):
         if d == 0 or rng.random() < 0.4:
             return Sym(rng.choice(symbols))
         op = rng.choice([Disj, Concat])
-        return op(flat(d - 1), flat(d - 1))
+        return op((flat(d - 1), flat(d - 1)))
 
     def expr(d):
         r = rng.random()
@@ -342,7 +354,7 @@ def random_flat_rbe(rng: random.Random, symbols=("a", "b", "c"), depth=3):
         if r < 0.55:
             return EPSILON
         op = rng.choice([Disj, Concat])
-        return op(expr(d - 1), expr(d - 1))
+        return op((expr(d - 1), expr(d - 1)))
 
     return expr(depth)
 

@@ -153,9 +153,7 @@ def test_psi_formula_correctness():
     disagreements = 0
     for i in range(1000):
         if i % 4 == 0:
-            e = Intersect(
-                random_flat_rbe(rng, depth=2), random_flat_rbe(rng, depth=2)
-            )
+            e = Intersect((random_flat_rbe(rng, depth=2), random_flat_rbe(rng, depth=2)))
         else:
             e = random_flat_rbe(rng)
         w = random_bag(rng, max_size=5)
@@ -178,7 +176,7 @@ def test_psi_formula_correctness():
         if isinstance(e, Intersect) and not foreign:
             # The intersection case must equal the conjunction of memberships.
             sides = []
-            for side in (e.left, e.right):
+            for side in e.parts:
                 f2, xv2, nv2 = presburger_of(side)
                 asg = {nv2: 1}
                 for sym, x in xv2.items():

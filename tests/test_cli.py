@@ -14,7 +14,7 @@ from conftest import (
     chain_graph,
     star_chain_pair,
 )
-from shapegraph import serialize_graph
+from shapegraph import parse_schema, serialize_graph, serialize_schema
 
 
 @pytest.fixture
@@ -67,12 +67,33 @@ class TestExitCodes:
         assert r.exit_code == 3
 
     def test_recursion_limit_is_2(self, runner, tmp_path):
-        # The binary expression tree of a 1200-atom rule is deeper than
-        # Python's recursion limit.
+        # Parsing recurses once per nesting level, so 1200 nested
+        # parentheses pass Python's recursion limit.
         deep = tmp_path / "deep.schema"
-        deep.write_text("t -> " + " , ".join(["a::t?"] * 1200) + "\n")
+        deep.write_text("t -> " + "(" * 1200 + "a::t?" + ")" * 1200 + "\n")
         r = runner.invoke(main, ["--json", "classify", str(deep)])
         assert r.exit_code == 2
+        assert json.loads(r.stdout) == {"verdict": "unknown", "stats": {}}
+        assert r.stderr.startswith("unknown: ")
+
+    @pytest.mark.parametrize(("op", "fits"), [(", ", 0), (" | ", 1), (" & ", 1)])
+    def test_wide_rules_are_decided(self, runner, tmp_path, op, fits):
+        # A 10^4-atom rule is one node whose walkers loop over its parts.
+        # Only the concatenation of optional atoms takes both edges of x.
+        text = "t -> " + op.join(f"l{i}::u?" for i in range(10**4)) + "\nu -> eps\n"
+        s = tmp_path / "wide.schema"
+        s.write_text(text)
+        g = tmp_path / "wide.graph"
+        g.write_text("graph simple\nx l1 y\nx l7 y\n")
+        r = runner.invoke(main, ["--json", "classify", str(s)])
+        assert r.exit_code == 0
+        assert json.loads(r.stdout)["verdict"] == ("DetShEx0" if op == ", " else "ShEx")
+        for command in ("validate", "typing"):
+            r = runner.invoke(main, ["--json", command, str(g), str(s)])
+            assert r.exit_code == fits, (command, r.output)
+            assert json.loads(r.stdout)["verdict"] == ("valid", "invalid")[fits]
+        schema = parse_schema(text)
+        assert parse_schema(serialize_schema(schema)) == schema
 
     def test_vector_work_cap_is_2(self, runner, tmp_path):
         # The Minkowski sum of a::u* and b::u* inside the box (1000, 1000)
@@ -85,6 +106,7 @@ class TestExitCodes:
         start = time.monotonic()
         r = runner.invoke(main, ["--json", "validate", str(g), str(s)])
         assert r.exit_code == 2
+        assert json.loads(r.stdout) == {"verdict": "unknown", "stats": {}}
         assert time.monotonic() - start < 10
 
     def test_unknown_subcommand_is_3(self, runner):

@@ -65,7 +65,7 @@ class TestPsiCases:
     def test_intersection_is_conjunction(self):
         left = parse_rbe("a*, b*")
         right = parse_rbe("(a, b)*")
-        both = Intersect(left, right)
+        both = Intersect((left, right))
         from collections import Counter
 
         for w in (Counter({"a": 1, "b": 1}), Counter({"a": 2, "b": 1}), Counter()):

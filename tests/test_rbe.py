@@ -77,7 +77,7 @@ class TestMatching:
         assert bag_matches(parse_rbe("(a, b?)^[0;1000000]"), bag("a", "a", "b"))
 
     def test_intersection(self):
-        e = Intersect(parse_rbe("a*, b*"), parse_rbe("(a, b)*"))
+        e = Intersect((parse_rbe("a*, b*"), parse_rbe("(a, b)*")))
         assert bag_matches(e, bag("a", "b", "a", "b"))
         assert not bag_matches(e, bag("a"))
 
@@ -93,6 +93,7 @@ class TestRbe0:
         assert to_rbe0(parse_rbe("a | b")) is None
         assert to_rbe0(parse_rbe("(a, b)*")) is None
         assert to_rbe0(parse_rbe("a^[2;3]")) is None  # non-basic interval
+        assert to_rbe0(parse_rbe("(a, b?), c")) == to_rbe0(parse_rbe("a, b?, c"))
 
     def test_rbe0_matches_simple(self):
         e0 = to_rbe0(parse_rbe("a, a?, b*"))
@@ -120,6 +121,22 @@ class TestParser:
         for text in ("a", "a?", "(a | b), c*", "a^[2;3], b+", "eps", "(a & b) | c"):
             e = parse_rbe(text)
             assert parse_rbe(rbe_to_text(e)) == e
+
+    def test_one_node_per_operator_chain(self):
+        a, b, c = Sym("a"), Sym("b"), Sym("c")
+        assert parse_rbe("a, b, c") == Concat((a, b, c))
+        assert parse_rbe("a | b & c | a") == Disj((a, Intersect((b, c)), a))
+
+    def test_nested_chains_keep_their_parentheses(self):
+        for text in ("(a, b), c", "a | (b | c)", "(a & b) & c"):
+            e = parse_rbe(text)
+            assert rbe_to_text(e) == text
+            assert parse_rbe(rbe_to_text(e)) == e
+
+    def test_nested_repeats_print_in_linear_time(self):
+        # Each level formats its body once; twice per level is 2^40 calls here.
+        e = parse_rbe("(" * 40 + "a" + ")?" * 40)
+        assert parse_rbe(rbe_to_text(e)) == e
 
     def test_typed_atoms(self):
         e = parse_rbe("a::t1, b::t2?", typed=True)
@@ -151,7 +168,7 @@ def random_rbe(rng, symbols=("a", "b"), depth=3):
     if r < 0.55:
         return Repeat(random_rbe(rng, symbols, depth - 1), rng.choice(intervals))
     op = rng.choice([Disj, Concat, Intersect])
-    return op(random_rbe(rng, symbols, depth - 1), random_rbe(rng, symbols, depth - 1))
+    return op((random_rbe(rng, symbols, depth - 1), random_rbe(rng, symbols, depth - 1)))
 
 
 class TestBruteForceCrossCheck:

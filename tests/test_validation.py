@@ -89,14 +89,14 @@ def random_non_flat_schema(rng):
         return Sym(("a", rng.choice(types)))
 
     def part():
-        body = atom() if rng.random() < 0.5 else Disj(atom(), atom())
+        body = atom() if rng.random() < 0.5 else Disj((atom(), atom()))
         iv = rng.choice(BASIC)
         return body if iv == ONE else Repeat(body, iv)
 
     def rule():
         return concat_all(part() for _ in range(rng.randint(0, 3)))
 
-    return Schema({t: Disj(rule(), rule()) for t in types})
+    return Schema({t: Disj((rule(), rule())) for t in types})
 
 
 def random_wide_graph(rng, max_nodes):
@@ -181,7 +181,7 @@ class TestMaxTyping:
                 g = random_compressed_with_zero_edges(rng)
             s = random_rbe0_schema(rng, max_types=4)
             # An equivalent non-flat schema takes the exhaustive route.
-            wrapped = Schema({t: Disj(e, EMPTY) for t, e in s.defs.items()})
+            wrapped = Schema({t: Disj((e, EMPTY)) for t, e in s.defs.items()})
             expected = reference_typing(g, s)
             assert max_typing(g, s) == expected
             assert max_typing(g, wrapped) == expected
@@ -343,7 +343,7 @@ class TestRouteAgreement:
     def assert_routes_agree(g, s):
         typing = {n: frozenset(s.types) for n in g.nodes}
         # An equivalent non-flat definition forces the exhaustive route.
-        wrapped = Schema({t: Disj(e, EMPTY) for t, e in s.defs.items()})
+        wrapped = Schema({t: Disj((e, EMPTY)) for t, e in s.defs.items()})
         for n in g.nodes:
             out = [e for e in g.out(n) if e.occur.max != 0]
             choices = [sorted(typing[e.target]) for e in out]
