@@ -241,8 +241,7 @@ def _bags_matching(s: Schema, t, symbols, caps):
     """All bags w ∈ L(δ(t)) over symbols, the alphabet of δ(t) sorted by
     str, with the count of symbols[i] at most caps[i]: the Parikh vectors
     of δ(t) inside caps, flat or not, in lexicographic order."""
-    vectors = sorted(_rbe.parikh_vectors(s.defs[t], symbols, caps))
-    return [Counter({a: c for a, c in zip(symbols, v) if c}) for v in vectors]
+    return sorted(_rbe.parikh_vectors(s.defs[t], symbols, caps))
 
 
 def _weakly_connected(out, inc):
@@ -302,13 +301,54 @@ def canonical_code(g: Graph):
     return (len(nodes), best)
 
 
+def _candidates(h: Schema, n_nodes: int, max_card: int, bags: dict):
+    """The out- and in-lists (out, inc) of every n_nodes-node candidate
+    built from h: each node gets one h-type and an out-bag from L(δ(type))
+    realized as edges with cardinalities up to max_card.  out[i] lists node
+    i's edges as (label, k, target index) sorted on (label, k), as
+    validation.Typer.fixpoint takes them.  bags caches _bags_matching on
+    (type, caps) across calls."""
+    types = h.types
+    symbols_of = {t: sorted(_rbe.alphabet(h.defs[t]), key=str) for t in types}
+    for counts in _tuples(n_nodes, len(types), n_nodes):
+        # Nodes are numbered by type in order; only types with nodes count.
+        targets_of = {t: range(end - c, end)
+                      for t, c, end in zip(types, counts, accumulate(counts)) if c}
+        specs = {}
+        for t in targets_of:
+            symbols = symbols_of[t]
+            caps = tuple(max_card * len(targets_of.get(a[1], ())) for a in symbols)
+            if (t, caps) not in bags:
+                bags[(t, caps)] = _bags_matching(h, t, symbols, caps)
+            spec_list = specs[t] = []
+            for v in bags[(t, caps)]:
+                used = [(a, c) for a, c in zip(symbols, v) if c]
+                dists = [_tuples(c, len(targets_of[a[1]]), max_card) for a, c in used]
+                for combo in product(*dists):
+                    spec_list.append(sorted((lab, card, targets_of[tgt_t][slot])
+                                            for ((lab, tgt_t), _), dist in zip(used, combo)
+                                            for slot, card in enumerate(dist) if card))
+            if not spec_list:
+                break
+        else:
+            # The picks of the groups, concatenated, give the out-list of
+            # each node in turn.
+            groups = [(specs[t], list(combinations_with_replacement(range(len(specs[t])), len(r))))
+                      for t, r in targets_of.items()]
+            for picks in product(*[choices for _, choices in groups]):
+                out = [group[i] for (group, _), pick in zip(groups, picks) for i in pick]
+                inc = [[] for _ in out]
+                for a, o in enumerate(out):
+                    for _, _, b in o:
+                        inc[b].append(a)
+                yield out, inc
+
+
 def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
     """Exhaustive bounded search for a graph validating h but not k.
 
-    Candidates are generated from h: each node gets one h-type and an
-    out-bag from L(δ(type)) realized as edges with cardinalities up to
-    budget.max_card, so every candidate validates h by construction (and is
-    re-verified).  Only weakly connected candidates are considered — a
+    Candidates come from _candidates, so every one validates h by
+    construction.  Only weakly connected candidates are considered — a
     minimal counter-example is connected, since validity is per-node and a
     failing node's component is itself a counter-example.
 
@@ -319,23 +359,15 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
 
     Candidates are typed against k on their index lists by the fixpoint of
     one validation.Typer, whose memo over interned type-set ids is shared by
-    all of them; a candidate's Graph is built only for a memo miss or for
-    the re-verification of a node left untyped.
+    all of them; a candidate's Graph is built only for a memo miss or when
+    it leaves a node untyped.  The hits of the least node count are
+    re-verified with validation.validates in (total cardinality,
+    canonical_code) order, and the first that passes is reported.
     """
     budget.check()
     start = time.monotonic()
-    types = h.types
     typer = _val.Typer(k)
-    symbols_of = {t: sorted(_rbe.alphabet(h.defs[t]), key=str) for t in types}
     bags = {}  # (type, caps) -> _bags_matching, shared by every node count
-    built = None
-
-    def graph():
-        # The Graph of the candidate now typed (names, out), built once.
-        nonlocal built
-        if built is None:
-            built = _candidate_graph(names, out)
-        return built
 
     def timed_out():
         return budget.timeout is not None and time.monotonic() - start > budget.timeout
@@ -343,64 +375,17 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
     for n_nodes in range(1, budget.max_nodes + 1):
         names = [f"v{i}" for i in range(n_nodes)]
         hits = []
-        for counts in _tuples(n_nodes, len(types), n_nodes):
-            ends = list(accumulate(counts))
-            targets_of = {t: list(range(e - c, e)) for t, c, e in zip(types, counts, ends)}
-            specs = {}
-            for t, c in zip(types, counts):
-                if c == 0:
-                    continue
-                caps = tuple(budget.max_card * len(targets_of[a[1]]) for a in symbols_of[t])
-                if (t, caps) not in bags:
-                    bags[(t, caps)] = _bags_matching(h, t, symbols_of[t], caps)
-                # Each spec is a node's out-list, as (label, k, target index),
-                # sorted on (label, k) as the fixpoint takes it.
-                spec_list = specs[t] = []
-                for w in bags[(t, caps)]:
-                    symbols = sorted(w, key=str)
-                    dists = [
-                        list(_tuples(w[a], len(targets_of[a[1]]), budget.max_card))
-                        for a in symbols
-                    ]
-                    for combo in product(*dists):
-                        spec_list.append(sorted((lab, card, targets_of[tgt_t][slot])
-                                                for (lab, tgt_t), dist in zip(symbols, combo)
-                                                for slot, card in enumerate(dist) if card))
-                if not spec_list:
-                    break
-            if not all(specs.values()):
-                continue
-
-            # Nodes are numbered by type in order, so the picks of the
-            # groups, concatenated, give the out-list of each node in turn.
-            group_choices = [
-                (specs[t], list(combinations_with_replacement(range(len(specs[t])), c)))
-                for t, c in zip(types, counts) if c
-            ]
-            for picks in product(*[choices for _, choices in group_choices]):
-                if timed_out():
-                    if hits:
-                        break
-                    return Unknown("timeout before exhausting the budget")
-                out = [group[i] for (group, _), pick in zip(group_choices, picks) for i in pick]
-                inc = [[] for _ in names]
-                for a, o in enumerate(out):
-                    for _, _, b in o:
-                        inc[b].append(a)
-                if not _weakly_connected(out, inc):
-                    continue
-                built = None  # a new candidate: graph() builds its Graph
-                if typer.fixpoint(out, inc, graph, stop_untyped=True) is None:
-                    # Independent re-verification before reporting.
-                    g = graph()
-                    if _val.validates(g, h) and not _val.validates(g, k):
-                        total_card = sum(c for o in out for _, c, _ in o)
-                        hits.append((total_card, g))
-            if hits and timed_out():
+        for out, inc in _candidates(h, n_nodes, budget.max_card, bags):
+            if timed_out():
                 break
-        if hits:
-            best = min(hits, key=lambda tc_g: (tc_g[0], canonical_code(tc_g[1])))
-            return NotContained(best[1])
+            if not _weakly_connected(out, inc):
+                continue
+            if typer.fixpoint(out, inc, lambda: _candidate_graph(names, out), stop_untyped=True) is None:
+                hits.append(_candidate_graph(names, out))
+        hits.sort(key=lambda g: (sum(e.occur.min for e in g.edges), canonical_code(g)))
+        for g in hits:
+            if _val.validates(g, h) and not _val.validates(g, k):
+                return NotContained(g)
         if timed_out():
             return Unknown("timeout before exhausting the budget")
     if budget.claim_complete:

@@ -167,11 +167,13 @@ class Graph:
         self.nodes: tuple[str, ...] = tuple(seen)
         self.edges: tuple[Edge, ...] = tuple(edges)
         self.kind = kind
-        self._out: dict[str, tuple[Edge, ...]] = {n: () for n in self.nodes}
-        self._in: dict[str, tuple[Edge, ...]] = {n: () for n in self.nodes}
+        out: dict = {n: [] for n in self.nodes}
+        inc: dict = {n: [] for n in self.nodes}
         for e in self.edges:
-            self._out[e.source] += (e,)
-            self._in[e.target] += (e,)
+            out[e.source].append(e)
+            inc[e.target].append(e)
+        self._out: dict[str, tuple[Edge, ...]] = {n: tuple(es) for n, es in out.items()}
+        self._in: dict[str, tuple[Edge, ...]] = {n: tuple(es) for n, es in inc.items()}
         # A simple graph is also compressed: [1;1] is a singleton.
         self._simple = _kind_fault(self.edges, "simple") is None
         self._compressed = self._simple or _kind_fault(self.edges, "compressed") is None

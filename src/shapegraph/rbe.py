@@ -126,10 +126,11 @@ def parikh_vectors(e: Rbe, symbols, box, total=None) -> set:
     """The Parikh vectors of L(e) over symbols, as count tuples aligned
     with symbols, that lie inside box and sum to at most total (to
     sum(box) when None).  Exact: built bottom-up over an explicit stack,
-    where a symbol is its unit vector, | is union, & intersection, , the
-    Minkowski sum and a repeat the sum iterated up to its max.  Counts are
-    never negative, so a sum that leaves the box stays out of it and every
-    set can be clipped as it is made.
+    where a symbol is its unit vector (∅ if it is not among symbols), | is
+    union, & intersection, , the Minkowski sum and a repeat the sum
+    iterated up to its max.  Counts are never negative, so a sum that
+    leaves the box stays out of it and every set can be clipped as it is
+    made.
 
     Raises WorkCapError past VECTOR_WORK vector additions in one call.
     """
@@ -193,8 +194,8 @@ def parikh_vectors(e: Rbe, symbols, box, total=None) -> set:
         elif isinstance(x, Empty):
             r = set()
         elif isinstance(x, Sym):
-            i = index[x.symbol]
-            r = {zero[:i] + (1,) + zero[i + 1:]} if box[i] and total else set()
+            i = index.get(x.symbol)
+            r = {zero[:i] + (1,) + zero[i + 1:]} if i is not None and box[i] and total else set()
         elif isinstance(x, Repeat):
             r = repeat(sets[id(x.body)], x.interval)
         elif isinstance(x, Disj):

@@ -144,6 +144,8 @@ def _satisfies_exhaustive(out, choices, delta: _rbe.Rbe) -> bool:
     if not all(any(row) for row in takes):
         return False  # an out-edge that no symbol of δ takes
     box = [sum(e.occur.min for e, row in zip(out, takes) if row[j]) for j in range(len(symbols))]
+    # Only symbols some edge feeds can count; the rest read as ∅.
+    symbols, box = [a for a, b in zip(symbols, box) if b], [b for b in box if b]
     total = sum(e.occur.min for e in out)
     return any(
         _routes(out, choices, [(a, Interval(k, k)) for a, k in zip(symbols, v)])

@@ -125,14 +125,25 @@ class TestCounterexampleSearch:
         v = contains(h, k, method="search", budget=Budget(max_nodes=3, max_card=2, timeout=None))
         assert isinstance(v, Unknown)
 
-    def test_many_types_do_not_deepen_recursion(self):
+    def test_many_types_do_not_deepen_recursion(self, monkeypatch):
         # One composition part per h-type: a generator nested once per part
         # would pass Python's recursion limit here.
+        calls = []
+        checked = validation.validates
+
+        def counting_validates(g, s):
+            calls.append(s)
+            return checked(g, s)
+
+        monkeypatch.setattr(validation, "validates", counting_validates)
         h = parse_schema("".join(f"t{i} -> eps\n" for i in range(1100)))
         k = parse_schema("u -> a::u\n")
         v = contains(h, k, method="search", budget=Budget(max_nodes=1, max_card=1, timeout=None))
         assert isinstance(v, NotContained)
         assert v.witness.nodes == ("v0",) and not v.witness.edges
+        # Each of the 1,100 one-node candidates is a hit; only the reported
+        # one is re-verified, once against each schema.
+        assert calls == [h, k]
 
     def test_graphs_built_only_for_misses_and_untyped(self, monkeypatch):
         counts = Counter()

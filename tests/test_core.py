@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -110,6 +111,16 @@ class TestGraphText:
         rng = random.Random(seed)
         g = random_compressed_graph(rng)
         assert parse_graph(serialize_graph(g)) == g
+
+    def test_hub_builds_in_linear_time(self):
+        # Growing a node's edge tuple one edge at a time is quadratic in its degree.
+        n = 10**5
+        edges = [Edge("h", "a", f"c{i}") for i in range(n)]
+        start = time.monotonic()
+        g = Graph((), edges, kind="simple")
+        assert time.monotonic() - start < 10.0
+        assert len(g.out("h")) == n and g.out("h")[:2] == tuple(edges[:2])
+        assert g.incoming("c7") == (edges[7],)
 
 
 class TestUnpack:
