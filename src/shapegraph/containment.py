@@ -8,6 +8,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import accumulate, combinations_with_replacement, permutations, product
 
 from .core import ONE, OPT, STAR, Edge, Graph, Interval
@@ -301,17 +302,20 @@ def canonical_code(g: Graph):
     return (len(nodes), best)
 
 
-def _candidates(h: Schema, n_nodes: int, max_card: int, bags: dict):
-    """The out- and in-lists (out, inc) of every n_nodes-node candidate
-    built from h: each node gets one h-type and an out-bag from L(δ(type))
-    realized as edges with cardinalities up to max_card.  out[i] lists node
-    i's edges as (label, k, target index) sorted on (label, k), as
-    validation.Typer.fixpoint takes them.  bags caches _bags_matching on
+def _compositions(h: Schema, n_nodes: int, max_card: int, bags: dict):
+    """Each composition of n_nodes nodes over h's types (node counts per
+    type, in _tuples order) whose types all have an out-spec, as (index in
+    that order, targets_of, specs).  Nodes are numbered by type in order and
+    targets_of maps each type with nodes to its range of node indices, in
+    h.types order.  specs[t] lists the out-specs a node of type t can take:
+    an out-bag from L(δ(t)) realized as edges with cardinalities up to
+    max_card, each a list of (label, k, target index) sorted on (label, k),
+    as validation.Typer.fixpoint takes them.  bags caches _bags_matching on
     (type, caps) across calls."""
     types = h.types
     symbols_of = {t: sorted(_rbe.alphabet(h.defs[t]), key=str) for t in types}
-    for counts in _tuples(n_nodes, len(types), n_nodes):
-        # Nodes are numbered by type in order; only types with nodes count.
+    for index, counts in enumerate(_tuples(n_nodes, len(types), n_nodes)):
+        # Only types with nodes count.
         targets_of = {t: range(end - c, end)
                       for t, c, end in zip(types, counts, accumulate(counts)) if c}
         specs = {}
@@ -331,38 +335,138 @@ def _candidates(h: Schema, n_nodes: int, max_card: int, bags: dict):
             if not spec_list:
                 break
         else:
-            # The picks of the groups, concatenated, give the out-list of
-            # each node in turn.
-            groups = [(specs[t], list(combinations_with_replacement(range(len(specs[t])), len(r))))
-                      for t, r in targets_of.items()]
-            for picks in product(*[choices for _, choices in groups]):
-                out = [group[i] for (group, _), pick in zip(groups, picks) for i in pick]
-                inc = [[] for _ in out]
-                for a, o in enumerate(out):
-                    for _, _, b in o:
-                        inc[b].append(a)
-                yield out, inc
+            yield index, targets_of, specs
+
+
+def _levels(targets_of, specs):
+    """The types with nodes ordered so that every spec of a type targets
+    only earlier types, or None when some of them reference each other in
+    a cycle (a type referencing itself included)."""
+    type_of = {b: t for t, r in targets_of.items() for b in r}
+    deps = {t: {type_of[b] for spec in specs[t] for _, _, b in spec} for t in targets_of}
+    order, placed = [], set()
+    while len(order) < len(deps):
+        ready = [t for t in deps if t not in placed and deps[t] <= placed]
+        if not ready:
+            return None
+        order += ready
+        placed.update(ready)
+    return order
+
+
+def _spec_kept(typer, own, spec, ids):
+    """The type-set id typer keeps for a node of type-set id own whose
+    out-edges are spec, (label, k, target index), with target j at
+    type-set id ids[j].  A memo miss checks the node on a star with one
+    fresh target per out-edge: the check reads nothing else."""
+    key = (own, tuple([(lab, c, ids[b]) for lab, c, b in spec]))
+    kept = typer.memo.get(key)
+    if kept is None:
+        names = [f"v{i}" for i in range(len(spec) + 1)]
+        star = [[(lab, c, i) for i, (lab, c, _) in enumerate(spec, 1)]] + [[]] * len(spec)
+        targets = {n: typer.sets[t] for n, (_, _, t) in zip(names[1:], key[1])}
+        kept = typer.check(key, _candidate_graph(names, star), names[0], targets)
+    return kept
+
+
+def _hits(typer, targets_of, specs, names, timed_out):
+    """(picks, out, inc, graph) for every candidate of one composition that
+    leaves a node untyped by typer: picks holds each type's pick of specs in
+    targets_of order, out and inc are the candidate's out- and in-lists, and
+    graph() builds its Graph.  Stops early once timed_out().  The levels and
+    contexts are described in find_counterexample."""
+    sets = typer.sets
+    choices = {t: list(combinations_with_replacement(range(len(specs[t])), len(r)))
+               for t, r in targets_of.items()}
+    order = _levels(targets_of, specs)
+    cyclic = order is None
+    context, last = ([], list(targets_of)) if cyclic else (order[:-1], order[-1:])
+    zeros = [0] * len(names)
+    first = {t: [_spec_kept(typer, 0, spec, zeros) for spec in specs[t]] for t in order or ()}
+    ids = list(zeros)
+
+    def typed(t):
+        return [k0 if not sets[k0] else _spec_kept(typer, k0, spec, ids)
+                for k0, spec in zip(first[t], specs[t])]
+
+    pos = [0] * len(context)
+    rows = [None] * len(context)  # each context level's kept id per spec
+    untyped = [False] * (len(context) + 1)  # untyped[l]: a node before level l is
+    changed = fresh = 0  # levels from changed on are picked again, from fresh on typed again
+    while True:
+        if timed_out():
+            return
+        for level in range(changed, len(context)):
+            t = context[level]
+            if level >= fresh:
+                rows[level] = None if untyped[level] else typed(t)
+            pick = choices[t][pos[level]]
+            untyped[level + 1] = untyped[level] or any(not sets[rows[level][s]] for s in pick)
+            if not untyped[level]:
+                for b, s in zip(targets_of[t], pick):
+                    ids[b] = rows[level][s]
+        if cyclic or untyped[-1]:
+            tails = product(*[choices[t] for t in last])
+        else:
+            bad = {s for s, i in enumerate(typed(last[0])) if not sets[i]}
+            tails = [(p,) for p in choices[last[0]] if not bad.isdisjoint(p)] if bad else ()
+        picked = {t: choices[t][p] for t, p in zip(context, pos)}
+        for tail in tails:
+            if timed_out():
+                return
+            picked.update(zip(last, tail))
+            picks = tuple(picked[t] for t in targets_of)
+            out = [specs[t][s] for t, pick in zip(targets_of, picks) for s in pick]
+            inc = [[] for _ in out]
+            for a, o in enumerate(out):
+                for _, _, b in o:
+                    inc[b].append(a)
+            graph = cache(partial(_candidate_graph, names, out))
+            if not cyclic or typer.fixpoint(out, inc, graph, stop_untyped=True) is None:
+                yield picks, out, inc, graph
+        for changed in reversed(range(len(context))):
+            if pos[changed] + 1 < len(choices[context[changed]]):
+                break
+            pos[changed] = 0
+        else:
+            return
+        pos[changed] += 1
+        fresh = changed + 1
 
 
 def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
     """Exhaustive bounded search for a graph validating h but not k.
 
-    Candidates come from _candidates, so every one validates h by
-    construction.  Only weakly connected candidates are considered — a
-    minimal counter-example is connected, since validity is per-node and a
-    failing node's component is itself a counter-example.
+    Candidates are built from h's compositions and out-specs
+    (_compositions), so every one validates h by construction.  Only
+    weakly connected candidates are considered — a minimal counter-example
+    is connected, since validity is per-node and a failing node's component
+    is itself a counter-example.
 
     Note the one-type-per-node generation: graphs needing a node to be read
     under different types by different referers are not enumerated.  Within
     this space the search is exhaustive and the reported witness has minimal
     node count.
 
-    Candidates are typed against k on their index lists by the fixpoint of
-    one validation.Typer, whose memo over interned type-set ids is shared by
-    all of them; a candidate's Graph is built only for a memo miss or when
-    it leaves a node untyped.  The hits of the least node count are
-    re-verified with validation.validates in (total cardinality,
-    canonical_code) order, and the first that passes is reported.
+    Candidates are typed against k through the memo of one
+    validation.Typer shared by the whole search, by out-spec rather than by
+    candidate (_hits).  In each composition the types become levels,
+    ordered so that each spec targets only earlier levels.  The picks of
+    all levels but the last are a context, walked as an odometer; when a
+    level's pick changes, only the levels after it are typed again.  Each
+    spec of a level is typed once per context: first with every target at
+    all types, then, unless that left it untyped, from the types it kept
+    with the targets' own.  Satisfaction is monotone in the targets' type
+    sets, so this is the greatest fixpoint.  A memo miss is checked on a
+    small star graph of the spec.  The last level's picks are built only
+    when the context leaves a node untyped (then all of them) or when they
+    hold an untyped spec of their own.  Types that reference each other in
+    a cycle form a single level, each of whose picks is typed by
+    Typer.fixpoint.  Only these hits are tested for connectivity and built
+    as Graphs.  The hits of the least node count are re-verified with
+    validation.validates in (total cardinality, canonical_code, rank)
+    order, the rank being the composition's index and the picks in h.types
+    order, and the first that passes is reported.
     """
     budget.check()
     start = time.monotonic()
@@ -375,15 +479,16 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
     for n_nodes in range(1, budget.max_nodes + 1):
         names = [f"v{i}" for i in range(n_nodes)]
         hits = []
-        for out, inc in _candidates(h, n_nodes, budget.max_card, bags):
+        for index, targets_of, specs in _compositions(h, n_nodes, budget.max_card, bags):
+            for picks, out, inc, graph in _hits(typer, targets_of, specs, names, timed_out):
+                if _weakly_connected(out, inc):
+                    g = graph()
+                    card = sum(c for o in out for _, c, _ in o)
+                    hits.append((card, canonical_code(g), (index, picks), g))
             if timed_out():
                 break
-            if not _weakly_connected(out, inc):
-                continue
-            if typer.fixpoint(out, inc, lambda: _candidate_graph(names, out), stop_untyped=True) is None:
-                hits.append(_candidate_graph(names, out))
-        hits.sort(key=lambda g: (sum(e.occur.min for e in g.edges), canonical_code(g)))
-        for g in hits:
+        hits.sort(key=lambda hit: hit[:3])
+        for *_, g in hits:
             if _val.validates(g, h) and not _val.validates(g, k):
                 return NotContained(g)
         if timed_out():

@@ -166,6 +166,7 @@ class Typer:
         self.memo: dict = {}
         self.sets = [frozenset(s.types)]
         self.ids = {self.sets[0]: 0}
+        self._labels: dict = {}  # type -> (labels of δ(type), labels a flat δ(type) needs)
 
     def typing(self, g: Graph) -> dict:
         """The maximal typing of g."""
@@ -182,7 +183,7 @@ class Typer:
         in-edges from inc[i]; with stop_untyped, None as soon as a node is
         left untyped (type sets only shrink, so that is final).  A memo miss
         checks node i of graph(), whose nodes are in index order."""
-        sets, ids, memo = self.sets, self.ids, self.memo
+        sets, memo = self.sets, self.memo
         typing = [0] * len(out)
         g = None
         work = Worklist(range(len(out)))
@@ -192,19 +193,41 @@ class Typer:
             if kept is None:
                 g = g or graph()
                 targets = {g.nodes[j]: sets[typing[j]] for _, _, j in out[i]}
-                types = frozenset(
-                    t for t in sets[typing[i]]
-                    if satisfies_type(g, self.s, targets, g.nodes[i], t)
-                )
-                kept = memo[key] = ids.setdefault(types, len(sets))
-                if kept == len(sets):
-                    sets.append(types)
+                kept = self.check(key, g, g.nodes[i], targets)
             if kept != typing[i]:
                 if stop_untyped and not sets[kept]:
                     return None
                 typing[i] = kept
                 work.extend(inc[i])
         return typing
+
+    def check(self, key, g: Graph, n, targets: dict) -> int:
+        """The id of the types kept for key, a node's (type-set id,
+        out-edges as (label, k, target's type-set id)), stored in the memo:
+        the types of that set which node n of g satisfies, with its targets
+        at the type sets in targets.  A type is dropped unchecked when one
+        of the node's labels with k > 0 is not in its alphabet, or when it
+        is flat and one of its atoms with min >= 1 has a label the node
+        lacks: no routing exists then."""
+        have = {lab for lab, k, _ in key[1] if k}
+        types = frozenset(
+            t for t in self.sets[key[0]]
+            if self._may_hold(t, have) and satisfies_type(g, self.s, targets, n, t)
+        )
+        kept = self.memo[key] = self.ids.setdefault(types, len(self.sets))
+        if kept == len(self.sets):
+            self.sets.append(types)
+        return kept
+
+    def _may_hold(self, t, have) -> bool:
+        if t not in self._labels:
+            e0 = self.s.flat[t]
+            self._labels[t] = (
+                {lab for lab, _ in _rbe.alphabet(self.s.defs[t])},
+                {lab for (lab, _), iv in e0.atoms if iv.min >= 1} if e0 is not None else set(),
+            )
+        labels, needs = self._labels[t]
+        return have <= labels and needs <= have
 
 
 def max_typing(g: Graph, s: Schema) -> dict:

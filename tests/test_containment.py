@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -24,10 +25,49 @@ from shapegraph import (
     to_shape_graph,
 )
 from shapegraph.containment import canonical_code, contains_detshex0minus
+from shapegraph.core import serialize_graph
 from shapegraph.errors import ClassPreconditionError
-from shapegraph.fixtures import exponential_family
+from shapegraph.fixtures import dnf_containment_instance, exponential_family, union_containment_instance
+from shapegraph.rbe import parse_rbe
+from shapegraph.schema import from_shape_graph
 
-from conftest import BUG_SCHEMA_TEXT, chain_schema, random_minus_schema
+from conftest import BUG_SCHEMA_TEXT, chain_schema, random_minus_schema, star_chain_pair
+
+
+def _union(e0, *es):
+    return union_containment_instance(parse_rbe(e0), [parse_rbe(e) for e in es])
+
+
+# Witnesses (serialized) or Unknown reasons of the search, recorded from the
+# search that typed every candidate by its own fixpoint.
+PINNED = {
+    "exponential-1": (
+        lambda: exponential_family(1), 8, 1,
+        "graph simple\nv0 L v2\nv0 R v1\nv2 a1 v3\n",
+    ),
+    "exponential-2": (
+        lambda: exponential_family(2), 8, 1,
+        "graph simple\nv0 L v1\nv0 R v2\nv1 L v6\nv1 R v5\nv2 L v4\nv2 R v3\n"
+        "v4 a2 v7\nv5 a1 v7\nv6 a1 v7\nv6 a2 v7\n",
+    ),
+    "dnf-non-tautology": (
+        lambda: dnf_containment_instance(3, ((1, 2), (-1, 3), (-2, -3))), 5, 1,
+        "graph simple\nv0 x1 v2\nv0 x2 v1\nv0 x3 v2\nv1 t v3\nv2 f v3\n",
+    ),
+    "union-within": (
+        lambda: _union("a^[1;2], b^[1;2]", "a, b", "a^[2;2], b^[2;2]"), 2, 3,
+        "graph compressed\nv0 a v1\nv0 b v1 2\nv0 z v1\n",
+    ),
+    "union-beyond": (
+        lambda: _union("a^[2;4]", "a^[2;2]", "a^[3;3]"), 2, 3,
+        "no counter-example with <= 2 nodes and cardinalities <= 3",
+    ),
+    "self-reference": (
+        lambda: (parse_schema(BUG_SCHEMA_TEXT),
+                 parse_schema(BUG_SCHEMA_TEXT.replace("related::Bug*", "related::Bug?"))), 4, 2,
+        "graph compressed\nv0 descr v2\nv0 related v0 2\nv0 reportedBy v1\nv1 name v2\n",
+    ),
+}
 
 
 class TestEmbeddingDecision:
@@ -146,6 +186,9 @@ class TestCounterexampleSearch:
         assert calls == [h, k]
 
     def test_graphs_built_only_for_misses_and_untyped(self, monkeypatch):
+        # No Graph is built per candidate: only one small Graph per memo
+        # miss and one per hit, a candidate that leaves a node untyped.  Only
+        # hits are tested for connectivity.
         counts = Counter()
         search_typers = []
 
@@ -154,27 +197,25 @@ class TestCounterexampleSearch:
                 counts["builds"] += 1
                 super().__init__(*args, **kwargs)
 
-        class CountingTyper(validation.Typer):
-            def fixpoint(self, *args, **kwargs):
-                ids = super().fixpoint(*args, **kwargs)
-                if self is search_typers[0]:
-                    counts["untyped"] += ids is None
-                return ids
-
         def recording_typer(*args, **kwargs):
-            typer = CountingTyper(*args, **kwargs)
+            typer = typer_class(*args, **kwargs)
             search_typers.append(typer)
             return typer
 
+        def counting_hits(*args):
+            for hit in hits(*args):
+                counts["hits"] += 1
+                yield hit
+
         def counting_connected(out, inc):
-            counts["candidates"] += 1
+            counts["connected"] += 1
             return connected(out, inc)
 
-        connected = getattr(containment, "_weakly_connected", None)
+        typer_class, hits, connected = validation.Typer, containment._hits, containment._weakly_connected
         monkeypatch.setattr(containment, "Graph", CountingGraph)
         monkeypatch.setattr(validation, "Typer", recording_typer)
-        # Every enumerated candidate goes through the connectivity test.
-        monkeypatch.setattr(containment, "_weakly_connected", counting_connected, raising=False)
+        monkeypatch.setattr(containment, "_hits", counting_hits)
+        monkeypatch.setattr(containment, "_weakly_connected", counting_connected)
         h, k = exponential_family(1)
         v = find_counterexample(h, k, Budget(max_nodes=6, max_card=1, timeout=None))
         assert isinstance(v, NotContained)
@@ -184,9 +225,71 @@ class TestCounterexampleSearch:
             Edge("v0", "R", "v1"),
             Edge("v2", "a1", "v3"),
         )
-        misses = len(search_typers[0].memo)
-        assert counts["builds"] <= misses + counts["untyped"]
-        assert 4 * counts["builds"] < counts["candidates"]
+        assert counts["hits"] > 0
+        assert counts["builds"] <= len(search_typers[0].memo) + counts["hits"]
+        assert counts["connected"] <= counts["hits"]
+
+    def test_work_follows_contexts(self, monkeypatch):
+        # star-chain has no counter-example within 5 nodes and
+        # cardinalities 3, so no candidate is a hit and none is tested for
+        # connectivity.
+        calls = []
+        connected = containment._weakly_connected
+
+        def counting_connected(out, inc):
+            calls.append(len(out))
+            return connected(out, inc)
+
+        monkeypatch.setattr(containment, "_weakly_connected", counting_connected)
+        g, h = star_chain_pair()
+        v = find_counterexample(
+            from_shape_graph(g), from_shape_graph(h), Budget(max_nodes=5, max_card=3, timeout=None)
+        )
+        assert v == Unknown("no counter-example with <= 5 nodes and cardinalities <= 3")
+        assert calls == []
+
+    @pytest.mark.parametrize("schemas", [
+        # r is untyped by k; in the composition with one node of each type,
+        # r is not in the last level, so every pick of that level is a hit.
+        lambda: (parse_schema("r -> a::u\ns -> b::u\nu -> eps\n"), parse_schema("s -> b::u\nu -> eps\n")),
+        # Types that reference themselves or each other form one level.
+        lambda: (parse_schema("t -> a::t*, b::u?\nu -> eps\n"), parse_schema("t -> a::t?, b::u?\nu -> eps\n")),
+        lambda: (parse_schema("r -> a::u*\ns -> eps\nu -> a::r?\n"), parse_schema("r -> eps\ns -> eps\nu -> eps\n")),
+        # The head of an a-chain, or a self-loop, is untyped only through
+        # its target's types, not by its own out-spec.
+        lambda: (parse_schema("t -> a::t?\n"), parse_schema("x -> a::y\ny -> eps\n")),
+        lambda: exponential_family(1),
+    ], ids=["untyped-below-last", "self-reference", "mutual-reference", "chain", "exponential-1"])
+    def test_hits_are_the_candidates_k_rejects(self, schemas):
+        # Against every pick of every composition, built and validated.
+        h, k = schemas()
+        typer = validation.Typer(k)
+        for n_nodes in range(1, 4):
+            names = [f"v{i}" for i in range(n_nodes)]
+            for _, targets_of, specs in containment._compositions(h, n_nodes, 2, {}):
+                choices = [combinations_with_replacement(range(len(specs[t])), len(r))
+                           for t, r in targets_of.items()]
+                expected = {}
+                for picks in product(*choices):
+                    out = [specs[t][s] for t, pick in zip(targets_of, picks) for s in pick]
+                    g = containment._candidate_graph(names, out)
+                    if not validates(g, k):
+                        expected[picks] = g.edges
+                got = {}
+                for picks, out, inc, graph in containment._hits(typer, targets_of, specs, names, lambda: False):
+                    assert picks not in got
+                    got[picks] = graph().edges
+                assert got == expected
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_pinned_witness(self, case):
+        schemas, max_nodes, max_card, expected = PINNED[case]
+        h, k = schemas()
+        v = find_counterexample(h, k, Budget(max_nodes=max_nodes, max_card=max_card, timeout=None))
+        if isinstance(v, NotContained):
+            assert serialize_graph(v.witness) == expected
+        else:
+            assert v == Unknown(expected)
 
     def test_timeout_reports_unknown(self):
         s = parse_schema(BUG_SCHEMA_TEXT)

@@ -223,6 +223,22 @@ class TestMaxTyping:
         # for a user not yet checked and for user0, already down to {User}.
         assert counts[0] == counts[1] <= len(bug_schema.types) * 4
 
+    def test_label_reject_skips_checks(self, monkeypatch):
+        # A type is dropped unchecked when the node has a label outside its
+        # alphabet, or when it is flat and needs a label the node lacks.
+        checked = set()
+        check = shapegraph.validation.satisfies_type
+
+        def recording(g, s, typing, n, ty):
+            checked.add((n, ty))
+            return check(g, s, typing, n, ty)
+
+        monkeypatch.setattr(shapegraph.validation, "satisfies_type", recording)
+        s = parse_schema("p -> a::u\nq -> b::u\nr -> (a::u | b::u)*\nw -> c::u?\nu -> eps\n")
+        g = parse_graph("graph simple\nx a y\n")
+        assert max_typing(g, s) == {"x": frozenset({"p", "r"}), "y": frozenset({"r", "w", "u"})}
+        assert checked == {("x", "p"), ("x", "r"), ("y", "r"), ("y", "w"), ("y", "u")}
+
     def test_shared_typer_on_twin_nodes_equals_reference(self):
         # Compressed graphs put out-edges of cardinality k > 1 in the memo
         # keys, next to the simple graphs' k = 1.
