@@ -8,7 +8,6 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, partial
 from itertools import accumulate, combinations_with_replacement, permutations, product
 
 from .core import ONE, OPT, STAR, Edge, Graph, Interval
@@ -313,14 +312,13 @@ def _compositions(h: Schema, n_nodes: int, max_card: int, bags: dict):
     as validation.Typer.fixpoint takes them.  bags caches _bags_matching on
     (type, caps) across calls."""
     types = h.types
-    symbols_of = {t: sorted(_rbe.alphabet(h.defs[t]), key=str) for t in types}
     for index, counts in enumerate(_tuples(n_nodes, len(types), n_nodes)):
         # Only types with nodes count.
         targets_of = {t: range(end - c, end)
                       for t, c, end in zip(types, counts, accumulate(counts)) if c}
         specs = {}
         for t in targets_of:
-            symbols = symbols_of[t]
+            symbols = h.symbols[t]
             caps = tuple(max_card * len(targets_of.get(a[1], ())) for a in symbols)
             if (t, caps) not in bags:
                 bags[(t, caps)] = _bags_matching(h, t, symbols, caps)
@@ -354,40 +352,27 @@ def _levels(targets_of, specs):
     return order
 
 
-def _spec_kept(typer, own, spec, ids):
-    """The type-set id typer keeps for a node of type-set id own whose
-    out-edges are spec, (label, k, target index), with target j at
-    type-set id ids[j].  A memo miss checks the node on a star with one
-    fresh target per out-edge: the check reads nothing else."""
-    key = (own, tuple([(lab, c, ids[b]) for lab, c, b in spec]))
-    kept = typer.memo.get(key)
-    if kept is None:
-        names = [f"v{i}" for i in range(len(spec) + 1)]
-        star = [[(lab, c, i) for i, (lab, c, _) in enumerate(spec, 1)]] + [[]] * len(spec)
-        targets = {n: typer.sets[t] for n, (_, _, t) in zip(names[1:], key[1])}
-        kept = typer.check(key, _candidate_graph(names, star), names[0], targets)
-    return kept
-
-
-def _hits(typer, targets_of, specs, names, timed_out):
-    """(picks, out, inc, graph) for every candidate of one composition that
-    leaves a node untyped by typer: picks holds each type's pick of specs in
-    targets_of order, out and inc are the candidate's out- and in-lists, and
-    graph() builds its Graph.  Stops early once timed_out().  The levels and
-    contexts are described in find_counterexample."""
+def _hits(typer, targets_of, specs, timed_out):
+    """(picks, out, inc) for every candidate of one composition that leaves
+    a node untyped by typer: picks holds each type's pick of specs in
+    targets_of order, and out and inc are the candidate's out- and
+    in-lists.  Stops early once timed_out().  The levels and contexts are
+    described in find_counterexample."""
     sets = typer.sets
     choices = {t: list(combinations_with_replacement(range(len(specs[t])), len(r)))
                for t, r in targets_of.items()}
     order = _levels(targets_of, specs)
     cyclic = order is None
     context, last = ([], list(targets_of)) if cyclic else (order[:-1], order[-1:])
-    zeros = [0] * len(names)
-    first = {t: [_spec_kept(typer, 0, spec, zeros) for spec in specs[t]] for t in order or ()}
-    ids = list(zeros)
+    ids = [0] * sum(map(len, targets_of.values()))  # each node's type-set id
+
+    def kept(own, spec):
+        return typer.kept((own, tuple([(lab, c, ids[b]) for lab, c, b in spec])))
+
+    first = {t: [kept(0, spec) for spec in specs[t]] for t in order or ()}
 
     def typed(t):
-        return [k0 if not sets[k0] else _spec_kept(typer, k0, spec, ids)
-                for k0, spec in zip(first[t], specs[t])]
+        return [k0 if not sets[k0] else kept(k0, spec) for k0, spec in zip(first[t], specs[t])]
 
     pos = [0] * len(context)
     rows = [None] * len(context)  # each context level's kept id per spec
@@ -421,9 +406,8 @@ def _hits(typer, targets_of, specs, names, timed_out):
             for a, o in enumerate(out):
                 for _, _, b in o:
                     inc[b].append(a)
-            graph = cache(partial(_candidate_graph, names, out))
-            if not cyclic or typer.fixpoint(out, inc, graph, stop_untyped=True) is None:
-                yield picks, out, inc, graph
+            if not cyclic or typer.fixpoint(out, inc, stop_untyped=True) is None:
+                yield picks, out, inc
         for changed in reversed(range(len(context))):
             if pos[changed] + 1 < len(choices[context[changed]]):
                 break
@@ -457,16 +441,16 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
     spec of a level is typed once per context: first with every target at
     all types, then, unless that left it untyped, from the types it kept
     with the targets' own.  Satisfaction is monotone in the targets' type
-    sets, so this is the greatest fixpoint.  A memo miss is checked on a
-    small star graph of the spec.  The last level's picks are built only
-    when the context leaves a node untyped (then all of them) or when they
-    hold an untyped spec of their own.  Types that reference each other in
-    a cycle form a single level, each of whose picks is typed by
-    Typer.fixpoint.  Only these hits are tested for connectivity and built
-    as Graphs.  The hits of the least node count are re-verified with
-    validation.validates in (total cardinality, canonical_code, rank)
-    order, the rank being the composition's index and the picks in h.types
-    order, and the first that passes is reported.
+    sets, so this is the greatest fixpoint.  A memo miss is decided from
+    its memo key alone, with no Graph.  The last level's picks are built
+    only when the context leaves a node untyped (then all of them) or when
+    they hold an untyped spec of their own.  Types that reference each
+    other in a cycle form a single level, each of whose picks is typed by
+    Typer.fixpoint.  Only these hits are tested for connectivity, and one
+    Graph is built per connected hit.  The hits of the least node count
+    are re-verified with validation.validates in (total cardinality,
+    canonical_code, rank) order, the rank being the composition's index
+    and the picks in h.types order, and the first that passes is reported.
     """
     budget.check()
     start = time.monotonic()
@@ -480,9 +464,9 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
         names = [f"v{i}" for i in range(n_nodes)]
         hits = []
         for index, targets_of, specs in _compositions(h, n_nodes, budget.max_card, bags):
-            for picks, out, inc, graph in _hits(typer, targets_of, specs, names, timed_out):
+            for picks, out, inc in _hits(typer, targets_of, specs, timed_out):
                 if _weakly_connected(out, inc):
-                    g = graph()
+                    g = _candidate_graph(names, out)
                     card = sum(c for o in out for _, c, _ in o)
                     hits.append((card, canonical_code(g), (index, picks), g))
             if timed_out():

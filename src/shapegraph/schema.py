@@ -16,15 +16,18 @@ from . import rbe as _rbe
 class Schema:
     """Types plus a total definition map from type name to expression.
 
-    Expression atoms are Sym((label, type)) pairs.  flat maps each type
-    to the flat form of its definition, or None when it has none.
+    Expression atoms are Sym((label, type)) pairs.  symbols maps each type
+    to the alphabet of its definition sorted by str, and flat to the flat
+    form of its definition, or None when it has none.
     """
 
     def __init__(self, defs: dict):
         self.types: tuple[str, ...] = tuple(defs)
         self.defs: dict[str, _rbe.Rbe] = dict(defs)
+        self.symbols: dict[str, tuple] = {}
         for t, e in self.defs.items():
-            for sym in _rbe.alphabet(e):
+            self.symbols[t] = tuple(sorted(_rbe.alphabet(e), key=str))
+            for sym in self.symbols[t]:
                 if not (isinstance(sym, tuple) and len(sym) == 2):
                     raise ValueError(f"atom {sym!r} in rule for {t} is not label::Type")
                 if sym[1] not in self.defs:

@@ -7,16 +7,13 @@ are treated as untyped.
 
 from __future__ import annotations
 
-from .core import ONE, Graph, Interval, Worklist
+from functools import lru_cache
+
+from .core import ONE, Edge, Graph, Interval, Worklist
 from .errors import GraphKindError, WorkCapError
 from . import rbe as _rbe
 from .embedding import feasible_flow
 from .schema import Schema
-
-
-def _check_data_graph(g: Graph):
-    if not (g.is_simple or g.is_compressed):
-        raise GraphKindError("validation requires a simple or compressed graph")
 
 
 def signature(g: Graph, typing: dict, n) -> _rbe.Rbe:
@@ -35,31 +32,30 @@ def signature(g: Graph, typing: dict, n) -> _rbe.Rbe:
     return _rbe.concat_all(factors)
 
 
-def satisfies_type(g: Graph, s: Schema, typing: dict, n, ty: str) -> bool:
-    """L(signature of n) ∩ L(δ(ty)) ≠ ∅.
+def satisfies_type(s: Schema, ty: str, out, choices) -> bool:
+    """L(signature) ∩ L(δ(ty)) ≠ ∅ for a node whose out-edges are out, read
+    only for each edge's label and occurrence [k;k], with out[i]'s target
+    at the type set choices[i].
 
     Flat definitions go through one capacitated flow from the out-edges,
     each shipping its cardinality, to the atoms of the definition, at a
     cost that does not depend on the cardinalities.  Any other definition
-    goes through the Parikh vectors of δ(ty) inside the box of n's
+    goes through the Parikh vectors of δ(ty) inside the box of the node's
     out-widths, with one flow of the same kind per vector; its only bound
     is the matcher's constant work cap (rbe.VECTOR_WORK).
     """
-    _check_data_graph(g)
-    if n not in g:
-        raise ValueError(f"unknown node {n!r}")
     if ty not in s.defs:
         raise ValueError(f"unknown type {ty!r}")
     # Zero-occurrence edges contribute ε to the signature; drop them.
-    out = tuple(e for e in g.out(n) if e.occur.max != 0)
-    choices = [sorted(typing.get(e.target, ())) for e in out]
-    if any(not c for c in choices):
+    live = [i for i, e in enumerate(out) if e.occur.max != 0]
+    out, choices = [out[i] for i in live], [choices[i] for i in live]
+    if not all(choices):
         return False  # an edge to an untyped node is unsatisfiable
 
     e0 = s.flat[ty]
     if e0 is not None:
         return _satisfies_flat(out, choices, e0)
-    return _satisfies_exhaustive(out, choices, s.defs[ty])
+    return _satisfies_exhaustive(out, choices, s.defs[ty], s.symbols[ty])
 
 
 def _satisfies_flat(out, choices, e0: _rbe.Rbe0) -> bool:
@@ -133,13 +129,13 @@ def _satisfies_psi(out, choices, e0: _rbe.Rbe0) -> bool:
     return r
 
 
-def _satisfies_exhaustive(out, choices, delta: _rbe.Rbe) -> bool:
+def _satisfies_exhaustive(out, choices, delta: _rbe.Rbe, symbols) -> bool:
     """Some bag of L(δ) reads the signature.  The candidates are the Parikh
-    vectors v of L(δ) inside the box of the widths each (label, type)
-    symbol can take from the out-edges, with n's total width as total; each
-    is decided by one flow onto the symbols as atoms [v_s; v_s], so the k
-    copies behind an edge of cardinality k may take different types."""
-    symbols = sorted(_rbe.alphabet(delta), key=str)
+    vectors v of L(δ) over symbols, its alphabet, inside the box of the
+    widths each (label, type) symbol can take from the out-edges, with the
+    node's total width as total; each is decided by one flow onto the
+    symbols as atoms [v_s; v_s], so the k copies behind an edge of
+    cardinality k may take different types."""
     takes = [[e.label == lab and t in ch for lab, t in symbols] for e, ch in zip(out, choices)]
     if not all(any(row) for row in takes):
         return False  # an out-edge that no symbol of δ takes
@@ -154,78 +150,82 @@ def _satisfies_exhaustive(out, choices, delta: _rbe.Rbe) -> bool:
     )
 
 
+@lru_cache(maxsize=4096)
+def _edge(label, k) -> Edge:
+    """A memo key's out-edge of label and occurrence [k;k], as satisfies_type
+    reads it; built once, not on every memo miss."""
+    return Edge(None, label, None, Interval(k, k))
+
+
 class Typer:
     """The maximal-typing fixpoint for one schema.  Type sets are interned
     as ints, 0 for all types.  A node's check reads only its type set and
     its out-edges as (label, k, target's type set) for occurrence [k;k],
     ordered by (label, k), so the kept types are memoized on that pair and
-    shared by every node, of every graph typed, with the same one."""
+    shared by every node, of every graph typed, with the same one; a memo
+    miss is decided from the pair alone."""
 
     def __init__(self, s: Schema):
         self.s = s
         self.memo: dict = {}
         self.sets = [frozenset(s.types)]
         self.ids = {self.sets[0]: 0}
-        self._labels: dict = {}  # type -> (labels of δ(type), labels a flat δ(type) needs)
+        # type -> (labels of δ(type), labels a flat δ(type) needs)
+        self._labels = {
+            t: ({lab for lab, _ in s.symbols[t]},
+                {lab for (lab, _), iv in e0.atoms if iv.min >= 1} if e0 is not None else set())
+            for t, e0 in s.flat.items()
+        }
 
     def typing(self, g: Graph) -> dict:
         """The maximal typing of g."""
-        _check_data_graph(g)
+        if not (g.is_simple or g.is_compressed):
+            raise GraphKindError("validation requires a simple or compressed graph")
         index = {n: i for i, n in enumerate(g.nodes)}
         out = [sorted((e.label, e.occur.min, index[e.target]) for e in g.out(n)) for n in g.nodes]
         inc = [[index[e.source] for e in g.incoming(n)] for n in g.nodes]
-        ids = self.fixpoint(out, inc, lambda: g)
+        ids = self.fixpoint(out, inc)
         return {n: self.sets[i] for n, i in zip(g.nodes, ids)}
 
-    def fixpoint(self, out, inc, graph, stop_untyped: bool = False):
+    def fixpoint(self, out, inc, stop_untyped: bool = False):
         """Type-set ids per node of the graph whose node i has out-edges
         out[i], as (label, k, target index) sorted on (label, k), and
         in-edges from inc[i]; with stop_untyped, None as soon as a node is
-        left untyped (type sets only shrink, so that is final).  A memo miss
-        checks node i of graph(), whose nodes are in index order."""
-        sets, memo = self.sets, self.memo
+        left untyped (type sets only shrink, so that is final)."""
         typing = [0] * len(out)
-        g = None
         work = Worklist(range(len(out)))
         for i in work:
-            key = (typing[i], tuple([(lab, k, typing[j]) for lab, k, j in out[i]]))
-            kept = memo.get(key)
-            if kept is None:
-                g = g or graph()
-                targets = {g.nodes[j]: sets[typing[j]] for _, _, j in out[i]}
-                kept = self.check(key, g, g.nodes[i], targets)
+            kept = self.kept((typing[i], tuple([(lab, k, typing[j]) for lab, k, j in out[i]])))
             if kept != typing[i]:
-                if stop_untyped and not sets[kept]:
+                if stop_untyped and not self.sets[kept]:
                     return None
                 typing[i] = kept
                 work.extend(inc[i])
         return typing
 
-    def check(self, key, g: Graph, n, targets: dict) -> int:
+    def kept(self, key) -> int:
         """The id of the types kept for key, a node's (type-set id,
-        out-edges as (label, k, target's type-set id)), stored in the memo:
-        the types of that set which node n of g satisfies, with its targets
-        at the type sets in targets.  A type is dropped unchecked when one
-        of the node's labels with k > 0 is not in its alphabet, or when it
-        is flat and one of its atoms with min >= 1 has a label the node
-        lacks: no routing exists then."""
-        have = {lab for lab, k, _ in key[1] if k}
-        types = frozenset(
-            t for t in self.sets[key[0]]
-            if self._may_hold(t, have) and satisfies_type(g, self.s, targets, n, t)
-        )
-        kept = self.memo[key] = self.ids.setdefault(types, len(self.sets))
-        if kept == len(self.sets):
-            self.sets.append(types)
+        out-edges as (label, k, target's type-set id)), from the memo or
+        else checked and stored: the types of that set the node satisfies.
+        A type is dropped unchecked when one of the node's labels with
+        k > 0 is not in its alphabet, or when it is flat and one of its
+        atoms with min >= 1 has a label the node lacks: no routing exists
+        then."""
+        kept = self.memo.get(key)
+        if kept is None:
+            out = [_edge(lab, k) for lab, k, _ in key[1]]
+            choices = [self.sets[j] for _, _, j in key[1]]
+            have = {lab for lab, k, _ in key[1] if k}
+            types = frozenset(
+                t for t in self.sets[key[0]]
+                if self._may_hold(t, have) and satisfies_type(self.s, t, out, choices)
+            )
+            kept = self.memo[key] = self.ids.setdefault(types, len(self.sets))
+            if kept == len(self.sets):
+                self.sets.append(types)
         return kept
 
     def _may_hold(self, t, have) -> bool:
-        if t not in self._labels:
-            e0 = self.s.flat[t]
-            self._labels[t] = (
-                {lab for lab, _ in _rbe.alphabet(self.s.defs[t])},
-                {lab for (lab, _), iv in e0.atoms if iv.min >= 1} if e0 is not None else set(),
-            )
         labels, needs = self._labels[t]
         return have <= labels and needs <= have
 

@@ -186,21 +186,15 @@ class TestCounterexampleSearch:
         assert calls == [h, k]
 
     def test_graphs_built_only_for_misses_and_untyped(self, monkeypatch):
-        # No Graph is built per candidate: only one small Graph per memo
-        # miss and one per hit, a candidate that leaves a node untyped.  Only
-        # hits are tested for connectivity.
+        # No Graph is built per candidate or per memo miss: at most one per
+        # hit, a candidate that leaves a node untyped.  Only hits are tested
+        # for connectivity.
         counts = Counter()
-        search_typers = []
 
         class CountingGraph(containment.Graph):
             def __init__(self, *args, **kwargs):
                 counts["builds"] += 1
                 super().__init__(*args, **kwargs)
-
-        def recording_typer(*args, **kwargs):
-            typer = typer_class(*args, **kwargs)
-            search_typers.append(typer)
-            return typer
 
         def counting_hits(*args):
             for hit in hits(*args):
@@ -211,9 +205,8 @@ class TestCounterexampleSearch:
             counts["connected"] += 1
             return connected(out, inc)
 
-        typer_class, hits, connected = validation.Typer, containment._hits, containment._weakly_connected
+        hits, connected = containment._hits, containment._weakly_connected
         monkeypatch.setattr(containment, "Graph", CountingGraph)
-        monkeypatch.setattr(validation, "Typer", recording_typer)
         monkeypatch.setattr(containment, "_hits", counting_hits)
         monkeypatch.setattr(containment, "_weakly_connected", counting_connected)
         h, k = exponential_family(1)
@@ -226,7 +219,7 @@ class TestCounterexampleSearch:
             Edge("v2", "a1", "v3"),
         )
         assert counts["hits"] > 0
-        assert counts["builds"] <= len(search_typers[0].memo) + counts["hits"]
+        assert counts["builds"] <= counts["hits"]
         assert counts["connected"] <= counts["hits"]
 
     def test_work_follows_contexts(self, monkeypatch):
@@ -276,9 +269,9 @@ class TestCounterexampleSearch:
                     if not validates(g, k):
                         expected[picks] = g.edges
                 got = {}
-                for picks, out, inc, graph in containment._hits(typer, targets_of, specs, names, lambda: False):
+                for picks, out, inc in containment._hits(typer, targets_of, specs, lambda: False):
                     assert picks not in got
-                    got[picks] = graph().edges
+                    got[picks] = containment._candidate_graph(names, out).edges
                 assert got == expected
 
     @pytest.mark.parametrize("case", sorted(PINNED))

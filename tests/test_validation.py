@@ -41,6 +41,13 @@ from conftest import (
 )
 
 
+def holds(g, s, typing, n, t):
+    """satisfies_type for node n of g, with its targets at their types in
+    typing (untyped when absent)."""
+    out = g.out(n)
+    return satisfies_type(s, t, out, [typing.get(e.target, frozenset()) for e in out])
+
+
 def reference_typing(g, s):
     """The maximal typing round by round, from the definitions: n keeps t
     while one choice of a type for each of the k copies behind an out-edge
@@ -152,7 +159,7 @@ class TestMaxTyping:
         s = chain_schema()
         typing = max_typing(g, s)
         refined = {
-            n: frozenset(t for t in typing[n] if satisfies_type(g, s, typing, n, t))
+            n: frozenset(t for t in typing[n] if holds(g, s, typing, n, t))
             for n in g.nodes
         }
         assert refined == typing
@@ -169,7 +176,7 @@ class TestMaxTyping:
                         continue
                     augmented = dict(typing)
                     augmented[n] = typing[n] | {t}
-                    assert not satisfies_type(g, s, augmented, n, t)
+                    assert not holds(g, s, augmented, n, t)
 
     @pytest.mark.parametrize("kind", ["simple", "compressed"])
     def test_equals_round_by_round_reference(self, kind):
@@ -229,15 +236,15 @@ class TestMaxTyping:
         checked = set()
         check = shapegraph.validation.satisfies_type
 
-        def recording(g, s, typing, n, ty):
-            checked.add((n, ty))
-            return check(g, s, typing, n, ty)
+        def recording(s, ty, out, choices):
+            checked.add((tuple(e.label for e in out), ty))
+            return check(s, ty, out, choices)
 
         monkeypatch.setattr(shapegraph.validation, "satisfies_type", recording)
         s = parse_schema("p -> a::u\nq -> b::u\nr -> (a::u | b::u)*\nw -> c::u?\nu -> eps\n")
         g = parse_graph("graph simple\nx a y\n")
         assert max_typing(g, s) == {"x": frozenset({"p", "r"}), "y": frozenset({"r", "w", "u"})}
-        assert checked == {("x", "p"), ("x", "r"), ("y", "r"), ("y", "w"), ("y", "u")}
+        assert checked == {(("a",), "p"), (("a",), "r"), ((), "r"), ((), "w"), ((), "u")}
 
     def test_shared_typer_on_twin_nodes_equals_reference(self):
         # Compressed graphs put out-edges of cardinality k > 1 in the memo
@@ -255,7 +262,7 @@ class TestMaxTyping:
                     index = {n: i for i, n in enumerate(g.nodes)}
                     out = [sorted((e.label, e.occur.min, index[e.target]) for e in g.out(n)) for n in g.nodes]
                     inc = [[index[e.source] for e in g.incoming(n)] for n in g.nodes]
-                    stopped = typer.fixpoint(out, inc, lambda: g, stop_untyped=True) is None
+                    stopped = typer.fixpoint(out, inc, stop_untyped=True) is None
                     assert stopped == (not all(expected.values()))
 
     def test_requires_data_graph_kind(self):
@@ -320,8 +327,8 @@ class TestCompressed:
         g = parse_graph("graph compressed\nx a y [2;2]\n")
         s = parse_schema("t -> a::u* , b::u\nu -> eps\n")
         typing = {"x": frozenset({"t", "u"}), "y": frozenset({"t", "u"})}
-        assert not satisfies_type(g, s, typing, "x", "t")
-        assert not satisfies_type(g, s, typing, "y", "t")
+        assert not holds(g, s, typing, "x", "t")
+        assert not holds(g, s, typing, "y", "t")
         assert calls[0] == 0
 
     def test_simple_hub_validates(self, bug_schema):
@@ -337,7 +344,7 @@ class TestCompressed:
         g = parse_graph("graph compressed\nx a y [2;2]\n")
         s = parse_schema("t -> (a::u , a::w) | b::z\nu -> eps\nw -> eps\nz -> eps\n")
         typing = {"x": frozenset(), "y": frozenset({"u", "w"})}
-        assert satisfies_type(g, s, typing, "x", "t")
+        assert holds(g, s, typing, "x", "t")
         assert validates(g, s) and validates(unpack(g)[0], s)
 
     def test_agrees_with_unpack_under_non_flat_schemas(self):
@@ -353,6 +360,15 @@ class TestCompressed:
         typing = max_typing(g, s)
         assert typing["x"] == frozenset({"t"})
 
+    def test_satisfies_type_on_out_edges(self):
+        # The check reads only the out-edges and their targets' type sets.
+        s = parse_schema("t -> eps\n")
+        zero = [Edge("x", "a", "y", Interval(0, 0))]
+        assert satisfies_type(s, "t", zero, [frozenset()])
+        assert not satisfies_type(s, "t", [Edge("x", "a", "y")], [frozenset({"t"})])
+        with pytest.raises(ValueError):
+            satisfies_type(s, "u", zero, [frozenset()])
+
 
 class TestRouteAgreement:
     @staticmethod
@@ -364,10 +380,10 @@ class TestRouteAgreement:
             out = [e for e in g.out(n) if e.occur.max != 0]
             choices = [sorted(typing[e.target]) for e in out]
             for t in s.types:
-                flow = satisfies_type(g, s, typing, n, t)
+                flow = satisfies_type(s, t, out, choices)
                 # Presburger arithmetic as an independent third opinion.
                 arith = _satisfies_psi(out, choices, to_rbe0(s.defs[t]))
-                exhaustive = satisfies_type(g, wrapped, typing, n, t)
+                exhaustive = satisfies_type(wrapped, t, out, choices)
                 assert flow == arith == exhaustive
 
     def test_flow_vs_arithmetic_vs_exhaustive(self):
@@ -391,8 +407,8 @@ class TestRouteAgreement:
         g = Graph(nodes, [Edge("hub", "a", f"c{i}") for i in range(n)], kind="simple")
         typing = {m: frozenset({"u", "w"}) for m in g.nodes}
         star = parse_schema("t -> (a::u | a::w)*\nu -> eps\nw -> eps\n")
-        assert satisfies_type(g, star, typing, "hub", "t")
+        assert holds(g, star, typing, "hub", "t")
         assert validates(g, star)
         if n > 17:
             few = parse_schema("t -> (a::u | a::w)^[0;5]\nu -> eps\nw -> eps\n")
-            assert not satisfies_type(g, few, typing, "hub", "t")
+            assert not holds(g, few, typing, "hub", "t")
