@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -11,10 +12,19 @@ from conftest import (
     BUG_SCHEMA_TEXT,
     BUG_VARIANT_TEXT,
     CHAIN_SCHEMA_TEXT,
+    bug_chain_graph,
     chain_graph,
     star_chain_pair,
 )
-from shapegraph import parse_schema, serialize_graph, serialize_schema
+from shapegraph import (
+    CnfFormula,
+    normalize_cnf,
+    parse_schema,
+    sat_embedding_instance,
+    serialize_graph,
+    serialize_schema,
+    to_shape_graph,
+)
 
 
 @pytest.fixture
@@ -223,6 +233,41 @@ class TestOutputFormats:
             ],
         )
         assert r.exit_code == 2
+
+
+MINUS_H = "t0 -> a::t1, b::t2*\nt1 -> b::t2*, c::t1*\nt2 -> eps\n"
+MINUS_K = "t0 -> a::t1*, b::t2*\nt1 -> b::t2*, c::t1*\nt2 -> c::t1*\n"
+
+
+def pinned_embed_inputs(case):
+    """(g, h) graphs of each pinned embed case."""
+    if case == "bug_chain":  # the defect at the end of a related chain
+        return bug_chain_graph(4), to_shape_graph(parse_schema(BUG_SCHEMA_TEXT))
+    if case == "sat":
+        return sat_embedding_instance(normalize_cnf(CnfFormula(2, ((1, 2), (-1, 2), (1, -2)))))
+    # A DetShEx0Minus shape graph against a relaxed copy.
+    return to_shape_graph(parse_schema(MINUS_H)), to_shape_graph(parse_schema(MINUS_K))
+
+
+# Exit code and sha256 of the `--json embed` stdout: the maximal simulation
+# with every witness, fixed so that a change to how it is computed cannot
+# move a pair or a witness.
+PINNED_EMBED = {
+    "bug_chain": (1, "3e803b3036e2d984b7690a51a07bdb9963350050747e83ac696a7c3b4a4f3db2"),
+    "sat": (0, "0f9357ca9749d93db46b96f616e7dfdb112ec60833082c0a83d4d43e9211d46f"),
+    "minus": (0, "ab0cf614cd13c66f381dfdce226c4993428a169c39f5d368536a4997d67abe6d"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_EMBED))
+def test_pinned_embed(runner, tmp_path, case):
+    paths = []
+    for name, graph in zip("gh", pinned_embed_inputs(case)):
+        p = tmp_path / f"{name}.graph"
+        p.write_text(serialize_graph(graph))
+        paths.append(str(p))
+    r = runner.invoke(main, ["--json", "embed", *paths])
+    assert (r.exit_code, hashlib.sha256(r.stdout.encode()).hexdigest()) == PINNED_EMBED[case], r.stdout
 
 
 class TestFixtureCommands:

@@ -69,6 +69,12 @@ class TestIntervalLaws:
         assert not Interval(2, 3).basic
         assert Interval(2, 2).singleton
 
+    def test_basic_grid(self):
+        shorthands = {(iv.min, iv.max) for iv in (ONE, OPT, PLUS, STAR)}
+        for lo in range(4):
+            for hi in [*range(lo, 4), INF]:
+                assert Interval(lo, hi).basic == ((lo, hi) in shorthands), (lo, hi)
+
     def test_parse_interval_tokens(self):
         assert parse_interval_token("?") == OPT
         assert parse_interval_token("*") == STAR

@@ -15,6 +15,7 @@ from shapegraph import (
     PLUS,
     RoutingInstance,
     STAR,
+    SimulationRelation,
     embeds,
     max_simulation,
     to_shape_graph,
@@ -125,6 +126,36 @@ class TestRouting:
             lam = witness_exists_general(inst)
             if lam is not None:
                 assert verify_routing(inst, lam)
+
+    # (sources, sinks, allowed pairs, a routing verify_routing accepts, one
+    # it must reject): each good routing shows that the instance itself is
+    # routable, so the rejection is for the one fault named.
+    BAD_ROUTINGS = {
+        "source to a sink it is not allowed": (
+            (("v", ONE),), (("u1", STAR), ("u2", STAR)), {("v", "u1")},
+            {"v": "u1"}, {"v": "u2"}),
+        "finite sink over its max": (
+            (("v1", ONE), ("v2", OPT)), (("u1", ONE), ("u2", OPT)),
+            {("v1", "u1"), ("v2", "u1"), ("v2", "u2")},
+            {"v1": "u1", "v2": "u2"}, {"v1": "u1", "v2": "u1"}),
+        "INF source into a finite sink": (
+            (("v", PLUS),), (("u1", Interval(0, 3)), ("u2", PLUS)), {("v", "u1"), ("v", "u2")},
+            {"v": "u2"}, {"v": "u1"}),
+        "sink under its min": (
+            (("v1", OPT), ("v2", ONE)), (("u1", ONE), ("u2", STAR)),
+            {("v1", "u1"), ("v2", "u1"), ("v1", "u2"), ("v2", "u2")},
+            {"v1": "u2", "v2": "u1"}, {"v1": "u1", "v2": "u2"}),
+        "missing source": (
+            (("v1", ONE), ("v2", OPT)), (("u", PLUS),), {("v1", "u"), ("v2", "u")},
+            {"v1": "u", "v2": "u"}, {"v1": "u"}),
+    }
+
+    @pytest.mark.parametrize("fault", sorted(BAD_ROUTINGS))
+    def test_verify_routing_rejects(self, fault):
+        sources, sinks, allowed, good, bad = self.BAD_ROUTINGS[fault]
+        inst = RoutingInstance(sources, sinks, frozenset(allowed))
+        assert verify_routing(inst, good)
+        assert not verify_routing(inst, bad)
 
 
 def splits(x, parts):
@@ -249,6 +280,24 @@ class TestWorkedEmbedding:
         g = chain_graph()
         ok, _ = embeds(g, g)
         assert ok
+
+    def test_verify_witness_rejects_a_pair_without_witness(self):
+        g, h = chain_graph(), to_shape_graph(chain_schema())
+        _, sim = embeds(g, h)
+        assert verify_witness(g, h, sim) and ("n2", "t0") not in sim.pairs
+        extra = SimulationRelation(sim.pairs | {("n2", "t0")}, sim.witnesses)
+        assert not verify_witness(g, h, extra)
+
+    def test_verify_witness_rejects_routing_through_a_dropped_pair(self):
+        # (n0, t0) routes its a-edge onto t0 -> t1, so it needs (n1, t1).
+        g, h = chain_graph(), to_shape_graph(chain_schema())
+        _, sim = embeds(g, h)
+        assert sim.witnesses[("n0", "t0")] == {0: 0} and ("n1", "t1") in sim.pairs
+        dropped = SimulationRelation(
+            sim.pairs - {("n1", "t1")},
+            {p: lam for p, lam in sim.witnesses.items() if p != ("n1", "t1")},
+        )
+        assert not verify_witness(g, h, dropped)
 
 
 class TestSimulationProperties:
