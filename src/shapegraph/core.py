@@ -37,7 +37,8 @@ class Interval:
 
     @property
     def basic(self) -> bool:
-        return self in (ONE, OPT, PLUS, STAR)
+        """One of 1, ?, + and *, read off the bounds."""
+        return self.min <= 1 and self.max in (1, INF)
 
     @property
     def singleton(self) -> bool:
@@ -243,6 +244,56 @@ class Worklist:
             x = self._queue.popleft()
             self._waiting.discard(x)
             yield x
+
+
+class Refinement:
+    """The greatest fixpoint of a node-level refinement, shared by typing
+    and simulation.  Every node starts at the top set and its set only
+    shrinks.  Sets are interned as ints, 0 for the top set.  A node's check
+    reads only its own set and its out-edges as (label, occurrence,
+    target's set id), so the set it keeps is memoized on that key and
+    shared by every node, of every graph refined, with the same one.  A
+    subclass gives check, run on a memo miss."""
+
+    def __init__(self, top):
+        self.sets = [frozenset(top)]
+        self.ids = {self.sets[0]: 0}
+        self.memo: dict = {}
+
+    def check(self, key, i) -> frozenset:
+        """The part of key's own set that a node with that key keeps; i is
+        the node's index in the fixpoint that asks, or None."""
+        raise NotImplementedError
+
+    def kept(self, key, i=None) -> int:
+        """The id of the set kept for key, a node's (set id, out-edges as
+        (label, occurrence, target's set id)), from the memo or else from
+        check."""
+        kept = self.memo.get(key)
+        if kept is None:
+            found = self.check(key, i)
+            kept = self.memo[key] = self.ids.setdefault(found, len(self.sets))
+            if kept == len(self.sets):
+                self.sets.append(found)
+        return kept
+
+    def fixpoint(self, out, inc, stop_untyped: bool = False):
+        """Set ids per node of the graph whose node i has out-edges out[i],
+        as (label, occurrence, target index), and in-edges from inc[i].  A
+        node is checked again only after the set of one of its successors
+        shrank, so the work follows the failures.  With stop_untyped, None
+        as soon as a node's set is empty (sets only shrink, so that is
+        final)."""
+        state = [0] * len(out)
+        work = Worklist(range(len(out)))
+        for i in work:
+            kept = self.kept((state[i], tuple([(lab, occ, state[j]) for lab, occ, j in out[i]])), i)
+            if kept != state[i]:
+                if stop_untyped and not self.sets[kept]:
+                    return None
+                state[i] = kept
+                work.extend(inc[i])
+        return state
 
 
 def parse_graph(text: str) -> Graph:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import INF, Graph, Worklist, interval_sum
+from .core import INF, Graph, Refinement, interval_sum
 from .errors import ClassPreconditionError, WorkCapError
 
 
@@ -39,16 +39,17 @@ class RoutingInstance:
 
 def verify_routing(inst: RoutingInstance, lam: dict) -> bool:
     """Independent check that lam is a valid total routing for inst."""
-    sink_ivs = dict(inst.sinks)
     if set(lam) != {v for v, _ in inst.sources}:
         return False
-    inflow = {u: [] for u, _ in inst.sinks}
+    lo = {u: 0 for u, _ in inst.sinks}
+    hi = dict(lo)
     for v, iv in inst.sources:
         u = lam[v]
-        if (v, u) not in inst.allowed or u not in inflow:
+        if (v, u) not in inst.allowed or u not in lo:
             return False
-        inflow[u].append(iv)
-    return all(interval_sum(inflow[u]).subset(sink_ivs[u]) for u in inflow)
+        lo[u] += iv.min
+        hi[u] += iv.max
+    return all(iv.min <= lo[u] and hi[u] <= iv.max for u, iv in inst.sinks)
 
 
 # --- One capacitated flow ----------------------------------------------------
@@ -341,43 +342,75 @@ def find_witness(inst: RoutingInstance):
     return witness_exists_general(inst)
 
 
+class _Simulation(Refinement):
+    """The greatest simulation of g in h as a refinement: each g-node's set
+    is the h-nodes still related to it.  On a memo miss, each h-node m of
+    the set is checked, in h.nodes order, by a witness search on the
+    routing instance of (n, m).  The search is memoized on m and, per
+    out-edge of n, its occurrence and the out-edges of m it may route to:
+    the signature projected onto m, which fixes the instance."""
+
+    def __init__(self, g: Graph, h: Graph):
+        super().__init__(h.nodes)
+        self.g, self.h = g, h
+        # h-node -> label -> [(index in h.out(m), target)]
+        self.arcs = {m: {} for m in h.nodes}
+        for m in h.nodes:
+            for j, f in enumerate(h.out(m)):
+                self.arcs[m].setdefault(f.label, []).append((j, f.target))
+        self.witnesses: dict = {}  # projected signature -> witness or None
+
+    def projected(self, m, sig):
+        """sig, out-edges as (label, occurrence, target's set id), read
+        only for what the routing instance of an h-node m holds."""
+        arcs, sets = self.arcs[m], self.sets
+        return m, tuple([(occ, tuple([j for j, t in arcs.get(lab, ()) if t in sets[s]]))
+                         for lab, occ, s in sig])
+
+    def check(self, key, i) -> frozenset:
+        n = self.g.nodes[i]
+        own, sig = self.sets[key[0]], key[1]
+        kept = []
+        rel = None
+        for m in self.h.nodes:
+            if m not in own:
+                continue
+            proj = self.projected(m, sig)
+            if proj not in self.witnesses:
+                if rel is None:
+                    rel = {(e.target, t) for e, (_, _, s) in zip(self.g.out(n), sig)
+                           for t in self.sets[s]}
+                self.witnesses[proj] = find_witness(routing_instance(self.g, self.h, n, m, rel))
+            if self.witnesses[proj] is not None:
+                kept.append(m)
+        return frozenset(kept)
+
+
 def max_simulation(g: Graph, h: Graph) -> SimulationRelation:
     """The greatest simulation of g in h, with a witness per surviving pair.
 
-    Starts from all pairs and drops the witness-less ones.  When (n, m)
-    drops, the related pairs with same-label edges into n and m are
-    re-checked; a pair keeps the witness of its last check, as any later
-    drop that witness used would have queued the pair again.
-
-    Witness searches are memoized on the out-signature: m and n's out-edges
-    in order as (label, occurrence, the h-nodes still related to the
-    target).  Equal keys give the same routing instance, so one witness
-    serves, index for index, every g-node with the same key.
+    Refines one interned set of h-nodes per g-node through the fixpoint
+    that typing uses (core.Refinement): every g-node starts related to all
+    of h, and a g-node is checked again only after the set of one of its
+    successors shrank.  A check is memoized on the g-node's set and its
+    out-signature, its out-edges in order as (label, occurrence, the
+    target's set), and each witness search on the h-node and that
+    signature projected onto it, so one witness serves, index for index,
+    every g-node whose signature routes alike.  The witness of (n, m) is
+    the one found for m under n's final signature.
     """
-    pairs = [(n, m) for n in g.nodes for m in h.nodes]
-    rel = set(pairs)
-    related = dict.fromkeys(g.nodes, frozenset(h.nodes))
-    memo = {}
+    index = {n: i for i, n in enumerate(g.nodes)}
+    out = [[(e.label, (e.occur.min, e.occur.max), index[e.target]) for e in g.out(n)]
+           for n in g.nodes]
+    inc = [[index[e.source] for e in g.incoming(n)] for n in g.nodes]
+    sim = _Simulation(g, h)
+    state = sim.fixpoint(out, inc)
     witnesses = {}
-    work = Worklist(pairs)
-    for n, m in work:
-        key = (m, tuple((e.label, e.occur, related[e.target]) for e in g.out(n)))
-        if key not in memo:
-            memo[key] = find_witness(routing_instance(g, h, n, m, rel))
-        lam = memo[key]
-        if lam is not None:
-            witnesses[(n, m)] = lam
-            continue
-        rel.discard((n, m))
-        related[n] = related[n] - {m}
-        witnesses.pop((n, m), None)
-        work.extend(
-            (e.source, f.source)
-            for e in g.incoming(n)
-            for f in h.incoming(m)
-            if e.label == f.label and (e.source, f.source) in rel
-        )
-    return SimulationRelation(frozenset(rel), witnesses)
+    for n, o, own in zip(g.nodes, out, state):
+        sig = [(lab, occ, state[j]) for lab, occ, j in o]
+        for m in sim.sets[own]:
+            witnesses[(n, m)] = sim.witnesses[sim.projected(m, sig)]
+    return SimulationRelation(frozenset(witnesses), witnesses)
 
 
 def embeds(g: Graph, h: Graph):

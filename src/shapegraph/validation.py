@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .core import ONE, Edge, Graph, Interval, Worklist
+from .core import ONE, Edge, Graph, Interval, Refinement
 from .errors import GraphKindError, WorkCapError
 from . import rbe as _rbe
 from .embedding import feasible_flow
@@ -157,19 +157,15 @@ def _edge(label, k) -> Edge:
     return Edge(None, label, None, Interval(k, k))
 
 
-class Typer:
-    """The maximal-typing fixpoint for one schema.  Type sets are interned
-    as ints, 0 for all types.  A node's check reads only its type set and
-    its out-edges as (label, k, target's type set) for occurrence [k;k],
-    ordered by (label, k), so the kept types are memoized on that pair and
-    shared by every node, of every graph typed, with the same one; a memo
-    miss is decided from the pair alone."""
+class Typer(Refinement):
+    """The maximal-typing refinement for one schema: each node's set is a
+    type set, and a node's check reads its out-edges as (label, k, target's
+    type set) for occurrence [k;k], ordered by (label, k).  A memo miss is
+    decided from its key alone."""
 
     def __init__(self, s: Schema):
+        super().__init__(s.types)
         self.s = s
-        self.memo: dict = {}
-        self.sets = [frozenset(s.types)]
-        self.ids = {self.sets[0]: 0}
         # type -> (labels of δ(type), labels a flat δ(type) needs)
         self._labels = {
             t: ({lab for lab, _ in s.symbols[t]},
@@ -187,43 +183,18 @@ class Typer:
         ids = self.fixpoint(out, inc)
         return {n: self.sets[i] for n, i in zip(g.nodes, ids)}
 
-    def fixpoint(self, out, inc, stop_untyped: bool = False):
-        """Type-set ids per node of the graph whose node i has out-edges
-        out[i], as (label, k, target index) sorted on (label, k), and
-        in-edges from inc[i]; with stop_untyped, None as soon as a node is
-        left untyped (type sets only shrink, so that is final)."""
-        typing = [0] * len(out)
-        work = Worklist(range(len(out)))
-        for i in work:
-            kept = self.kept((typing[i], tuple([(lab, k, typing[j]) for lab, k, j in out[i]])))
-            if kept != typing[i]:
-                if stop_untyped and not self.sets[kept]:
-                    return None
-                typing[i] = kept
-                work.extend(inc[i])
-        return typing
-
-    def kept(self, key) -> int:
-        """The id of the types kept for key, a node's (type-set id,
-        out-edges as (label, k, target's type-set id)), from the memo or
-        else checked and stored: the types of that set the node satisfies.
-        A type is dropped unchecked when one of the node's labels with
-        k > 0 is not in its alphabet, or when it is flat and one of its
-        atoms with min >= 1 has a label the node lacks: no routing exists
-        then."""
-        kept = self.memo.get(key)
-        if kept is None:
-            out = [_edge(lab, k) for lab, k, _ in key[1]]
-            choices = [self.sets[j] for _, _, j in key[1]]
-            have = {lab for lab, k, _ in key[1] if k}
-            types = frozenset(
-                t for t in self.sets[key[0]]
-                if self._may_hold(t, have) and satisfies_type(self.s, t, out, choices)
-            )
-            kept = self.memo[key] = self.ids.setdefault(types, len(self.sets))
-            if kept == len(self.sets):
-                self.sets.append(types)
-        return kept
+    def check(self, key, i=None) -> frozenset:
+        """The types of key's set that a node with key satisfies.  A type
+        is dropped unchecked when one of the node's labels with k > 0 is
+        not in its alphabet, or when it is flat and one of its atoms with
+        min >= 1 has a label the node lacks: no routing exists then."""
+        out = [_edge(lab, k) for lab, k, _ in key[1]]
+        choices = [self.sets[j] for _, _, j in key[1]]
+        have = {lab for lab, k, _ in key[1] if k}
+        return frozenset(
+            t for t in self.sets[key[0]]
+            if self._may_hold(t, have) and satisfies_type(self.s, t, out, choices)
+        )
 
     def _may_hold(self, t, have) -> bool:
         labels, needs = self._labels[t]

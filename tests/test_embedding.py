@@ -24,6 +24,7 @@ from shapegraph import (
     witness_exists_basic,
     witness_exists_general,
 )
+from shapegraph.core import Worklist
 from shapegraph.embedding import feasible_flow, find_witness, routing_instance
 from shapegraph.errors import ClassPreconditionError
 
@@ -383,6 +384,24 @@ class TestSimulationProperties:
         # A round-based fixpoint re-checks every pair once per hop of the
         # failure, about 200 times here.
         assert calls[0] <= 3 * len(g.nodes) * len(h.nodes)
+
+    def test_failure_chain_visits_each_g_node_at_most_three_times(self, monkeypatch, bug_schema):
+        # One visit checks a g-node against its whole set of h-nodes; a
+        # fixpoint over (g-node, h-node) pairs visits each pair at least once.
+        g = bug_chain_graph(200)
+        h = to_shape_graph(bug_schema)
+        visits = [0]
+        iterate = Worklist.__iter__
+
+        def counting(self):
+            for x in iterate(self):
+                visits[0] += 1
+                yield x
+
+        monkeypatch.setattr(Worklist, "__iter__", counting)
+        ok, sim = embeds(g, h)
+        assert not ok and ("bug0", "Bug") not in sim.pairs
+        assert visits[0] <= 3 * len(g.nodes)
 
     def test_identical_nodes_share_witness_searches(self, monkeypatch, bug_schema):
         h = to_shape_graph(bug_schema)
