@@ -18,6 +18,11 @@ per Parikh vector of any other.  Every routing returned as a "yes" is
 re-checked independently (verify_routing, and in validation
 _verify_flat_routing).  For arbitrary intervals an exact backtracking
 search is used.
+
+The greatest simulation refines one interned set of h-nodes per g-node
+through the fixpoint typing uses (core.Refinement), so a g-node's check
+covers every h-node still related to it and runs again only after the set
+of one of its successors shrank.
 """
 
 from __future__ import annotations
