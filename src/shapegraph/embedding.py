@@ -351,26 +351,29 @@ class _Simulation(Refinement):
     """The greatest simulation of g in h as a refinement: each g-node's set
     is the h-nodes still related to it.  On a memo miss, each h-node m of
     the set is checked, in h.nodes order, by a witness search on the
-    routing instance of (n, m).  The search is memoized on m and, per
-    out-edge of n, its occurrence and the out-edges of m it may route to:
-    the signature projected onto m, which fixes the instance."""
+    routing instance of (n, m).  The search is memoized on the instance's
+    content: the occurrences of m's out-edges and, per out-edge of n, its
+    occurrence and the out-edges of m it may route to."""
 
     def __init__(self, g: Graph, h: Graph):
         super().__init__(h.nodes)
         self.g, self.h = g, h
-        # h-node -> label -> [(index in h.out(m), target)]
-        self.arcs = {m: {} for m in h.nodes}
+        # h-node -> (its out-edges' occurrences, label -> [(index in h.out(m), target)])
+        self.h_out = {}
         for m in h.nodes:
+            by_label = {}
             for j, f in enumerate(h.out(m)):
-                self.arcs[m].setdefault(f.label, []).append((j, f.target))
+                by_label.setdefault(f.label, []).append((j, f.target))
+            self.h_out[m] = tuple((f.occur.min, f.occur.max) for f in h.out(m)), by_label
         self.witnesses: dict = {}  # projected signature -> witness or None
 
     def projected(self, m, sig):
         """sig, out-edges as (label, occurrence, target's set id), read
         only for what the routing instance of an h-node m holds."""
-        arcs, sets = self.arcs[m], self.sets
-        return m, tuple([(occ, tuple([j for j, t in arcs.get(lab, ()) if t in sets[s]]))
-                         for lab, occ, s in sig])
+        sinks, by_label = self.h_out[m]
+        sets = self.sets
+        return sinks, tuple([(occ, tuple([j for j, t in by_label.get(lab, ()) if t in sets[s]]))
+                             for lab, occ, s in sig])
 
     def check(self, key, i) -> frozenset:
         n = self.g.nodes[i]
@@ -399,10 +402,10 @@ def max_simulation(g: Graph, h: Graph) -> SimulationRelation:
     of h, and a g-node is checked again only after the set of one of its
     successors shrank.  A check is memoized on the g-node's set and its
     out-signature, its out-edges in order as (label, occurrence, the
-    target's set), and each witness search on the h-node and that
-    signature projected onto it, so one witness serves, index for index,
-    every g-node whose signature routes alike.  The witness of (n, m) is
-    the one found for m under n's final signature.
+    target's set), and each witness search on that signature projected
+    onto the h-node, which fixes the routing instance, so one witness
+    serves, index for index, every pair that routes alike.  The witness of
+    (n, m) is the one found for m under n's final signature.
     """
     index = {n: i for i, n in enumerate(g.nodes)}
     out = [[(e.label, (e.occur.min, e.occur.max), index[e.target]) for e in g.out(n)]
