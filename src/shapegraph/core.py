@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import GraphKindError, ParseError, UnpackBudgetError
 
@@ -79,11 +80,16 @@ def interval_sum(intervals) -> Interval:
     return acc
 
 
+_SHORTHAND = {"1": ONE, "?": OPT, "+": PLUS, "*": STAR}
+
+
+@lru_cache(maxsize=1024)
 def parse_interval_token(tok: str) -> Interval:
-    """Parse an occurrence token: 1 ? + * [n;m] [n;inf] or a bare natural k."""
-    shorthand = {"1": ONE, "?": OPT, "+": PLUS, "*": STAR}
-    if tok in shorthand:
-        return shorthand[tok]
+    """Parse an occurrence token: 1 ? + * [n;m] [n;inf] or a bare natural k.
+    Intervals are immutable, so each distinct token is parsed once and its
+    Interval shared."""
+    if tok in _SHORTHAND:
+        return _SHORTHAND[tok]
     if tok.startswith("[") and tok.endswith("]") and ";" in tok:
         lo_s, hi_s = tok[1:-1].split(";", 1)
         try:
@@ -154,30 +160,40 @@ class Graph:
     """
 
     def __init__(self, nodes=(), edges=(), kind: str = "general"):
-        seen = []
-        seen_set = set()
-        for n in nodes:
-            if n not in seen_set:
-                seen.append(n)
-                seen_set.add(n)
-        for e in edges:
-            for n in (e.source, e.target):
-                if n not in seen_set:
-                    seen.append(n)
-                    seen_set.add(n)
-        self.nodes: tuple[str, ...] = tuple(seen)
         self.edges: tuple[Edge, ...] = tuple(edges)
         self.kind = kind
-        out: dict = {n: [] for n in self.nodes}
-        inc: dict = {n: [] for n in self.nodes}
+        # One pass over the edges collects the nodes in order, the out- and
+        # in-lists, and the kind flags; a simple graph is also compressed,
+        # since [1;1] is a singleton.
+        out: dict = {n: [] for n in nodes}
+        inc: dict = {n: [] for n in out}
+        triples = set()
+        ones = singletons = basic = True
         for e in self.edges:
-            out[e.source].append(e)
-            inc[e.target].append(e)
+            src, tgt, occur = e.source, e.target, e.occur
+            if src not in out:
+                out[src], inc[src] = [], []
+            if tgt not in out:
+                out[tgt], inc[tgt] = [], []
+            out[src].append(e)
+            inc[tgt].append(e)
+            triples.add((src, e.label, tgt))
+            if occur is ONE:
+                continue
+            lo, hi = occur.min, occur.max
+            if lo != 1 or hi != 1:
+                ones = False
+                if lo != hi:
+                    singletons = False
+                if lo > 1 or (hi != 1 and hi != INF):
+                    basic = False
+        distinct = len(triples) == len(self.edges)
+        self._simple = ones and distinct
+        self._compressed = singletons and distinct
+        self._shape = basic
+        self.nodes: tuple[str, ...] = tuple(out)
         self._out: dict[str, tuple[Edge, ...]] = {n: tuple(es) for n, es in out.items()}
         self._in: dict[str, tuple[Edge, ...]] = {n: tuple(es) for n, es in inc.items()}
-        # A simple graph is also compressed: [1;1] is a singleton.
-        self._simple = _kind_fault(self.edges, "simple") is None
-        self._compressed = self._simple or _kind_fault(self.edges, "compressed") is None
 
     def __contains__(self, n) -> bool:
         return n in self._out
@@ -194,15 +210,19 @@ class Graph:
 
     @property
     def is_shape(self) -> bool:
-        return all(e.occur.basic for e in self.edges)
+        return self._shape
 
     @property
     def is_compressed(self) -> bool:
         return self._compressed
 
     def check_kind(self, kind: str) -> None:
-        """Raise GraphKindError unless this graph meets the declared kind."""
-        if kind == "general":
+        """Raise GraphKindError unless this graph meets the declared kind.
+        The flags set at construction decide; _kind_fault runs only to name
+        the faulty edge."""
+        flags = {"general": True, "simple": self._simple,
+                 "compressed": self._compressed, "shape": self._shape}
+        if flags.get(kind, False):
             return
         fault = _kind_fault(self.edges, kind)
         if fault is not None:
@@ -246,6 +266,32 @@ class Worklist:
             yield x
 
 
+def _post_order(out) -> list[int]:
+    """The node indexes of out, where out[i] lists node i's out-edges as
+    (label, occurrence, target index), in depth-first post-order from each
+    unvisited node in index order: every node after the successors it does
+    not reach back through a cycle.  Iterative, so deep chains do not hit
+    the recursion limit."""
+    order = []
+    seen = [False] * len(out)
+    for root in range(len(out)):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [(root, iter(out[root]))]
+        while stack:
+            i, edges = stack[-1]
+            for _, _, j in edges:
+                if not seen[j]:
+                    seen[j] = True
+                    stack.append((j, iter(out[j])))
+                    break
+            else:
+                stack.pop()
+                order.append(i)
+    return order
+
+
 class Refinement:
     """The greatest fixpoint of a node-level refinement, shared by typing
     and simulation.  Every node starts at the top set and its set only
@@ -279,13 +325,18 @@ class Refinement:
 
     def fixpoint(self, out, inc, stop_untyped: bool = False):
         """Set ids per node of the graph whose node i has out-edges out[i],
-        as (label, occurrence, target index), and in-edges from inc[i].  A
-        node is checked again only after the set of one of its successors
-        shrank, so the work follows the failures.  With stop_untyped, None
+        as (label, occurrence, target index), and in-edges from inc[i].
+        Nodes are first checked in depth-first post-order over the out-edges
+        (_post_order), so a node's successors are checked before it, except
+        along a cycle.  A node is checked again only after the set of one
+        of its successors shrank, so the work follows the failures, and a
+        node that reaches no cycle, whose successors have settled by then,
+        is checked exactly once.  The greatest fixpoint is unique, so the
+        order changes the work and never the sets.  With stop_untyped, None
         as soon as a node's set is empty (sets only shrink, so that is
         final)."""
         state = [0] * len(out)
-        work = Worklist(range(len(out)))
+        work = Worklist(_post_order(out))
         for i in work:
             kept = self.kept((state[i], tuple([(lab, occ, state[j]) for lab, occ, j in out[i]])), i)
             if kept != state[i]:
@@ -307,10 +358,9 @@ def parse_graph(text: str) -> Graph:
     nodes: list[str] = []
     edges: list[Edge] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if not parts:
             continue
-        parts = line.split()
         if kind is None:
             if parts[0] != "graph" or len(parts) != 2:
                 raise ParseError("expected header 'graph <kind>'", line=lineno)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -220,6 +220,35 @@ def brute_matches(e, w):
             yield Counter({s: c for s, c in zip(symbols, split) if c})
 
     return matches(e, w)
+
+
+# --- Reference fixpoints -----------------------------------------------------
+
+
+def reference_typing(g, s):
+    """The maximal typing round by round, from the definitions: n keeps t
+    while one choice of a type for each of the k copies behind an out-edge
+    of cardinality k gives a bag in L(δ(t)); every round reads only the
+    previous round's typing."""
+
+    def holds(typing, n, t):
+        edges = [e for e in g.out(n) if e.occur.min > 0]
+        per_edge = [combinations_with_replacement(sorted(typing[e.target]), e.occur.min) for e in edges]
+        for combo in product(*per_edge):
+            w = Counter()
+            for e, types in zip(edges, combo):
+                for u in types:
+                    w[(e.label, u)] += 1
+            if brute_matches(s.defs[t], w):
+                return True
+        return False
+
+    typing = {n: frozenset(s.types) for n in g.nodes}
+    while True:
+        nxt = {n: frozenset(t for t in typing[n] if holds(typing, n, t)) for n in g.nodes}
+        if nxt == typing:
+            return typing
+        typing = nxt
 
 
 # --- Random generators -------------------------------------------------------

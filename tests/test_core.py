@@ -1,8 +1,9 @@
 import random
 import time
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from shapegraph import (
     Edge,
@@ -17,15 +18,19 @@ from shapegraph import (
     STAR,
     ZERO,
     interval_sum,
+    max_simulation,
+    max_typing,
     parse_graph,
     parse_interval_token,
     serialize_graph,
     unpack,
     validates,
+    verify_witness,
 )
+from shapegraph.core import Worklist, _kind_fault
 from shapegraph.errors import UnpackBudgetError
 
-from conftest import random_compressed_graph, random_rbe0_schema
+from conftest import random_compressed_graph, random_rbe0_schema, random_shape_graph, reference_typing
 
 intervals = st.builds(
     lambda lo, extra: Interval(lo, INF if extra is None else lo + extra),
@@ -83,6 +88,10 @@ class TestIntervalLaws:
         assert parse_interval_token("[2;3]") == Interval(2, 3)
         assert parse_interval_token("[2;*]") == Interval(2, INF)
 
+    def test_repeated_token_shares_one_interval(self):
+        assert parse_interval_token("[4;4]") is parse_interval_token("[4;4]")
+        assert parse_interval_token("7") is parse_interval_token("7")
+
 
 class TestGraphText:
     def test_empty_graph(self):
@@ -127,6 +136,99 @@ class TestGraphText:
         assert time.monotonic() - start < 10.0
         assert len(g.out("h")) == n and g.out("h")[:2] == tuple(edges[:2])
         assert g.incoming("c7") == (edges[7],)
+
+
+@st.composite
+def edge_lists(draw):
+    """Edges over three nodes and two labels, with occurrences 1, ?, *,
+    [k;k] and [0;0]; a few are repeated, and triples collide often."""
+    edge = st.builds(
+        lambda s, lab, t, tok: Edge(s, lab, t, parse_interval_token(tok)),
+        st.sampled_from("xyz"),
+        st.sampled_from("ab"),
+        st.sampled_from("xyz"),
+        st.sampled_from(["1", "?", "*", "[2;2]", "[3;3]", "[0;0]"]),
+    )
+    edges = draw(st.lists(edge, max_size=6))
+    return edges + (draw(st.lists(st.sampled_from(edges), max_size=2)) if edges else [])
+
+
+class TestKindFlags:
+    @given(edge_lists())
+    def test_flags_agree_with_kind_fault(self, edges):
+        g = Graph((), edges)
+        assert g.is_simple == (_kind_fault(edges, "simple") is None)
+        assert g.is_compressed == (_kind_fault(edges, "compressed") is None)
+        assert g.is_shape == (_kind_fault(edges, "shape") is None)
+
+    @pytest.mark.parametrize("text, message", [
+        ("graph simple\nx a y\nx b y\nx a y\n", "duplicate (source,label,target) edge: x a y 1"),
+        ("graph simple\nx a y\nx b y ?\n", "simple graph requires occurrence 1 on edge: x b y ?"),
+        ("graph compressed\nx a y 2\nx b y *\n",
+         "compressed graph requires a singleton occurrence on edge: x b y *"),
+        ("graph compressed\nx a y 2\nx a y [3;3]\n", "duplicate (source,label,target) edge: x a y 3"),
+        ("graph shape\nx a y *\nx a z [2;3]\n",
+         "shape graph requires a basic occurrence on edge: x a z [2;3]"),
+    ])
+    def test_kind_error_names_the_edge(self, text, message):
+        with pytest.raises(GraphKindError) as exc:
+            parse_graph(text)
+        assert str(exc.value) == message
+
+
+@st.composite
+def shuffled_graphs(draw, acyclic=False, max_nodes=5):
+    """(g, the same graph with its nodes and edges in another order); with
+    acyclic, every edge goes from a lower-numbered node to a higher one."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    nodes = [f"g{i}" for i in range(n)]
+    triples = [(nodes[i], lab, nodes[j]) for i in range(n) for j in range(n)
+               if i < j or not acyclic for lab in "ab"]
+    chosen = draw(st.lists(st.sampled_from(triples), unique=True, max_size=8)) if triples else []
+    edges = [Edge(src, lab, tgt, draw(st.sampled_from([ONE, Interval(2, 2)]))) for src, lab, tgt in chosen]
+    g = Graph(nodes, edges, kind="compressed")
+    return g, Graph(draw(st.permutations(nodes)), draw(st.permutations(edges)), kind="compressed")
+
+
+def visits(run) -> int:
+    """The number of items the worklists hand out while run runs."""
+    count = [0]
+    iterate = Worklist.__iter__
+
+    def counting(self):
+        for x in iterate(self):
+            count[0] += 1
+            yield x
+
+    with mock.patch.object(Worklist, "__iter__", counting):
+        run()
+    return count[0]
+
+
+class TestRefinementOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(shuffled_graphs(), st.randoms(use_true_random=False))
+    def test_shuffled_typing_equals_reference(self, graphs, rng):
+        g, shuffled = graphs
+        s = random_rbe0_schema(rng)
+        assert max_typing(g, s) == reference_typing(g, s) == max_typing(shuffled, s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shuffled_graphs(), st.randoms(use_true_random=False))
+    def test_shuffled_simulation_keeps_its_pairs(self, graphs, rng):
+        g, shuffled = graphs
+        h = random_shape_graph(rng, max_nodes=4)
+        sim, again = max_simulation(g, h), max_simulation(shuffled, h)
+        assert sim.pairs == again.pairs
+        assert verify_witness(g, h, sim) and verify_witness(shuffled, h, again)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shuffled_graphs(acyclic=True, max_nodes=7), st.randoms(use_true_random=False))
+    def test_acyclic_graph_visits_each_node_once(self, graphs, rng):
+        s, h = random_rbe0_schema(rng), random_shape_graph(rng, max_nodes=4)
+        for g in graphs:
+            assert visits(lambda: max_typing(g, s)) == len(g.nodes)
+            assert visits(lambda: max_simulation(g, h)) == len(g.nodes)
 
 
 class TestUnpack:

@@ -1,6 +1,4 @@
 import random
-from collections import Counter
-from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -20,6 +18,7 @@ from shapegraph import (
     unpack,
     validates,
 )
+from shapegraph.core import Worklist
 from shapegraph.errors import GraphKindError
 from shapegraph.rbe import Disj, EMPTY, Repeat, Sym, concat_all, rbe_to_text, to_rbe0
 from shapegraph.validation import Typer, _satisfies_psi
@@ -36,6 +35,7 @@ from conftest import (
     random_compressed_graph,
     random_rbe0_schema,
     random_simple_graph,
+    reference_typing,
     users_graph,
     with_twins,
 )
@@ -46,32 +46,6 @@ def holds(g, s, typing, n, t):
     typing (untyped when absent)."""
     out = g.out(n)
     return satisfies_type(s, t, out, [typing.get(e.target, frozenset()) for e in out])
-
-
-def reference_typing(g, s):
-    """The maximal typing round by round, from the definitions: n keeps t
-    while one choice of a type for each of the k copies behind an out-edge
-    of cardinality k gives a bag in L(δ(t)); every round reads only the
-    previous round's typing."""
-
-    def holds(typing, n, t):
-        edges = [e for e in g.out(n) if e.occur.min > 0]
-        per_edge = [combinations_with_replacement(sorted(typing[e.target]), e.occur.min) for e in edges]
-        for combo in product(*per_edge):
-            w = Counter()
-            for e, types in zip(edges, combo):
-                for u in types:
-                    w[(e.label, u)] += 1
-            if brute_matches(s.defs[t], w):
-                return True
-        return False
-
-    typing = {n: frozenset(s.types) for n in g.nodes}
-    while True:
-        nxt = {n: frozenset(t for t in typing[n] if holds(typing, n, t)) for n in g.nodes}
-        if nxt == typing:
-            return typing
-        typing = nxt
 
 
 def random_compressed_with_zero_edges(rng):
@@ -208,6 +182,23 @@ class TestMaxTyping:
         # A round-based fixpoint re-checks every node once per hop of the
         # failure, about 200 times here.
         assert calls[0] <= 3 * len(g.nodes) * len(bug_schema.types)
+
+    def test_failure_chain_visits_each_node_once(self, monkeypatch, bug_schema):
+        # The chain is acyclic, so successor-first seeding checks each node
+        # once, after its successors have settled.
+        g = bug_chain_graph(200)
+        visits = [0]
+        iterate = Worklist.__iter__
+
+        def counting(self):
+            for x in iterate(self):
+                visits[0] += 1
+                yield x
+
+        monkeypatch.setattr(Worklist, "__iter__", counting)
+        typing = Typer(bug_schema).typing(g)
+        assert typing["bug0"] == frozenset() and typing["user"] == frozenset({"User"})
+        assert visits[0] == len(g.nodes)
 
     def test_identical_nodes_share_checks(self, monkeypatch, bug_schema):
         calls = [0]
