@@ -21,8 +21,9 @@ search is used.
 
 The greatest simulation refines one interned set of h-nodes per g-node
 through the fixpoint typing uses (core.Refinement), so a g-node's check
-covers every h-node still related to it and runs again only after the set
-of one of its successors shrank.
+covers every h-node still related to it, first runs after its successors'
+checks unless they share a cycle, and runs again only after the set of
+one of its successors shrank.
 """
 
 from __future__ import annotations

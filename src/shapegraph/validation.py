@@ -204,9 +204,11 @@ class Typer(Refinement):
 def max_typing(g: Graph, s: Schema) -> dict:
     """The unique maximal typing: start from all types at every node, drop
     the types a node fails, and re-check a node only after the type set of
-    one of its successors shrank, so the work follows the failures.  Checks
-    are memoized on the out-signature over interned type-set ids: nodes
-    with the same type set and out-signature share one check (see Typer)."""
+    one of its successors shrank, so the work follows the failures.  Nodes
+    are first checked successors first (depth-first post-order), so a node
+    that reaches no cycle is checked exactly once.  Checks are memoized on
+    the out-signature over interned type-set ids: nodes with the same type
+    set and out-signature share one check (see Typer)."""
     return Typer(s).typing(g)
 
 
