@@ -128,9 +128,12 @@ class Edge:
     occur: Interval = ONE
 
 
+KINDS = ("simple", "shape", "compressed", "general")
+
+
 def _kind_fault(edges, kind: str):
-    """The first edge that keeps `edges` from forming a graph of the given
-    kind, with the reason, or None when they form one."""
+    """The first edge that keeps `edges` from forming a simple, shape or
+    compressed graph, with the reason, or None when they form one."""
     triples = set()
     for e in edges:
         if kind == "simple":
@@ -139,11 +142,8 @@ def _kind_fault(edges, kind: str):
         elif kind == "shape":
             if not e.occur.basic:
                 return e, "shape graph requires a basic occurrence on edge"
-        elif kind == "compressed":
-            if not e.occur.singleton:
-                return e, "compressed graph requires a singleton occurrence on edge"
-        else:
-            raise GraphKindError(f"unknown graph kind {kind!r}")
+        elif not e.occur.singleton:
+            return e, "compressed graph requires a singleton occurrence on edge"
         if kind != "shape":
             t = (e.source, e.label, e.target)
             if t in triples:
@@ -160,6 +160,8 @@ class Graph:
     """
 
     def __init__(self, nodes=(), edges=(), kind: str = "general"):
+        if kind not in KINDS:
+            raise GraphKindError(f"unknown graph kind {kind!r}")
         self.edges: tuple[Edge, ...] = tuple(edges)
         self.kind = kind
         # One pass over the edges collects the nodes in order, the out- and
@@ -217,12 +219,12 @@ class Graph:
         return self._compressed
 
     def check_kind(self, kind: str) -> None:
-        """Raise GraphKindError unless this graph meets the declared kind.
+        """Raise GraphKindError unless this graph meets kind, one of KINDS.
         The flags set at construction decide; _kind_fault runs only to name
         the faulty edge."""
         flags = {"general": True, "simple": self._simple,
                  "compressed": self._compressed, "shape": self._shape}
-        if flags.get(kind, False):
+        if flags[kind]:
             return
         fault = _kind_fault(self.edges, kind)
         if fault is not None:
@@ -299,25 +301,33 @@ class Refinement:
     reads only its own set and its out-edges as (label, occurrence,
     target's set id), so the set it keeps is memoized on that key and
     shared by every node, of every graph refined, with the same one.  A
-    subclass gives check, run on a memo miss."""
+    subclass gives check, run on a memo miss, which walks a set in the
+    order of top (members)."""
 
     def __init__(self, top):
+        self.order = tuple(top)
         self.sets = [frozenset(top)]
         self.ids = {self.sets[0]: 0}
         self.memo: dict = {}
 
-    def check(self, key, i) -> frozenset:
-        """The part of key's own set that a node with that key keeps; i is
-        the node's index in the fixpoint that asks, or None."""
+    def check(self, key) -> frozenset:
+        """The part of key's own set that a node with key keeps, decided
+        from key alone: no node, graph or other state of the fixpoint that
+        asks is passed, so one answer serves every node with that key."""
         raise NotImplementedError
 
-    def kept(self, key, i=None) -> int:
+    def members(self, set_id):
+        """The members of a set, in the order of top."""
+        own = self.sets[set_id]
+        return [x for x in self.order if x in own]
+
+    def kept(self, key) -> int:
         """The id of the set kept for key, a node's (set id, out-edges as
         (label, occurrence, target's set id)), from the memo or else from
         check."""
         kept = self.memo.get(key)
         if kept is None:
-            found = self.check(key, i)
+            found = self.check(key)
             kept = self.memo[key] = self.ids.setdefault(found, len(self.sets))
             if kept == len(self.sets):
                 self.sets.append(found)
@@ -338,7 +348,7 @@ class Refinement:
         state = [0] * len(out)
         work = Worklist(_post_order(out))
         for i in work:
-            kept = self.kept((state[i], tuple([(lab, occ, state[j]) for lab, occ, j in out[i]])), i)
+            kept = self.kept((state[i], tuple([(lab, occ, state[j]) for lab, occ, j in out[i]])))
             if kept != state[i]:
                 if stop_untyped and not self.sets[kept]:
                     return None
@@ -365,7 +375,7 @@ def parse_graph(text: str) -> Graph:
             if parts[0] != "graph" or len(parts) != 2:
                 raise ParseError("expected header 'graph <kind>'", line=lineno)
             kind = parts[1]
-            if kind not in ("simple", "shape", "compressed", "general"):
+            if kind not in KINDS:
                 raise ParseError(f"unknown graph kind {kind!r}", line=lineno)
             continue
         if parts[0] == "node":

@@ -5,32 +5,30 @@ A simulation relates nodes of G to nodes of H so that each related pair
 m that preserves labels, sends targets to related pairs, and for every
 out-edge f of m keeps the interval sum of λ's preimage inside occur(f).
 
-Witness existence is abstracted as a flow-routing problem over bipartite
-sources (out-edges of n) and sinks (out-edges of m).  For basic intervals
-it is the unit case of one capacitated lower-bound flow (feasible_flow).
-A source with one admissible sink is routed straight to it; the sources
-with a choice go through a network decided in polynomial time by
-augmenting paths, whose residual moves are exactly the push-forth edges
-(evict a source from a saturated or overflowing sink) and pull-back edges
-(draw a min-1 source into a sink in deficit).  The same flow decides type
-satisfaction in validation, once per check for a flat definition and once
-per Parikh vector of any other.  Every routing returned as a "yes" is
-re-checked independently (verify_routing, and in validation
-_verify_flat_routing).  For arbitrary intervals an exact backtracking
-search is used.
+Witness existence is a flow-routing problem over bipartite sources
+(out-edges of n) and sinks (out-edges of m).  When every sink is basic,
+whatever the sources, it is the unit case of one capacitated lower-bound
+flow (feasible_flow), decided in polynomial time by augmenting paths; the
+same flow decides type satisfaction in validation.  Every routing returned
+as a "yes" is re-checked independently (verify_routing, and in validation
+_verify_flat_routing).  Only a non-basic sink, such as those of the SAT
+fixture, where the problem is NP-hard, goes to an exact backtracking
+search, iterative and capped in steps.
 
 The greatest simulation refines one interned set of h-nodes per g-node
 through the fixpoint typing uses (core.Refinement), so a g-node's check
-covers every h-node still related to it, first runs after its successors'
-checks unless they share a cycle, and runs again only after the set of
-one of its successors shrank.
+covers every h-node still related to it and is decided from its memo key
+alone: the key projected onto an h-node fixes the routing instance.  A
+check first runs after its successors' checks unless they share a cycle,
+and runs again only after the set of one of its successors shrank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
-from .core import INF, Graph, Refinement, interval_sum
+from .core import INF, Graph, Interval, Refinement, interval_sum
 from .errors import ClassPreconditionError, WorkCapError
 
 
@@ -195,15 +193,17 @@ def feasible_flow(sources, sinks, arcs):
 
 
 def witness_exists_basic(inst: RoutingInstance):
-    """Routing λ for a basic-interval instance, or None when infeasible.
+    """Routing λ for an instance whose sinks are all basic, or None.
 
-    After the pass that drops the pairs whose source max exceeds the sink
-    max, this is the unit case of feasible_flow: a source ships 1 and counts
-    toward a sink's min exactly when its own min is 1.
+    A sink's max is then 1 or ∞ and its min 0 or 1, so this is the unit
+    case of feasible_flow whatever the sources are: a source may use a sink
+    iff its max is at most the sink's, ships 1 unit iff its max is at least
+    1, and counts toward the sink's min iff its own min is.  A [0;0] source
+    ships nothing but still needs an allowed sink, its first one.
     """
-    for _, iv in inst.sources + inst.sinks:
+    for _, iv in inst.sinks:
         if not iv.basic:
-            raise ClassPreconditionError(f"non-basic interval {iv} in routing instance")
+            raise ClassPreconditionError(f"non-basic sink interval {iv} in routing instance")
 
     sink_pos = {u: j for j, (u, _) in enumerate(inst.sinks)}
     arcs = [
@@ -212,19 +212,24 @@ def witness_exists_basic(inst: RoutingInstance):
         for u, u_iv in inst.sinks
         if (v, u) in inst.allowed and v_iv.max <= u_iv.max
     ]
+    if len({i for i, _ in arcs}) < len(inst.sources):
+        return None
     flow = feasible_flow(
-        [(1, iv.min == 1) for _, iv in inst.sources],
+        [(int(iv.max >= 1), iv.min >= 1) for _, iv in inst.sources],
         [(iv.min, iv.max) for _, iv in inst.sinks],
         arcs,
     )
     if flow is None:
         return None
-    lam = {inst.sources[i][0]: inst.sinks[j][0] for (i, j), x in zip(arcs, flow) if x}
+    lam = {}
+    for (i, j), x in zip(arcs, flow):
+        if x or inst.sources[i][0] not in lam:
+            lam[inst.sources[i][0]] = inst.sinks[j][0]
     assert verify_routing(inst, lam), "routing extraction produced an invalid witness"
     return lam
 
 
-# --- Arbitrary intervals: exact search --------------------------------------
+# --- Non-basic sinks: exact search ------------------------------------------
 
 
 DEFAULT_ROUTING_CAP = 10**6
@@ -236,76 +241,69 @@ def witness_exists_general(inst: RoutingInstance):
     Prunes on the running interval sum per sink (max side monotone) and on
     the remaining min-potential of each min-constrained sink; identical
     sources are assigned in nondecreasing sink order to skip symmetric
-    permutations.
+    permutations.  Depth-first with an explicit stack, one level per
+    source, so no recursion depth grows with the number of sources; each
+    level entered is one step of DEFAULT_ROUTING_CAP.
     """
     sinks = list(inst.sinks)
-    sink_pos = {u: j for j, (u, _) in enumerate(sinks)}
     options = []
     for v, iv in inst.sources:
-        opts = tuple(
-            j for j, (u, _) in enumerate(sinks) if (v, u) in inst.allowed
-        )
+        opts = tuple(j for j, (u, _) in enumerate(sinks) if (v, u) in inst.allowed)
         if not opts:
             return None
         options.append((v, iv, opts))
     # Fewest-options first; identical sources adjacent for symmetry breaking.
     options.sort(key=lambda t: (len(t[2]), t[2], (t[1].min, t[1].max), str(t[0])))
 
-    sum_min = [0] * len(sinks)
-    sum_max = [0] * len(sinks)
-    potential = [0] * len(sinks)
+    sum_min, sum_max, potential = [0] * len(sinks), [0] * len(sinks), [0] * len(sinks)
     for _, iv, opts in options:
         for j in opts:
             potential[j] += iv.min
-    work = [0]
-
-    def feasible_min(j):
-        _, siv = sinks[j]
-        return sum_min[j] + potential[j] >= siv.min
 
     lam = {}
-
-    def solve(k):
-        work[0] += 1
-        if work[0] > DEFAULT_ROUTING_CAP:
+    # Per level entered: its sinks left to try, and the sink taken with the
+    # max sum it had before, or None.
+    stack = []
+    for work in count(1):  # one level entered per pass
+        if work > DEFAULT_ROUTING_CAP:
             raise WorkCapError(f"routing search exceeded {DEFAULT_ROUTING_CAP} steps")
-        if k == len(options):
-            return all(
-                siv.min <= sum_min[j] and sum_max[j] <= siv.max
-                for j, (_, siv) in enumerate(sinks)
-            )
-        v, iv, opts = options[k]
-        for j in opts:
-            potential[j] -= iv.min
-        start = 0
-        if k and options[k - 1][1:] == (iv, opts):
-            start = opts.index(sink_pos[lam[options[k - 1][0]]])
-        ok = False
-        for j in opts[start:]:
-            _, siv = sinks[j]
-            old_max = sum_max[j]
-            if old_max + iv.max > siv.max:
-                continue
-            sum_min[j] += iv.min
-            sum_max[j] = old_max + iv.max
-            lam[v] = sinks[j][0]
-            if all(feasible_min(jj) for jj in opts):
-                if solve(k + 1):
-                    ok = True
-            sum_min[j] -= iv.min
-            sum_max[j] = old_max
-            if ok:
+        k = len(stack)
+        if k < len(options):
+            _, iv, opts = options[k]
+            for j in opts:
+                potential[j] -= iv.min
+            start = opts.index(stack[-1][1][0]) if k and options[k - 1][1:] == (iv, opts) else 0
+            stack.append([iter(opts[start:]), None])
+        elif all(siv.min <= sum_min[j] and sum_max[j] <= siv.max for j, (_, siv) in enumerate(sinks)):
+            assert verify_routing(inst, lam), "backtracking produced an invalid witness"
+            return lam
+        # Move the deepest level to its next sink within max that keeps
+        # every min reachable, leaving the levels that have none left.
+        while stack:
+            frame = stack[-1]
+            v, iv, opts = options[len(stack) - 1]
+            if frame[1] is not None:
+                j, old_max = frame[1]
+                sum_min[j] -= iv.min
+                sum_max[j] = old_max
+                del lam[v]
+                frame[1] = None
+            for j in frame[0]:
+                if sum_max[j] + iv.max <= sinks[j][1].max and all(
+                        sum_min[jj] + potential[jj] + (iv.min if jj == j else 0) >= sinks[jj][1].min
+                        for jj in opts):
+                    frame[1] = j, sum_max[j]
+                    sum_min[j] += iv.min
+                    sum_max[j] += iv.max
+                    lam[v] = sinks[j][0]
+                    break
+            if frame[1] is not None:
                 break
-            del lam[v]
-        for j in opts:
-            potential[j] += iv.min
-        return ok
-
-    if solve(0):
-        result = dict(lam)
-        assert verify_routing(inst, result), "backtracking produced an invalid witness"
-        return result
-    return None
+            for j in opts:
+                potential[j] += iv.min
+            stack.pop()
+        else:
+            return None
 
 
 # --- Simulations ------------------------------------------------------------
@@ -326,39 +324,35 @@ class SimulationRelation:
         return {n for n, _ in self.pairs}
 
 
-def routing_instance(g: Graph, h: Graph, n, m, rel) -> RoutingInstance:
-    """The flow-routing instance for witnessing (n, m) under relation rel."""
-    g_out = g.out(n)
-    h_out = h.out(m)
-    sources = tuple((i, e.occur) for i, e in enumerate(g_out))
-    sinks = tuple((j, f.occur) for j, f in enumerate(h_out))
-    allowed = frozenset(
-        (i, j)
-        for i, e in enumerate(g_out)
-        for j, f in enumerate(h_out)
-        if e.label == f.label and (e.target, f.target) in rel
+def routing_instance(proj) -> RoutingInstance:
+    """The flow-routing instance of a projected signature (see
+    _Simulation.projected): sink j is out-edge j of the h-node and source i
+    out-edge i of the g-node, allowed to route to the sinks listed."""
+    sinks, sources = proj
+    return RoutingInstance(
+        tuple((i, Interval(*occ)) for i, (occ, _) in enumerate(sources)),
+        tuple((j, Interval(*occ)) for j, occ in enumerate(sinks)),
+        frozenset((i, j) for i, (_, js) in enumerate(sources) for j in js),
     )
-    return RoutingInstance(sources, sinks, allowed)
 
 
 def find_witness(inst: RoutingInstance):
-    basic = all(iv.basic for _, iv in inst.sources + inst.sinks)
-    if basic:
+    """A routing by the one flow when every sink is basic, else by the
+    exact search."""
+    if all(iv.basic for _, iv in inst.sinks):
         return witness_exists_basic(inst)
     return witness_exists_general(inst)
 
 
 class _Simulation(Refinement):
-    """The greatest simulation of g in h as a refinement: each g-node's set
-    is the h-nodes still related to it.  On a memo miss, each h-node m of
-    the set is checked, in h.nodes order, by a witness search on the
-    routing instance of (n, m).  The search is memoized on the instance's
-    content: the occurrences of m's out-edges and, per out-edge of n, its
-    occurrence and the out-edges of m it may route to."""
+    """The greatest simulation in h as a refinement: each g-node's set is
+    the h-nodes still related to it.  On a memo miss, each h-node m of the
+    set is checked, in h.nodes order, by a witness search on the routing
+    instance that the key projected onto m fixes (projected).  The search
+    is memoized on that projection."""
 
-    def __init__(self, g: Graph, h: Graph):
+    def __init__(self, h: Graph):
         super().__init__(h.nodes)
-        self.g, self.h = g, h
         # h-node -> (its out-edges' occurrences, label -> [(index in h.out(m), target)])
         self.h_out = {}
         for m in h.nodes:
@@ -370,26 +364,20 @@ class _Simulation(Refinement):
 
     def projected(self, m, sig):
         """sig, out-edges as (label, occurrence, target's set id), read
-        only for what the routing instance of an h-node m holds."""
+        only for what the routing instance of an h-node m holds: m's
+        out-edge occurrences and, per out-edge of sig, its occurrence and
+        the out-edges of m it may route to."""
         sinks, by_label = self.h_out[m]
         sets = self.sets
         return sinks, tuple([(occ, tuple([j for j, t in by_label.get(lab, ()) if t in sets[s]]))
                              for lab, occ, s in sig])
 
-    def check(self, key, i) -> frozenset:
-        n = self.g.nodes[i]
-        own, sig = self.sets[key[0]], key[1]
+    def check(self, key) -> frozenset:
         kept = []
-        rel = None
-        for m in self.h.nodes:
-            if m not in own:
-                continue
-            proj = self.projected(m, sig)
+        for m in self.members(key[0]):
+            proj = self.projected(m, key[1])
             if proj not in self.witnesses:
-                if rel is None:
-                    rel = {(e.target, t) for e, (_, _, s) in zip(self.g.out(n), sig)
-                           for t in self.sets[s]}
-                self.witnesses[proj] = find_witness(routing_instance(self.g, self.h, n, m, rel))
+                self.witnesses[proj] = find_witness(routing_instance(proj))
             if self.witnesses[proj] is not None:
                 kept.append(m)
         return frozenset(kept)
@@ -412,7 +400,7 @@ def max_simulation(g: Graph, h: Graph) -> SimulationRelation:
     out = [[(e.label, (e.occur.min, e.occur.max), index[e.target]) for e in g.out(n)]
            for n in g.nodes]
     inc = [[index[e.source] for e in g.incoming(n)] for n in g.nodes]
-    sim = _Simulation(g, h)
+    sim = _Simulation(h)
     state = sim.fixpoint(out, inc)
     witnesses = {}
     for n, o, own in zip(g.nodes, out, state):

@@ -183,16 +183,17 @@ class Typer(Refinement):
         ids = self.fixpoint(out, inc)
         return {n: self.sets[i] for n, i in zip(g.nodes, ids)}
 
-    def check(self, key, i=None) -> frozenset:
-        """The types of key's set that a node with key satisfies.  A type
-        is dropped unchecked when one of the node's labels with k > 0 is
-        not in its alphabet, or when it is flat and one of its atoms with
-        min >= 1 has a label the node lacks: no routing exists then."""
+    def check(self, key) -> frozenset:
+        """The types of key's set that a node with key satisfies, checked
+        in Schema.types order.  A type is dropped unchecked when one of the
+        node's labels with k > 0 is not in its alphabet, or when it is flat
+        and one of its atoms with min >= 1 has a label the node lacks: no
+        routing exists then."""
         out = [_edge(lab, k) for lab, k, _ in key[1]]
         choices = [self.sets[j] for _, _, j in key[1]]
         have = {lab for lab, k, _ in key[1] if k}
         return frozenset(
-            t for t in self.sets[key[0]]
+            t for t in self.members(key[0])
             if self._may_hold(t, have) and satisfies_type(self.s, t, out, choices)
         )
 

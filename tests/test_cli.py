@@ -119,6 +119,25 @@ class TestExitCodes:
         assert json.loads(r.stdout) == {"verdict": "unknown", "stats": {}}
         assert time.monotonic() - start < 10
 
+    # One compressed node with 3,000 [2;2] a-edges: the exact search, which
+    # takes one level per source, and the flow both embed it.
+    HUB = "graph compressed\n" + "".join(f"g a x{i} [2;2]\n" for i in range(3000))
+
+    @pytest.mark.parametrize("shape", [
+        "graph general\nH a X [0;6000]\n",  # a non-basic sink: the exact search
+        "graph shape\nH a X *\nH a Y ?\n",  # basic sinks: the flow
+    ], ids=["search", "flow"])
+    def test_hub_embeds(self, runner, tmp_path, shape):
+        g, h = tmp_path / "hub.graph", tmp_path / "h.graph"
+        g.write_text(self.HUB)
+        h.write_text(shape)
+        start = time.monotonic()
+        r = runner.invoke(main, ["--json", "embed", str(g), str(h)])
+        assert r.exit_code == 0, r.output
+        assert {"g": "g", "h": "H", "map": [[["g", "a", f"x{i}"], ["H", "a", "X"]] for i in range(3000)]} \
+            in json.loads(r.stdout)["witness"]
+        assert time.monotonic() - start < 1
+
     def test_unknown_subcommand_is_3(self, runner):
         r = runner.invoke(main, ["frobnicate"])
         assert r.exit_code == 3

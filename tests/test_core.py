@@ -161,6 +161,11 @@ class TestKindFlags:
         assert g.is_compressed == (_kind_fault(edges, "compressed") is None)
         assert g.is_shape == (_kind_fault(edges, "shape") is None)
 
+    def test_unknown_kind_is_rejected(self):
+        # Accepted, it would serialize to a header that parse_graph rejects.
+        with pytest.raises(GraphKindError, match="unknown graph kind 'bogus'"):
+            Graph(("x",), (), kind="bogus")
+
     @pytest.mark.parametrize("text, message", [
         ("graph simple\nx a y\nx b y\nx a y\n", "duplicate (source,label,target) edge: x a y 1"),
         ("graph simple\nx a y\nx b y ?\n", "simple graph requires occurrence 1 on edge: x b y ?"),

@@ -16,6 +16,7 @@ from shapegraph import (
     RoutingInstance,
     STAR,
     SimulationRelation,
+    ZERO,
     embeds,
     max_simulation,
     to_shape_graph,
@@ -25,8 +26,8 @@ from shapegraph import (
     witness_exists_general,
 )
 from shapegraph.core import Worklist
-from shapegraph.embedding import feasible_flow, find_witness, routing_instance
-from shapegraph.errors import ClassPreconditionError
+from shapegraph.embedding import _Simulation, feasible_flow, find_witness, routing_instance
+from shapegraph.errors import ClassPreconditionError, WorkCapError
 
 from conftest import (
     BASIC,
@@ -70,12 +71,16 @@ def reference_simulation(g, h):
         rel = nxt
 
 
-def random_routing_instance(rng: random.Random, max_side=4, basic_only=True):
+# Sources beyond the basic intervals; sinks stay basic, so the flow decides.
+WIDE_SOURCES = BASIC + [ZERO, Interval(2, 2), Interval(3, 3), Interval(2, 3), Interval(2, INF)]
+GENERAL = BASIC + [Interval(2, 3), Interval(2, 2), Interval(1, 3)]
+
+
+def random_routing_instance(rng: random.Random, max_side=4, source_pool=BASIC, sink_pool=BASIC):
     ns = rng.randint(1, max_side)
     nu = rng.randint(1, max_side)
-    pool = BASIC if basic_only else BASIC + [Interval(2, 3), Interval(2, 2), Interval(1, 3)]
-    sources = tuple((f"v{i}", rng.choice(pool)) for i in range(ns))
-    sinks = tuple((f"u{j}", rng.choice(pool)) for j in range(nu))
+    sources = tuple((f"v{i}", rng.choice(source_pool)) for i in range(ns))
+    sinks = tuple((f"u{j}", rng.choice(sink_pool)) for j in range(nu))
     allowed = frozenset(
         (v, u)
         for v, _ in sources
@@ -83,6 +88,18 @@ def random_routing_instance(rng: random.Random, max_side=4, basic_only=True):
         if rng.random() < 0.6
     )
     return RoutingInstance(sources, sinks, allowed)
+
+
+def projection(g, h, n, m, rel):
+    """The projected signature of (n, m) under relation rel, from the
+    definition: m's out-edge occurrences and, per out-edge of n, its
+    occurrence and the same-label out-edges of m whose target rel relates
+    to its target."""
+    return (tuple((f.occur.min, f.occur.max) for f in h.out(m)),
+            tuple(((e.occur.min, e.occur.max),
+                   tuple(j for j, f in enumerate(h.out(m))
+                         if f.label == e.label and (e.target, f.target) in rel))
+                  for e in g.out(n)))
 
 
 class TestRouting:
@@ -105,15 +122,40 @@ class TestRouting:
         assert witness_exists_basic(inst) is None
 
     def test_basic_rejects_general_intervals(self):
-        inst = RoutingInstance((("v", Interval(2, 3)),), (("u", STAR),), frozenset({("v", "u")}))
+        # Only a non-basic sink is outside the flow; a [2;3] source on a *
+        # sink routes by both.
+        inst = RoutingInstance((("v", Interval(2, 3)),), (("u", Interval(2, 6)),), frozenset({("v", "u")}))
         with pytest.raises(ClassPreconditionError):
             witness_exists_basic(inst)
         assert witness_exists_general(inst) == {"v": "u"}
+        inst = RoutingInstance((("v", Interval(2, 3)),), (("u", STAR),), frozenset({("v", "u")}))
+        assert witness_exists_basic(inst) == witness_exists_general(inst) == {"v": "u"}
+
+    def test_identical_sources_take_nondecreasing_sinks(self, monkeypatch):
+        # Twelve identical sources cannot fit two sinks of max 5.  Taking
+        # the sinks in nondecreasing order, the search enters 36 levels (one
+        # step each) before it gives up; in every order it would enter
+        # thousands.
+        sources = tuple((f"v{i}", ONE) for i in range(12))
+        sinks = (("u1", Interval(0, 5)), ("u2", Interval(0, 5)))
+        inst = RoutingInstance(sources, sinks, frozenset((v, u) for v, _ in sources for u, _ in sinks))
+        monkeypatch.setattr(shapegraph.embedding, "DEFAULT_ROUTING_CAP", 36)
+        assert witness_exists_general(inst) is None
+        monkeypatch.setattr(shapegraph.embedding, "DEFAULT_ROUTING_CAP", 35)
+        with pytest.raises(WorkCapError):
+            witness_exists_general(inst)
+
+    def test_zero_source_needs_an_allowed_sink(self):
+        sinks = (("u1", ONE), ("u2", OPT))
+        inst = RoutingInstance((("v", ZERO), ("w", ONE)), sinks, frozenset({("v", "u2"), ("w", "u1")}))
+        assert witness_exists_basic(inst) == {"v": "u2", "w": "u1"}
+        inst = RoutingInstance((("v", ZERO), ("w", ONE)), sinks, frozenset({("w", "u1")}))
+        assert witness_exists_basic(inst) is None
 
     def test_oracle_agreement_random(self):
         rng = random.Random(41)
-        for _ in range(400):
-            inst = random_routing_instance(rng)
+        for _ in range(1000):
+            inst = random_routing_instance(rng, source_pool=WIDE_SOURCES)
             fast = witness_exists_basic(inst)
             slow = witness_exists_general(inst)
             assert (fast is None) == (slow is None), inst
@@ -123,7 +165,7 @@ class TestRouting:
     def test_general_interval_instances(self):
         rng = random.Random(43)
         for _ in range(150):
-            inst = random_routing_instance(rng, max_side=3, basic_only=False)
+            inst = random_routing_instance(rng, max_side=3, source_pool=GENERAL, sink_pool=GENERAL)
             lam = witness_exists_general(inst)
             if lam is not None:
                 assert verify_routing(inst, lam)
@@ -317,7 +359,7 @@ class TestSimulationProperties:
                 bad = {
                     p
                     for p in rel
-                    if find_witness(routing_instance(g, h, p[0], p[1], rel)) is None
+                    if find_witness(routing_instance(projection(g, h, *p, rel))) is None
                 }
                 if not bad:
                     break
@@ -349,18 +391,26 @@ class TestSimulationProperties:
              Edge("h1", "b", "h0", STAR), Edge("h2", "c", "h3")],
             kind="shape",
         )
-        found = []
+        # A check builds each pair's instance right after projecting the
+        # key onto it; the key's one out-edge names the g-node.
+        found, last, node_of = [], [None], {"a": "g0", "b": "g1"}
+        project = _Simulation.projected
         build, search = shapegraph.embedding.routing_instance, shapegraph.embedding.find_witness
 
-        def recording_instance(g_, h_, n, m, rel):
-            found.append([(n, m), None])
-            return build(g_, h_, n, m, rel)
+        def recording_projected(self, m, sig):
+            last[0] = (node_of[sig[0][0]], m)
+            return project(self, m, sig)
+
+        def recording_instance(proj):
+            found.append([last[0], None])
+            return build(proj)
 
         def recording_search(inst):
             lam = search(inst)
             found[-1][1] = lam
             return lam
 
+        monkeypatch.setattr(_Simulation, "projected", recording_projected)
         monkeypatch.setattr(shapegraph.embedding, "routing_instance", recording_instance)
         monkeypatch.setattr(shapegraph.embedding, "find_witness", recording_search)
         sim = max_simulation(g, h)

@@ -237,6 +237,23 @@ class TestMaxTyping:
         assert max_typing(g, s) == {"x": frozenset({"p", "r"}), "y": frozenset({"r", "w", "u"})}
         assert checked == {(("a",), "p"), (("a",), "r"), ((), "r"), ((), "w"), ((), "u")}
 
+    def test_check_walks_types_in_schema_order(self, monkeypatch):
+        # A type set is a frozenset, whose order follows string hashing;
+        # the checks, and so the work done before a cap is hit, must not.
+        checked = []
+        check = shapegraph.validation.satisfies_type
+
+        def recording(s, ty, out, choices):
+            checked.append((tuple(e.label for e in out), ty))
+            return check(s, ty, out, choices)
+
+        monkeypatch.setattr(shapegraph.validation, "satisfies_type", recording)
+        names = ["zeta", "alpha", "m7", "b", "t10", "t2", "q", "kappa", "c3", "omega", "d", "e9"]
+        s = parse_schema("".join(f"{t} -> a::u?\n" for t in names) + "u -> eps\n")
+        g = parse_graph("graph simple\nx a y\n")
+        assert max_typing(g, s) == {"x": frozenset(names), "y": frozenset(s.types)}
+        assert checked == [((), t) for t in s.types] + [(("a",), t) for t in names]
+
     def test_shared_typer_on_twin_nodes_equals_reference(self):
         # Compressed graphs put out-edges of cardinality k > 1 in the memo
         # keys, next to the simple graphs' k = 1.
