@@ -279,7 +279,7 @@ def _parse_clauses(clause_args):
         try:
             clauses.append(tuple(int(tok) for tok in text.replace(",", " ").split()))
         except ValueError:
-            raise click.ClickException(f"bad clause {text!r}: expected signed integers")
+            raise _CliError(f"bad clause {text!r}: expected signed integers") from None
     return tuple(clauses)
 
 

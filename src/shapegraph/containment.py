@@ -490,23 +490,25 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
 def contains(h: Schema, k: Schema, method: str = "auto", budget: Budget = Budget()):
     """Containment verdict; method 'embedding' requires both schemas in the
     deterministic ?-closed class, 'search' runs the bounded enumeration,
-    'auto' picks embedding exactly when both classify into that class."""
+    'auto' picks embedding exactly when both classify into that class: it
+    falls back to the search on the class check of contains_detshex0minus,
+    so each schema is classified once."""
     if method not in ("auto", "embedding", "search"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        both_minus = (
-            classify(h)[0] == SchemaClass.DetShEx0Minus
-            and classify(k)[0] == SchemaClass.DetShEx0Minus
-        )
-        method = "embedding" if both_minus else "search"
-    if method == "embedding":
-        if contains_detshex0minus(h, k):
-            return Contained()
-        witness = characterizing_graph(h)
-        if _val.validates(witness, h) and not _val.validates(witness, k):
-            return NotContained(witness)
-        fallback = find_counterexample(h, k, budget)
-        if isinstance(fallback, NotContained):
-            return fallback
-        return Unknown("embedding refuted containment but no witness materialized")
-    return find_counterexample(h, k, budget)
+    if method == "search":
+        return find_counterexample(h, k, budget)
+    try:
+        contained = contains_detshex0minus(h, k)
+    except ClassPreconditionError:
+        if method == "embedding":
+            raise
+        return find_counterexample(h, k, budget)
+    if contained:
+        return Contained()
+    witness = characterizing_graph(h)
+    if _val.validates(witness, h) and not _val.validates(witness, k):
+        return NotContained(witness)
+    fallback = find_counterexample(h, k, budget)
+    if isinstance(fallback, NotContained):
+        return fallback
+    return Unknown("embedding refuted containment but no witness materialized")

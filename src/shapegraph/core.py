@@ -69,8 +69,6 @@ PLUS = Interval(1, INF)
 STAR = Interval(0, INF)
 ZERO = Interval(0, 0)
 
-BASIC_INTERVALS = (ONE, OPT, PLUS, STAR)
-
 
 def interval_sum(intervals) -> Interval:
     """Fold of pointwise addition; the empty fold is [0;0]."""
@@ -420,56 +418,6 @@ def serialize_graph(g: Graph) -> str:
 # --- Unpacking of compressed graphs ----------------------------------------
 
 
-def _strongly_connected_components(g: Graph) -> list[list[str]]:
-    """Tarjan's algorithm, iterative; components in reverse topological order."""
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    comps: list[list[str]] = []
-    counter = [0]
-
-    for root in g.nodes:
-        if root in index:
-            continue
-        work = [(root, iter(g.out(root)))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for e in it:
-                w = e.target
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(g.out(w))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-    return comps
-
-
 DEFAULT_UNPACK_CAP = 10**6
 
 
@@ -481,7 +429,10 @@ def unpack(f: Graph, max_nodes: int = DEFAULT_UNPACK_CAP):
     incoming-cardinality product along the condensation; members of a
     non-trivial strongly connected component all receive as many copies as
     the largest incoming cardinality, wired round-robin (a copy may target
-    itself; a card-1 self-loop is a fixed point).
+    itself; a card-1 self-loop is a fixed point).  The components come from
+    the fixpoint's depth-first post-order (_post_order), as in
+    Kosaraju-Sharir: the in-edge closures of the nodes not yet placed,
+    taken in reverse post-order, are the components in topological order.
 
     Returns (simple_graph, copy_map) where copy_map sends each new node
     to the original it copies.
@@ -489,40 +440,31 @@ def unpack(f: Graph, max_nodes: int = DEFAULT_UNPACK_CAP):
     if not f.is_compressed:
         raise GraphKindError("unpack requires a compressed graph")
 
-    comps = _strongly_connected_components(f)  # reverse topological order
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for n in comp:
-            comp_of[n] = ci
-    nontrivial = set()
-    for ci, comp in enumerate(comps):
-        if len(comp) > 1:
-            nontrivial.add(ci)
-    for e in f.edges:
-        if e.source == e.target:
-            nontrivial.add(comp_of[e.source])
-
+    nodes = f.nodes
+    index = {n: i for i, n in enumerate(nodes)}
+    order = _post_order([[(e.label, e.occur, index[e.target]) for e in f.out(n)] for n in nodes])
+    placed = [False] * len(nodes)
     copies: dict[str, int] = {}
     total = 0
-    # comps is in reverse topological order; process in topological order.
-    for comp in reversed(comps):
-        ci = comp_of[comp[0]]
-        if ci in nontrivial:
-            max_card = 0
-            for n in comp:
-                for e in f.incoming(n):
-                    max_card = max(max_card, e.occur.min)
-            k = max(1, max_card)
-            for n in comp:
-                copies[n] = k
-                total += k
+    for root in reversed(order):
+        if placed[root]:
+            continue
+        placed[root] = True
+        comp = [nodes[root]]
+        for m in comp:
+            for e in f.incoming(m):
+                j = index[e.source]
+                if not placed[j]:
+                    placed[j] = True
+                    comp.append(e.source)
+        n = comp[0]
+        if len(comp) > 1 or any(e.target == n for e in f.out(n)):
+            k = max([1] + [e.occur.min for m in comp for e in f.incoming(m)])
         else:
-            n = comp[0]
-            s = 0
-            for e in f.incoming(n):
-                s += e.occur.min * copies[e.source]
-            copies[n] = max(1, s)
-            total += copies[n]
+            k = max(1, sum(e.occur.min * copies[e.source] for e in f.incoming(n)))
+        for m in comp:
+            copies[m] = k
+        total += k * len(comp)
         if total > max_nodes:
             raise UnpackBudgetError(
                 f"unpacking needs more than {max_nodes} nodes ({total} so far)"

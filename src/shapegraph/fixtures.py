@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .core import Edge, Graph, Interval, ONE, OPT, PLUS
+from .core import Edge, Graph, Interval, OPT, PLUS
 from .errors import ShapegraphError
 from . import rbe as _rbe
 from .schema import Schema
@@ -30,10 +30,7 @@ class CnfFormula:
     occurrences_per_variable: int | None = None
 
     def __post_init__(self):
-        for cl in self.clauses:
-            for lit in cl:
-                if lit == 0 or abs(lit) > self.num_vars:
-                    raise ValueError(f"literal {lit} out of range")
+        _check_literals(self.num_vars, self.clauses)
 
     def counts(self):
         pos = {i: 0 for i in range(1, self.num_vars + 1)}
@@ -53,6 +50,15 @@ class CnfFormula:
             and all(totals[i] == k for i in totals)
             and all(pos[i] >= 1 and neg[i] >= 1 for i in pos)
         )
+
+
+def _check_literals(num_vars: int, clauses):
+    """Raise ValueError unless every literal is ±i for a variable i in
+    1..num_vars."""
+    for cl in clauses:
+        for lit in cl:
+            if lit == 0 or abs(lit) > num_vars:
+                raise ValueError(f"literal {lit} out of range")
 
 
 def cnf_satisfiable(phi: CnfFormula) -> bool:
@@ -184,19 +190,14 @@ def dnf_containment_instance(num_vars: int, clauses):
     degenerate (no t/f edge: r0 family; both edges: r1 family) or when some
     clause is satisfied (rd family with per-variable literal nodes).
     """
+    _check_literals(num_vars, clauses)
     n = num_vars
     xs = [f"x{i}" for i in range(1, n + 1)]
-
-    def rule(parts):
-        return _rbe.concat_all(parts)
-
-    def atom(lab, ty, iv=ONE):
-        s = _rbe.Sym((lab, ty))
-        return s if iv == ONE else _rbe.Repeat(s, iv)
+    rule, atom = _rbe.concat_all, _rbe.atom
 
     h_defs = {
-        "r": rule([atom(x, "v") for x in xs]),
-        "v": rule([atom("t", "o", OPT), atom("f", "o", OPT)]),
+        "r": rule([atom((x, "v")) for x in xs]),
+        "v": rule([atom(("t", "o"), OPT), atom(("f", "o"), OPT)]),
         "o": _rbe.EPSILON,
     }
     h = Schema(h_defs)
@@ -204,23 +205,23 @@ def dnf_containment_instance(num_vars: int, clauses):
     k_defs = {}
     for i in range(1, n + 1):
         k_defs[f"r0_{i}"] = rule(
-            [atom(x, "v0" if j == i else "v") for j, x in enumerate(xs, start=1)]
+            [atom((x, "v0" if j == i else "v")) for j, x in enumerate(xs, start=1)]
         )
         k_defs[f"r1_{i}"] = rule(
-            [atom(x, "v1" if j == i else "v") for j, x in enumerate(xs, start=1)]
+            [atom((x, "v1" if j == i else "v")) for j, x in enumerate(xs, start=1)]
         )
     for j, cl in enumerate(clauses, start=1):
-        k_defs[f"rd{j}"] = rule([atom(x, f"w{j}_{i}") for i, x in enumerate(xs, start=1)])
+        k_defs[f"rd{j}"] = rule([atom((x, f"w{j}_{i}")) for i, x in enumerate(xs, start=1)])
         for i in range(1, n + 1):
             if i in cl:
-                k_defs[f"w{j}_{i}"] = atom("t", "o")
+                k_defs[f"w{j}_{i}"] = atom(("t", "o"))
             elif -i in cl:
-                k_defs[f"w{j}_{i}"] = atom("f", "o")
+                k_defs[f"w{j}_{i}"] = atom(("f", "o"))
             else:
-                k_defs[f"w{j}_{i}"] = rule([atom("t", "o", OPT), atom("f", "o", OPT)])
-    k_defs["v"] = rule([atom("t", "o", OPT), atom("f", "o", OPT)])
+                k_defs[f"w{j}_{i}"] = rule([atom(("t", "o"), OPT), atom(("f", "o"), OPT)])
+    k_defs["v"] = rule([atom(("t", "o"), OPT), atom(("f", "o"), OPT)])
     k_defs["v0"] = _rbe.EPSILON
-    k_defs["v1"] = rule([atom("t", "o"), atom("f", "o")])
+    k_defs["v1"] = rule([atom(("t", "o")), atom(("f", "o"))])
     k_defs["o"] = _rbe.EPSILON
     return h, Schema(k_defs)
 
@@ -236,9 +237,7 @@ def exponential_family(n: int):
     if n < 1:
         raise ValueError("n must be >= 1")
 
-    def atom(lab, ty, iv=ONE):
-        s = _rbe.Sym((lab, ty))
-        return s if iv == ONE else _rbe.Repeat(s, iv)
+    atom = _rbe.atom
 
     def leaf_rule(present=None, forced=None):
         # a_1..a_n optional edges to the sink; forced index appears as a
@@ -246,24 +245,29 @@ def exponential_family(n: int):
         parts = []
         for q in range(1, n + 1):
             if present is not None and q == present:
-                parts.append(atom(f"a{q}", "to"))
+                parts.append(atom((f"a{q}", "to")))
             elif forced is not None and q == forced:
                 continue
             else:
-                parts.append(atom(f"a{q}", "to", OPT))
+                parts.append(atom((f"a{q}", "to"), OPT))
         return _rbe.concat_all(parts)
+
+    def branch(d, j, child):
+        # A depth-j node whose d-child is optionally child_L or child_R and
+        # whose other child is a plain t{j+1} subtree; L rules list the L
+        # edges first, R rules the R edges last.
+        kids = [atom((d, f"{child}_L"), OPT), atom((d, f"{child}_R"), OPT)]
+        other = atom(("R" if d == "L" else "L", f"t{j+1}"))
+        return _rbe.concat_all(kids + [other] if d == "L" else [other] + kids)
 
     h_defs = {}
     for i in range(1, n + 1):
-        h_defs[f"t{i}"] = _rbe.Concat((atom("L", f"t{i+1}"), atom("R", f"t{i+1}")))
+        h_defs[f"t{i}"] = _rbe.Concat((atom(("L", f"t{i+1}")), atom(("R", f"t{i+1}"))))
     h_defs[f"t{n+1}"] = leaf_rule()
     h_defs["to"] = _rbe.EPSILON
     h = Schema(h_defs)
 
     k_defs = {key: val for key, val in h_defs.items() if key != "t1"}
-    if n == 1:
-        # t2..tn+1 rules only; t1 intentionally absent from K.
-        pass
     for i in range(1, n + 1):
         for m in (0, 1):
             for d in ("L", "R"):
@@ -272,49 +276,13 @@ def exponential_family(n: int):
                 )
         for j in range(i + 1, n + 1):
             for m in (0, 1):
-                k_defs[f"s{j}_{i}_{m}_L"] = _rbe.concat_all(
-                    [
-                        atom("L", f"s{j+1}_{i}_{m}_L", OPT),
-                        atom("L", f"s{j+1}_{i}_{m}_R", OPT),
-                        atom("R", f"t{j+1}"),
-                    ]
-                )
-                k_defs[f"s{j}_{i}_{m}_R"] = _rbe.concat_all(
-                    [
-                        atom("L", f"t{j+1}"),
-                        atom("R", f"s{j+1}_{i}_{m}_L", OPT),
-                        atom("R", f"s{j+1}_{i}_{m}_R", OPT),
-                    ]
-                )
-        k_defs[f"p{i}_{i}_L"] = _rbe.concat_all(
-            [
-                atom("L", f"s{i+1}_{i}_0_L", OPT),
-                atom("L", f"s{i+1}_{i}_0_R", OPT),
-                atom("R", f"t{i+1}"),
-            ]
-        )
-        k_defs[f"p{i}_{i}_R"] = _rbe.concat_all(
-            [
-                atom("L", f"t{i+1}"),
-                atom("R", f"s{i+1}_{i}_1_L", OPT),
-                atom("R", f"s{i+1}_{i}_1_R", OPT),
-            ]
-        )
+                for d in ("L", "R"):
+                    k_defs[f"s{j}_{i}_{m}_{d}"] = branch(d, j, f"s{j+1}_{i}_{m}")
+        k_defs[f"p{i}_{i}_L"] = branch("L", i, f"s{i+1}_{i}_0")
+        k_defs[f"p{i}_{i}_R"] = branch("R", i, f"s{i+1}_{i}_1")
         for j in range(1, i):
-            k_defs[f"p{j}_{i}_L"] = _rbe.concat_all(
-                [
-                    atom("L", f"p{j+1}_{i}_L", OPT),
-                    atom("L", f"p{j+1}_{i}_R", OPT),
-                    atom("R", f"t{j+1}"),
-                ]
-            )
-            k_defs[f"p{j}_{i}_R"] = _rbe.concat_all(
-                [
-                    atom("L", f"t{j+1}"),
-                    atom("R", f"p{j+1}_{i}_L", OPT),
-                    atom("R", f"p{j+1}_{i}_R", OPT),
-                ]
-            )
+            for d in ("L", "R"):
+                k_defs[f"p{j}_{i}_{d}"] = branch(d, j, f"p{j+1}_{i}")
     return h, Schema(k_defs)
 
 

@@ -213,28 +213,27 @@ def psi_sound_cap(e: _rbe.Rbe, w, n: int = 1) -> int:
 
 DEFAULT_EVAL_WORK = 2 * 10**6
 
-UNKNOWN = "unknown"
-
 
 @dataclass
 class _EvalState:
     cap: int
-    assume_cap_sound: bool
     work: int = 0
 
 
-def pa_eval_bounded(f: PAFormula, assignment: dict, cap: int, assume_cap_sound: bool = False):
+def pa_eval_bounded(f: PAFormula, assignment: dict, cap: int) -> bool:
     """Evaluate with quantified variables over {0..bound}; bounds are derived
     from equalities and inequalities in the conjunctive spine where possible
     and fall back to cap otherwise.
 
-    Returns True, False, or UNKNOWN when a failed existential involved a
-    variable that was only cap-bounded (suppressed by assume_cap_sound).
+    Returns True or False.  An existential that finds no model within the
+    bounds is False, so the answer is exact only when cap is sound for the
+    formula, as psi_sound_cap is for the psi family; raises WorkCapError
+    past DEFAULT_EVAL_WORK steps.
     """
     missing = free_variables(f) - set(assignment)
     if missing:
         raise ValueError(f"unassigned free variables: {sorted(missing)}")
-    st = _EvalState(cap=cap, assume_cap_sound=assume_cap_sound)
+    st = _EvalState(cap=cap)
     return _eval(f, dict(assignment), st)
 
 
@@ -277,23 +276,9 @@ def _eval(f: PAFormula, env: dict, st: _EvalState):
     if isinstance(f, Le):
         return f.lhs.value(env) <= f.rhs.value(env)
     if isinstance(f, And):
-        unknown = False
-        for p in f.parts:
-            r = _eval(p, env, st)
-            if r is False:
-                return False
-            if r == UNKNOWN:
-                unknown = True
-        return UNKNOWN if unknown else True
+        return all(_eval(p, env, st) for p in f.parts)
     if isinstance(f, Or):
-        unknown = False
-        for p in f.parts:
-            r = _eval(p, env, st)
-            if r is True:
-                return True
-            if r == UNKNOWN:
-                unknown = True
-        return UNKNOWN if unknown else False
+        return any(_eval(p, env, st) for p in f.parts)
     if isinstance(f, Exists):
         return _eval_exists(f, env, st)
     raise TypeError(f"not a formula: {f!r}")
@@ -303,19 +288,14 @@ def _eval_exists(f: Exists, env: dict, st: _EvalState):
     spine: list = []
     _flatten_and(f.body, spine)
     variables = list(f.variables)
-    capped = [False]
 
-    def search(i: int):
+    def search(i: int) -> bool:
         if i == len(variables):
             return _eval(f.body, env, st)
         v = variables[i]
         bound = _derived_bound(v, spine, env, st)
         if bound is None:
             bound = st.cap
-            capped[0] = True
-        if bound < 0:
-            return False
-        unknown = False
         for val in range(bound + 1):
             _tick(st)
             env[v] = val
@@ -326,20 +306,13 @@ def _eval_exists(f: Exists, env: dict, st: _EvalState):
                     if _eval(c, env, st) is False:
                         ok = False
                         break
-            if ok:
-                r = search(i + 1)
-                if r is True:
-                    del env[v]
-                    return True
-                if r == UNKNOWN:
-                    unknown = True
+            if ok and search(i + 1):
+                del env[v]
+                return True
             del env[v]
-        return UNKNOWN if unknown else False
+        return False
 
-    r = search(0)
-    if r is False and capped[0] and not st.assume_cap_sound:
-        return UNKNOWN
-    return r
+    return search(0)
 
 
 # --- Export -----------------------------------------------------------------

@@ -97,6 +97,11 @@ def disj_all(parts) -> Rbe:
     return Disj(parts)
 
 
+def atom(symbol, iv=ONE) -> Rbe:
+    """The symbol, repeated over iv unless iv is 1."""
+    return Sym(symbol) if iv == ONE else Repeat(Sym(symbol), iv)
+
+
 def alphabet(e: Rbe) -> frozenset:
     if isinstance(e, (Epsilon, Empty)):
         return frozenset()
@@ -268,10 +273,7 @@ def _factors(e: Rbe):
 
 
 def rbe0_to_rbe(e0: Rbe0) -> Rbe:
-    parts = []
-    for a, iv in e0.atoms:
-        parts.append(Sym(a) if iv == ONE else Repeat(Sym(a), iv))
-    return concat_all(parts)
+    return concat_all([atom(a, iv) for a, iv in e0.atoms])
 
 
 def rbe0_matches(e0: Rbe0, w: Bag) -> bool:

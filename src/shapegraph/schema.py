@@ -8,7 +8,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 
-from .core import ONE, OPT, PLUS, STAR, Edge, Graph
+from .core import OPT, PLUS, STAR, Edge, Graph
 from .errors import ClassPreconditionError, ParseError
 from . import rbe as _rbe
 
@@ -119,11 +119,7 @@ def from_shape_graph(g: Graph) -> Schema:
         raise ClassPreconditionError("graph uses non-basic occurrence intervals")
     defs = {}
     for n in g.nodes:
-        parts = []
-        for e in g.out(n):
-            sym = _rbe.Sym((e.label, e.target))
-            parts.append(sym if e.occur == ONE else _rbe.Repeat(sym, e.occur))
-        defs[n] = _rbe.concat_all(parts)
+        defs[n] = _rbe.concat_all([_rbe.atom((e.label, e.target), e.occur) for e in g.out(n)])
     return Schema(defs)
 
 

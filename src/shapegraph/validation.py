@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .core import ONE, Edge, Graph, Interval, Refinement
-from .errors import GraphKindError, WorkCapError
+from .errors import GraphKindError
 from . import rbe as _rbe
 from .embedding import feasible_flow
 from .schema import Schema
@@ -22,10 +22,16 @@ def signature(g: Graph, typing: dict, n) -> _rbe.Rbe:
     whose target carries no types contributes the empty-language factor."""
     if n not in g:
         raise ValueError(f"unknown node {n!r}")
+    return _signature(g.out(n), [typing.get(e.target, ()) for e in g.out(n)])
+
+
+def _signature(out, choices) -> _rbe.Rbe:
+    """∥ over the edges out of (| over the types choices[i] of out[i]'s
+    target, in sorted order), each factor raised to its edge's occurrence
+    unless that is 1."""
     factors = []
-    for e in g.out(n):
-        choices = sorted(typing.get(e.target, ()))
-        factor = _rbe.disj_all([_rbe.Sym((e.label, t)) for t in choices])
+    for e, types in zip(out, choices):
+        factor = _rbe.disj_all([_rbe.Sym((e.label, t)) for t in sorted(types)])
         if e.occur != ONE:
             factor = _rbe.Repeat(factor, e.occur)
         factors.append(factor)
@@ -109,13 +115,7 @@ def _satisfies_psi(out, choices, e0: _rbe.Rbe0) -> bool:
     validation path calls it; tests use it as an independent oracle."""
     from . import presburger as _pa
 
-    factors = []
-    for e, ch in zip(out, choices):
-        factor = _rbe.disj_all([_rbe.Sym((e.label, t)) for t in ch])
-        if e.occur != ONE:
-            factor = _rbe.Repeat(factor, e.occur)
-        factors.append(factor)
-    expr = _rbe.Intersect((_rbe.concat_all(factors), _rbe.rbe0_to_rbe(e0)))
+    expr = _rbe.Intersect((_signature(out, choices), _rbe.rbe0_to_rbe(e0)))
     formula, xvars, nvar = _pa.presburger_of(expr)
     body = _pa.Exists(tuple(xvars.values()), formula) if xvars else formula
     cap = max(
@@ -123,10 +123,7 @@ def _satisfies_psi(out, choices, e0: _rbe.Rbe0) -> bool:
         _rbe.max_finite_constant(expr),
         sum(e.occur.min for e in out),
     )
-    r = _pa.pa_eval_bounded(body, {nvar: 1}, cap, assume_cap_sound=True)
-    if r == _pa.UNKNOWN:
-        raise WorkCapError("linear-arithmetic satisfaction came back unknown")
-    return r
+    return _pa.pa_eval_bounded(body, {nvar: 1}, cap)
 
 
 def _satisfies_exhaustive(out, choices, delta: _rbe.Rbe, symbols) -> bool:

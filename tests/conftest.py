@@ -280,7 +280,7 @@ def random_shape_graph(rng: random.Random, max_nodes=5, labels=("a", "b")):
     return Graph(nodes, edges, kind="shape")
 
 
-def random_compressed_graph(rng: random.Random, max_nodes=4, labels=("a", "b"), max_card=3):
+def random_compressed_graph(rng: random.Random, max_nodes=4, labels=("a", "b"), max_card=3, min_card=1):
     n = rng.randint(1, max_nodes)
     nodes = [f"c{i}" for i in range(n)]
     edges = []
@@ -288,7 +288,7 @@ def random_compressed_graph(rng: random.Random, max_nodes=4, labels=("a", "b"), 
         for t in nodes:
             for lab in labels:
                 if rng.random() < 0.3:
-                    c = rng.randint(1, max_card)
+                    c = rng.randint(min_card, max_card)
                     edges.append(Edge(s, lab, t, Interval(c, c)))
     return Graph(nodes, edges, kind="compressed")
 

@@ -308,6 +308,18 @@ class TestFixtureCommands:
         assert r.exit_code == 0
         assert "schema" in r.output
 
+    @pytest.mark.parametrize("command", ["sat", "dnf"])
+    def test_bad_clause_is_a_usage_error(self, runner, command):
+        r = runner.invoke(main, ["fixtures", command, "--vars", "1", "x"])
+        assert r.exit_code == 3
+        assert "bad clause 'x'" in r.output
+
+    @pytest.mark.parametrize("args", [["--vars", "0", "1"], ["--vars", "1", "0"]])
+    def test_dnf_literal_out_of_range(self, runner, args):
+        r = runner.invoke(main, ["fixtures", "dnf", *args])
+        assert r.exit_code == 3
+        assert "out of range" in r.output
+
     def test_exp(self, runner):
         r = runner.invoke(main, ["fixtures", "exp", "1"])
         assert r.exit_code == 0

@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -236,6 +237,34 @@ class TestRefinementOrder:
             assert visits(lambda: max_simulation(g, h)) == len(g.nodes)
 
 
+def reference_copies(g):
+    """Copy counts of unpack, from the definition: a node on a cycle gets
+    the largest incoming cardinality of its component (the nodes it reaches
+    that reach it back), any other node the sum of cardinality times the
+    source's copies over its in-edges; at least 1 each."""
+    reach = {}
+    for n in g.nodes:
+        seen, todo = set(), [n]
+        while todo:
+            for e in g.out(todo.pop()):
+                if e.target not in seen:
+                    seen.add(e.target)
+                    todo.append(e.target)
+        reach[n] = seen
+    copies = {}
+
+    def count(n):
+        if n not in copies:
+            if n in reach[n]:
+                comp = [m for m in g.nodes if m in reach[n] and n in reach[m]]
+                copies[n] = max([1] + [e.occur.min for m in comp for e in g.incoming(m)])
+            else:
+                copies[n] = max(1, sum(e.occur.min * count(e.source) for e in g.incoming(n)))
+        return copies[n]
+
+    return {n: count(n) for n in g.nodes}
+
+
 class TestUnpack:
     def test_self_loop_fixed_point(self):
         g = parse_graph("graph compressed\nu a u\n")
@@ -257,6 +286,31 @@ class TestUnpack:
         g = parse_graph("graph compressed\nu a v [30;30]\nv b w [30;30]\nw c x [30;30]\n")
         with pytest.raises(UnpackBudgetError):
             unpack(g, max_nodes=100)
+
+    def test_copy_counts_match_the_definition(self):
+        rng = random.Random(19)
+        raised = 0
+        for _ in range(300):
+            g = random_compressed_graph(rng, max_nodes=6, max_card=3, min_card=0)
+            expected = reference_copies(g)
+            if sum(expected.values()) > 20:
+                with pytest.raises(UnpackBudgetError):
+                    unpack(g, max_nodes=20)
+                raised += 1
+                continue
+            _, cmap = unpack(g, max_nodes=20)
+            assert Counter(cmap.values()) == expected
+        assert 0 < raised < 300
+
+    @pytest.mark.parametrize("cyclic", [False, True])
+    def test_long_chain_and_cycle(self, cyclic):
+        n = 10**4
+        edges = [Edge(f"v{i}", "a", f"v{i + 1}") for i in range(n - 1)]
+        if cyclic:
+            edges.append(Edge(f"v{n - 1}", "a", "v0"))
+        u, cmap = unpack(Graph((), edges, kind="compressed"))
+        assert len(u.nodes) == n and len(u.edges) == len(edges)
+        assert all(cmap[m] == m for m in u.nodes)
 
     def test_copies_have_full_out_degree(self):
         rng = random.Random(7)

@@ -18,6 +18,7 @@ from shapegraph import (
     find_counterexample,
     normalize_cnf,
     sat_embedding_instance,
+    serialize_schema,
     union_containment_instance,
     validates,
 )
@@ -25,6 +26,105 @@ from shapegraph.errors import ShapegraphError
 from shapegraph.rbe import bag_matches, parse_rbe
 
 from conftest import random_flat_rbe
+
+
+# serialize_schema of exponential_family(n), H then K: the K rules in the
+# order the family has always emitted them.
+EXPONENTIAL_TEXT = {
+    1: (
+        "schema\n"
+        "t1 -> L::t2, R::t2\n"
+        "t2 -> a1::to?\n"
+        "to -> eps\n",
+        "schema\n"
+        "t2 -> a1::to?\n"
+        "to -> eps\n"
+        "s2_1_0_L -> eps\n"
+        "s2_1_0_R -> eps\n"
+        "s2_1_1_L -> a1::to\n"
+        "s2_1_1_R -> a1::to\n"
+        "p1_1_L -> L::s2_1_0_L?, L::s2_1_0_R?, R::t2\n"
+        "p1_1_R -> L::t2, R::s2_1_1_L?, R::s2_1_1_R?\n",
+    ),
+    2: (
+        "schema\n"
+        "t1 -> L::t2, R::t2\n"
+        "t2 -> L::t3, R::t3\n"
+        "t3 -> a1::to?, a2::to?\n"
+        "to -> eps\n",
+        "schema\n"
+        "t2 -> L::t3, R::t3\n"
+        "t3 -> a1::to?, a2::to?\n"
+        "to -> eps\n"
+        "s3_1_0_L -> a2::to?\n"
+        "s3_1_0_R -> a2::to?\n"
+        "s3_1_1_L -> a1::to, a2::to?\n"
+        "s3_1_1_R -> a1::to, a2::to?\n"
+        "s2_1_0_L -> L::s3_1_0_L?, L::s3_1_0_R?, R::t3\n"
+        "s2_1_0_R -> L::t3, R::s3_1_0_L?, R::s3_1_0_R?\n"
+        "s2_1_1_L -> L::s3_1_1_L?, L::s3_1_1_R?, R::t3\n"
+        "s2_1_1_R -> L::t3, R::s3_1_1_L?, R::s3_1_1_R?\n"
+        "p1_1_L -> L::s2_1_0_L?, L::s2_1_0_R?, R::t2\n"
+        "p1_1_R -> L::t2, R::s2_1_1_L?, R::s2_1_1_R?\n"
+        "s3_2_0_L -> a1::to?\n"
+        "s3_2_0_R -> a1::to?\n"
+        "s3_2_1_L -> a1::to?, a2::to\n"
+        "s3_2_1_R -> a1::to?, a2::to\n"
+        "p2_2_L -> L::s3_2_0_L?, L::s3_2_0_R?, R::t3\n"
+        "p2_2_R -> L::t3, R::s3_2_1_L?, R::s3_2_1_R?\n"
+        "p1_2_L -> L::p2_2_L?, L::p2_2_R?, R::t2\n"
+        "p1_2_R -> L::t2, R::p2_2_L?, R::p2_2_R?\n",
+    ),
+    3: (
+        "schema\n"
+        "t1 -> L::t2, R::t2\n"
+        "t2 -> L::t3, R::t3\n"
+        "t3 -> L::t4, R::t4\n"
+        "t4 -> a1::to?, a2::to?, a3::to?\n"
+        "to -> eps\n",
+        "schema\n"
+        "t2 -> L::t3, R::t3\n"
+        "t3 -> L::t4, R::t4\n"
+        "t4 -> a1::to?, a2::to?, a3::to?\n"
+        "to -> eps\n"
+        "s4_1_0_L -> a2::to?, a3::to?\n"
+        "s4_1_0_R -> a2::to?, a3::to?\n"
+        "s4_1_1_L -> a1::to, a2::to?, a3::to?\n"
+        "s4_1_1_R -> a1::to, a2::to?, a3::to?\n"
+        "s2_1_0_L -> L::s3_1_0_L?, L::s3_1_0_R?, R::t3\n"
+        "s2_1_0_R -> L::t3, R::s3_1_0_L?, R::s3_1_0_R?\n"
+        "s2_1_1_L -> L::s3_1_1_L?, L::s3_1_1_R?, R::t3\n"
+        "s2_1_1_R -> L::t3, R::s3_1_1_L?, R::s3_1_1_R?\n"
+        "s3_1_0_L -> L::s4_1_0_L?, L::s4_1_0_R?, R::t4\n"
+        "s3_1_0_R -> L::t4, R::s4_1_0_L?, R::s4_1_0_R?\n"
+        "s3_1_1_L -> L::s4_1_1_L?, L::s4_1_1_R?, R::t4\n"
+        "s3_1_1_R -> L::t4, R::s4_1_1_L?, R::s4_1_1_R?\n"
+        "p1_1_L -> L::s2_1_0_L?, L::s2_1_0_R?, R::t2\n"
+        "p1_1_R -> L::t2, R::s2_1_1_L?, R::s2_1_1_R?\n"
+        "s4_2_0_L -> a1::to?, a3::to?\n"
+        "s4_2_0_R -> a1::to?, a3::to?\n"
+        "s4_2_1_L -> a1::to?, a2::to, a3::to?\n"
+        "s4_2_1_R -> a1::to?, a2::to, a3::to?\n"
+        "s3_2_0_L -> L::s4_2_0_L?, L::s4_2_0_R?, R::t4\n"
+        "s3_2_0_R -> L::t4, R::s4_2_0_L?, R::s4_2_0_R?\n"
+        "s3_2_1_L -> L::s4_2_1_L?, L::s4_2_1_R?, R::t4\n"
+        "s3_2_1_R -> L::t4, R::s4_2_1_L?, R::s4_2_1_R?\n"
+        "p2_2_L -> L::s3_2_0_L?, L::s3_2_0_R?, R::t3\n"
+        "p2_2_R -> L::t3, R::s3_2_1_L?, R::s3_2_1_R?\n"
+        "p1_2_L -> L::p2_2_L?, L::p2_2_R?, R::t2\n"
+        "p1_2_R -> L::t2, R::p2_2_L?, R::p2_2_R?\n"
+        "s4_3_0_L -> a1::to?, a2::to?\n"
+        "s4_3_0_R -> a1::to?, a2::to?\n"
+        "s4_3_1_L -> a1::to?, a2::to?, a3::to\n"
+        "s4_3_1_R -> a1::to?, a2::to?, a3::to\n"
+        "p3_3_L -> L::s4_3_0_L?, L::s4_3_0_R?, R::t4\n"
+        "p3_3_R -> L::t4, R::s4_3_1_L?, R::s4_3_1_R?\n"
+        "p1_3_L -> L::p2_3_L?, L::p2_3_R?, R::t2\n"
+        "p1_3_R -> L::t2, R::p2_3_L?, R::p2_3_R?\n"
+        "p2_3_L -> L::p3_3_L?, L::p3_3_R?, R::t3\n"
+        "p2_3_R -> L::t3, R::p3_3_L?, R::p3_3_R?\n",
+    ),
+}
 
 
 class TestNormalization:
@@ -102,6 +202,11 @@ class TestExponentialFamily:
         h, k = exponential_family(2)
         assert classify(h)[0].at_least(SchemaClass.ShEx0)
         assert classify(k)[0] == SchemaClass.ShEx0
+
+    @pytest.mark.parametrize("n", sorted(EXPONENTIAL_TEXT))
+    def test_rule_text_is_pinned(self, n):
+        h, k = exponential_family(n)
+        assert (serialize_schema(h), serialize_schema(k)) == EXPONENTIAL_TEXT[n]
 
     def test_minimal_counterexample_n1(self):
         h, k = exponential_family(1)
