@@ -88,7 +88,7 @@ def _emit(ctx, verdict: str, text_lines, witness=None, stats=None, code=0):
     type=click.IntRange(min=1),
     default=1,
     show_default=True,
-    help="Worker count; output is deterministic regardless of the value.",
+    help="Accepted; execution is sequential and deterministic whatever the value.",
 )
 @click.pass_context
 def main(ctx, json_out, strict, jobs):
@@ -313,7 +313,7 @@ def _with_pair_out(f):
 
 
 @fixtures.command()
-@click.option("--vars", "num_vars", type=int, required=True)
+@click.option("--vars", "num_vars", type=click.IntRange(min=0), required=True)
 @click.argument("clauses", nargs=-1, required=True)
 @_with_pair_out
 @click.pass_context
@@ -330,7 +330,7 @@ def sat(ctx, num_vars, clauses, out_h, out_k):
 
 
 @fixtures.command()
-@click.option("--vars", "num_vars", type=int, required=True)
+@click.option("--vars", "num_vars", type=click.IntRange(min=0), required=True)
 @click.argument("clauses", nargs=-1, required=True)
 @_with_pair_out
 @click.pass_context

@@ -141,12 +141,15 @@ def characterizing_graph(h: Schema) -> Graph:
     _require_minus(h, "input")
     g = to_shape_graph(h)
     closed = star_closed_references(g)
-    out_edges = {t: list(g.out(t)) for t in g.nodes}
+    out_edges = {t: [] for t in g.nodes}  # (index in g.edges, edge) per source
     refs_to = {t: [] for t in g.nodes}
     for i, e in enumerate(g.edges):
+        out_edges[e.source].append((i, e))
         refs_to[e.target].append(i)
 
-    opt_edges = {t: [e for e in out_edges[t] if e.occur == OPT] for t in g.nodes}
+    opt_edges = {t: [i for i, e in out_edges[t] if e.occur == OPT] for t in g.nodes}
+    # Copy c of a type (1 <= c) omits the type's c-th ?-edge.
+    omitted_by = {i: c for t in g.nodes for c, i in enumerate(opt_edges[t], start=1)}
     star_referenced = {t: any(g.edges[i].occur == STAR for i in refs_to[t]) for t in g.nodes}
 
     # Types whose whole cohort must end up co-related to one partner node.
@@ -184,24 +187,17 @@ def characterizing_graph(h: Schema) -> Graph:
     edges = []
     for t in g.nodes:
         for i in range(size[t]):
-            omitted = opt_edges[t][i - 1] if 1 <= i <= len(opt_edges[t]) else None
-            for e in out_edges[t]:
+            for index, e in out_edges[t]:
                 if e.occur == STAR:
                     for j in range(size[e.target]):
                         edges.append(Edge(copy_name(t, i), e.label, copy_name(e.target, j)))
                     continue
-                if e == omitted:
+                if omitted_by.get(index) == i:
                     continue
-                covering = e.target in covered and closed[g.edges.index(e)]
-                if covering:
-                    # Rank of this copy among the cohort copies emitting e.
-                    rank = sum(
-                        1
-                        for i2 in range(i)
-                        if not (
-                            1 <= i2 <= len(opt_edges[t]) and opt_edges[t][i2 - 1] == e
-                        )
-                    )
+                if e.target in covered and closed[index]:
+                    # Rank of this copy among the cohort copies emitting e:
+                    # the copies before it but the one omitting e.
+                    rank = i - (omitted_by.get(index, i) < i)
                     j = rank % size[e.target]
                 else:
                     j = 0
@@ -245,7 +241,7 @@ def _bags_matching(s: Schema, t, symbols, caps):
 
 
 def _weakly_connected(out, inc):
-    """Weak connectivity from index lists, as in validation.Typer.fixpoint."""
+    """Weak connectivity from index lists, as core.Refinement.fixpoint takes them."""
     seen = {0}
     order = [0]
     for i in order:
@@ -309,7 +305,7 @@ def _compositions(h: Schema, n_nodes: int, max_card: int, bags: dict):
     h.types order.  specs[t] lists the out-specs a node of type t can take:
     an out-bag from L(δ(t)) realized as edges with cardinalities up to
     max_card, each a list of (label, k, target index) sorted on (label, k),
-    as validation.Typer.fixpoint takes them.  bags caches _bags_matching on
+    as core.Refinement.fixpoint takes them.  bags caches _bags_matching on
     (type, caps) across calls."""
     types = h.types
     for index, counts in enumerate(_tuples(n_nodes, len(types), n_nodes)):
@@ -356,66 +352,58 @@ def _hits(typer, targets_of, specs, timed_out):
     """(picks, out, inc) for every candidate of one composition that leaves
     a node untyped by typer: picks holds each type's pick of specs in
     targets_of order, and out and inc are the candidate's out- and
-    in-lists.  Stops early once timed_out().  The levels and contexts are
-    described in find_counterexample."""
+    in-lists.  One depth-first walk over the levels (_levels, or the types
+    in targets_of order when they reference each other in a cycle), with a
+    stack of each level's picks drawn lazily; stops early once
+    timed_out().  The typing of each level is described in
+    find_counterexample."""
     sets = typer.sets
-    choices = {t: list(combinations_with_replacement(range(len(specs[t])), len(r)))
-               for t, r in targets_of.items()}
     order = _levels(targets_of, specs)
-    cyclic = order is None
-    context, last = ([], list(targets_of)) if cyclic else (order[:-1], order[-1:])
+    levels = order or list(targets_of)
     ids = [0] * sum(map(len, targets_of.values()))  # each node's type-set id
+    picked = {}
 
     def kept(own, spec):
         return typer.kept((own, tuple([(lab, c, ids[b]) for lab, c, b in spec])))
 
     first = {t: [kept(0, spec) for spec in specs[t]] for t in order or ()}
 
-    def typed(t):
-        return [k0 if not sets[k0] else kept(k0, spec) for k0, spec in zip(first[t], specs[t])]
+    def enter(depth, untyped):
+        # Level depth's type, its kept id per spec (None when untyped: then
+        # every leaf below is a hit) and its picks.
+        t = levels[depth]
+        draws = combinations_with_replacement(range(len(specs[t])), len(targets_of[t]))
+        if untyped:
+            return t, None, draws
+        row = [k0 if not sets[k0] else kept(k0, spec) for k0, spec in zip(first[t], specs[t])]
+        if depth == len(levels) - 1:
+            bad = {s for s, i in enumerate(row) if not sets[i]}
+            draws = (p for p in draws if not bad.isdisjoint(p)) if bad else ()
+        return t, row, draws
 
-    pos = [0] * len(context)
-    rows = [None] * len(context)  # each context level's kept id per spec
-    untyped = [False] * (len(context) + 1)  # untyped[l]: a node before level l is
-    changed = fresh = 0  # levels from changed on are picked again, from fresh on typed again
-    while True:
-        if timed_out():
-            return
-        for level in range(changed, len(context)):
-            t = context[level]
-            if level >= fresh:
-                rows[level] = None if untyped[level] else typed(t)
-            pick = choices[t][pos[level]]
-            untyped[level + 1] = untyped[level] or any(not sets[rows[level][s]] for s in pick)
-            if not untyped[level]:
-                for b, s in zip(targets_of[t], pick):
-                    ids[b] = rows[level][s]
-        if cyclic or untyped[-1]:
-            tails = product(*[choices[t] for t in last])
-        else:
-            bad = {s for s, i in enumerate(typed(last[0])) if not sets[i]}
-            tails = [(p,) for p in choices[last[0]] if not bad.isdisjoint(p)] if bad else ()
-        picked = {t: choices[t][p] for t, p in zip(context, pos)}
-        for tail in tails:
+    stack = [enter(0, order is None)]
+    while stack:
+        t, row, draws = stack[-1]
+        for pick in draws:
             if timed_out():
                 return
-            picked.update(zip(last, tail))
-            picks = tuple(picked[t] for t in targets_of)
-            out = [specs[t][s] for t, pick in zip(targets_of, picks) for s in pick]
+            picked[t] = pick
+            if row is not None:
+                for b, s in zip(targets_of[t], pick):
+                    ids[b] = row[s]
+            if len(stack) < len(levels):
+                stack.append(enter(len(stack), row is None or any(not sets[row[s]] for s in pick)))
+                break
+            picks = tuple(picked[u] for u in targets_of)
+            out = [specs[u][s] for u in targets_of for s in picked[u]]
             inc = [[] for _ in out]
             for a, o in enumerate(out):
                 for _, _, b in o:
                     inc[b].append(a)
-            if not cyclic or typer.fixpoint(out, inc, stop_untyped=True) is None:
+            if order is not None or typer.fixpoint(out, inc, stop_untyped=True) is None:
                 yield picks, out, inc
-        for changed in reversed(range(len(context))):
-            if pos[changed] + 1 < len(choices[context[changed]]):
-                break
-            pos[changed] = 0
         else:
-            return
-        pos[changed] += 1
-        fresh = changed + 1
+            stack.pop()
 
 
 def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
@@ -435,22 +423,23 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
     Candidates are typed against k through the memo of one
     validation.Typer shared by the whole search, by out-spec rather than by
     candidate (_hits).  In each composition the types become levels,
-    ordered so that each spec targets only earlier levels.  The picks of
-    all levels but the last are a context, walked as an odometer; when a
-    level's pick changes, only the levels after it are typed again.  Each
-    spec of a level is typed once per context: first with every target at
-    all types, then, unless that left it untyped, from the types it kept
-    with the targets' own.  Satisfaction is monotone in the targets' type
-    sets, so this is the greatest fixpoint.  A memo miss is decided from
-    its memo key alone, with no Graph.  The last level's picks are built
-    only when the context leaves a node untyped (then all of them) or when
-    they hold an untyped spec of their own.  Types that reference each
-    other in a cycle form a single level, each of whose picks is typed by
-    Typer.fixpoint.  Only these hits are tested for connectivity, and one
-    Graph is built per connected hit.  The hits of the least node count
-    are re-verified with validation.validates in (total cardinality,
-    canonical_code, rank) order, the rank being the composition's index
-    and the picks in h.types order, and the first that passes is reported.
+    ordered so that each spec targets only earlier levels, and one
+    depth-first walk draws each level's picks lazily.  A level is typed
+    when the walk enters it, once per pick of the earlier levels: each spec
+    first with every target at all types, then, unless that left it
+    untyped, from the types it kept with the targets' own.  Satisfaction is
+    monotone in the targets' type sets, so this is the greatest fixpoint.
+    A memo miss is decided from its memo key alone, with no Graph.  Below a
+    pick that leaves a node untyped nothing is typed, and every candidate
+    is a hit; otherwise the last level draws only the picks that hold an
+    untyped spec.  When types reference each other in a cycle there are no
+    levels to type: the walk draws every pick of every type, and each
+    candidate is typed by the fixpoint (core.Refinement.fixpoint).  Only
+    hits are tested for connectivity, and one Graph is built per connected
+    hit.  The hits of the least node count are re-verified with
+    validation.validates in (total cardinality, canonical_code, rank)
+    order, the rank being the composition's index and the picks in h.types
+    order, and the first that passes is reported.
     """
     budget.check()
     start = time.monotonic()

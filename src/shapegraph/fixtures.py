@@ -74,6 +74,8 @@ def normalize_cnf(phi: CnfFormula) -> CnfFormula:
     and absorb odd remainders by widening a tautological clause with extra
     literals (a tautological clause stays satisfied under any widening), so
     satisfiability is preserved."""
+    if phi.num_vars < 1:
+        raise ValueError("normalizing a CNF needs at least one variable")
     clauses = [list(cl) for cl in phi.clauses]
     pos, neg = phi.counts()
     for i in range(1, phi.num_vars + 1):

@@ -138,6 +138,26 @@ class TestExitCodes:
             in json.loads(r.stdout)["witness"]
         assert time.monotonic() - start < 1
 
+    @pytest.mark.parametrize(("atom", "n", "n_edges"), [
+        # t has two copies (it is *-referenced): r#0 x t#0 and t#1, n
+        # edges from each t copy, and u#0 b o#0.
+        ("a{}::u", 10_000, 2 + 2 * 10_000 + 1),
+        # t has n + 1 copies, copy c >= 1 omitting the c-th ?-edge.
+        ("a{}::u?", 300, 301 + 300 + 300 * 299 + 1),
+    ], ids=["one", "optional"])
+    def test_wide_type_characterizes(self, runner, tmp_path, atom, n, n_edges):
+        # On a 2-core host, looking each edge up in the shape graph's edge
+        # list took 30 s on the first, and ranking each copy by a count
+        # over the copies before it took 15 s on the second.
+        s = tmp_path / "wide.schema"
+        s.write_text("r -> x::t*\nt -> " + ", ".join(atom.format(i) for i in range(n)) + "\nu -> b::o?\no -> eps\n")
+        start = time.monotonic()
+        r = runner.invoke(main, ["characterize", str(s)])
+        assert r.exit_code == 0, r.output
+        header, *edges = r.output.splitlines()
+        assert header == "graph simple" and len(edges) == n_edges
+        assert time.monotonic() - start < 2
+
     def test_unknown_subcommand_is_3(self, runner):
         r = runner.invoke(main, ["frobnicate"])
         assert r.exit_code == 3
@@ -308,11 +328,18 @@ class TestFixtureCommands:
         assert r.exit_code == 0
         assert "schema" in r.output
 
-    @pytest.mark.parametrize("command", ["sat", "dnf"])
-    def test_bad_clause_is_a_usage_error(self, runner, command):
-        r = runner.invoke(main, ["fixtures", command, "--vars", "1", "x"])
+    @pytest.mark.parametrize("command, args, message", [
+        pytest.param("sat", ["--vars", "1", "x"], "bad clause 'x'", id="sat"),
+        pytest.param("dnf", ["--vars", "1", "x"], "bad clause 'x'", id="dnf"),
+        pytest.param("sat", ["--vars", "-1", ""], "-1 is not in the range x>=0", id="sat-negative-vars"),
+        pytest.param("dnf", ["--vars", "-2", ""], "-2 is not in the range x>=0", id="dnf-negative-vars"),
+        pytest.param("sat", ["--vars", "0", ""], "normalizing a CNF needs at least one variable",
+                     id="sat-no-vars"),
+    ])
+    def test_bad_clause_is_a_usage_error(self, runner, command, args, message):
+        r = runner.invoke(main, ["fixtures", command, *args])
         assert r.exit_code == 3
-        assert "bad clause 'x'" in r.output
+        assert message in r.output
 
     @pytest.mark.parametrize("args", [["--vars", "0", "1"], ["--vars", "1", "0"]])
     def test_dnf_literal_out_of_range(self, runner, args):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations_with_replacement, product
 
@@ -252,7 +253,18 @@ class TestCounterexampleSearch:
         # its target's types, not by its own out-spec.
         lambda: (parse_schema("t -> a::t?\n"), parse_schema("x -> a::y\ny -> eps\n")),
         lambda: exponential_family(1),
-    ], ids=["untyped-below-last", "self-reference", "mutual-reference", "chain", "exponential-1"])
+        # Levels u, r, s: an r with its c-edge is untyped by k, so every
+        # pick of s below it is a hit, though s does not reference r;
+        # below an r without it, only the s with its b-edge is.
+        lambda: (parse_schema("r -> a::u?, c::u?\ns -> b::u?\nu -> eps\n"),
+                 parse_schema("r -> a::u?\ns -> eps\nu -> eps\n")),
+        # Levels w, u, r: below a typed u, r has no untyped spec and draws
+        # no pick; below a u with its b-edge, every pick of r is a hit.
+        lambda: (parse_schema("r -> a::u\nu -> b::w?\nw -> eps\n"),
+                 parse_schema("r -> a::u\nu -> eps\nw -> eps\n")),
+        lambda: dnf_containment_instance(2, [(1, -2)]),
+    ], ids=["untyped-below-last", "self-reference", "mutual-reference", "chain", "exponential-1",
+            "untyped-middle-level", "typed-last-level", "dnf"])
     def test_hits_are_the_candidates_k_rejects(self, schemas):
         # Against every pick of every composition, built and validated.
         h, k = schemas()
@@ -273,6 +285,19 @@ class TestCounterexampleSearch:
                     assert picks not in got
                     got[picks] = containment._candidate_graph(names, out).edges
                 assert got == expected
+
+    def test_search_memory_is_bounded(self):
+        # Each level's picks are drawn lazily; a list of every pick of a
+        # composition peaks at 3.6 MB here.
+        h, k = exponential_family(3)
+        tracemalloc.start()
+        try:
+            v = find_counterexample(h, k, Budget(max_nodes=6, max_card=1, timeout=None))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert v == Unknown("no counter-example with <= 6 nodes and cardinalities <= 1")
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("case", sorted(PINNED))
     def test_pinned_witness(self, case):
