@@ -82,7 +82,8 @@ def _emit(ctx, verdict: str, text_lines, witness=None, stats=None, code=0):
 
 @click.group()
 @click.option("--json", "json_out", is_flag=True, help="Emit a JSON result envelope.")
-@click.option("--strict", is_flag=True, help="Treat any unknown result as a hard stop.")
+@click.option("--strict", is_flag=True,
+              help="On an unknown result (exit 2), also print 'strict mode: result is unknown' to stderr.")
 @click.option(
     "--jobs",
     type=click.IntRange(min=1),

@@ -152,16 +152,10 @@ def characterizing_graph(h: Schema) -> Graph:
     omitted_by = {i: c for t in g.nodes for c, i in enumerate(opt_edges[t], start=1)}
     star_referenced = {t: any(g.edges[i].occur == STAR for i in refs_to[t]) for t in g.nodes}
 
-    # Types whose whole cohort must end up co-related to one partner node.
+    # Types whose whole cohort must end up co-related to one partner node,
+    # and each cohort's size: a closed non-* reference to a covered type
+    # covers its source, whose cohort must be at least as large.
     covered = {t for t in g.nodes if opt_edges[t]}
-    changed = True
-    while changed:
-        changed = False
-        for i, e in enumerate(g.edges):
-            if e.target in covered and closed[i] and e.occur != STAR and e.source not in covered:
-                covered.add(e.source)
-                changed = True
-
     size = {
         t: max(1 + len(opt_edges[t]), 2 if star_referenced[t] else 1) for t in g.nodes
     }
@@ -174,8 +168,9 @@ def characterizing_graph(h: Schema) -> Graph:
         for i, e in enumerate(g.edges):
             if e.target in covered and closed[i] and e.occur != STAR:
                 need = size[e.target] + (1 if e.occur == OPT else 0)
-                if size[e.source] < need:
-                    size[e.source] = need
+                if e.source not in covered or size[e.source] < need:
+                    covered.add(e.source)
+                    size[e.source] = max(size[e.source], need)
                     changed = True
         if sum(size.values()) > bound:
             raise BudgetError("characterizing cohort sizes exceed the polynomial bound")
@@ -202,9 +197,7 @@ def characterizing_graph(h: Schema) -> Graph:
                 else:
                     j = 0
                 edges.append(Edge(copy_name(t, i), e.label, copy_name(e.target, j)))
-    cg = Graph(nodes, edges, kind="simple")
-    cg.check_kind("simple")
-    return cg
+    return Graph(nodes, edges, kind="simple")
 
 
 # --- Bounded counter-example search ------------------------------------------
@@ -363,11 +356,6 @@ def _hits(typer, targets_of, specs, timed_out):
     ids = [0] * sum(map(len, targets_of.values()))  # each node's type-set id
     picked = {}
 
-    def kept(own, spec):
-        return typer.kept((own, tuple([(lab, c, ids[b]) for lab, c, b in spec])))
-
-    first = {t: [kept(0, spec) for spec in specs[t]] for t in order or ()}
-
     def enter(depth, untyped):
         # Level depth's type, its kept id per spec (None when untyped: then
         # every leaf below is a hit) and its picks.
@@ -375,7 +363,7 @@ def _hits(typer, targets_of, specs, timed_out):
         draws = combinations_with_replacement(range(len(specs[t])), len(targets_of[t]))
         if untyped:
             return t, None, draws
-        row = [k0 if not sets[k0] else kept(k0, spec) for k0, spec in zip(first[t], specs[t])]
+        row = [typer.kept(tuple([(lab, c, ids[b]) for lab, c, b in spec])) for spec in specs[t]]
         if depth == len(levels) - 1:
             bad = {s for s, i in enumerate(row) if not sets[i]}
             draws = (p for p in draws if not bad.isdisjoint(p)) if bad else ()
@@ -426,10 +414,9 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
     ordered so that each spec targets only earlier levels, and one
     depth-first walk draws each level's picks lazily.  A level is typed
     when the walk enters it, once per pick of the earlier levels: each spec
-    first with every target at all types, then, unless that left it
-    untyped, from the types it kept with the targets' own.  Satisfaction is
-    monotone in the targets' type sets, so this is the greatest fixpoint.
-    A memo miss is decided from its memo key alone, with no Graph.  Below a
+    once, against its targets' type sets, which the earlier levels have
+    already settled, so this is the greatest fixpoint.  A memo miss is
+    decided from the spec's out-signature alone, with no Graph.  Below a
     pick that leaves a node untyped nothing is typed, and every candidate
     is a hit; otherwise the last level draws only the picks that hold an
     untyped spec.  When types reference each other in a cycle there are no

@@ -155,6 +155,8 @@ class Graph:
 
     Nodes keep their insertion order, which the text format and all
     deterministic outputs rely on.  Instances are treated as immutable.
+    The declared kind is enforced here: GraphKindError names the first
+    edge that breaks it (_kind_fault).
     """
 
     def __init__(self, nodes=(), edges=(), kind: str = "general"):
@@ -191,6 +193,10 @@ class Graph:
         self._simple = ones and distinct
         self._compressed = singletons and distinct
         self._shape = basic
+        if not {"general": True, "simple": self._simple,
+                "compressed": self._compressed, "shape": self._shape}[kind]:
+            e, why = _kind_fault(self.edges, kind)
+            raise GraphKindError(f"{why}: {e.source} {e.label} {e.target} {e.occur}")
         self.nodes: tuple[str, ...] = tuple(out)
         self._out: dict[str, tuple[Edge, ...]] = {n: tuple(es) for n, es in out.items()}
         self._in: dict[str, tuple[Edge, ...]] = {n: tuple(es) for n, es in inc.items()}
@@ -215,19 +221,6 @@ class Graph:
     @property
     def is_compressed(self) -> bool:
         return self._compressed
-
-    def check_kind(self, kind: str) -> None:
-        """Raise GraphKindError unless this graph meets kind, one of KINDS.
-        The flags set at construction decide; _kind_fault runs only to name
-        the faulty edge."""
-        flags = {"general": True, "simple": self._simple,
-                 "compressed": self._compressed, "shape": self._shape}
-        if flags[kind]:
-            return
-        fault = _kind_fault(self.edges, kind)
-        if fault is not None:
-            e, why = fault
-            raise GraphKindError(f"{why}: {e.source} {e.label} {e.target} {e.occur}")
 
     def __eq__(self, other):
         return (
@@ -296,11 +289,10 @@ class Refinement:
     """The greatest fixpoint of a node-level refinement, shared by typing
     and simulation.  Every node starts at the top set and its set only
     shrinks.  Sets are interned as ints, 0 for the top set.  A node's check
-    reads only its own set and its out-edges as (label, occurrence,
-    target's set id), so the set it keeps is memoized on that key and
-    shared by every node, of every graph refined, with the same one.  A
-    subclass gives check, run on a memo miss, which walks a set in the
-    order of top (members)."""
+    reads only its out-edges as (label, occurrence, target's set id), so
+    the set it keeps is memoized on that out-signature and shared by every
+    node, of every graph refined, with the same one.  A subclass gives
+    check, run on a memo miss, which walks top in order (self.order)."""
 
     def __init__(self, top):
         self.order = tuple(top)
@@ -308,25 +300,25 @@ class Refinement:
         self.ids = {self.sets[0]: 0}
         self.memo: dict = {}
 
-    def check(self, key) -> frozenset:
-        """The part of key's own set that a node with key keeps, decided
-        from key alone: no node, graph or other state of the fixpoint that
-        asks is passed, so one answer serves every node with that key."""
+    def check(self, sig) -> frozenset:
+        """The members of top that a node with out-signature sig keeps,
+        decided from sig alone: no node, graph or other state of the
+        fixpoint that asks is passed, so one answer serves every node with
+        that out-signature."""
         raise NotImplementedError
 
-    def members(self, set_id):
-        """The members of a set, in the order of top."""
-        own = self.sets[set_id]
-        return [x for x in self.order if x in own]
-
-    def kept(self, key) -> int:
-        """The id of the set kept for key, a node's (set id, out-edges as
-        (label, occurrence, target's set id)), from the memo or else from
-        check."""
-        kept = self.memo.get(key)
+    def kept(self, sig) -> int:
+        """The id of the set kept by a node with out-signature sig, its
+        out-edges as (label, occurrence, target's set id), from the memo or
+        else from check.  The node's own set is not part of the key: a
+        check is monotone in the targets' sets, and within a run sets only
+        shrink, so every member the node dropped earlier, against larger
+        target sets, fails sig too, and checking sig against all of top
+        keeps exactly what checking it against the node's own set would."""
+        kept = self.memo.get(sig)
         if kept is None:
-            found = self.check(key)
-            kept = self.memo[key] = self.ids.setdefault(found, len(self.sets))
+            found = self.check(sig)
+            kept = self.memo[sig] = self.ids.setdefault(found, len(self.sets))
             if kept == len(self.sets):
                 self.sets.append(found)
         return kept
@@ -346,7 +338,7 @@ class Refinement:
         state = [0] * len(out)
         work = Worklist(_post_order(out))
         for i in work:
-            kept = self.kept((state[i], tuple([(lab, occ, state[j]) for lab, occ, j in out[i]])))
+            kept = self.kept(tuple([(lab, occ, state[j]) for lab, occ, j in out[i]]))
             if kept != state[i]:
                 if stop_untyped and not self.sets[kept]:
                     return None
@@ -395,13 +387,10 @@ def parse_graph(text: str) -> Graph:
         edges.append(Edge(src, lab, tgt, occur))
     if kind is None:
         raise ParseError("empty input: missing 'graph <kind>' header", line=1)
-    g = Graph(nodes, edges, kind=kind)
-    g.check_kind(kind)
-    return g
+    return Graph(nodes, edges, kind=kind)
 
 
 def serialize_graph(g: Graph) -> str:
-    g.check_kind(g.kind)
     lines = [f"graph {g.kind}"]
     with_edges = {e.source for e in g.edges} | {e.target for e in g.edges}
     for n in g.nodes:
@@ -494,6 +483,4 @@ def unpack(f: Graph, max_nodes: int = DEFAULT_UNPACK_CAP):
                 for j in range(k):
                     new_edges.append(Edge(src, e.label, copy_name(m, (c + j) % copies[m])))
                 cursor[(e.label, m)] = (c + k) % copies[m]
-    g = Graph(new_nodes, new_edges, kind="simple")
-    g.check_kind("simple")
-    return g, copy_map
+    return Graph(new_nodes, new_edges, kind="simple"), copy_map

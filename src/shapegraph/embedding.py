@@ -17,8 +17,8 @@ search, iterative and capped in steps.
 
 The greatest simulation refines one interned set of h-nodes per g-node
 through the fixpoint typing uses (core.Refinement), so a g-node's check
-covers every h-node still related to it and is decided from its memo key
-alone: the key projected onto an h-node fixes the routing instance.  A
+walks the h-nodes and is decided from the g-node's out-signature alone:
+the signature projected onto an h-node fixes the routing instance.  A
 check first runs after its successors' checks unless they share a cycle,
 and runs again only after the set of one of its successors shrank.
 """
@@ -346,9 +346,9 @@ def find_witness(inst: RoutingInstance):
 
 class _Simulation(Refinement):
     """The greatest simulation in h as a refinement: each g-node's set is
-    the h-nodes still related to it.  On a memo miss, each h-node m of the
-    set is checked, in h.nodes order, by a witness search on the routing
-    instance that the key projected onto m fixes (projected).  The search
+    the h-nodes still related to it.  On a memo miss, each h-node m is
+    checked, in h.nodes order, by a witness search on the routing instance
+    that the out-signature projected onto m fixes (projected).  The search
     is memoized on that projection."""
 
     def __init__(self, h: Graph):
@@ -372,10 +372,10 @@ class _Simulation(Refinement):
         return sinks, tuple([(occ, tuple([j for j, t in by_label.get(lab, ()) if t in sets[s]]))
                              for lab, occ, s in sig])
 
-    def check(self, key) -> frozenset:
+    def check(self, sig) -> frozenset:
         kept = []
-        for m in self.members(key[0]):
-            proj = self.projected(m, key[1])
+        for m in self.order:
+            proj = self.projected(m, sig)
             if proj not in self.witnesses:
                 self.witnesses[proj] = find_witness(routing_instance(proj))
             if self.witnesses[proj] is not None:
@@ -389,12 +389,12 @@ def max_simulation(g: Graph, h: Graph) -> SimulationRelation:
     Refines one interned set of h-nodes per g-node through the fixpoint
     that typing uses (core.Refinement): every g-node starts related to all
     of h, and a g-node is checked again only after the set of one of its
-    successors shrank.  A check is memoized on the g-node's set and its
-    out-signature, its out-edges in order as (label, occurrence, the
-    target's set), and each witness search on that signature projected
-    onto the h-node, which fixes the routing instance, so one witness
-    serves, index for index, every pair that routes alike.  The witness of
-    (n, m) is the one found for m under n's final signature.
+    successors shrank.  A check is memoized on the g-node's out-signature,
+    its out-edges in order as (label, occurrence, the target's set), and
+    each witness search on that signature projected onto the h-node, which
+    fixes the routing instance, so one witness serves, index for index,
+    every pair that routes alike.  The witness of (n, m) is the one found
+    for m under n's final signature.
     """
     index = {n: i for i, n in enumerate(g.nodes)}
     out = [[(e.label, (e.occur.min, e.occur.max), index[e.target]) for e in g.out(n)]

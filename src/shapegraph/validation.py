@@ -157,8 +157,8 @@ def _edge(label, k) -> Edge:
 class Typer(Refinement):
     """The maximal-typing refinement for one schema: each node's set is a
     type set, and a node's check reads its out-edges as (label, k, target's
-    type set) for occurrence [k;k], ordered by (label, k).  A memo miss is
-    decided from its key alone."""
+    type set id) for occurrence [k;k], ordered by (label, k).  A memo miss
+    is decided from that out-signature alone."""
 
     def __init__(self, s: Schema):
         super().__init__(s.types)
@@ -180,17 +180,17 @@ class Typer(Refinement):
         ids = self.fixpoint(out, inc)
         return {n: self.sets[i] for n, i in zip(g.nodes, ids)}
 
-    def check(self, key) -> frozenset:
-        """The types of key's set that a node with key satisfies, checked
-        in Schema.types order.  A type is dropped unchecked when one of the
+    def check(self, sig) -> frozenset:
+        """The types a node with out-signature sig satisfies, checked in
+        Schema.types order.  A type is dropped unchecked when one of the
         node's labels with k > 0 is not in its alphabet, or when it is flat
         and one of its atoms with min >= 1 has a label the node lacks: no
         routing exists then."""
-        out = [_edge(lab, k) for lab, k, _ in key[1]]
-        choices = [self.sets[j] for _, _, j in key[1]]
-        have = {lab for lab, k, _ in key[1] if k}
+        out = [_edge(lab, k) for lab, k, _ in sig]
+        choices = [self.sets[j] for _, _, j in sig]
+        have = {lab for lab, k, _ in sig if k}
         return frozenset(
-            t for t in self.members(key[0])
+            t for t in self.order
             if self._may_hold(t, have) and satisfies_type(self.s, t, out, choices)
         )
 
@@ -205,8 +205,8 @@ def max_typing(g: Graph, s: Schema) -> dict:
     one of its successors shrank, so the work follows the failures.  Nodes
     are first checked successors first (depth-first post-order), so a node
     that reaches no cycle is checked exactly once.  Checks are memoized on
-    the out-signature over interned type-set ids: nodes with the same type
-    set and out-signature share one check (see Typer)."""
+    the out-signature over interned type-set ids: nodes with the same
+    out-signature share one check (see Typer)."""
     return Typer(s).typing(g)
 
 

@@ -113,9 +113,11 @@ def star_chain_pair():
     return g, h
 
 
-def bug_chain_graph(n=200):
+def bug_chain_graph(n=200, ring=False):
     """n bugs linked by related-edges, the last one without a reporter: under
-    the bug schema the failure travels back to bug0 one edge at a time."""
+    the bug schema the failure travels back to bug0 one edge at a time.
+    With ring, the last bug's related-edge points back to bug0, so every
+    bug is on one cycle."""
     edges = [Edge("user", "name", "lit")]
     for i in range(n):
         b = f"bug{i}"
@@ -123,6 +125,8 @@ def bug_chain_graph(n=200):
         if i < n - 1:
             edges.append(Edge(b, "reportedBy", "user"))
             edges.append(Edge(b, "related", f"bug{i + 1}"))
+        elif ring:
+            edges.append(Edge(b, "related", "bug0"))
     return Graph((), edges, kind="simple")
 
 

@@ -265,10 +265,19 @@ class TestCounterexampleSearch:
         lambda: dnf_containment_instance(2, [(1, -2)]),
     ], ids=["untyped-below-last", "self-reference", "mutual-reference", "chain", "exponential-1",
             "untyped-middle-level", "typed-last-level", "dnf"])
-    def test_hits_are_the_candidates_k_rejects(self, schemas):
-        # Against every pick of every composition, built and validated.
+    def test_hits_are_the_candidates_k_rejects(self, monkeypatch, schemas):
+        # Against every pick of every composition, built and validated.  The
+        # shared typer's memo is keyed on the out-signature alone, so no
+        # type is checked twice against the same out-edges and target types.
         h, k = schemas()
         typer = validation.Typer(k)
+        checks = []
+        satisfies = validation.satisfies_type
+
+        def recording(s, ty, out, choices):
+            checks.append((ty, tuple((e.label, e.occur.min) for e in out), tuple(choices)))
+            return satisfies(s, ty, out, choices)
+
         for n_nodes in range(1, 4):
             names = [f"v{i}" for i in range(n_nodes)]
             for _, targets_of, specs in containment._compositions(h, n_nodes, 2, {}):
@@ -281,10 +290,13 @@ class TestCounterexampleSearch:
                     if not validates(g, k):
                         expected[picks] = g.edges
                 got = {}
-                for picks, out, inc in containment._hits(typer, targets_of, specs, lambda: False):
-                    assert picks not in got
-                    got[picks] = containment._candidate_graph(names, out).edges
+                with monkeypatch.context() as m:
+                    m.setattr(validation, "satisfies_type", recording)
+                    for picks, out, inc in containment._hits(typer, targets_of, specs, lambda: False):
+                        assert picks not in got
+                        got[picks] = containment._candidate_graph(names, out).edges
                 assert got == expected
+        assert checks and len(set(checks)) == len(checks)
 
     def test_search_memory_is_bounded(self):
         # Each level's picks are drawn lazily; a list of every pick of a

@@ -421,8 +421,11 @@ class TestSimulationProperties:
         assert sim.witnesses[("g1", "h1")] == {0: 1}
         assert verify_witness(g, h, sim)
 
-    def test_failure_chain_work_is_linear(self, monkeypatch, bug_schema):
-        g = bug_chain_graph(200)
+    @pytest.mark.parametrize("ring", [False, True], ids=["chain", "ring"])
+    def test_failure_chain_work_is_linear(self, monkeypatch, bug_schema, ring):
+        # On the ring every bug is on the cycle, so the bugs checked before
+        # the failure reaches them are checked again.
+        g = bug_chain_graph(200, ring)
         h = to_shape_graph(bug_schema)
         calls = [0]
         search = shapegraph.embedding.find_witness
