@@ -138,9 +138,7 @@ def embed(ctx, graph_g, graph_h):
     g = _load_graph(graph_g)
     h = _load_graph(graph_h)
     ok, sim = _emb.embeds(g, h)
-    g_order = {n: i for i, n in enumerate(g.nodes)}
-    h_order = {m: i for i, m in enumerate(h.nodes)}
-    pairs = sorted(sim.pairs, key=lambda p: (g_order[p[0]], h_order[p[1]]))
+    pairs = sorted(sim.pairs, key=lambda p: (g.index[p[0]], h.index[p[1]]))
     lines = [f"{n}\t{m}" for n, m in pairs]
     witness = []
     for n, m in pairs:

@@ -136,7 +136,9 @@ def characterizing_graph(h: Schema) -> Graph:
         always link to full copies.
 
     The least-fixpoint reading of *-closure guarantees covering references
-    never form a cycle, so the size demands converge.
+    never form a cycle, so the size demands converge.  Copy i of type t is
+    named t.i, as unpack names copies: type names are identifiers, so no
+    two copies share a name, and the graph's text parses back.
     """
     _require_minus(h, "input")
     g = to_shape_graph(h)
@@ -176,7 +178,7 @@ def characterizing_graph(h: Schema) -> Graph:
             raise BudgetError("characterizing cohort sizes exceed the polynomial bound")
 
     def copy_name(t, i):
-        return f"{t}#{i}"
+        return f"{t}.{i}"
 
     nodes = [copy_name(t, i) for t in g.nodes for i in range(size[t])]
     edges = []
@@ -253,8 +255,8 @@ def _candidate_graph(names, out):
 def canonical_code(g: Graph):
     """Isomorphism-invariant code: color refinement, then the minimum edge
     list over node orders consistent with the refined cells."""
-    nodes = list(g.nodes)
-    index = {v: i for i, v in enumerate(nodes)}
+    nodes = g.nodes
+    index = g.index
     edges = [(index[e.source], e.label, index[e.target], (e.occur.min, e.occur.max)) for e in g.edges]
     colors = {
         i: (

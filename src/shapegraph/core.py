@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from operator import attrgetter
 
 from .errors import GraphKindError, ParseError, UnpackBudgetError
 
@@ -118,12 +119,35 @@ def bag(*symbols) -> Bag:
 # --- Graphs ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Edge:
-    source: str
-    label: str
-    target: str
-    occur: Interval = ONE
+    """An edge source --label--> target with an occurrence interval.
+
+    A class with __slots__ and a plain __init__, so that building one,
+    which parsing does once per edge line, is four attribute stores.  Like
+    Graph, an Edge is treated as immutable.  It is equal only to an Edge
+    with equal fields, never to a plain tuple, and hashes as its fields
+    do."""
+
+    __slots__ = ("source", "label", "target", "occur")
+
+    def __init__(self, source: str, label: str, target: str, occur: Interval = ONE):
+        self.source = source
+        self.label = label
+        self.target = target
+        self.occur = occur
+
+    def __eq__(self, other):
+        if other.__class__ is not Edge:
+            return NotImplemented
+        return (self.source, self.label, self.target, self.occur) == (
+            other.source, other.label, other.target, other.occur)
+
+    def __hash__(self):
+        return hash((self.source, self.label, self.target, self.occur))
+
+    def __repr__(self):
+        return (f"Edge(source={self.source!r}, label={self.label!r}, "
+                f"target={self.target!r}, occur={self.occur!r})")
 
 
 KINDS = ("simple", "shape", "compressed", "general")
@@ -154,9 +178,13 @@ class Graph:
     """Finite labeled graph with an occurrence interval per edge.
 
     Nodes keep their insertion order, which the text format and all
-    deterministic outputs rely on.  Instances are treated as immutable.
-    The declared kind is enforced here: GraphKindError names the first
-    edge that breaks it (_kind_fault).
+    deterministic outputs rely on; index maps each node to its position
+    in nodes.  out(n) and incoming(n) give n's out- and in-edges in edge
+    order; their tuples are built for every node on the first call of
+    each, since callers that walk the whole graph read index_lists
+    instead.  Instances are treated as immutable.  The declared kind is
+    enforced here: GraphKindError names the first edge that breaks it
+    (_kind_fault).
     """
 
     def __init__(self, nodes=(), edges=(), kind: str = "general"):
@@ -164,21 +192,18 @@ class Graph:
             raise GraphKindError(f"unknown graph kind {kind!r}")
         self.edges: tuple[Edge, ...] = tuple(edges)
         self.kind = kind
-        # One pass over the edges collects the nodes in order, the out- and
-        # in-lists, and the kind flags; a simple graph is also compressed,
-        # since [1;1] is a singleton.
-        out: dict = {n: [] for n in nodes}
-        inc: dict = {n: [] for n in out}
+        # One pass over the edges numbers the nodes in order and collects
+        # the kind flags; a simple graph is also compressed, since [1;1] is
+        # a singleton.
+        index = {n: i for i, n in enumerate(dict.fromkeys(nodes))}
         triples = set()
         ones = singletons = basic = True
         for e in self.edges:
             src, tgt, occur = e.source, e.target, e.occur
-            if src not in out:
-                out[src], inc[src] = [], []
-            if tgt not in out:
-                out[tgt], inc[tgt] = [], []
-            out[src].append(e)
-            inc[tgt].append(e)
+            if src not in index:
+                index[src] = len(index)
+            if tgt not in index:
+                index[tgt] = len(index)
             triples.add((src, e.label, tgt))
             if occur is ONE:
                 continue
@@ -197,12 +222,25 @@ class Graph:
                 "compressed": self._compressed, "shape": self._shape}[kind]:
             e, why = _kind_fault(self.edges, kind)
             raise GraphKindError(f"{why}: {e.source} {e.label} {e.target} {e.occur}")
-        self.nodes: tuple[str, ...] = tuple(out)
-        self._out: dict[str, tuple[Edge, ...]] = {n: tuple(es) for n, es in out.items()}
-        self._in: dict[str, tuple[Edge, ...]] = {n: tuple(es) for n, es in inc.items()}
+        self.index = index
+        self.nodes: tuple[str, ...] = tuple(index)
+
+    @cached_property
+    def _out(self) -> dict[str, tuple[Edge, ...]]:
+        out: dict = {n: [] for n in self.index}
+        for e in self.edges:
+            out[e.source].append(e)
+        return {n: tuple(es) for n, es in out.items()}
+
+    @cached_property
+    def _in(self) -> dict[str, tuple[Edge, ...]]:
+        inc: dict = {n: [] for n in self.index}
+        for e in self.edges:
+            inc[e.target].append(e)
+        return {n: tuple(es) for n, es in inc.items()}
 
     def __contains__(self, n) -> bool:
-        return n in self._out
+        return n in self.index
 
     def out(self, n: str) -> tuple[Edge, ...]:
         return self._out[n]
@@ -234,6 +272,23 @@ class Graph:
 
     def __repr__(self):
         return f"Graph({len(self.nodes)} nodes, {len(self.edges)} edges, kind={self.kind!r})"
+
+
+def index_lists(g: Graph, occurrence) -> tuple[list, list]:
+    """The lists Refinement.fixpoint takes for g, built in one pass over
+    g.edges: out[i] holds the out-edges of node i (g.nodes[i]) as (label,
+    occurrence(e.occur), target index), and inc[i] the source index of
+    each in-edge of node i, both in edge order, the order of g.out and
+    g.incoming.  occurrence maps an edge's interval to the form the
+    caller's out-signatures carry it in."""
+    index = g.index
+    out: list = [[] for _ in index]
+    inc: list = [[] for _ in index]
+    for e in g.edges:
+        i, j = index[e.source], index[e.target]
+        out[i].append((e.label, occurrence(e.occur), j))
+        inc[j].append(i)
+    return out, inc
 
 
 class Worklist:
@@ -418,8 +473,9 @@ def unpack(f: Graph, max_nodes: int = DEFAULT_UNPACK_CAP):
     incoming-cardinality product along the condensation; members of a
     non-trivial strongly connected component all receive as many copies as
     the largest incoming cardinality, wired round-robin (a copy may target
-    itself; a card-1 self-loop is a fixed point).  The components come from
-    the fixpoint's depth-first post-order (_post_order), as in
+    itself; a card-1 self-loop is a fixed point).  f is read through the
+    fixpoint's index lists (index_lists), and the components come from its
+    depth-first post-order (_post_order), as in
     Kosaraju-Sharir: the in-edge closures of the nodes not yet placed,
     taken in reverse post-order, are the components in topological order.
 
@@ -430,57 +486,62 @@ def unpack(f: Graph, max_nodes: int = DEFAULT_UNPACK_CAP):
         raise GraphKindError("unpack requires a compressed graph")
 
     nodes = f.nodes
-    index = {n: i for i, n in enumerate(nodes)}
-    order = _post_order([[(e.label, e.occur, index[e.target]) for e in f.out(n)] for n in nodes])
+    out, inc = index_lists(f, attrgetter("min"))
     placed = [False] * len(nodes)
-    copies: dict[str, int] = {}
+    copies = [0] * len(nodes)
+    # Per node, over its in-edges from the components placed so far: the
+    # sum of cardinality times the source's copies, and the largest
+    # cardinality.  Components come in topological order, so a node's
+    # in-edges from other components are all counted when it is reached.
+    supply = [0] * len(nodes)
+    top = [0] * len(nodes)
     total = 0
-    for root in reversed(order):
+    for root in reversed(_post_order(out)):
         if placed[root]:
             continue
         placed[root] = True
-        comp = [nodes[root]]
+        comp = [root]
         for m in comp:
-            for e in f.incoming(m):
-                j = index[e.source]
+            for j in inc[m]:
                 if not placed[j]:
                     placed[j] = True
-                    comp.append(e.source)
-        n = comp[0]
-        if len(comp) > 1 or any(e.target == n for e in f.out(n)):
-            k = max([1] + [e.occur.min for m in comp for e in f.incoming(m)])
+                    comp.append(j)
+        if len(comp) > 1 or any(j == root for _, _, j in out[root]):
+            members = set(comp)
+            k = max([1] + [top[m] for m in comp]
+                    + [c for m in comp for _, c, j in out[m] if j in members])
         else:
-            k = max(1, sum(e.occur.min * copies[e.source] for e in f.incoming(n)))
-        for m in comp:
-            copies[m] = k
+            k = max(1, supply[root])
         total += k * len(comp)
         if total > max_nodes:
             raise UnpackBudgetError(
                 f"unpacking needs more than {max_nodes} nodes ({total} so far)"
             )
+        for m in comp:
+            copies[m] = k
+            for _, c, j in out[m]:
+                supply[j] += c * k
+                if c > top[j]:
+                    top[j] = c
 
-    def copy_name(n: str, i: int) -> str:
-        return n if copies[n] == 1 else f"{n}.{i}"
-
-    new_nodes = [copy_name(n, i) for n in f.nodes for i in range(copies[n])]
-    copy_map = {copy_name(n, i): n for n in f.nodes for i in range(copies[n])}
+    names = [[n] if k == 1 else [f"{n}.{i}" for i in range(k)] for n, k in zip(nodes, copies)]
+    new_nodes = [m for ms in names for m in ms]
+    copy_map = {m: n for n, ms in zip(nodes, names) for m in ms}
     new_edges = []
     cursor: dict[tuple, int] = {}
-    for n in f.nodes:
-        for i in range(copies[n]):
-            src = copy_name(n, i)
-            for e in f.out(n):
-                k = e.occur.min
+    for n, ms, o in zip(nodes, names, out):
+        for src in ms:
+            for lab, k, j in o:
                 if k == 0:
                     continue
-                m = e.target
-                if k > copies[m]:
+                targets = names[j]
+                if k > len(targets):
                     raise UnpackBudgetError(
-                        f"cardinality {k} on edge {n} {e.label} {m} exceeds "
-                        f"{copies[m]} available copies"
+                        f"cardinality {k} on edge {n} {lab} {nodes[j]} exceeds "
+                        f"{len(targets)} available copies"
                     )
-                c = cursor.get((e.label, m), 0)
-                for j in range(k):
-                    new_edges.append(Edge(src, e.label, copy_name(m, (c + j) % copies[m])))
-                cursor[(e.label, m)] = (c + k) % copies[m]
+                c = cursor.get((lab, j), 0)
+                for x in range(k):
+                    new_edges.append(Edge(src, lab, targets[(c + x) % len(targets)]))
+                cursor[(lab, j)] = (c + k) % len(targets)
     return Graph(new_nodes, new_edges, kind="simple"), copy_map

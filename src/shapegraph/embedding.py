@@ -27,9 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
+from operator import attrgetter
 
-from .core import INF, Graph, Interval, Refinement, interval_sum
+from .core import INF, Graph, Interval, Refinement, index_lists, interval_sum
 from .errors import ClassPreconditionError, WorkCapError
+
+_BOUNDS = attrgetter("min", "max")
 
 
 @dataclass(frozen=True)
@@ -355,11 +358,11 @@ class _Simulation(Refinement):
         super().__init__(h.nodes)
         # h-node -> (its out-edges' occurrences, label -> [(index in h.out(m), target)])
         self.h_out = {}
-        for m in h.nodes:
+        for m, o in zip(h.nodes, index_lists(h, _BOUNDS)[0]):
             by_label = {}
-            for j, f in enumerate(h.out(m)):
-                by_label.setdefault(f.label, []).append((j, f.target))
-            self.h_out[m] = tuple((f.occur.min, f.occur.max) for f in h.out(m)), by_label
+            for j, (lab, _, t) in enumerate(o):
+                by_label.setdefault(lab, []).append((j, h.nodes[t]))
+            self.h_out[m] = tuple([occ for _, occ, _ in o]), by_label
         self.witnesses: dict = {}  # projected signature -> witness or None
 
     def projected(self, m, sig):
@@ -396,10 +399,7 @@ def max_simulation(g: Graph, h: Graph) -> SimulationRelation:
     every pair that routes alike.  The witness of (n, m) is the one found
     for m under n's final signature.
     """
-    index = {n: i for i, n in enumerate(g.nodes)}
-    out = [[(e.label, (e.occur.min, e.occur.max), index[e.target]) for e in g.out(n)]
-           for n in g.nodes]
-    inc = [[index[e.source] for e in g.incoming(n)] for n in g.nodes]
+    out, inc = index_lists(g, _BOUNDS)
     sim = _Simulation(h)
     state = sim.fixpoint(out, inc)
     witnesses = {}

@@ -8,8 +8,9 @@ are treated as untyped.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import attrgetter
 
-from .core import ONE, Edge, Graph, Interval, Refinement
+from .core import ONE, Edge, Graph, Interval, Refinement, index_lists
 from .errors import GraphKindError
 from . import rbe as _rbe
 from .embedding import feasible_flow
@@ -147,6 +148,9 @@ def _satisfies_exhaustive(out, choices, delta: _rbe.Rbe, symbols) -> bool:
     )
 
 
+_MIN = attrgetter("min")
+
+
 @lru_cache(maxsize=4096)
 def _edge(label, k) -> Edge:
     """A memo key's out-edge of label and occurrence [k;k], as satisfies_type
@@ -171,12 +175,13 @@ class Typer(Refinement):
         }
 
     def typing(self, g: Graph) -> dict:
-        """The maximal typing of g."""
+        """The maximal typing of g, read through its index lists
+        (core.index_lists) with each node's out-edges sorted."""
         if not (g.is_simple or g.is_compressed):
             raise GraphKindError("validation requires a simple or compressed graph")
-        index = {n: i for i, n in enumerate(g.nodes)}
-        out = [sorted((e.label, e.occur.min, index[e.target]) for e in g.out(n)) for n in g.nodes]
-        inc = [[index[e.source] for e in g.incoming(n)] for n in g.nodes]
+        out, inc = index_lists(g, _MIN)
+        for o in out:
+            o.sort()
         ids = self.fixpoint(out, inc)
         return {n: self.sets[i] for n, i in zip(g.nodes, ids)}
 

@@ -24,3 +24,12 @@ def test_traced_names_exist():
     missing = [(mod, attr) for mod, attr in names
                if not hasattr(importlib.import_module(f"shapegraph.{mod}"), attr)]
     assert not missing
+
+
+def test_rebound_graph_hooks_exist():
+    # The tracer also wraps Graph.is_simple's getter and subclasses the
+    # Graph that the counter-example search builds candidates with.
+    core = importlib.import_module("shapegraph.core")
+    containment = importlib.import_module("shapegraph.containment")
+    assert isinstance(core.Graph.is_simple, property) and core.Graph.is_simple.fget is not None
+    assert containment.Graph is core.Graph

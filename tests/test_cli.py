@@ -139,8 +139,8 @@ class TestExitCodes:
         assert time.monotonic() - start < 1
 
     @pytest.mark.parametrize(("atom", "n", "n_edges"), [
-        # t has two copies (it is *-referenced): r#0 x t#0 and t#1, n
-        # edges from each t copy, and u#0 b o#0.
+        # t has two copies (it is *-referenced): r.0 x t.0 and t.1, n
+        # edges from each t copy, and u.0 b o.0.
         ("a{}::u", 10_000, 2 + 2 * 10_000 + 1),
         # t has n + 1 copies, copy c >= 1 omitting the c-th ?-edge.
         ("a{}::u?", 300, 301 + 300 + 300 * 299 + 1),
@@ -157,6 +157,16 @@ class TestExitCodes:
         header, *edges = r.output.splitlines()
         assert header == "graph simple" and len(edges) == n_edges
         assert time.monotonic() - start < 2
+
+    def test_characterizing_graph_validates(self, runner, tmp_path):
+        # The witness that contains prints for this pair, fed back as a graph.
+        s, g = tmp_path / "h.schema", tmp_path / "h.graph"
+        s.write_text("T -> p::T*, q::U?\nU -> eps\n")
+        r = runner.invoke(main, ["characterize", str(s)])
+        assert r.exit_code == 0, r.output
+        g.write_text(r.output)
+        r = runner.invoke(main, ["validate", str(g), str(s)])
+        assert r.exit_code == 0, r.output
 
     def test_unknown_subcommand_is_3(self, runner):
         r = runner.invoke(main, ["frobnicate"])

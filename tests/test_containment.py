@@ -19,6 +19,7 @@ from shapegraph import (
     find_counterexample,
     fuse_to_compressed,
     kinds,
+    parse_graph,
     parse_schema,
     unpack,
     validates,
@@ -116,6 +117,12 @@ class TestCharacterizingGraph:
     def test_rejects_non_minus(self):
         with pytest.raises(ClassPreconditionError):
             characterizing_graph(chain_schema())
+
+    def test_text_parses_back(self):
+        rng = random.Random(67)
+        for _ in range(30):
+            g = characterizing_graph(random_minus_schema(rng, max_types=4))
+            assert parse_graph(serialize_graph(g)) == g
 
 
 class TestCounterexampleSearch:

@@ -28,10 +28,16 @@ from shapegraph import (
     validates,
     verify_witness,
 )
-from shapegraph.core import Worklist, _kind_fault
+from shapegraph.core import Worklist, _kind_fault, index_lists
 from shapegraph.errors import UnpackBudgetError
 
-from conftest import random_compressed_graph, random_rbe0_schema, random_shape_graph, reference_typing
+from conftest import (
+    random_compressed_graph,
+    random_rbe0_schema,
+    random_shape_graph,
+    random_simple_graph,
+    reference_typing,
+)
 
 intervals = st.builds(
     lambda lo, extra: Interval(lo, INF if extra is None else lo + extra),
@@ -137,6 +143,81 @@ class TestGraphText:
         assert time.monotonic() - start < 10.0
         assert len(g.out("h")) == n and g.out("h")[:2] == tuple(edges[:2])
         assert g.incoming("c7") == (edges[7],)
+
+
+def random_general_graph(rng: random.Random, max_nodes=4, labels=("a", "b")):
+    """Edges with any occurrence, parallel same-label edges and repeats."""
+    nodes = [f"n{i}" for i in range(rng.randint(1, max_nodes))]
+    edges = []
+    for _ in range(rng.randint(0, 8)):
+        lo = rng.randint(0, 3)
+        occur = Interval(lo, rng.choice([lo, lo + 2, INF]))
+        edges.append(Edge(rng.choice(nodes), rng.choice(labels), rng.choice(nodes), occur))
+    return Graph(nodes, edges + rng.sample(edges, min(2, len(edges))), kind="general")
+
+
+def with_isolated_nodes(g: Graph) -> Graph:
+    """g with two isolated nodes, declared by node lines of its text."""
+    header, rest = serialize_graph(g).split("\n", 1)
+    return parse_graph(f"{header}\nnode i0\n{rest}node i1\n")
+
+
+def fields(e: Edge) -> tuple:
+    return (e.source, e.label, e.target, e.occur)
+
+
+class TestEdgeAndGraphContract:
+    MAKERS = {"simple": random_simple_graph, "shape": random_shape_graph,
+              "compressed": random_compressed_graph, "general": random_general_graph}
+
+    def graphs(self, kind, count=40):
+        rng = random.Random(kind)
+        return [with_isolated_nodes(self.MAKERS[kind](rng)) for _ in range(count)]
+
+    def test_construction(self):
+        e = Edge(source="x", label="a", target="y")
+        assert e == Edge("x", "a", "y", ONE) and e.occur is ONE
+        assert Edge("x", "a", "y", occur=STAR) == Edge("x", "a", "y", STAR) != e
+        assert repr(e) == "Edge(source='x', label='a', target='y', occur=Interval(min=1, max=1))"
+
+    @pytest.mark.parametrize("kind", ["simple", "shape", "compressed", "general"])
+    def test_edges_compare_and_hash_by_fields(self, kind):
+        for g in self.graphs(kind):
+            assert g.kind == kind and {"i0", "i1"} <= set(g.nodes)
+            for a in g.edges:
+                assert a != fields(a) and fields(a) != a
+                assert hash(a) == hash(Edge(*fields(a)))
+                for b in g.edges:
+                    assert (a == b) == (fields(a) == fields(b)) == (not a != b)
+            rebuilt = [Edge(*fields(e)) for e in g.edges]
+            assert Counter(Graph(g.nodes, rebuilt, kind=kind).edges) == Counter(g.edges)
+            assert Counter(map(fields, g.edges)) == Counter({fields(e): c for e, c in Counter(g.edges).items()})
+
+    @pytest.mark.parametrize("kind", ["simple", "shape", "compressed", "general"])
+    def test_index_and_adjacency(self, kind):
+        for g in self.graphs(kind):
+            assert g.index == {n: i for i, n in enumerate(g.nodes)}
+            for n in g.nodes:
+                assert n in g
+                assert g.out(n) == tuple(e for e in g.edges if e.source == n)
+                assert g.incoming(n) == tuple(e for e in g.edges if e.target == n)
+            out, inc = index_lists(g, lambda iv: iv)
+            assert out == [[(e.label, e.occur, g.index[e.target]) for e in g.out(n)] for n in g.nodes]
+            assert inc == [[g.index[e.source] for e in g.incoming(n)] for n in g.nodes]
+
+    def test_walks_read_index_lists_only(self):
+        # Typing, simulation and unpacking read a graph through index_lists,
+        # in one pass over its edges, never through per-node adjacency.
+        rng = random.Random(23)
+        out, incoming = Graph.out, Graph.incoming
+        with mock.patch.object(Graph, "out", autospec=True, side_effect=out) as out_calls, \
+                mock.patch.object(Graph, "incoming", autospec=True, side_effect=incoming) as in_calls:
+            for _ in range(20):
+                g = random_compressed_graph(rng, max_card=2)
+                max_typing(g, random_rbe0_schema(rng))
+                max_simulation(g, random_shape_graph(rng))
+                unpack(g, max_nodes=10**4)
+        assert out_calls.call_count == in_calls.call_count == 0
 
 
 @st.composite
