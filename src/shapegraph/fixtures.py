@@ -292,13 +292,18 @@ def exponential_family(n: int):
 
 
 def _typed(e: _rbe.Rbe, ty: str) -> _rbe.Rbe:
-    if isinstance(e, (_rbe.Epsilon, _rbe.Empty)):
-        return e
-    if isinstance(e, _rbe.Sym):
-        return _rbe.Sym((e.symbol, ty))
-    if isinstance(e, _rbe.Repeat):
-        return _rbe.Repeat(_typed(e.body, ty), e.interval)
-    return type(e)(tuple(_typed(p, ty) for p in e.parts))
+    """e with every symbol a read as the atom a::ty, rebuilt bottom-up."""
+    out = {}
+    for x in _rbe.post_order(e):
+        if isinstance(x, _rbe.Sym):
+            out[x] = _rbe.Sym((x.symbol, ty))
+        elif isinstance(x, _rbe.Repeat):
+            out[x] = _rbe.Repeat(out[x.body], x.interval)
+        elif isinstance(x, _rbe.Nary):
+            out[x] = type(x)(tuple(out[p] for p in x.parts))
+        else:
+            out[x] = x
+    return out[e]
 
 
 def union_containment_instance(e0: _rbe.Rbe, es):

@@ -4,79 +4,93 @@ basic intervals).
 
 Symbols are opaque hashables: plain strings for standalone expressions, or
 (label, type) pairs when the expression is a shape expression.
+
+Nodes are immutable and hash-consed: equal expressions are one object, so
+== and hash are identity.  No pass recurses: post_order walks each distinct
+sub-expression once, after its children, with an explicit stack, and the
+parser and the printer are single loops over explicit stacks.
 """
 
 from __future__ import annotations
 
 import functools
 import re
+import weakref
 from dataclasses import dataclass
 
-from .core import (
-    INF,
-    ONE,
-    OPT,
-    PLUS,
-    STAR,
-    Bag,
-    Interval,
-    interval_sum,
-    parse_interval_token,
-)
+from .core import INF, ONE, OPT, PLUS, STAR, Bag, Interval, interval_sum, parse_interval_token
 from .errors import AlphabetError, ParseError, WorkCapError
+
+# (class, *fields) -> the one live node with those fields.
+_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 class Rbe:
-    """Base class for expression AST nodes."""
+    """Base class for expression AST nodes.  A class lists its fields in
+    __match_args__; they are set once, when the node is first built."""
+
+    __slots__ = ("__weakref__",)
+    __match_args__: tuple = ()
+
+    def __new__(cls, *fields):
+        if len(fields) != len(cls.__match_args__):
+            raise TypeError(f"{cls.__name__} takes the fields {cls.__match_args__}")
+        key = (cls, *fields)
+        node = _TABLE.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, fields):
+                object.__setattr__(node, name, value)
+            _TABLE[key] = node
+        return node
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copies and pickles rebuild through the table
+        return type(self), tuple(getattr(self, f) for f in self.__match_args__)
+
+    def __repr__(self):
+        return f"{type(self).__name__}<{rbe_to_text(self)}>"
+
+
+class Epsilon(Rbe):
+    __slots__ = ()
+
+
+class Empty(Rbe):
+    """The expression with the empty language (no bag matches): the factor
+    for an edge whose target carries no types, not in the surface syntax."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Epsilon(Rbe):
-    pass
-
-
-@dataclass(frozen=True)
-class Empty(Rbe):
-    """The expression with the empty language (no bag matches).
-
-    Used as the factor for an edge whose target carries no types; it is not
-    part of the surface syntax.
-    """
-
-
-@dataclass(frozen=True)
 class Sym(Rbe):
-    symbol: object
+    __slots__ = __match_args__ = ("symbol",)
 
 
-@dataclass(frozen=True)
 class Repeat(Rbe):
-    body: Rbe
-    interval: Interval
+    __slots__ = __match_args__ = ("body", "interval")
 
 
-@dataclass(frozen=True)
 class Nary(Rbe):
     """One operator chain: parts holds two or more sub-expressions."""
 
-    parts: tuple
+    __slots__ = __match_args__ = ("parts",)
 
 
-@dataclass(frozen=True)
 class Disj(Nary):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Concat(Nary):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Intersect(Nary):
-    pass
+    __slots__ = ()
 
 
 EPSILON = Epsilon()
@@ -102,26 +116,33 @@ def atom(symbol, iv=ONE) -> Rbe:
     return Sym(symbol) if iv == ONE else Repeat(Sym(symbol), iv)
 
 
+def post_order(e: Rbe):
+    """Each distinct sub-expression of e once, after its children, read
+    left to right: one loop over an explicit stack."""
+    done = set()
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if x in done:
+            continue
+        kids = (x.body,) if isinstance(x, Repeat) else x.parts if isinstance(x, Nary) else ()
+        todo = [k for k in kids if k not in done]
+        if todo:
+            stack.append(x)
+            stack.extend(reversed(todo))
+        else:
+            done.add(x)
+            yield x
+
+
 def alphabet(e: Rbe) -> frozenset:
-    if isinstance(e, (Epsilon, Empty)):
-        return frozenset()
-    if isinstance(e, Sym):
-        return frozenset([e.symbol])
-    if isinstance(e, Repeat):
-        return alphabet(e.body)
-    return frozenset().union(*map(alphabet, e.parts))
+    return frozenset(x.symbol for x in post_order(e) if isinstance(x, Sym))
 
 
 def max_finite_constant(e: Rbe) -> int:
     """Largest finite interval endpoint occurring in e (0 if none)."""
-    if isinstance(e, (Epsilon, Empty, Sym)):
-        return 0
-    if isinstance(e, Repeat):
-        k = e.interval.min
-        if e.interval.max != INF:
-            k = max(k, e.interval.max)
-        return max(k, max_finite_constant(e.body))
-    return max(map(max_finite_constant, e.parts))
+    ends = [k for x in post_order(e) if isinstance(x, Repeat) for k in (x.interval.min, x.interval.max)]
+    return max([k for k in ends if k != INF], default=0)
 
 
 VECTOR_WORK = 10**6
@@ -130,10 +151,10 @@ VECTOR_WORK = 10**6
 def parikh_vectors(e: Rbe, symbols, box, total=None) -> set:
     """The Parikh vectors of L(e) over symbols, as count tuples aligned
     with symbols, that lie inside box and sum to at most total (to
-    sum(box) when None).  Exact: built bottom-up over an explicit stack,
-    where a symbol is its unit vector (∅ if it is not among symbols), | is
-    union, & intersection, , the Minkowski sum and a repeat the sum
-    iterated up to its max.  Counts are never negative, so a sum that
+    sum(box) when None).  Exact: built bottom-up in post_order, once per
+    distinct sub-expression, where a symbol is its unit vector (∅ if it is
+    not among symbols), | is union, & intersection, , the Minkowski sum and
+    a repeat the sum iterated up to its max.  Counts are never negative, so a sum that
     leaves the box stays out of it and every set can be clipped as it is
     made.
 
@@ -176,24 +197,8 @@ def parikh_vectors(e: Rbe, symbols, box, total=None) -> set:
             rounds += 1
         return reached
 
-    sets: dict = {}  # id(sub-expression) -> its vector set; e keeps them alive
-    stack = [e]
-    while stack:
-        x = stack[-1]
-        if id(x) in sets:
-            stack.pop()
-            continue
-        if isinstance(x, Repeat):
-            kids = (x.body,)
-        elif isinstance(x, Nary):
-            kids = x.parts
-        else:
-            kids = ()
-        todo = [k for k in kids if id(k) not in sets]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
+    sets: dict = {}  # sub-expression -> its vector set
+    for x in post_order(e):
         if isinstance(x, Epsilon):
             r = {zero}
         elif isinstance(x, Empty):
@@ -202,18 +207,18 @@ def parikh_vectors(e: Rbe, symbols, box, total=None) -> set:
             i = index.get(x.symbol)
             r = {zero[:i] + (1,) + zero[i + 1:]} if i is not None and box[i] and total else set()
         elif isinstance(x, Repeat):
-            r = repeat(sets[id(x.body)], x.interval)
+            r = repeat(sets[x.body], x.interval)
         elif isinstance(x, Disj):
-            r = set().union(*[sets[id(p)] for p in x.parts])
+            r = set().union(*[sets[p] for p in x.parts])
         elif isinstance(x, Intersect):
-            r = set.intersection(*[sets[id(p)] for p in x.parts])
+            r = set.intersection(*[sets[p] for p in x.parts])
         elif isinstance(x, Concat):
             # Folded left to right: the sums of the left-nested chain.
-            r = functools.reduce(plus, [sets[id(p)] for p in x.parts])
+            r = functools.reduce(plus, [sets[p] for p in x.parts])
         else:
             raise TypeError(f"not an expression: {x!r}")
-        sets[id(x)] = r
-    return sets[id(e)]
+        sets[x] = r
+    return sets[e]
 
 
 def bag_matches(e: Rbe, w: Bag) -> bool:
@@ -249,27 +254,24 @@ class Rbe0:
 
 def to_rbe0(e: Rbe) -> Rbe0 | None:
     """Syntactic conversion; returns None when e is not of the flat shape.
-    A nested concatenation counts as flat: `(a, b), c` reads as a, b, c."""
+    A nested concatenation counts as flat: `(a, b), c` reads as a, b, c.
+    The factors are popped left to right from a stack, every occurrence of
+    a shared one included (post_order would yield it once)."""
     if isinstance(e, Epsilon):
         return Rbe0(())
     atoms = []
-    for x in _factors(e):
-        if isinstance(x, Sym):
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Concat):
+            stack.extend(reversed(x.parts))
+        elif isinstance(x, Sym):
             atoms.append((x.symbol, ONE))
         elif isinstance(x, Repeat) and isinstance(x.body, Sym) and x.interval.basic:
             atoms.append((x.body.symbol, x.interval))
         else:
             return None
     return Rbe0(tuple(atoms))
-
-
-def _factors(e: Rbe):
-    """The factors of e read as a concatenation, through nested ones."""
-    if isinstance(e, Concat):
-        for p in e.parts:
-            yield from _factors(p)
-    else:
-        yield e
 
 
 def rbe0_to_rbe(e0: Rbe0) -> Rbe:
@@ -320,121 +322,118 @@ def tokenize(text: str):
     return tokens
 
 
-class _ExprParser:
-    def __init__(self, tokens, typed: bool):
-        self.tokens = tokens
-        self.i = 0
-        self.typed = typed
-        # Loosest-binding operator first.  Partials, not methods, so one
-        # nesting level costs as many frames as with one method per level.
-        cat = functools.partial(self.chain, Concat, ",", self.post)
-        inter = functools.partial(self.chain, Intersect, "&", cat)
-        self.disj = functools.partial(self.chain, Disj, "|", inter)
+# Precedence (higher binds tighter) and separator of each chain operator.
+# Every part prints in the next-higher context, so a nested chain keeps its
+# parentheses and the text parses back to the same tree.
+_OPERATORS = {Disj: (0, " | "), Intersect: (1, " & "), Concat: (2, ", ")}
+_NARY = tuple(_OPERATORS)  # indexed by level
+_LEVEL = {sep.strip(): level for level, sep in _OPERATORS.values()}
+_MARKS = {"?": OPT, "*": STAR, "+": PLUS}
+_MARK_TEXT = {iv: mark for mark, iv in _MARKS.items()}
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None)
 
-    def take(self, kind=None, value=None):
-        k, v = self.peek()
-        if kind is not None and k != kind:
-            raise ParseError(f"expected {kind}, got {v!r}")
-        if value is not None and v != value:
-            raise ParseError(f"expected {value!r}, got {v!r}")
-        self.i += 1
-        return v
+def _close(chains, level, e) -> Rbe:
+    """e is the last part of the open chains at level and tighter: fold
+    them into one expression, tightest first (a chain of one part is that
+    part), and leave them empty."""
+    for lv in range(len(_NARY) - 1, level - 1, -1):
+        if chains[lv]:
+            e = _NARY[lv]((*chains[lv], e))
+            chains[lv].clear()
+    return e
 
-    def parse(self) -> Rbe:
-        e = self.disj()
-        k, v = self.peek()
-        if k is not None:
-            raise ParseError(f"trailing input at {v!r}")
-        return e
 
-    def chain(self, cls, op, next_level) -> Rbe:
-        parts = [next_level()]
-        while self.peek() == ("punct", op):
-            self.take()
-            parts.append(next_level())
-        return cls(tuple(parts)) if len(parts) > 1 else parts[0]
-
-    def post(self) -> Rbe:
-        e = self.primary()
-        while True:
-            k, v = self.peek()
-            if k == "punct" and v in "?*+":
-                self.take()
-                e = Repeat(e, {"?": OPT, "*": STAR, "+": PLUS}[v])
-            elif k == "punct" and v == "^":
-                self.take()
-                k2, v2 = self.peek()
-                if k2 == "interval":
-                    e = Repeat(e, parse_interval_token(self.take()))
-                elif k2 == "ident" and v2.isdigit():
-                    n = int(self.take())
-                    e = Repeat(e, Interval(n, n))
-                else:
-                    raise ParseError(f"expected an interval after '^', got {v2!r}")
-            else:
-                return e
-
-    def primary(self) -> Rbe:
-        k, v = self.peek()
-        if k == "punct" and v == "(":
-            self.take()
-            e = self.disj()
-            self.take("punct", ")")
-            return e
-        if k == "ident":
-            name = self.take()
-            if name == "eps":
-                return EPSILON
-            if self.typed:
-                self.take("dcolon")
-                ty = self.take("ident")
-                return Sym((name, ty))
-            return Sym(name)
-        raise ParseError(f"expected an expression, got {v!r}")
+def _expect(take, kind):
+    k, v = take()
+    if k != kind:
+        raise ParseError(f"expected {kind}, got {v!r}")
+    return v
 
 
 def parse_rbe(text: str, typed: bool = False) -> Rbe:
-    """Parse an expression; atoms are bare symbols, or label::Type pairs."""
+    """Parse an expression; atoms are bare symbols, or label::Type pairs.
+
+    One loop over the tokens.  Each open parenthesis keeps one open chain
+    per operator (the parts read so far); an operand, once read with its
+    postfix marks, is added to the chain of the operator after it, and
+    closes the tighter chains first.
+    """
     tokens = tokenize(text)
     if not tokens:
         raise ParseError("empty expression")
-    return _ExprParser(tokens, typed).parse()
-
-
-# Precedence (higher binds tighter) and separator of each operator.  Every
-# part prints in the next-higher context, so a nested chain keeps its
-# parentheses and the text parses back to the same tree.
-_OPERATORS = {Disj: (0, " | "), Intersect: (1, " & "), Concat: (2, ", ")}
-
-
-def _fmt(e: Rbe, context: int) -> str:
-    if isinstance(e, Epsilon):
-        return "eps"
-    if isinstance(e, Empty):
-        return "<empty>"
-    if isinstance(e, Sym):
-        s = e.symbol
-        return f"{s[0]}::{s[1]}" if isinstance(s, tuple) else str(s)
-    if isinstance(e, Repeat):
-        body = _fmt(e.body, 0)
-        if not isinstance(e.body, (Sym, Epsilon)):
-            body = f"({body})"
-        iv = e.interval
-        mark = {OPT: "?", STAR: "*", PLUS: "+"}.get(iv)
-        if mark:
-            return body + mark
-        if iv.singleton:
-            return f"{body}^{iv.min}"
-        return f"{body}^{iv}"
-    if isinstance(e, Nary):
-        level, sep = _OPERATORS[type(e)]
-        s = sep.join(_fmt(p, level + 1) for p in e.parts)
-        return f"({s})" if level < context else s
-    raise TypeError(f"not an expression: {e!r}")
+    take = functools.partial(next, iter(tokens), (None, None))
+    frames = [[[] for _ in _NARY]]
+    e = None  # the operand read so far; None while one is expected
+    while True:
+        k, v = take()
+        if e is None:
+            if (k, v) == ("punct", "("):
+                frames.append([[] for _ in _NARY])
+            elif k != "ident":
+                raise ParseError(f"expected an expression, got {v!r}")
+            elif v == "eps":
+                e = EPSILON
+            elif typed:
+                _expect(take, "dcolon")
+                e = Sym((v, _expect(take, "ident")))
+            else:
+                e = Sym(v)
+        elif k == "punct" and v in _MARKS:
+            e = Repeat(e, _MARKS[v])
+        elif (k, v) == ("punct", "^"):
+            k, v = take()
+            if k == "interval":
+                e = Repeat(e, parse_interval_token(v))
+            elif k == "ident" and v.isdigit():
+                e = Repeat(e, Interval(int(v), int(v)))
+            else:
+                raise ParseError(f"expected an interval after '^', got {v!r}")
+        elif k == "punct" and v in _LEVEL:
+            level = _LEVEL[v]
+            frames[-1][level].append(_close(frames[-1], level + 1, e))
+            e = None
+        elif len(frames) > 1:
+            if (k, v) != ("punct", ")"):
+                raise ParseError(f"expected ')', got {v!r}" if k == "punct" else f"expected punct, got {v!r}")
+            e = _close(frames.pop(), 0, e)
+        elif k is not None:
+            raise ParseError(f"trailing input at {v!r}")
+        else:
+            return _close(frames[0], 0, e)
 
 
 def rbe_to_text(e: Rbe) -> str:
-    return _fmt(e, 0)
+    """The text of e: one loop pops (node, context) pairs and text pieces
+    from one stack into one output list."""
+    out = []
+    stack = [(e, 0)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        x, context = item
+        if isinstance(x, Epsilon):
+            out.append("eps")
+        elif isinstance(x, Empty):
+            out.append("<empty>")
+        elif isinstance(x, Sym):
+            s = x.symbol
+            out.append(f"{s[0]}::{s[1]}" if isinstance(s, tuple) else str(s))
+        elif isinstance(x, Repeat):
+            iv = x.interval
+            mark = _MARK_TEXT.get(iv) or (f"^{iv.min}" if iv.singleton else f"^{iv}")
+            pieces = [(x.body, 0), mark]
+            if not isinstance(x.body, (Sym, Epsilon)):
+                pieces = ["(", (x.body, 0), ")" + mark]
+            stack.extend(reversed(pieces))
+        elif isinstance(x, Nary):
+            level, sep = _OPERATORS[type(x)]
+            pieces = [sep] * (2 * len(x.parts) - 1)
+            pieces[::2] = [(p, level + 1) for p in x.parts]
+            if level < context:
+                pieces = ["(", *pieces, ")"]
+            stack.extend(reversed(pieces))
+        else:
+            raise TypeError(f"not an expression: {x!r}")
+    return "".join(out)

@@ -27,6 +27,13 @@ from shapegraph import (
 )
 
 
+def _nested(inner, atom, depth):
+    """(…((inner, atom)?, atom)?…), nested depth levels deep."""
+    for _ in range(depth):
+        inner = f"({inner}, {atom})?"
+    return inner
+
+
 @pytest.fixture
 def runner():
     return CliRunner()
@@ -76,15 +83,42 @@ class TestExitCodes:
         r = runner.invoke(main, ["classify", files["tmp"] + "/absent.schema"])
         assert r.exit_code == 3
 
-    def test_recursion_limit_is_2(self, runner, tmp_path):
-        # Parsing recurses once per nesting level, so 1200 nested
-        # parentheses pass Python's recursion limit.
-        deep = tmp_path / "deep.schema"
-        deep.write_text("t -> " + "(" * 1200 + "a::t?" + ")" * 1200 + "\n")
-        r = runner.invoke(main, ["--json", "classify", str(deep)])
+    def test_recursion_limit_is_2(self, runner):
+        # The Presburger export recurses once per nesting level, so an
+        # expression nested 1200 levels deep passes Python's recursion limit.
+        r = runner.invoke(main, ["--json", "presburger", _nested("a?", "b", 1200)])
         assert r.exit_code == 2
         assert json.loads(r.stdout) == {"verdict": "unknown", "stats": {}}
         assert r.stderr.startswith("unknown: ")
+
+    def test_deep_parentheses_are_classified(self, runner, tmp_path):
+        # Parsing is one loop over the tokens, whatever the nesting.
+        deep = tmp_path / "deep.schema"
+        deep.write_text("t -> " + "(" * 1200 + "a::t?" + ")" * 1200 + "\n")
+        r = runner.invoke(main, ["--json", "classify", str(deep)])
+        assert r.exit_code == 0
+        assert json.loads(r.stdout)["verdict"] == "DetShEx0"
+
+    def test_deep_rules_are_decided(self, runner, tmp_path):
+        # A rule nested 10^4 levels deep: no walker recurses per level.
+        text = f"t -> {_nested('a::t?', 'b::u', 10**4)}\nu -> eps\n"
+        s = tmp_path / "deep.schema"
+        s.write_text(text)
+        g = tmp_path / "small.graph"
+        g.write_text("graph simple\nx b y\nx b z\n")
+        r = runner.invoke(main, ["--json", "classify", str(s)])
+        assert r.exit_code == 0
+        assert json.loads(r.stdout)["verdict"] == "ShEx"
+        r = runner.invoke(main, ["--json", "validate", str(g), str(s)])
+        assert r.exit_code == 0
+        assert json.loads(r.stdout)["verdict"] == "valid"
+        schema = parse_schema(text)
+        assert parse_schema(serialize_schema(schema)) == schema
+
+    def test_deep_union_fixture_is_built(self, runner):
+        r = runner.invoke(main, ["fixtures", "union", _nested("a", "b", 10**4), "a", "b"])
+        assert r.exit_code == 0
+        assert r.output.count("b::t0") == 10**4 + 1  # H has 10^4, K one
 
     @pytest.mark.parametrize(("op", "fits"), [(", ", 0), (" | ", 1), (" & ", 1)])
     def test_wide_rules_are_decided(self, runner, tmp_path, op, fits):

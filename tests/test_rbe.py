@@ -1,3 +1,6 @@
+import copy
+import gc
+import pickle
 import random
 from collections import Counter
 
@@ -5,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shapegraph import INF, Interval, ONE, OPT, PLUS, STAR, ParseError
+from shapegraph import rbe
 from shapegraph.rbe import (
     EMPTY,
     EPSILON,
@@ -116,6 +120,41 @@ class TestRbe0:
             assert rbe0_matches(e0, w) == matches(e, w)
 
 
+class TestHashConsing:
+    def test_equal_expressions_are_one_node(self):
+        assert parse_rbe("a, b") is Concat((Sym("a"), Sym("b")))
+        assert parse_rbe("(a | b), (a | b)").parts[0] is parse_rbe("a | b")
+        x = Sym("x")
+        assert Repeat(x, Interval(1, INF)) is Repeat(x, PLUS)
+
+    def test_operators_are_told_apart(self):
+        ps = (Sym("a"), Sym("b"))
+        assert Disj(ps) is not Concat(ps)
+        assert Disj(ps) != Concat(ps)
+
+    def test_nodes_are_immutable(self):
+        e = Sym("a")
+        with pytest.raises(AttributeError):
+            e.symbol = "b"
+        with pytest.raises(AttributeError):
+            del e.symbol
+        assert e.symbol == "a"
+
+    def test_copies_are_the_node_itself(self):
+        e = parse_rbe("(a, b?)* | eps")
+        assert copy.deepcopy(e) is e
+        assert pickle.loads(pickle.dumps(e)) is e
+
+    def test_the_table_does_not_leak(self):
+        gc.collect()
+        before = len(rbe._TABLE)
+        nodes = [Repeat(Sym(f"throwaway{i}"), OPT) for i in range(5000)]
+        assert len(rbe._TABLE) == before + 10**4
+        del nodes
+        gc.collect()
+        assert len(rbe._TABLE) == before
+
+
 class TestParser:
     def test_roundtrip(self):
         for text in ("a", "a?", "(a | b), c*", "a^[2;3], b+", "eps", "(a & b) | c"):
@@ -195,6 +234,10 @@ class TestBruteForceCrossCheck:
             ("(a?, b?)^[3;inf]", bag("a", "b", "b")),
             ("((a, b)^[2;3])^[0;2]", bag("a", "a", "b", "b")),
             ("((a | b)* & (a, a)*)^[2;3]", bag("a", "a", "a", "a")),
+            # Shared sub-expressions: one node, one vector set per call.
+            ("(a | b), (a | b)*", bag("a", "b", "b")),
+            ("((a, b)? & (a, b)?)^[2;3]", bag("a", "a", "b", "b")),
+            ("(a?, b)^[2;2] | ((a?, b)^[2;2], (a?, b))", bag("a", "b", "b", "b")),
         ):
             e = parse_rbe(text)
             assert bag_matches(e, w) and brute_matches(e, w), text

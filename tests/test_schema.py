@@ -41,6 +41,15 @@ class TestParsing:
     def test_header_optional(self):
         assert parse_schema("t -> eps\n").types == ("t",)
 
+    def test_deep_schemas_compare_equal(self):
+        # Nodes are hash-consed, so equality is identity, not a walk that
+        # recurses once per nesting level.
+        inner = "a::t?"
+        for _ in range(190):
+            inner = f"({inner}, b::u)?"
+        text = f"t -> {inner}\nu -> eps\n"
+        assert parse_schema(text) == parse_schema(text)
+
 
 class TestShapeGraphCorrespondence:
     def test_roundtrip_via_graph(self):
