@@ -11,7 +11,6 @@ from .core import (
     Edge,
     Graph,
     Interval,
-    bag,
     interval_sum,
     parse_graph,
     parse_interval_token,

@@ -41,9 +41,6 @@ class Budget:
     max_nodes: int = 6
     max_card: int = 3
     timeout: float | None = 60.0
-    # Only report Contained on budget exhaustion when the caller asserts the
-    # budget provably covers the counter-example bound.
-    claim_complete: bool = False
 
     def check(self):
         if self.max_nodes < 1 or self.max_card < 1:
@@ -292,7 +289,7 @@ def canonical_code(g: Graph):
     return (len(nodes), best)
 
 
-def _compositions(h: Schema, n_nodes: int, max_card: int, bags: dict):
+def _compositions(h: Schema, n_nodes: int, max_card: int, bags: dict, timed_out=lambda: False):
     """Each composition of n_nodes nodes over h's types (node counts per
     type, in _tuples order) whose types all have an out-spec, as (index in
     that order, targets_of, specs).  Nodes are numbered by type in order and
@@ -301,7 +298,7 @@ def _compositions(h: Schema, n_nodes: int, max_card: int, bags: dict):
     an out-bag from L(δ(t)) realized as edges with cardinalities up to
     max_card, each a list of (label, k, target index) sorted on (label, k),
     as core.Refinement.fixpoint takes them.  bags caches _bags_matching on
-    (type, caps) across calls."""
+    (type, caps) across calls.  Stops between two specs once timed_out()."""
     types = h.types
     for index, counts in enumerate(_tuples(n_nodes, len(types), n_nodes)):
         # Only types with nodes count.
@@ -318,6 +315,8 @@ def _compositions(h: Schema, n_nodes: int, max_card: int, bags: dict):
                 used = [(a, c) for a, c in zip(symbols, v) if c]
                 dists = [_tuples(c, len(targets_of[a[1]]), max_card) for a, c in used]
                 for combo in product(*dists):
+                    if timed_out():
+                        return
                     spec_list.append(sorted((lab, card, targets_of[tgt_t][slot])
                                             for ((lab, tgt_t), _), dist in zip(used, combo)
                                             for slot, card in enumerate(dist) if card))
@@ -399,6 +398,11 @@ def _hits(typer, targets_of, specs, timed_out):
 def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
     """Exhaustive bounded search for a graph validating h but not k.
 
+    A minimal counter-example can be exponential in size, so a bounded
+    search shows non-containment but never containment: the answer is
+    NotContained with a witness, or Unknown naming the exhausted budget or
+    the timeout.
+
     Candidates are built from h's compositions and out-specs
     (_compositions), so every one validates h by construction.  Only
     weakly connected candidates are considered — a minimal counter-example
@@ -441,7 +445,7 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
     for n_nodes in range(1, budget.max_nodes + 1):
         names = [f"v{i}" for i in range(n_nodes)]
         hits = []
-        for index, targets_of, specs in _compositions(h, n_nodes, budget.max_card, bags):
+        for index, targets_of, specs in _compositions(h, n_nodes, budget.max_card, bags, timed_out):
             for picks, out, inc in _hits(typer, targets_of, specs, timed_out):
                 if _weakly_connected(out, inc):
                     g = _candidate_graph(names, out)
@@ -455,8 +459,6 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
                 return NotContained(g)
         if timed_out():
             return Unknown("timeout before exhausting the budget")
-    if budget.claim_complete:
-        return Contained()
     return Unknown(
         f"no counter-example with <= {budget.max_nodes} nodes and cardinalities <= {budget.max_card}"
     )
@@ -467,10 +469,10 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
 
 def contains(h: Schema, k: Schema, method: str = "auto", budget: Budget = Budget()):
     """Containment verdict; method 'embedding' requires both schemas in the
-    deterministic ?-closed class, 'search' runs the bounded enumeration,
-    'auto' picks embedding exactly when both classify into that class: it
-    falls back to the search on the class check of contains_detshex0minus,
-    so each schema is classified once."""
+    deterministic ?-closed class, 'search' runs the bounded enumeration
+    (never Contained), 'auto' picks embedding exactly when both classify
+    into that class: it falls back to the search on the class check of
+    contains_detshex0minus, so each schema is classified once."""
     if method not in ("auto", "embedding", "search"):
         raise ValueError(f"unknown method {method!r}")
     if method == "search":

@@ -1,4 +1,4 @@
-"""Occurrence intervals, bags, and the unified graph model.
+"""Occurrence intervals and the unified graph model.
 
 Graphs come in three refinements: simple (all occurrences [1;1], no parallel
 same-label edges), shape (basic occurrences only), and compressed (singleton
@@ -104,50 +104,22 @@ def parse_interval_token(tok: str) -> Interval:
     return Interval(k, k)
 
 
-# --- Bags ------------------------------------------------------------------
-#
-# A bag is a Counter from symbols to positive counts; Counter equality
-# already ignores zero-count entries.
-
-Bag = Counter
-
-
-def bag(*symbols) -> Bag:
-    return Counter(symbols)
-
-
 # --- Graphs ----------------------------------------------------------------
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class Edge:
     """An edge source --label--> target with an occurrence interval.
 
-    A class with __slots__ and a plain __init__, so that building one,
-    which parsing does once per edge line, is four attribute stores.  Like
-    Graph, an Edge is treated as immutable.  It is equal only to an Edge
-    with equal fields, never to a plain tuple, and hashes as its fields
-    do."""
+    Slotted and not frozen, so that building one, which parsing does once
+    per edge line, is four attribute stores.  Like Graph, an Edge is
+    treated as immutable.  It is equal only to an Edge with equal fields,
+    never to a plain tuple, and hashes as its fields do."""
 
-    __slots__ = ("source", "label", "target", "occur")
-
-    def __init__(self, source: str, label: str, target: str, occur: Interval = ONE):
-        self.source = source
-        self.label = label
-        self.target = target
-        self.occur = occur
-
-    def __eq__(self, other):
-        if other.__class__ is not Edge:
-            return NotImplemented
-        return (self.source, self.label, self.target, self.occur) == (
-            other.source, other.label, other.target, other.occur)
-
-    def __hash__(self):
-        return hash((self.source, self.label, self.target, self.occur))
-
-    def __repr__(self):
-        return (f"Edge(source={self.source!r}, label={self.label!r}, "
-                f"target={self.target!r}, occur={self.occur!r})")
+    source: str
+    label: str
+    target: str
+    occur: Interval = ONE
 
 
 KINDS = ("simple", "shape", "compressed", "general")

@@ -16,9 +16,10 @@ from __future__ import annotations
 import functools
 import re
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 
-from .core import INF, ONE, OPT, PLUS, STAR, Bag, Interval, interval_sum, parse_interval_token
+from .core import INF, ONE, OPT, PLUS, STAR, Interval, interval_sum, parse_interval_token
 from .errors import AlphabetError, ParseError, WorkCapError
 
 # (class, *fields) -> the one live node with those fields.
@@ -221,7 +222,7 @@ def parikh_vectors(e: Rbe, symbols, box, total=None) -> set:
     return sets[e]
 
 
-def bag_matches(e: Rbe, w: Bag) -> bool:
+def bag_matches(e: Rbe, w: Counter) -> bool:
     """Exact membership w ∈ L(e): whether w's count vector is among the
     Parikh vectors of L(e) inside the box of w itself (parikh_vectors).
 
@@ -278,7 +279,7 @@ def rbe0_to_rbe(e0: Rbe0) -> Rbe:
     return concat_all([atom(a, iv) for a, iv in e0.atoms])
 
 
-def rbe0_matches(e0: Rbe0, w: Bag) -> bool:
+def rbe0_matches(e0: Rbe0, w: Counter) -> bool:
     """w ∈ L(e0), decided per symbol by folding interval addition."""
     per_symbol: dict = {}
     for a, iv in e0.atoms:
@@ -301,23 +302,20 @@ _TOKEN_RE = re.compile(
       | (?P<arrow>->)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*|\d+)
       | (?P<punct>[()|,&^?*+])
+      | (?P<bad>\S)
     )""",
     re.VERBOSE,
 )
 
 
 def tokenize(text: str):
+    """(kind, text) per token up to a '#' comment; the matches cover the
+    text with no gap, since any non-blank character matches `bad`."""
     tokens = []
-    pos = 0
-    text = text.split("#", 1)[0]
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}", column=pos + 1)
-            break
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text.split("#", 1)[0]):
         kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", column=m.start() + 1)
         tokens.append((kind, m.group(kind)))
     return tokens
 

@@ -85,8 +85,6 @@ def parse_schema(text: str) -> Schema:
         raise ParseError("no rules found", line=1)
     try:
         return Schema(defs)
-    except ParseError:
-        raise
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

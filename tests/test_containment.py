@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from collections import Counter
 from itertools import combinations_with_replacement, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -129,8 +130,8 @@ class TestCounterexampleSearch:
     def test_contained_within_budget(self):
         h = parse_schema("t -> a::u\nu -> eps\n")
         k = parse_schema("t -> a::u*\nu -> eps\n")
-        v = find_counterexample(h, k, Budget(max_nodes=4, max_card=2, claim_complete=True))
-        assert isinstance(v, Contained)
+        v = find_counterexample(h, k, Budget(max_nodes=4, max_card=2))
+        assert v == Unknown("no counter-example with <= 4 nodes and cardinalities <= 2")
 
     def test_finds_minimal_witness(self):
         h = parse_schema("t -> a::u*\nu -> eps\n")
@@ -154,8 +155,8 @@ class TestCounterexampleSearch:
         monkeypatch.setattr(containment, "_bags_matching", recording)
         h = parse_schema("t -> a::u\nu -> eps\n")
         k = parse_schema("t -> a::u*\nu -> eps\n")
-        v = find_counterexample(h, k, Budget(max_nodes=4, max_card=2, claim_complete=True))
-        assert isinstance(v, Contained)
+        v = find_counterexample(h, k, Budget(max_nodes=4, max_card=2))
+        assert v == Unknown("no counter-example with <= 4 nodes and cardinalities <= 2")
         # u's empty alphabet gives the key ("u", ()) in every composition.
         assert ("u", ()) in keys and len(keys) == len(set(keys))
 
@@ -163,7 +164,7 @@ class TestCounterexampleSearch:
         h = parse_schema("t -> a::u\nu -> eps\n")
         k = parse_schema("t -> a::u*\nu -> eps\n")
         v = find_counterexample(h, k, Budget(max_nodes=3, max_card=2))
-        assert isinstance(v, Unknown)
+        assert v == Unknown("no counter-example with <= 3 nodes and cardinalities <= 2")
 
     def test_copies_of_a_compressed_edge_take_their_own_types(self):
         # The candidate v0 a v1 [2;2] validates k: one copy of v1 reads as p,
@@ -333,12 +334,34 @@ class TestCounterexampleSearch:
         v = find_counterexample(s, s, Budget(max_nodes=6, max_card=3, timeout=0.01))
         assert isinstance(v, Unknown)
 
+    def test_clock_is_read_while_specs_are_built(self, monkeypatch):
+        # Draws of containment._tuples between two reads of the clock: the
+        # search must look at its timeout between out-specs, not only once
+        # a composition's specs are all built.
+        draws = [0]
+        tuples, monotonic = containment._tuples, containment.time.monotonic
+
+        def counting_tuples(*args):
+            for c in tuples(*args):
+                draws[-1] += 1
+                yield c
+
+        def counting_monotonic():
+            draws.append(0)
+            return monotonic()
+
+        monkeypatch.setattr(containment, "_tuples", counting_tuples)
+        monkeypatch.setattr(containment, "time", SimpleNamespace(monotonic=counting_monotonic))
+        h = parse_schema("t -> a::u*, b::u*\nu -> eps\n")
+        find_counterexample(h, h, Budget(max_nodes=3, max_card=6))
+        assert max(draws) <= 100
+
     def test_auto_method_dispatch(self):
         minus = parse_schema(BUG_SCHEMA_TEXT)
         det = chain_schema()
         assert isinstance(contains(minus, minus), Contained)
-        # Non-minus input: auto must go through the bounded search and may
-        # only answer Unknown without claim_complete.
+        # Non-minus input: auto must go through the bounded search, which
+        # never answers Contained.
         v = contains(det, det, budget=Budget(max_nodes=3, max_card=2, timeout=10))
         assert isinstance(v, Unknown)
 

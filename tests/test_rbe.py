@@ -189,6 +189,20 @@ class TestParser:
             with pytest.raises(ParseError):
                 parse_rbe(text)
 
+    @pytest.mark.parametrize("text, char, column", [("a $", "$", 2), ("[2;", "[", 1), ("a -", "-", 2)])
+    def test_tokenizer_errors(self, text, char, column):
+        with pytest.raises(ParseError) as exc:
+            rbe.tokenize(text)
+        assert (str(exc.value), exc.value.column) == (f"unexpected character {char!r}", column)
+
+    @pytest.mark.parametrize("text, tokens", [
+        ("a # $", [("ident", "a")]),
+        ("b::t^[1; inf],  c? \t ", [("ident", "b"), ("dcolon", "::"), ("ident", "t"), ("punct", "^"),
+                                   ("interval", "[1; inf]"), ("punct", ","), ("ident", "c"), ("punct", "?")]),
+    ])
+    def test_tokenizer_skips_comments_and_trailing_blanks(self, text, tokens):
+        assert rbe.tokenize(text) == tokens
+
     @settings(max_examples=60)
     @given(st.integers(min_value=0, max_value=2**31))
     def test_roundtrip_random(self, seed):
