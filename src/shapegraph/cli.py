@@ -84,17 +84,10 @@ def _emit(ctx, verdict: str, text_lines, witness=None, stats=None, code=0):
 @click.option("--json", "json_out", is_flag=True, help="Emit a JSON result envelope.")
 @click.option("--strict", is_flag=True,
               help="On an unknown result (exit 2), also print 'strict mode: result is unknown' to stderr.")
-@click.option(
-    "--jobs",
-    type=click.IntRange(min=1),
-    default=1,
-    show_default=True,
-    help="Accepted; execution is sequential and deterministic whatever the value.",
-)
 @click.pass_context
-def main(ctx, json_out, strict, jobs):
+def main(ctx, json_out, strict):
     """Shape-schema toolkit: validation, embedding, containment, encodings."""
-    ctx.obj = {"json": json_out, "strict": strict, "jobs": jobs}
+    ctx.obj = {"json": json_out, "strict": strict}
 
 
 @main.command()
@@ -299,15 +292,9 @@ def _emit_pair(ctx, name_a, text_a, name_b, text_b, out_h, out_k):
     _emit(ctx, "ok", lines, witness={name_a: text_a, name_b: text_b}, code=0)
 
 
-_pair_out = [
-    click.option("--out-h", type=click.Path(), default=None, help="Write the left instance here."),
-    click.option("--out-k", type=click.Path(), default=None, help="Write the right instance here."),
-]
-
-
 def _with_pair_out(f):
-    for opt in _pair_out:
-        f = opt(f)
+    f = click.option("--out-h", type=click.Path(), default=None, help="Write the left instance here.")(f)
+    f = click.option("--out-k", type=click.Path(), default=None, help="Write the right instance here.")(f)
     return f
 
 

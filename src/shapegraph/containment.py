@@ -232,18 +232,6 @@ def _bags_matching(s: Schema, t, symbols, caps):
     return sorted(_rbe.parikh_vectors(s.defs[t], symbols, caps))
 
 
-def _weakly_connected(out, inc):
-    """Weak connectivity from index lists, as core.Refinement.fixpoint takes them."""
-    seen = {0}
-    order = [0]
-    for i in order:
-        for j in inc[i] + [b for _, _, b in out[i]]:
-            if j not in seen:
-                seen.add(j)
-                order.append(j)
-    return len(seen) == len(out)
-
-
 def _candidate_graph(names, out):
     edges = [Edge(names[a], lab, names[b], Interval(c, c)) for a, o in enumerate(out) for lab, c, b in o]
     return Graph(names, edges, kind="simple" if all(e.occur == ONE for e in edges) else "compressed")
@@ -343,14 +331,14 @@ def _levels(targets_of, specs):
 
 
 def _hits(typer, targets_of, specs, timed_out):
-    """(picks, out, inc) for every candidate of one composition that leaves
-    a node untyped by typer: picks holds each type's pick of specs in
-    targets_of order, and out and inc are the candidate's out- and
-    in-lists.  One depth-first walk over the levels (_levels, or the types
-    in targets_of order when they reference each other in a cycle), with a
-    stack of each level's picks drawn lazily; stops early once
-    timed_out().  The typing of each level is described in
-    find_counterexample."""
+    """(picks, out) for every candidate of one composition that leaves a
+    node untyped by typer: picks holds each type's pick of specs in
+    targets_of order, and out is the candidate's out-lists.  One
+    depth-first walk over the levels (_levels, or the types in targets_of
+    order when they reference each other in a cycle), with a stack of each
+    level's picks drawn lazily; stops early once timed_out().  The typing
+    of each level is described in find_counterexample; only the cyclic
+    case builds in-lists, for the fixpoint."""
     sets = typer.sets
     order = _levels(targets_of, specs)
     levels = order or list(targets_of)
@@ -385,12 +373,14 @@ def _hits(typer, targets_of, specs, timed_out):
                 break
             picks = tuple(picked[u] for u in targets_of)
             out = [specs[u][s] for u in targets_of for s in picked[u]]
-            inc = [[] for _ in out]
-            for a, o in enumerate(out):
-                for _, _, b in o:
-                    inc[b].append(a)
-            if order is not None or typer.fixpoint(out, inc, stop_untyped=True) is None:
-                yield picks, out, inc
+            if order is None:
+                inc = [[] for _ in out]
+                for a, o in enumerate(out):
+                    for _, _, b in o:
+                        inc[b].append(a)
+                if typer.fixpoint(out, inc, stop_untyped=True) is not None:
+                    continue
+            yield picks, out
         else:
             stack.pop()
 
@@ -404,10 +394,17 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
     the timeout.
 
     Candidates are built from h's compositions and out-specs
-    (_compositions), so every one validates h by construction.  Only
-    weakly connected candidates are considered — a minimal counter-example
-    is connected, since validity is per-node and a failing node's component
-    is itself a counter-example.
+    (_compositions), so every one validates h by construction.  Node
+    counts are searched smallest first, and that alone roots every hit
+    reported at a node k leaves untyped, with no connectivity test.  Take
+    a hit W and a node x of it that k leaves untyped.  The nodes x
+    reaches keep their out-specs, since all their targets stay inside, so
+    they validate h, and x stays untyped, since a node's k-types depend
+    only on what it reaches.  Renumbered in order, they form a candidate
+    of their own node count: dropping the all-zero target slots keeps the
+    lexicographic order of bags and distributions, so each type's picks
+    stay non-decreasing.  That candidate is a hit that re-verifies, so the
+    search returns at its node count, before W's unless it is all of W.
 
     Note the one-type-per-node generation: graphs needing a node to be read
     under different types by different referers are not enumerated.  Within
@@ -427,12 +424,11 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
     is a hit; otherwise the last level draws only the picks that hold an
     untyped spec.  When types reference each other in a cycle there are no
     levels to type: the walk draws every pick of every type, and each
-    candidate is typed by the fixpoint (core.Refinement.fixpoint).  Only
-    hits are tested for connectivity, and one Graph is built per connected
-    hit.  The hits of the least node count are re-verified with
-    validation.validates in (total cardinality, canonical_code, rank)
-    order, the rank being the composition's index and the picks in h.types
-    order, and the first that passes is reported.
+    candidate is typed by the fixpoint (core.Refinement.fixpoint).  One
+    Graph is built per hit.  The hits of the least node count are
+    re-verified with validation.validates in (total cardinality,
+    canonical_code, rank) order, the rank being the composition's index and
+    the picks in h.types order, and the first that passes is reported.
     """
     budget.check()
     start = time.monotonic()
@@ -446,11 +442,10 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
         names = [f"v{i}" for i in range(n_nodes)]
         hits = []
         for index, targets_of, specs in _compositions(h, n_nodes, budget.max_card, bags, timed_out):
-            for picks, out, inc in _hits(typer, targets_of, specs, timed_out):
-                if _weakly_connected(out, inc):
-                    g = _candidate_graph(names, out)
-                    card = sum(c for o in out for _, c, _ in o)
-                    hits.append((card, canonical_code(g), (index, picks), g))
+            for picks, out in _hits(typer, targets_of, specs, timed_out):
+                g = _candidate_graph(names, out)
+                card = sum(c for o in out for _, c, _ in o)
+                hits.append((card, canonical_code(g), (index, picks), g))
             if timed_out():
                 break
         hits.sort(key=lambda hit: hit[:3])

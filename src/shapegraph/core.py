@@ -151,12 +151,11 @@ class Graph:
 
     Nodes keep their insertion order, which the text format and all
     deterministic outputs rely on; index maps each node to its position
-    in nodes.  out(n) and incoming(n) give n's out- and in-edges in edge
-    order; their tuples are built for every node on the first call of
-    each, since callers that walk the whole graph read index_lists
-    instead.  Instances are treated as immutable.  The declared kind is
-    enforced here: GraphKindError names the first edge that breaks it
-    (_kind_fault).
+    in nodes.  out(n) gives n's out-edges in edge order; their tuples are
+    built for every node on the first call, since callers that walk the
+    whole graph read index_lists instead.  Instances are treated as
+    immutable.  The declared kind is enforced here: GraphKindError names
+    the first edge that breaks it (_kind_fault).
     """
 
     def __init__(self, nodes=(), edges=(), kind: str = "general"):
@@ -204,21 +203,11 @@ class Graph:
             out[e.source].append(e)
         return {n: tuple(es) for n, es in out.items()}
 
-    @cached_property
-    def _in(self) -> dict[str, tuple[Edge, ...]]:
-        inc: dict = {n: [] for n in self.index}
-        for e in self.edges:
-            inc[e.target].append(e)
-        return {n: tuple(es) for n, es in inc.items()}
-
     def __contains__(self, n) -> bool:
         return n in self.index
 
     def out(self, n: str) -> tuple[Edge, ...]:
         return self._out[n]
-
-    def incoming(self, n: str) -> tuple[Edge, ...]:
-        return self._in[n]
 
     @property
     def is_simple(self) -> bool:
@@ -249,9 +238,9 @@ class Graph:
 def index_lists(g: Graph, occurrence) -> tuple[list, list]:
     """The lists Refinement.fixpoint takes for g, built in one pass over
     g.edges: out[i] holds the out-edges of node i (g.nodes[i]) as (label,
-    occurrence(e.occur), target index), and inc[i] the source index of
-    each in-edge of node i, both in edge order, the order of g.out and
-    g.incoming.  occurrence maps an edge's interval to the form the
+    occurrence(e.occur), target index), in the order of g.out(g.nodes[i]),
+    and inc[i] the source index of each in-edge of node i, both in edge
+    order.  occurrence maps an edge's interval to the form the
     caller's out-signatures carry it in."""
     index = g.index
     out: list = [[] for _ in index]
@@ -261,29 +250,6 @@ def index_lists(g: Graph, occurrence) -> tuple[list, list]:
         out[i].append((e.label, occurrence(e.occur), j))
         inc[j].append(i)
     return out, inc
-
-
-class Worklist:
-    """FIFO queue of items to re-check, none queued twice.  Refinement is
-    monotone, so re-queueing the readers of each state that shrank until
-    the queue is empty leaves the unique greatest fixpoint."""
-
-    def __init__(self, items=()):
-        self._queue: deque = deque()
-        self._waiting: set = set()
-        self.extend(items)
-
-    def extend(self, items) -> None:
-        for x in items:
-            if x not in self._waiting:
-                self._waiting.add(x)
-                self._queue.append(x)
-
-    def __iter__(self):
-        while self._queue:
-            x = self._queue.popleft()
-            self._waiting.discard(x)
-            yield x
 
 
 def _post_order(out) -> list[int]:
@@ -358,19 +324,26 @@ class Refinement:
         along a cycle.  A node is checked again only after the set of one
         of its successors shrank, so the work follows the failures, and a
         node that reaches no cycle, whose successors have settled by then,
-        is checked exactly once.  The greatest fixpoint is unique, so the
-        order changes the work and never the sets.  With stop_untyped, None
-        as soon as a node's set is empty (sets only shrink, so that is
-        final)."""
+        is checked exactly once.  The queue is FIFO, a deque of node indexes
+        with a flag per node that keeps it from holding one twice.  The
+        greatest fixpoint is unique, so the order changes the work and never
+        the sets.  With stop_untyped, None as soon as a node's set is empty
+        (sets only shrink, so that is final)."""
         state = [0] * len(out)
-        work = Worklist(_post_order(out))
-        for i in work:
+        work = deque(_post_order(out))
+        queued = [True] * len(out)
+        while work:
+            i = work.popleft()
+            queued[i] = False
             kept = self.kept(tuple([(lab, occ, state[j]) for lab, occ, j in out[i]]))
             if kept != state[i]:
                 if stop_untyped and not self.sets[kept]:
                     return None
                 state[i] = kept
-                work.extend(inc[i])
+                for j in inc[i]:
+                    if not queued[j]:
+                        queued[j] = True
+                        work.append(j)
         return state
 
 

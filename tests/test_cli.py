@@ -290,11 +290,6 @@ class TestOutputFormats:
         outs = {runner.invoke(main, args).output for _ in range(3)}
         assert len(outs) == 1
 
-    def test_jobs_flag_deterministic(self, runner, files):
-        base = runner.invoke(main, ["classify", files["bug.schema"]]).output
-        jobs = runner.invoke(main, ["--jobs", "4", "classify", files["bug.schema"]]).output
-        assert base == jobs
-
     def test_presburger_emit(self, runner, tmp_path):
         out = tmp_path / "psi.sexpr"
         r = runner.invoke(main, ["presburger", "(a | b)*, c?", "--emit", str(out)])

@@ -34,7 +34,7 @@ from shapegraph.fixtures import dnf_containment_instance, exponential_family, un
 from shapegraph.rbe import parse_rbe
 from shapegraph.schema import from_shape_graph
 
-from conftest import BUG_SCHEMA_TEXT, chain_schema, random_minus_schema, star_chain_pair
+from conftest import BUG_SCHEMA_TEXT, chain_schema, random_minus_schema, random_rbe0_schema, star_chain_pair
 
 
 def _union(e0, *es):
@@ -196,8 +196,7 @@ class TestCounterexampleSearch:
 
     def test_graphs_built_only_for_misses_and_untyped(self, monkeypatch):
         # No Graph is built per candidate or per memo miss: at most one per
-        # hit, a candidate that leaves a node untyped.  Only hits are tested
-        # for connectivity.
+        # hit, a candidate that leaves a node untyped.
         counts = Counter()
 
         class CountingGraph(containment.Graph):
@@ -210,14 +209,9 @@ class TestCounterexampleSearch:
                 counts["hits"] += 1
                 yield hit
 
-        def counting_connected(out, inc):
-            counts["connected"] += 1
-            return connected(out, inc)
-
-        hits, connected = containment._hits, containment._weakly_connected
+        hits = containment._hits
         monkeypatch.setattr(containment, "Graph", CountingGraph)
         monkeypatch.setattr(containment, "_hits", counting_hits)
-        monkeypatch.setattr(containment, "_weakly_connected", counting_connected)
         h, k = exponential_family(1)
         v = find_counterexample(h, k, Budget(max_nodes=6, max_card=1, timeout=None))
         assert isinstance(v, NotContained)
@@ -229,20 +223,19 @@ class TestCounterexampleSearch:
         )
         assert counts["hits"] > 0
         assert counts["builds"] <= counts["hits"]
-        assert counts["connected"] <= counts["hits"]
 
     def test_work_follows_contexts(self, monkeypatch):
         # star-chain has no counter-example within 5 nodes and
-        # cardinalities 3, so no candidate is a hit and none is tested for
-        # connectivity.
+        # cardinalities 3, so no candidate is a hit.
         calls = []
-        connected = containment._weakly_connected
+        hits = containment._hits
 
-        def counting_connected(out, inc):
-            calls.append(len(out))
-            return connected(out, inc)
+        def counting_hits(*args):
+            for hit in hits(*args):
+                calls.append(hit)
+                yield hit
 
-        monkeypatch.setattr(containment, "_weakly_connected", counting_connected)
+        monkeypatch.setattr(containment, "_hits", counting_hits)
         g, h = star_chain_pair()
         v = find_counterexample(
             from_shape_graph(g), from_shape_graph(h), Budget(max_nodes=5, max_card=3, timeout=None)
@@ -300,7 +293,7 @@ class TestCounterexampleSearch:
                 got = {}
                 with monkeypatch.context() as m:
                     m.setattr(validation, "satisfies_type", recording)
-                    for picks, out, inc in containment._hits(typer, targets_of, specs, lambda: False):
+                    for picks, out in containment._hits(typer, targets_of, specs, lambda: False):
                         assert picks not in got
                         got[picks] = containment._candidate_graph(names, out).edges
                 assert got == expected
@@ -328,6 +321,38 @@ class TestCounterexampleSearch:
             assert serialize_graph(v.witness) == expected
         else:
             assert v == Unknown(expected)
+
+    def test_witnesses_are_rooted_at_an_untyped_node(self):
+        # The search tests no hit for connectivity: counting nodes smallest
+        # first already roots every witness at a node k leaves untyped.
+        rng = random.Random(6)
+        cases = [(random_rbe0_schema(rng, max_types=3), random_rbe0_schema(rng, max_types=3),
+                  Budget(max_nodes=4, max_card=1, timeout=None)) for _ in range(100)]
+        for schemas, max_nodes, max_card, expected in PINNED.values():
+            if expected.startswith("graph"):
+                cases.append((*schemas(), Budget(max_nodes=max_nodes, max_card=max_card, timeout=None)))
+        witnesses = 0
+        for h, k, budget in cases:
+            v = find_counterexample(h, k, budget)
+            if not isinstance(v, NotContained):
+                continue
+            g = v.witness
+            witnesses += 1
+            typing = validation.max_typing(g, k)
+            rooted = False
+            for root in (n for n in g.nodes if not typing[n]):
+                reached, todo = {root}, [root]
+                while todo:
+                    for e in g.edges:
+                        if e.source == todo[-1] and e.target not in reached:
+                            reached.add(e.target)
+                            todo.append(e.target)
+                            break
+                    else:
+                        todo.pop()
+                rooted = rooted or reached == set(g.nodes)
+            assert rooted, serialize_graph(g)
+        assert witnesses > 10
 
     def test_timeout_reports_unknown(self):
         s = parse_schema(BUG_SCHEMA_TEXT)

@@ -28,7 +28,7 @@ from shapegraph import (
     validates,
     verify_witness,
 )
-from shapegraph.core import Worklist, _kind_fault, index_lists
+from shapegraph.core import Refinement, _kind_fault, index_lists
 from shapegraph.errors import UnpackBudgetError
 
 from conftest import (
@@ -142,7 +142,7 @@ class TestGraphText:
         g = Graph((), edges, kind="simple")
         assert time.monotonic() - start < 10.0
         assert len(g.out("h")) == n and g.out("h")[:2] == tuple(edges[:2])
-        assert g.incoming("c7") == (edges[7],)
+        assert [e for e in g.edges if e.target == "c7"] == [edges[7]]
 
 
 def random_general_graph(rng: random.Random, max_nodes=4, labels=("a", "b")):
@@ -200,24 +200,21 @@ class TestEdgeAndGraphContract:
             for n in g.nodes:
                 assert n in g
                 assert g.out(n) == tuple(e for e in g.edges if e.source == n)
-                assert g.incoming(n) == tuple(e for e in g.edges if e.target == n)
             out, inc = index_lists(g, lambda iv: iv)
             assert out == [[(e.label, e.occur, g.index[e.target]) for e in g.out(n)] for n in g.nodes]
-            assert inc == [[g.index[e.source] for e in g.incoming(n)] for n in g.nodes]
+            assert inc == [[g.index[e.source] for e in g.edges if e.target == n] for n in g.nodes]
 
     def test_walks_read_index_lists_only(self):
         # Typing, simulation and unpacking read a graph through index_lists,
         # in one pass over its edges, never through per-node adjacency.
         rng = random.Random(23)
-        out, incoming = Graph.out, Graph.incoming
-        with mock.patch.object(Graph, "out", autospec=True, side_effect=out) as out_calls, \
-                mock.patch.object(Graph, "incoming", autospec=True, side_effect=incoming) as in_calls:
+        with mock.patch.object(Graph, "out", autospec=True, side_effect=Graph.out) as out_calls:
             for _ in range(20):
                 g = random_compressed_graph(rng, max_card=2)
                 max_typing(g, random_rbe0_schema(rng))
                 max_simulation(g, random_shape_graph(rng))
                 unpack(g, max_nodes=10**4)
-        assert out_calls.call_count == in_calls.call_count == 0
+        assert out_calls.call_count == 0
 
 
 @st.composite
@@ -278,18 +275,11 @@ def shuffled_graphs(draw, acyclic=False, max_nodes=5):
 
 
 def visits(run) -> int:
-    """The number of items the worklists hand out while run runs."""
-    count = [0]
-    iterate = Worklist.__iter__
-
-    def counting(self):
-        for x in iterate(self):
-            count[0] += 1
-            yield x
-
-    with mock.patch.object(Worklist, "__iter__", counting):
+    """The number of nodes the fixpoints take off their queues while run
+    runs: each asks Refinement.kept once per node it takes."""
+    with mock.patch.object(Refinement, "kept", autospec=True, side_effect=Refinement.kept) as kept:
         run()
-    return count[0]
+    return kept.call_count
 
 
 class TestRefinementOrder:
@@ -338,9 +328,9 @@ def reference_copies(g):
         if n not in copies:
             if n in reach[n]:
                 comp = [m for m in g.nodes if m in reach[n] and n in reach[m]]
-                copies[n] = max([1] + [e.occur.min for m in comp for e in g.incoming(m)])
+                copies[n] = max([1] + [e.occur.min for e in g.edges if e.target in comp])
             else:
-                copies[n] = max(1, sum(e.occur.min * count(e.source) for e in g.incoming(n)))
+                copies[n] = max(1, sum(e.occur.min * count(e.source) for e in g.edges if e.target == n))
         return copies[n]
 
     return {n: count(n) for n in g.nodes}

@@ -25,7 +25,7 @@ from shapegraph import (
     witness_exists_basic,
     witness_exists_general,
 )
-from shapegraph.core import Worklist
+from shapegraph.core import Refinement
 from shapegraph.embedding import _Simulation, feasible_flow, find_witness, routing_instance
 from shapegraph.errors import ClassPreconditionError, WorkCapError
 
@@ -449,15 +449,16 @@ class TestSimulationProperties:
         # (g-node, h-node) pairs visits each pair at least once.
         g = bug_chain_graph(200)
         h = to_shape_graph(bug_schema)
+        # The fixpoint asks Refinement.kept once per g-node it takes off
+        # its queue.
         visits = [0]
-        iterate = Worklist.__iter__
+        kept = Refinement.kept
 
-        def counting(self):
-            for x in iterate(self):
-                visits[0] += 1
-                yield x
+        def counting(self, sig):
+            visits[0] += 1
+            return kept(self, sig)
 
-        monkeypatch.setattr(Worklist, "__iter__", counting)
+        monkeypatch.setattr(Refinement, "kept", counting)
         ok, sim = embeds(g, h)
         assert not ok and ("bug0", "Bug") not in sim.pairs
         assert visits[0] == len(g.nodes)

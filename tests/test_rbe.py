@@ -184,6 +184,20 @@ class TestParser:
     def test_exponent_shorthand(self):
         assert parse_rbe("a^3") == Repeat(Sym("a"), Interval(3, 3))
 
+    def test_occurrence_forms_of_the_readme(self):
+        # The README's expression occurrences; an interval follows '^', and
+        # [n;*], Inf and INF are graph occurrence tokens only.
+        u = Sym(("a", "u"))
+        for text, occur in [("a::u?", OPT), ("a::u+", PLUS), ("a::u*", STAR), ("a::u^3", Interval(3, 3)),
+                            ("a::u^[1;2]", Interval(1, 2)), ("a::u^[2;inf]", Interval(2, INF))]:
+            assert parse_rbe(text, typed=True) == Repeat(u, occur)
+        for text, message in [("a::u[1;2]", "trailing input at '[1;2]'"),
+                              ("a::u^[1;*]", "unexpected character '['"),
+                              ("a::u^[1;Inf]", "unexpected character '['")]:
+            with pytest.raises(ParseError) as exc:
+                parse_rbe(text, typed=True)
+            assert str(exc.value) == message
+
     def test_errors(self):
         for text in ("", "a |", "(a", "a^", "a^[1;0]"):
             with pytest.raises(ParseError):

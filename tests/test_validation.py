@@ -18,7 +18,7 @@ from shapegraph import (
     unpack,
     validates,
 )
-from shapegraph.core import Worklist
+from shapegraph.core import Refinement
 from shapegraph.errors import GraphKindError
 from shapegraph.rbe import Disj, EMPTY, Repeat, Sym, concat_all, rbe_to_text, to_rbe0
 from shapegraph.validation import Typer, _satisfies_psi
@@ -190,15 +190,16 @@ class TestMaxTyping:
         # The chain is acyclic, so successor-first seeding checks each node
         # once, after its successors have settled.
         g = bug_chain_graph(200)
+        # The fixpoint asks Refinement.kept once per node it takes off its
+        # queue.
         visits = [0]
-        iterate = Worklist.__iter__
+        kept = Refinement.kept
 
-        def counting(self):
-            for x in iterate(self):
-                visits[0] += 1
-                yield x
+        def counting(self, sig):
+            visits[0] += 1
+            return kept(self, sig)
 
-        monkeypatch.setattr(Worklist, "__iter__", counting)
+        monkeypatch.setattr(Refinement, "kept", counting)
         typing = Typer(bug_schema).typing(g)
         assert typing["bug0"] == frozenset() and typing["user"] == frozenset({"User"})
         assert visits[0] == len(g.nodes)
@@ -271,7 +272,7 @@ class TestMaxTyping:
                     # The search's early exit, on the same index lists.
                     index = {n: i for i, n in enumerate(g.nodes)}
                     out = [sorted((e.label, e.occur.min, index[e.target]) for e in g.out(n)) for n in g.nodes]
-                    inc = [[index[e.source] for e in g.incoming(n)] for n in g.nodes]
+                    inc = [[index[e.source] for e in g.edges if e.target == n] for n in g.nodes]
                     stopped = typer.fixpoint(out, inc, stop_untyped=True) is None
                     assert stopped == (not all(expected.values()))
 
