@@ -8,7 +8,8 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, combinations_with_replacement, permutations, product
+from itertools import accumulate, combinations_with_replacement, groupby, permutations, product
+from operator import itemgetter
 
 from .core import ONE, OPT, STAR, Edge, Graph, Interval
 from .errors import BudgetError, ClassPreconditionError
@@ -277,17 +278,23 @@ def canonical_code(g: Graph):
     return (len(nodes), best)
 
 
-def _compositions(h: Schema, n_nodes: int, max_card: int, bags: dict, timed_out=lambda: False):
+def _compositions(h: Schema, n_nodes: int, max_card: int, cache: dict, timed_out=lambda: False):
     """Each composition of n_nodes nodes over h's types (node counts per
     type, in _tuples order) whose types all have an out-spec, as (index in
     that order, targets_of, specs).  Nodes are numbered by type in order and
     targets_of maps each type with nodes to its range of node indices, in
     h.types order.  specs[t] lists the out-specs a node of type t can take:
     an out-bag from L(δ(t)) realized as edges with cardinalities up to
-    max_card, each a list of (label, k, target index) sorted on (label, k),
-    as core.Refinement.fixpoint takes them.  bags caches _bags_matching on
-    (type, caps) across calls.  Stops between two specs once timed_out()."""
+    max_card, each a tuple of (label, k, target index) sorted on (label, k),
+    as core.Refinement.fixpoint takes them.  A spec list depends only on
+    the type and the node range of each of its symbols' target types, so
+    cache keeps it under ("specs", type, those ranges) across compositions
+    and calls with the same max_card, next to _bags_matching under ("bags",
+    type, caps).  Stops between two specs once timed_out(); a list cut
+    short is not cached."""
     types = h.types
+    none = range(0)
+    edges: dict = {}  # one copy of each edge tuple, shared by the specs that hold it
     for index, counts in enumerate(_tuples(n_nodes, len(types), n_nodes)):
         # Only types with nodes count.
         targets_of = {t: range(end - c, end)
@@ -295,19 +302,26 @@ def _compositions(h: Schema, n_nodes: int, max_card: int, bags: dict, timed_out=
         specs = {}
         for t in targets_of:
             symbols = h.symbols[t]
-            caps = tuple(max_card * len(targets_of.get(a[1], ())) for a in symbols)
-            if (t, caps) not in bags:
-                bags[(t, caps)] = _bags_matching(h, t, symbols, caps)
-            spec_list = specs[t] = []
-            for v in bags[(t, caps)]:
-                used = [(a, c) for a, c in zip(symbols, v) if c]
-                dists = [_tuples(c, len(targets_of[a[1]]), max_card) for a, c in used]
-                for combo in product(*dists):
-                    if timed_out():
-                        return
-                    spec_list.append(sorted((lab, card, targets_of[tgt_t][slot])
-                                            for ((lab, tgt_t), _), dist in zip(used, combo)
-                                            for slot, card in enumerate(dist) if card))
+            ranges = tuple([targets_of.get(u, none) for _, u in symbols])
+            spec_list = cache.get(("specs", t, ranges))
+            if spec_list is None:
+                caps = tuple(max_card * len(r) for r in ranges)
+                bags = cache.get(("bags", t, caps))
+                if bags is None:
+                    bags = cache[("bags", t, caps)] = _bags_matching(h, t, symbols, caps)
+                spec_list = []
+                for v in bags:
+                    used = [(a, c) for a, c in zip(symbols, v) if c]
+                    dists = [_tuples(c, len(targets_of[a[1]]), max_card) for a, c in used]
+                    for combo in product(*dists):
+                        if timed_out():
+                            return
+                        spec = sorted((lab, card, targets_of[tgt_t][slot])
+                                      for ((lab, tgt_t), _), dist in zip(used, combo)
+                                      for slot, card in enumerate(dist) if card)
+                        spec_list.append(tuple([edges.setdefault(e, e) for e in spec]))
+                cache[("specs", t, ranges)] = spec_list
+            specs[t] = spec_list
             if not spec_list:
                 break
         else:
@@ -315,9 +329,12 @@ def _compositions(h: Schema, n_nodes: int, max_card: int, bags: dict, timed_out=
 
 
 def _levels(targets_of, specs):
-    """The types with nodes ordered so that every spec of a type targets
-    only earlier types, or None when some of them reference each other in
-    a cycle (a type referencing itself included)."""
+    """The types with nodes as levels, ordered so that every spec of a
+    level's type targets only earlier levels, each as (type, watch): watch
+    lists the nodes of the earlier levels whose types this level or a later
+    one targets, so the walk below a level reads no other earlier node.
+    None when some of the types reference each other in a cycle (a type
+    referencing itself included)."""
     type_of = {b: t for t, r in targets_of.items() for b in r}
     deps = {t: {type_of[b] for spec in specs[t] for _, _, b in spec} for t in targets_of}
     order, placed = [], set()
@@ -327,7 +344,12 @@ def _levels(targets_of, specs):
             return None
         order += ready
         placed.update(ready)
-    return order
+    levels, later = [], set()
+    for depth in reversed(range(len(order))):
+        later |= deps[order[depth]]
+        watch = tuple(b for u in order[:depth] if u in later for b in targets_of[u])
+        levels.append((order[depth], watch))
+    return levels[::-1]
 
 
 def _hits(typer, targets_of, specs, timed_out):
@@ -337,52 +359,76 @@ def _hits(typer, targets_of, specs, timed_out):
     depth-first walk over the levels (_levels, or the types in targets_of
     order when they reference each other in a cycle), with a stack of each
     level's picks drawn lazily; stops early once timed_out().  The typing
-    of each level is described in find_counterexample; only the cyclic
-    case builds in-lists, for the fixpoint."""
+    of each level is described in find_counterexample.
+
+    A typed level's subtree depends only on its state: its depth and the
+    set ids of its watched nodes (_levels).  Each state whose subtree
+    yielded no hit is recorded, and a pick that leads into a recorded state
+    is passed over, without typing the level below it.  The table lives
+    for one composition.  The cyclic case has no levels and no states: it
+    types every candidate by its own fixpoint and builds in-lists for it."""
     sets = typer.sets
-    order = _levels(targets_of, specs)
-    levels = order or list(targets_of)
+    levels = _levels(targets_of, specs)
+    cyclic = levels is None
+    if cyclic:
+        levels = [(t, ()) for t in targets_of]
     ids = [0] * sum(map(len, targets_of.values()))  # each node's type-set id
     picked = {}
+    dead = set()  # typed states whose subtree yielded no hit
 
-    def enter(depth, untyped):
-        # Level depth's type, its kept id per spec (None when untyped: then
-        # every leaf below is a hit) and its picks.
-        t = levels[depth]
+    def enter(depth, state):
+        # Level depth's frame: its type, its kept id per spec and the set
+        # of specs left untyped (both None below an untyped node: then
+        # every leaf below is a hit), its picks, its state (None when
+        # untyped) and whether a hit was yielded below it.
+        t = levels[depth][0]
         draws = combinations_with_replacement(range(len(specs[t])), len(targets_of[t]))
-        if untyped:
-            return t, None, draws
+        if state is None:
+            return [t, None, None, draws, None, False]
         row = [typer.kept(tuple([(lab, c, ids[b]) for lab, c, b in spec])) for spec in specs[t]]
+        bad = {s for s, i in enumerate(row) if not sets[i]}
         if depth == len(levels) - 1:
-            bad = {s for s, i in enumerate(row) if not sets[i]}
             draws = (p for p in draws if not bad.isdisjoint(p)) if bad else ()
-        return t, row, draws
+        return [t, row, bad, draws, state, False]
 
-    stack = [enter(0, order is None)]
+    stack = [enter(0, None if cyclic else (0,))]
     while stack:
-        t, row, draws = stack[-1]
+        frame = stack[-1]
+        t, row, bad, draws = frame[:4]
         for pick in draws:
             if timed_out():
                 return
             picked[t] = pick
-            if row is not None:
+            depth = len(stack)
+            if depth < len(levels):
+                if row is None or not bad.isdisjoint(pick):
+                    stack.append(enter(depth, None))
+                    break
                 for b, s in zip(targets_of[t], pick):
                     ids[b] = row[s]
-            if len(stack) < len(levels):
-                stack.append(enter(len(stack), row is None or any(not sets[row[s]] for s in pick)))
+                state = (depth, *[ids[b] for b in levels[depth][1]])
+                if state in dead:
+                    continue
+                stack.append(enter(depth, state))
                 break
             picks = tuple(picked[u] for u in targets_of)
             out = [specs[u][s] for u in targets_of for s in picked[u]]
-            if order is None:
+            if cyclic:
                 inc = [[] for _ in out]
                 for a, o in enumerate(out):
                     for _, _, b in o:
                         inc[b].append(a)
                 if typer.fixpoint(out, inc, stop_untyped=True) is not None:
                     continue
+            frame[5] = True
             yield picks, out
         else:
             stack.pop()
+            if frame[5]:
+                if stack:
+                    stack[-1][5] = True
+            elif frame[4] is not None:
+                dead.add(frame[4])
 
 
 def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
@@ -422,18 +468,24 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
     decided from the spec's out-signature alone, with no Graph.  Below a
     pick that leaves a node untyped nothing is typed, and every candidate
     is a hit; otherwise the last level draws only the picks that hold an
-    untyped spec.  When types reference each other in a cycle there are no
-    levels to type: the walk draws every pick of every type, and each
-    candidate is typed by the fixpoint (core.Refinement.fixpoint).  One
-    Graph is built per hit.  The hits of the least node count are
-    re-verified with validation.validates in (total cardinality,
-    canonical_code, rank) order, the rank being the composition's index and
-    the picks in h.types order, and the first that passes is reported.
+    untyped spec.  A typed level state whose subtree yielded no hit is not
+    walked again (_hits), and each spec list is built once per type and
+    target ranges (_compositions).  When types reference each other in a
+    cycle there are no levels to type: the walk draws every pick of every
+    type, and each candidate is typed by the fixpoint
+    (core.Refinement.fixpoint); neither the level states nor the typer's
+    per-definition sharing shrinks that count of candidates.  One Graph is
+    built per hit.  The hits of the least node count are re-verified with
+    validation.validates in (total cardinality, canonical_code, rank)
+    order, the rank being the composition's index and the picks in h.types
+    order, and the first that passes is reported.  canonical_code is
+    computed only within a group of two or more hits of equal total
+    cardinality, the only place where it decides the order.
     """
     budget.check()
     start = time.monotonic()
     typer = _val.Typer(k)
-    bags = {}  # (type, caps) -> _bags_matching, shared by every node count
+    cache = {}  # _compositions' bags and spec lists, shared by every node count
 
     def timed_out():
         return budget.timeout is not None and time.monotonic() - start > budget.timeout
@@ -441,17 +493,20 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
     for n_nodes in range(1, budget.max_nodes + 1):
         names = [f"v{i}" for i in range(n_nodes)]
         hits = []
-        for index, targets_of, specs in _compositions(h, n_nodes, budget.max_card, bags, timed_out):
+        for index, targets_of, specs in _compositions(h, n_nodes, budget.max_card, cache, timed_out):
             for picks, out in _hits(typer, targets_of, specs, timed_out):
-                g = _candidate_graph(names, out)
                 card = sum(c for o in out for _, c, _ in o)
-                hits.append((card, canonical_code(g), (index, picks), g))
+                hits.append((card, (index, picks), _candidate_graph(names, out)))
             if timed_out():
                 break
-        hits.sort(key=lambda hit: hit[:3])
-        for *_, g in hits:
-            if _val.validates(g, h) and not _val.validates(g, k):
-                return NotContained(g)
+        hits.sort(key=itemgetter(0))
+        for _, group in groupby(hits, key=itemgetter(0)):
+            group = list(group)
+            if len(group) > 1:
+                group.sort(key=lambda hit: (canonical_code(hit[2]), hit[1]))
+            for *_, g in group:
+                if _val.validates(g, h) and not _val.validates(g, k):
+                    return NotContained(g)
         if timed_out():
             return Unknown("timeout before exhausting the budget")
     return Unknown(

@@ -17,14 +17,17 @@ class Schema:
     """Types plus a total definition map from type name to expression.
 
     Expression atoms are Sym((label, type)) pairs.  symbols maps each type
-    to the alphabet of its definition sorted by str, and flat to the flat
-    form of its definition, or None when it has none.
+    to the alphabet of its definition sorted by str, by_label maps each
+    label a to {u: the types whose alphabet holds (a, u), in order}, and
+    flat maps each type to the flat form of its definition, or None when it
+    has none.
     """
 
     def __init__(self, defs: dict):
         self.types: tuple[str, ...] = tuple(defs)
         self.defs: dict[str, _rbe.Rbe] = dict(defs)
         self.symbols: dict[str, tuple] = {}
+        self.by_label: dict[str, dict[str, list]] = {}
         for t, e in self.defs.items():
             self.symbols[t] = tuple(sorted(_rbe.alphabet(e), key=str))
             for sym in self.symbols[t]:
@@ -32,6 +35,7 @@ class Schema:
                     raise ValueError(f"atom {sym!r} in rule for {t} is not label::Type")
                 if sym[1] not in self.defs:
                     raise ParseError(f"rule for {t} references undefined type {sym[1]}")
+                self.by_label.setdefault(sym[0], {}).setdefault(sym[1], []).append(t)
         self.flat: dict[str, _rbe.Rbe0 | None] = {t: _rbe.to_rbe0(e) for t, e in self.defs.items()}
 
     def __eq__(self, other):

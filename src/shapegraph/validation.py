@@ -162,17 +162,19 @@ class Typer(Refinement):
     """The maximal-typing refinement for one schema: each node's set is a
     type set, and a node's check reads its out-edges as (label, k, target's
     type set id) for occurrence [k;k], ordered by (label, k).  A memo miss
-    is decided from that out-signature alone."""
+    is decided from that out-signature alone, by one satisfies_type call
+    per distinct definition among the types that pass two filters (see
+    check)."""
 
     def __init__(self, s: Schema):
         super().__init__(s.types)
         self.s = s
-        # type -> (labels of δ(type), labels a flat δ(type) needs)
-        self._labels = {
-            t: ({lab for lab, _ in s.symbols[t]},
-                {lab for (lab, _), iv in e0.atoms if iv.min >= 1} if e0 is not None else set())
+        # type -> the labels of the atoms with min >= 1 of a flat δ(type)
+        self._needs = {
+            t: {lab for (lab, _), iv in e0.atoms if iv.min >= 1} if e0 is not None else set()
             for t, e0 in s.flat.items()
         }
+        self._fed: dict = {}  # (label, set id) -> the types such an edge can feed
 
     def typing(self, g: Graph) -> dict:
         """The maximal typing of g, read through its index lists
@@ -185,23 +187,44 @@ class Typer(Refinement):
         ids = self.fixpoint(out, inc)
         return {n: self.sets[i] for n, i in zip(g.nodes, ids)}
 
+    def feeds(self, label, j) -> frozenset:
+        """The types with a symbol (label, u), u in type set j: the only
+        types to which an out-edge of that label with k > 0, to a node of
+        type set j, can route.  Memoized per (label, j)."""
+        fed = self._fed.get((label, j))
+        if fed is None:
+            index = self.s.by_label.get(label, {})
+            fed = self._fed[(label, j)] = frozenset().union(
+                *[index[u] for u in self.sets[j] if u in index])
+        return fed
+
     def check(self, sig) -> frozenset:
         """The types a node with out-signature sig satisfies, checked in
         Schema.types order.  A type is dropped unchecked when one of the
-        node's labels with k > 0 is not in its alphabet, or when it is flat
-        and one of its atoms with min >= 1 has a label the node lacks: no
-        routing exists then."""
+        node's out-edges with k > 0 cannot feed it (feeds), or when it is
+        flat and one of its atoms with min >= 1 has a label the node lacks:
+        satisfies_type fails then.  satisfies_type reads a type only through
+        its definition, so each distinct (hash-consed) definition is decided
+        once, for the first type in order that has it, and its verdict is
+        shared by the others."""
         out = [_edge(lab, k) for lab, k, _ in sig]
         choices = [self.sets[j] for _, _, j in sig]
         have = {lab for lab, k, _ in sig if k}
-        return frozenset(
-            t for t in self.order
-            if self._may_hold(t, have) and satisfies_type(self.s, t, out, choices)
-        )
-
-    def _may_hold(self, t, have) -> bool:
-        labels, needs = self._labels[t]
-        return have <= labels and needs <= have
+        types = self.order
+        if have:
+            fed = frozenset.intersection(*[self.feeds(lab, j) for lab, k, j in sig if k])
+            types = [t for t in types if t in fed]
+        defs = self.s.defs
+        verdicts: dict = {}
+        kept = []
+        for t in types:
+            d = defs[t]
+            held = verdicts.get(d)
+            if held is None:
+                held = verdicts[d] = self._needs[t] <= have and satisfies_type(self.s, t, out, choices)
+            if held:
+                kept.append(t)
+        return frozenset(kept)
 
 
 def max_typing(g: Graph, s: Schema) -> dict:

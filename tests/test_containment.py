@@ -28,13 +28,14 @@ from shapegraph import (
     to_shape_graph,
 )
 from shapegraph.containment import canonical_code, contains_detshex0minus
-from shapegraph.core import serialize_graph
+from shapegraph.core import Refinement, serialize_graph
 from shapegraph.errors import ClassPreconditionError
 from shapegraph.fixtures import dnf_containment_instance, exponential_family, union_containment_instance
 from shapegraph.rbe import parse_rbe
-from shapegraph.schema import from_shape_graph
+from shapegraph.schema import Schema, from_shape_graph
 
-from conftest import BUG_SCHEMA_TEXT, chain_schema, random_minus_schema, random_rbe0_schema, star_chain_pair
+from conftest import (BUG_SCHEMA_TEXT, chain_schema, random_flat_rbe, random_minus_schema, random_rbe0_schema,
+                      star_chain_pair)
 
 
 def _union(e0, *es):
@@ -298,6 +299,120 @@ class TestCounterexampleSearch:
                         got[picks] = containment._candidate_graph(names, out).edges
                 assert got == expected
         assert checks and len(set(checks)) == len(checks)
+
+    def test_hits_equal_brute_force_on_random_acyclic_pairs(self):
+        # Per composition, _hits (with its dead level states and a typer
+        # and spec cache shared as the search shares them) yields exactly
+        # the pick tuples whose candidate graph a fresh max_typing against
+        # k leaves with an untyped node.
+        # The first pair has levels l, a, b, c: below an a without its
+        # a-edge, b's state is dead (c is typed); below an a with it, c is
+        # untyped.  b does not target a, but c does, so b's state must hold
+        # a's type set.
+        pairs = [(parse_schema("l -> eps\na -> a::l?\nb -> b::l?\nc -> c::a, d::b\n"),
+                  parse_schema("l -> eps\na0 -> eps\na1 -> a::l\nb -> b::l?\nc -> c::a0, d::b\n"))]
+        rng = random.Random(24)
+        for _ in range(40):
+            types = [f"h{i}" for i in range(rng.randint(1, 4))]
+            defs = {}
+            for i, t in enumerate(types):
+                syms = [(lab, u) for lab in "ab" for u in types[i + 1:]]
+                defs[t] = random_flat_rbe(rng, syms, depth=2) if syms and rng.random() < 0.8 else parse_rbe("eps")
+            h = Schema(defs)
+            # k is h with one or two rules redrawn, so that it types some
+            # candidates and not others.
+            for t in rng.sample(types, min(len(types), rng.randint(1, 2))):
+                syms = [(lab, u) for lab in "ab" for u in types]
+                defs[t] = random_flat_rbe(rng, syms, depth=2) if rng.random() < 0.8 else parse_rbe("eps")
+            pairs.append((h, Schema(defs)))
+        compositions = hits = 0
+        for h, k in pairs:
+            typer, cache = validation.Typer(k), {}
+            for n_nodes in range(1, 5):
+                names = [f"v{i}" for i in range(n_nodes)]
+                for _, targets_of, specs in containment._compositions(h, n_nodes, 2, cache):
+                    assert containment._levels(targets_of, specs) is not None
+                    expected = {}
+                    for picks in product(*[combinations_with_replacement(range(len(specs[t])), len(r))
+                                           for t, r in targets_of.items()]):
+                        out = [specs[t][s] for t, pick in zip(targets_of, picks) for s in pick]
+                        g = containment._candidate_graph(names, out)
+                        if not all(validation.max_typing(g, k).values()):
+                            expected[picks] = out
+                    got = dict(containment._hits(typer, targets_of, specs, lambda: False))
+                    assert got == expected
+                    compositions += 1
+                    hits += len(got)
+        assert compositions > 200 and hits > 200
+
+    def test_cached_spec_lists_equal_fresh_ones(self):
+        # A spec list is kept on (type, target ranges) across compositions
+        # and node counts; one stopped by the clock at any read is not kept.
+        h = parse_schema("t -> a::u*, b::w?\nu -> c::w?\nw -> eps\n")
+        for stop in range(0, 40, 3):
+            reads = [0]
+
+            def timed_out():
+                reads[0] += 1
+                return reads[0] > stop
+
+            cache = {}
+            for n_nodes in range(1, 5):
+                list(containment._compositions(h, n_nodes, 2, cache, timed_out))
+            for n_nodes in range(1, 5):
+                fresh = list(containment._compositions(h, n_nodes, 2, {}))
+                assert list(containment._compositions(h, n_nodes, 2, cache)) == fresh
+
+    def test_work_counts(self, monkeypatch):
+        # One verdict per definition, the per-edge type filter and the dead
+        # level states: counted calls, not wall-clock time.
+        counts = Counter()
+        kept, satisfies = Refinement.kept, validation.satisfies_type
+
+        def counting_kept(self, sig):
+            counts["kept"] += 1
+            return kept(self, sig)
+
+        def counting_satisfies(*args):
+            counts["satisfies"] += 1
+            return satisfies(*args)
+
+        monkeypatch.setattr(Refinement, "kept", counting_kept)
+        monkeypatch.setattr(validation, "satisfies_type", counting_satisfies)
+        v = find_counterexample(*exponential_family(2), Budget(6, 1, None))
+        assert v == Unknown("no counter-example with <= 6 nodes and cardinalities <= 1")
+        assert counts["kept"] <= 3200 and counts["satisfies"] <= 600
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_codes_only_break_ties(self, monkeypatch, n):
+        # The one hit, a t with n + 1 a-edges, ties with no other hit, so
+        # no canonical code is computed: its star has (n + 1)! orders.
+        calls = []
+        monkeypatch.setattr(containment, "canonical_code", lambda g: calls.append(g))
+        h = parse_schema("t -> a::u*\nu -> eps\n")
+        k = parse_schema(f"t -> a::u^[0;{n}]\nu -> eps\n")
+        v = find_counterexample(h, k, Budget(12, 1, None))
+        assert isinstance(v, NotContained)
+        assert len(v.witness.nodes) == n + 2
+        assert v.witness.edges == tuple(Edge("v0", "a", f"v{i}") for i in range(1, n + 2))
+        assert calls == []
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_codes_only_for_tied_hits(self, monkeypatch, case):
+        # A code is computed only for a hit that ties with another on total
+        # cardinality: self-reference has lone hits of cardinality 4 and 5,
+        # dnf-non-tautology and union-within a tied pair each.
+        coded = []
+        code = containment.canonical_code
+
+        def recording(g):
+            coded.append(sum(e.occur.min for e in g.edges))
+            return code(g)
+
+        monkeypatch.setattr(containment, "canonical_code", recording)
+        schemas, max_nodes, max_card, _ = PINNED[case]
+        find_counterexample(*schemas(), Budget(max_nodes, max_card, None))
+        assert all(n > 1 for n in Counter(coded).values())
 
     def test_search_memory_is_bounded(self):
         # Each level's picks are drawn lazily; a list of every pick of a

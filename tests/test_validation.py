@@ -33,6 +33,7 @@ from conftest import (
     chain_graph,
     chain_schema,
     random_compressed_graph,
+    random_flat_rbe,
     random_rbe0_schema,
     random_simple_graph,
     reference_typing,
@@ -46,6 +47,15 @@ def holds(g, s, typing, n, t):
     typing (untyped when absent)."""
     out = g.out(n)
     return satisfies_type(s, t, out, [typing.get(e.target, frozenset()) for e in out])
+
+
+def interned(typer, types) -> int:
+    """The id of the type set types in typer, interned if new."""
+    found = frozenset(types)
+    j = typer.ids.setdefault(found, len(typer.sets))
+    if j == len(typer.sets):
+        typer.sets.append(found)
+    return j
 
 
 def random_compressed_with_zero_edges(rng):
@@ -225,8 +235,10 @@ class TestMaxTyping:
         assert counts[0] == counts[1] <= len(bug_schema.types) * 2
 
     def test_label_reject_skips_checks(self, monkeypatch):
-        # A type is dropped unchecked when the node has a label outside its
-        # alphabet, or when it is flat and needs a label the node lacks.
+        # A type is dropped unchecked when one of the node's out-edges has
+        # no symbol of it, of the edge's label and a type of the edge's
+        # target, or when it is flat and needs a label the node lacks.
+        # s matches x's label a, but y's set holds no p, so s is dropped.
         checked = set()
         check = shapegraph.validation.satisfies_type
 
@@ -235,10 +247,11 @@ class TestMaxTyping:
             return check(s, ty, out, choices)
 
         monkeypatch.setattr(shapegraph.validation, "satisfies_type", recording)
-        s = parse_schema("p -> a::u\nq -> b::u\nr -> (a::u | b::u)*\nw -> c::u?\nu -> eps\n")
+        s = parse_schema("p -> a::u\nq -> b::u\nr -> (a::u | b::u)*\nw -> c::u?\n"
+                         "s -> a::p?\nu -> eps\n")
         g = parse_graph("graph simple\nx a y\n")
-        assert max_typing(g, s) == {"x": frozenset({"p", "r"}), "y": frozenset({"r", "w", "u"})}
-        assert checked == {(("a",), "p"), (("a",), "r"), ((), "r"), ((), "w"), ((), "u")}
+        assert max_typing(g, s) == {"x": frozenset({"p", "r"}), "y": frozenset({"r", "w", "s", "u"})}
+        assert checked == {(("a",), "p"), (("a",), "r"), ((), "r"), ((), "w"), ((), "s"), ((), "u")}
 
     def test_check_walks_types_in_schema_order(self, monkeypatch):
         # A type set is a frozenset, whose order follows string hashing;
@@ -252,10 +265,60 @@ class TestMaxTyping:
 
         monkeypatch.setattr(shapegraph.validation, "satisfies_type", recording)
         names = ["zeta", "alpha", "m7", "b", "t10", "t2", "q", "kappa", "c3", "omega", "d", "e9"]
-        s = parse_schema("".join(f"{t} -> a::u?\n" for t in names) + "u -> eps\n")
+        # Distinct definitions, so that no type shares another's check.
+        s = parse_schema("".join(f"{t} -> a::u^[0;{i + 1}]\n" for i, t in enumerate(names)) + "u -> eps\n")
         g = parse_graph("graph simple\nx a y\n")
         assert max_typing(g, s) == {"x": frozenset(names), "y": frozenset(s.types)}
         assert checked == [((), t) for t in s.types] + [(("a",), t) for t in names]
+
+    def test_types_sharing_a_definition_share_one_check(self, monkeypatch):
+        # satisfies_type reads a type only through its definition, so the
+        # twelve types with the rule a::u? are decided by one call per
+        # out-signature, made for the first of them in Schema.types order.
+        checked = []
+        check = shapegraph.validation.satisfies_type
+
+        def recording(s, ty, out, choices):
+            checked.append((tuple(e.label for e in out), ty))
+            return check(s, ty, out, choices)
+
+        monkeypatch.setattr(shapegraph.validation, "satisfies_type", recording)
+        names = ["zeta", "alpha", "m7", "b", "t10", "t2", "q", "kappa", "c3", "omega", "d", "e9"]
+        s = parse_schema("".join(f"{t} -> a::u?\n" for t in names) + "u -> eps\n")
+        g = parse_graph("graph simple\nx a y\nz a y\nz a w\n")
+        assert max_typing(g, s) == {"x": frozenset(names), "y": frozenset(s.types),
+                                    "z": frozenset(), "w": frozenset(s.types)}
+        assert checked == [((), "zeta"), ((), "u"), (("a",), "zeta"), (("a", "a"), "zeta")]
+
+    def test_check_equals_checking_every_type(self):
+        # Typer.check filters types per out-edge and shares one verdict per
+        # definition; a loop that asks satisfies_type about every type must
+        # agree.  Rules are flat and not, some repeat another's definition,
+        # some hold a [0;0] atom, and targets may be untyped (set {}).
+        rng = random.Random(24)
+        for _ in range(80):
+            types = [f"t{i}" for i in range(rng.randint(1, 5))]
+            syms = [(lab, t) for lab in "ab" for t in types]
+            defs = {}
+            for t in types:
+                r = rng.random()
+                if defs and r < 0.25:
+                    defs[t] = rng.choice(list(defs.values()))
+                elif r < 0.4:
+                    defs[t] = concat_all([Repeat(Sym(rng.choice(syms)), Interval(0, 0)),
+                                          Repeat(Sym(rng.choice(syms)), rng.choice(BASIC))])
+                else:
+                    defs[t] = random_flat_rbe(rng, syms, depth=2)
+            s = Schema(defs)
+            typer = Typer(s)
+            for _ in range(8):
+                sig = tuple(sorted(
+                    (rng.choice("abc"), rng.randint(0, 3), interned(typer, rng.sample(types, rng.randint(0, len(types)))))
+                    for _ in range(rng.randint(0, 3))))
+                out = [Edge(None, lab, None, Interval(k, k)) for lab, k, _ in sig]
+                choices = [typer.sets[j] for _, _, j in sig]
+                expected = frozenset(t for t in s.types if satisfies_type(s, t, out, choices))
+                assert typer.check(sig) == expected
 
     def test_shared_typer_on_twin_nodes_equals_reference(self):
         # Compressed graphs put out-edges of cardinality k > 1 in the memo
