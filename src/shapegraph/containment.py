@@ -228,9 +228,16 @@ def _tuples(total, parts, cap):
 
 def _bags_matching(s: Schema, t, symbols, caps):
     """All bags w ∈ L(δ(t)) over symbols, the alphabet of δ(t) sorted by
-    str, with the count of symbols[i] at most caps[i]: the Parikh vectors
-    of δ(t) inside caps, flat or not, in lexicographic order."""
-    return sorted(_rbe.parikh_vectors(s.defs[t], symbols, caps))
+    str, with the count of symbols[i] at most caps[i], in lexicographic
+    order.  A flat δ(t) has for bags the box of its per-symbol interval
+    sums (Rbe0.sums), so they are that box cut at caps, one range per
+    symbol; any other δ(t) takes its Parikh vectors inside caps."""
+    e0 = s.flat[t]
+    if e0 is None:
+        return sorted(_rbe.parikh_vectors(s.defs[t], symbols, caps))
+    sums = e0.sums()
+    ranges = [range(sums[a].min, min(sums[a].max, cap) + 1) for a, cap in zip(symbols, caps)]
+    return list(product(*ranges))
 
 
 def _candidate_graph(names, out):

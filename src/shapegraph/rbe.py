@@ -252,6 +252,15 @@ class Rbe0:
             if not iv.basic:
                 raise ValueError(f"non-basic interval {iv} in flat expression")
 
+    def sums(self) -> dict:
+        """Each symbol, in order of first occurrence, to the interval sum of
+        its atoms: the counts of that symbol over the bags of L(e0), which
+        are exactly the product of these intervals."""
+        per_symbol: dict = {}
+        for a, iv in self.atoms:
+            per_symbol.setdefault(a, []).append(iv)
+        return {a: interval_sum(ivs) for a, ivs in per_symbol.items()}
+
 
 def to_rbe0(e: Rbe) -> Rbe0 | None:
     """Syntactic conversion; returns None when e is not of the flat shape.
@@ -280,17 +289,9 @@ def rbe0_to_rbe(e0: Rbe0) -> Rbe:
 
 
 def rbe0_matches(e0: Rbe0, w: Counter) -> bool:
-    """w ∈ L(e0), decided per symbol by folding interval addition."""
-    per_symbol: dict = {}
-    for a, iv in e0.atoms:
-        per_symbol.setdefault(a, []).append(iv)
-    for a, k in w.items():
-        if k and a not in per_symbol:
-            return False
-    for a, ivs in per_symbol.items():
-        if w[a] not in interval_sum(ivs):
-            return False
-    return True
+    """w ∈ L(e0), decided per symbol against its interval sum (Rbe0.sums)."""
+    sums = e0.sums()
+    return all(a in sums for a, k in w.items() if k) and all(w[a] in iv for a, iv in sums.items())
 
 
 # --- Parsing and printing ---------------------------------------------------

@@ -16,27 +16,34 @@ from . import rbe as _rbe
 class Schema:
     """Types plus a total definition map from type name to expression.
 
-    Expression atoms are Sym((label, type)) pairs.  symbols maps each type
-    to the alphabet of its definition sorted by str, by_label maps each
-    label a to {u: the types whose alphabet holds (a, u), in order}, and
-    flat maps each type to the flat form of its definition, or None when it
-    has none.
+    Expression atoms are Sym((label, type)) pairs.  flat maps each type to
+    the flat form of its definition, or None when it has none; symbols maps
+    each type to the alphabet of its definition sorted by str, read off the
+    atoms of a flat definition and walked otherwise; by_label maps each
+    label a to {u: the types whose alphabet holds (a, u), in order}.
+    branches maps each type whose definition is a disjunction to its parts,
+    each as (part, its flat form or None, its alphabet sorted by str), so
+    that every part is decided on its own route.
     """
 
     def __init__(self, defs: dict):
         self.types: tuple[str, ...] = tuple(defs)
         self.defs: dict[str, _rbe.Rbe] = dict(defs)
+        self.flat: dict[str, _rbe.Rbe0 | None] = {t: _rbe.to_rbe0(e) for t, e in self.defs.items()}
         self.symbols: dict[str, tuple] = {}
         self.by_label: dict[str, dict[str, list]] = {}
+        self.branches: dict[str, tuple] = {}
         for t, e in self.defs.items():
-            self.symbols[t] = tuple(sorted(_rbe.alphabet(e), key=str))
+            self.symbols[t] = _symbols(e, self.flat[t])
             for sym in self.symbols[t]:
                 if not (isinstance(sym, tuple) and len(sym) == 2):
                     raise ValueError(f"atom {sym!r} in rule for {t} is not label::Type")
                 if sym[1] not in self.defs:
                     raise ParseError(f"rule for {t} references undefined type {sym[1]}")
                 self.by_label.setdefault(sym[0], {}).setdefault(sym[1], []).append(t)
-        self.flat: dict[str, _rbe.Rbe0 | None] = {t: _rbe.to_rbe0(e) for t, e in self.defs.items()}
+            if isinstance(e, _rbe.Disj):
+                forms = [(p, _rbe.to_rbe0(p)) for p in e.parts]
+                self.branches[t] = tuple((p, p0, _symbols(p, p0)) for p, p0 in forms)
 
     def __eq__(self, other):
         return isinstance(other, Schema) and self.defs == other.defs
@@ -46,6 +53,13 @@ class Schema:
 
     def __repr__(self):
         return f"Schema({len(self.types)} types)"
+
+
+def _symbols(e: _rbe.Rbe, e0: _rbe.Rbe0 | None) -> tuple:
+    """The alphabet of e sorted by str: off the atoms of its flat form e0
+    when it has one, by a walk of e otherwise."""
+    sigma = {a for a, _ in e0.atoms} if e0 is not None else _rbe.alphabet(e)
+    return tuple(sorted(sigma, key=str))
 
 
 class SchemaClass(enum.Enum):

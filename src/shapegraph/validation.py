@@ -44,24 +44,36 @@ def satisfies_type(s: Schema, ty: str, out, choices) -> bool:
     only for each edge's label and occurrence [k;k], with out[i]'s target
     at the type set choices[i].
 
-    Flat definitions go through one capacitated flow from the out-edges,
-    each shipping its cardinality, to the atoms of the definition, at a
-    cost that does not depend on the cardinalities.  Any other definition
-    goes through the Parikh vectors of δ(ty) inside the box of the node's
-    out-widths, with one flow of the same kind per vector; its only bound
-    is the matcher's constant work cap (rbe.VECTOR_WORK).
+    Flat definitions go through _routes: the edges routed onto the atoms
+    of the definition, straight to the one atom an edge can feed, and by
+    one capacitated flow only when some edge can feed two or more, at a
+    cost that does not depend on the cardinalities.  A disjunction holds
+    when one of its parts does, and each part is decided on its own: a
+    flat part by the same route, any other as below, over its own
+    alphabet (Schema.branches).  Any other definition goes through the
+    Parikh vectors of δ(ty) inside the box of the node's out-widths, with
+    one routing of the same kind per vector; its only bound is the
+    matcher's constant work cap (rbe.VECTOR_WORK).
     """
     if ty not in s.defs:
         raise ValueError(f"unknown type {ty!r}")
-    # Zero-occurrence edges contribute ε to the signature; drop them.
-    live = [i for i, e in enumerate(out) if e.occur.max != 0]
-    out, choices = [out[i] for i in live], [choices[i] for i in live]
+    if any(e.occur.max == 0 for e in out):
+        # Zero-occurrence edges contribute ε to the signature; drop them.
+        live = [i for i, e in enumerate(out) if e.occur.max != 0]
+        out, choices = [out[i] for i in live], [choices[i] for i in live]
     if not all(choices):
         return False  # an edge to an untyped node is unsatisfiable
 
     e0 = s.flat[ty]
     if e0 is not None:
         return _satisfies_flat(out, choices, e0)
+    branches = s.branches.get(ty)
+    if branches is not None:
+        return any(
+            _satisfies_flat(out, choices, p0) if p0 is not None
+            else _satisfies_exhaustive(out, choices, p, symbols)
+            for p, p0, symbols in branches
+        )
     return _satisfies_exhaustive(out, choices, s.defs[ty], s.symbols[ty])
 
 
@@ -70,15 +82,24 @@ def _satisfies_flat(out, choices, e0: _rbe.Rbe0) -> bool:
 
 
 def _routes(out, choices, atoms) -> bool:
-    """One flow routes the signature onto atoms, ((label, type), interval)
-    pairs: one source per out-edge with its cardinality as supply, one sink
-    per atom, and every unit counts toward the atom's min."""
-    arcs = [
-        (i, j)
-        for i, e in enumerate(out)
-        for j, ((lab, t), _) in enumerate(atoms)
-        if e.label == lab and t in choices[i]
+    """Whether the signature routes onto atoms, ((label, type), interval)
+    pairs: each out-edge sends its cardinality to atoms of its label and
+    of a type of its target, and every atom's total lies in its interval.
+
+    The atoms each edge can feed are listed once.  When every edge can
+    feed exactly one, that is the only routing, and its check
+    (_verify_flat_routing) is the verdict.  Otherwise one flow decides,
+    with one source per out-edge, its cardinality as supply, and one sink
+    per atom, every unit counting toward the atom's min; the routing it
+    returns is checked the same way."""
+    feeds = [
+        [j for j, ((lab, t), _) in enumerate(atoms) if e.label == lab and t in ch]
+        for e, ch in zip(out, choices)
     ]
+    if all(len(f) == 1 for f in feeds):
+        return _verify_flat_routing(
+            out, choices, atoms, [((i, f[0]), e.occur.min) for i, (e, f) in enumerate(zip(out, feeds))])
+    arcs = [(i, j) for i, f in enumerate(feeds) for j in f]
     flow = feasible_flow(
         [(e.occur.min, True) for e in out],
         [(iv.min, iv.max) for _, iv in atoms],
@@ -131,9 +152,9 @@ def _satisfies_exhaustive(out, choices, delta: _rbe.Rbe, symbols) -> bool:
     """Some bag of L(δ) reads the signature.  The candidates are the Parikh
     vectors v of L(δ) over symbols, its alphabet, inside the box of the
     widths each (label, type) symbol can take from the out-edges, with the
-    node's total width as total; each is decided by one flow onto the
-    symbols as atoms [v_s; v_s], so the k copies behind an edge of
-    cardinality k may take different types."""
+    node's total width as total; each is decided by one routing (_routes)
+    onto the symbols as atoms [v_s; v_s], so the k copies behind an edge
+    of cardinality k may take different types."""
     takes = [[e.label == lab and t in ch for lab, t in symbols] for e, ch in zip(out, choices)]
     if not all(any(row) for row in takes):
         return False  # an out-edge that no symbol of δ takes

@@ -5,6 +5,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
+from shapegraph import rbe
 from shapegraph.cli import main
 
 from conftest import (
@@ -139,19 +140,44 @@ class TestExitCodes:
         schema = parse_schema(text)
         assert parse_schema(serialize_schema(schema)) == schema
 
+    WIDE = "graph compressed\nx a y [1000;1000]\nx b y [1000;1000]\n"
+
     def test_vector_work_cap_is_2(self, runner, tmp_path):
         # The Minkowski sum of a::u* and b::u* inside the box (1000, 1000)
         # takes 1001 × 1001 additions, past the matcher's constant bound,
-        # which is counted before the sum is made.
+        # which is counted before the sum is made.  An intersection has no
+        # part decided on its own, so the whole rule goes to the matcher.
         g = tmp_path / "wide.graph"
-        g.write_text("graph compressed\nx a y [1000;1000]\nx b y [1000;1000]\n")
+        g.write_text(self.WIDE)
         s = tmp_path / "wide.schema"
-        s.write_text("t -> (a::u*, b::u*) | c::u\nu -> eps\n")
+        s.write_text("t -> (a::u*, b::u*) & (a::u*, b::u*)\nu -> eps\n")
         start = time.monotonic()
         r = runner.invoke(main, ["--json", "validate", str(g), str(s)])
         assert r.exit_code == 2
         assert json.loads(r.stdout) == {"verdict": "unknown", "stats": {}}
         assert time.monotonic() - start < 10
+
+    def test_wide_disjunction_of_flat_parts_is_decided(self, runner, tmp_path, monkeypatch):
+        # Each part of the disjunction is flat, so each is routed on its
+        # own, at a cost that does not depend on the widths.
+        calls = [0]
+        vectors = rbe.parikh_vectors
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return vectors(*args, **kwargs)
+
+        monkeypatch.setattr(rbe, "parikh_vectors", counting)
+        g = tmp_path / "wide.graph"
+        g.write_text(self.WIDE)
+        s = tmp_path / "wide.schema"
+        s.write_text("t -> (a::u*, b::u*) | c::u\nu -> eps\n")
+        start = time.monotonic()
+        r = runner.invoke(main, ["--json", "validate", str(g), str(s)])
+        assert r.exit_code == 0, r.output
+        assert json.loads(r.stdout)["verdict"] == "valid"
+        assert calls[0] == 0
+        assert time.monotonic() - start < 1
 
     # One compressed node with 3,000 [2;2] a-edges: the exact search, which
     # takes one level per source, and the flow both embed it.

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from shapegraph import containment, validation
+from shapegraph import containment, rbe, validation
 
 from shapegraph import (
     Budget,
@@ -34,7 +34,7 @@ from shapegraph.fixtures import dnf_containment_instance, exponential_family, un
 from shapegraph.rbe import parse_rbe
 from shapegraph.schema import Schema, from_shape_graph
 
-from conftest import (BUG_SCHEMA_TEXT, chain_schema, random_flat_rbe, random_minus_schema, random_rbe0_schema,
+from conftest import (BASIC, BUG_SCHEMA_TEXT, chain_schema, random_flat_rbe, random_minus_schema, random_rbe0_schema,
                       star_chain_pair)
 
 
@@ -160,6 +160,39 @@ class TestCounterexampleSearch:
         assert v == Unknown("no counter-example with <= 4 nodes and cardinalities <= 2")
         # u's empty alphabet gives the key ("u", ()) in every composition.
         assert ("u", ()) in keys and len(keys) == len(set(keys))
+
+    def test_flat_bags_equal_parikh_vectors(self):
+        # A flat rule's bags are read off its per-symbol interval sums; the
+        # general matcher must list the same bags in the same order.
+        rng = random.Random(25)
+        syms = [(lab, "u") for lab in "ab"]
+        schemas = [parse_schema(f"t -> {text}\nu -> eps\n")
+                   for text in ("a::u?, a::u?", "a::u?, a::u*, b::u+", "a::u, a::u+, b::u?", "eps")]
+        for _ in range(100):
+            atoms = [rbe.atom(rng.choice(syms), rng.choice(BASIC)) for _ in range(rng.randint(0, 4))]
+            schemas.append(Schema({"t": rbe.concat_all(atoms), "u": rbe.EPSILON}))
+        for s in schemas:
+            assert s.flat["t"] is not None
+            symbols = s.symbols["t"]
+            for _ in range(10):
+                caps = tuple(rng.randint(0, 3) for _ in symbols)
+                expected = sorted(rbe.parikh_vectors(s.defs["t"], symbols, caps))
+                assert containment._bags_matching(s, "t", symbols, caps) == expected
+
+    def test_flat_search_matches_no_parikh_vectors(self, monkeypatch):
+        # Both schemas of the DNF pair are flat: every bag list and every
+        # check is read off intervals.
+        calls = [0]
+        vectors = rbe.parikh_vectors
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return vectors(*args, **kwargs)
+
+        monkeypatch.setattr(rbe, "parikh_vectors", counting)
+        h, k = dnf_containment_instance(3, ((1, 2), (-1, 3), (-2, -3)))
+        assert isinstance(find_counterexample(h, k, Budget(5, 1, None)), NotContained)
+        assert calls[0] == 0
 
     def test_unknown_without_claim(self):
         h = parse_schema("t -> a::u\nu -> eps\n")

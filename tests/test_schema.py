@@ -13,13 +13,16 @@ from shapegraph import (
     to_shape_graph,
 )
 from shapegraph.errors import ClassPreconditionError
-from shapegraph.schema import star_closed_references
+from shapegraph import rbe
+from shapegraph.schema import Schema, star_closed_references
 
 from conftest import (
+    BASIC,
     BUG_SCHEMA_TEXT,
     BUG_VARIANT_TEXT,
     CHAIN_SCHEMA_TEXT,
     chain_schema,
+    random_flat_rbe,
     random_minus_schema,
 )
 
@@ -124,3 +127,27 @@ class TestClassification:
     def test_class_order(self):
         assert SchemaClass.DetShEx0Minus.at_least(SchemaClass.ShEx0)
         assert not SchemaClass.ShEx.at_least(SchemaClass.ShEx0)
+
+
+class TestSymbols:
+    def test_alphabet_read_off_flat_atoms(self):
+        # A flat rule's alphabet is read off its atoms, any other rule's by
+        # a walk; both must equal the walk's alphabet sorted by str.
+        rng = random.Random(25)
+        types = ["t0", "t1", "t2"]
+        syms = [(lab, t) for lab in "abc" for t in types]
+        flat = 0
+        for _ in range(200):
+            defs = {}
+            for t in types:
+                if rng.random() < 0.5:
+                    defs[t] = rbe.concat_all([rbe.atom(rng.choice(syms), rng.choice(BASIC))
+                                              for _ in range(rng.randint(0, 4))])
+                else:
+                    defs[t] = random_flat_rbe(rng, syms, depth=3)
+            s = Schema(defs)
+            for t in types:
+                flat += s.flat[t] is not None
+                assert s.symbols[t] == tuple(sorted(rbe.alphabet(defs[t]), key=str))
+        assert 0 < flat < 600
+

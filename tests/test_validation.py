@@ -18,11 +18,13 @@ from shapegraph import (
     unpack,
     validates,
 )
-from shapegraph.core import Refinement
+from shapegraph.core import STAR, Refinement
 from shapegraph.errors import GraphKindError
-from shapegraph.rbe import Disj, EMPTY, Repeat, Sym, concat_all, rbe_to_text, to_rbe0
-from shapegraph.validation import Typer, _satisfies_psi
+from shapegraph.rbe import Disj, Intersect, Repeat, Sym, concat_all, rbe_to_text, to_rbe0
+from shapegraph.embedding import feasible_flow
+from shapegraph.validation import Typer, _routes, _satisfies_exhaustive, _satisfies_psi, _verify_flat_routing
 from shapegraph import Schema
+from shapegraph.schema import from_shape_graph
 
 from conftest import (
     BASIC,
@@ -37,6 +39,7 @@ from conftest import (
     random_rbe0_schema,
     random_simple_graph,
     reference_typing,
+    star_chain_pair,
     users_graph,
     with_twins,
 )
@@ -88,6 +91,38 @@ def random_non_flat_schema(rng):
         return concat_all(part() for _ in range(rng.randint(0, 3)))
 
     return Schema({t: Disj((rule(), rule())) for t in types})
+
+
+def exhaustive_twin(s: Schema) -> Schema:
+    """s with each rule e read as e & e: the same language, but no rule is
+    flat or a disjunction, so every check takes the exhaustive route."""
+    return Schema({t: Intersect((e, e)) for t, e in s.defs.items()})
+
+
+def count_routes(monkeypatch) -> dict:
+    """Counts of the calls to the flat and the exhaustive route, kept up to
+    date in the returned dict."""
+    routes = {"flat": 0, "exhaustive": 0}
+    for name, attr in (("flat", "_satisfies_flat"), ("exhaustive", "_satisfies_exhaustive")):
+        route = getattr(shapegraph.validation, attr)
+
+        def counting(*args, name=name, route=route):
+            routes[name] += 1
+            return route(*args)
+
+        monkeypatch.setattr(shapegraph.validation, attr, counting)
+    return routes
+
+
+def random_out(rng, labels, types, max_edges, max_width):
+    """Out-edges of random labels and widths [k;k], 0 <= k <= max_width,
+    with a random type set, possibly empty, for each edge's target."""
+    out, choices = [], []
+    for _ in range(rng.randint(0, max_edges)):
+        k = rng.randint(0, max_width)
+        out.append(Edge(None, rng.choice(labels), None, Interval(k, k)))
+        choices.append(frozenset(rng.sample(types, rng.randint(0, len(types)))))
+    return out, choices
 
 
 def random_wide_graph(rng, max_nodes):
@@ -163,7 +198,8 @@ class TestMaxTyping:
                     assert not holds(g, s, augmented, n, t)
 
     @pytest.mark.parametrize("kind", ["simple", "compressed"])
-    def test_equals_round_by_round_reference(self, kind):
+    def test_equals_round_by_round_reference(self, kind, monkeypatch):
+        routes = count_routes(monkeypatch)
         rng = random.Random(61 if kind == "simple" else 67)
         for _ in range(60):
             if kind == "simple":
@@ -171,11 +207,13 @@ class TestMaxTyping:
             else:
                 g = random_compressed_with_zero_edges(rng)
             s = random_rbe0_schema(rng, max_types=4)
-            # An equivalent non-flat schema takes the exhaustive route.
-            wrapped = Schema({t: Disj((e, EMPTY)) for t, e in s.defs.items()})
             expected = reference_typing(g, s)
             assert max_typing(g, s) == expected
-            assert max_typing(g, wrapped) == expected
+            # An equivalent non-flat schema takes the exhaustive route.
+            flat = routes["flat"]
+            assert max_typing(g, exhaustive_twin(s)) == expected
+            assert routes["flat"] == flat
+        assert routes["exhaustive"] > 0
 
     @pytest.mark.parametrize("ring", [False, True], ids=["chain", "ring"])
     def test_failure_chain_work_is_linear(self, monkeypatch, bug_schema, ring):
@@ -446,10 +484,10 @@ class TestCompressed:
 
 class TestRouteAgreement:
     @staticmethod
-    def assert_routes_agree(g, s):
+    def assert_routes_agree(g, s, routes):
         typing = {n: frozenset(s.types) for n in g.nodes}
         # An equivalent non-flat definition forces the exhaustive route.
-        wrapped = Schema({t: Disj((e, EMPTY)) for t, e in s.defs.items()})
+        wrapped = exhaustive_twin(s)
         for n in g.nodes:
             out = [e for e in g.out(n) if e.occur.max != 0]
             choices = [sorted(typing[e.target]) for e in out]
@@ -457,21 +495,25 @@ class TestRouteAgreement:
                 flow = satisfies_type(s, t, out, choices)
                 # Presburger arithmetic as an independent third opinion.
                 arith = _satisfies_psi(out, choices, to_rbe0(s.defs[t]))
+                before = dict(routes)
                 exhaustive = satisfies_type(wrapped, t, out, choices)
+                assert routes == {"flat": before["flat"], "exhaustive": before["exhaustive"] + 1}
                 assert flow == arith == exhaustive
 
-    def test_flow_vs_arithmetic_vs_exhaustive(self):
+    def test_flow_vs_arithmetic_vs_exhaustive(self, monkeypatch):
+        routes = count_routes(monkeypatch)
         rng = random.Random(29)
         for _ in range(80):
             g = random_simple_graph(rng, max_nodes=3, labels=("a",))
-            self.assert_routes_agree(g, random_rbe0_schema(rng, max_types=3, labels=("a",)))
+            self.assert_routes_agree(g, random_rbe0_schema(rng, max_types=3, labels=("a",)), routes)
 
-    def test_flow_vs_arithmetic_vs_exhaustive_on_wide_nodes(self):
+    def test_flow_vs_arithmetic_vs_exhaustive_on_wide_nodes(self, monkeypatch):
         # Smaller than above: the Presburger search grows fast with widths.
+        routes = count_routes(monkeypatch)
         rng = random.Random(31)
         for _ in range(80):
             g = random_wide_graph(rng, max_nodes=2)
-            self.assert_routes_agree(g, random_rbe0_schema(rng, max_types=2, labels=("a",)))
+            self.assert_routes_agree(g, random_rbe0_schema(rng, max_types=2, labels=("a",)), routes)
 
     @pytest.mark.parametrize("n", [17, 20, 80])
     def test_non_flat_hubs_decided_exactly(self, n):
@@ -486,3 +528,83 @@ class TestRouteAgreement:
         if n > 17:
             few = parse_schema("t -> (a::u | a::w)^[0;5]\nu -> eps\nw -> eps\n")
             assert not holds(g, few, typing, "hub", "t")
+
+
+class TestFlatRoute:
+    @staticmethod
+    def count_flows(monkeypatch) -> list:
+        """[the number of flows validation has solved since the call]."""
+        calls = [0]
+
+        def counting(*args):
+            calls[0] += 1
+            return feasible_flow(*args)
+
+        monkeypatch.setattr(shapegraph.validation, "feasible_flow", counting)
+        return calls
+
+    def test_agrees_with_the_flow_alone(self):
+        # _routes skips the flow when no edge has a choice; the flow on the
+        # full arc list must give the same verdict, and every routing it
+        # finds must pass the independent check.
+        rng = random.Random(25)
+        for _ in range(3000):
+            labels = "abc"[:rng.randint(1, 3)]
+            types = [f"t{i}" for i in range(rng.randint(1, 3))]
+            atoms = [((rng.choice(labels), rng.choice(types)), rng.choice(BASIC))
+                     for _ in range(rng.randint(0, 4))]
+            out, choices = random_out(rng, labels, types, max_edges=4, max_width=6)
+            arcs = [(i, j) for i, e in enumerate(out) for j, ((lab, t), _) in enumerate(atoms)
+                    if e.label == lab and t in choices[i]]
+            flow = feasible_flow([(e.occur.min, True) for e in out], [(iv.min, iv.max) for _, iv in atoms], arcs)
+            assert _routes(out, choices, atoms) == (flow is not None)
+            if flow is not None:
+                assert _verify_flat_routing(out, choices, atoms, zip(arcs, flow))
+
+    def test_compressed_box_needs_no_flow(self, monkeypatch):
+        # Every item edge feeds only item::Item and the tag edge only
+        # tag::Tag, so each check has one routing and no flow is solved,
+        # whatever the widths.
+        calls = self.count_flows(monkeypatch)
+        rng = random.Random(5)
+        s = parse_schema("Box -> item::Item*, tag::Tag+\nItem -> val::Lit\nTag -> eps\nLit -> eps\n")
+        widths = [rng.randint(1, 30) for _ in range(20)]
+        lines = [f"box item i{i} [{k};{k}]" for i, k in enumerate(widths)]
+        lines += ["box tag tag [2;2]"] + [f"i{i} val lit" for i in range(20)]
+        g = parse_graph("graph compressed\n" + "\n".join(lines) + "\n")
+        assert max_typing(g, s)["box"] == frozenset({"Box"})
+        assert calls[0] == 0
+
+    def test_choice_between_atoms_reaches_the_flow(self, monkeypatch):
+        # In the star-chain unfolding, y reads as v2 and as v4, so x's
+        # a-edge can feed a::v2* and a::v4*: a choice the flow decides.
+        calls = self.count_flows(monkeypatch)
+        s = from_shape_graph(star_chain_pair()[1])
+        g = parse_graph("graph simple\nx a y\ny b z\n")
+        typing = max_typing(g, s)
+        assert typing["y"] == frozenset({"v2", "v4"}) and "v0" in typing["x"]
+        assert calls[0] > 0
+
+
+class TestDisjunctionSplit:
+    def test_equals_the_exhaustive_route_on_the_whole_rule(self):
+        # Each part of a disjunction is decided on its own, flat parts by
+        # routing; the exhaustive route over the whole rule must agree.
+        rng = random.Random(26)
+        types = ["t0", "t1"]
+        syms = [(lab, t) for lab in "ab" for t in types]
+
+        def part():
+            if rng.random() < 0.5:  # flat
+                return concat_all([Repeat(Sym(rng.choice(syms)), iv) for iv in rng.choices(BASIC, k=rng.randint(0, 3))])
+            return random_flat_rbe(rng, syms, depth=2)
+
+        for _ in range(400):
+            rule = Disj(tuple(part() for _ in range(rng.randint(2, 3))))
+            s = Schema({"t0": rule, "t1": concat_all([Sym(("a", "t1")), Repeat(Sym(("b", "t0")), STAR)])})
+            out, choices = random_out(rng, "ab", types, max_edges=3, max_width=3)
+            live = [i for i, e in enumerate(out) if e.occur.max]
+            whole = all(choices[i] for i in live) and _satisfies_exhaustive(
+                [out[i] for i in live], [choices[i] for i in live], s.defs["t0"], s.symbols["t0"])
+            assert satisfies_type(s, "t0", out, choices) == whole
+
