@@ -229,15 +229,17 @@ def _tuples(total, parts, cap):
 def _bags_matching(s: Schema, t, symbols, caps):
     """All bags w ∈ L(δ(t)) over symbols, the alphabet of δ(t) sorted by
     str, with the count of symbols[i] at most caps[i], in lexicographic
-    order.  A flat δ(t) has for bags the box of its per-symbol interval
-    sums (Rbe0.sums), so they are that box cut at caps, one range per
-    symbol; any other δ(t) takes its Parikh vectors inside caps."""
-    e0 = s.flat[t]
-    if e0 is None:
-        return sorted(_rbe.parikh_vectors(s.defs[t], symbols, caps))
-    sums = e0.sums()
-    ranges = [range(sums[a].min, min(sums[a].max, cap) + 1) for a, cap in zip(symbols, caps)]
-    return list(product(*ranges))
+    order: the product of each box of δ(t) (Schema.boxes) cut at caps, one
+    range per symbol, and the Parikh vectors inside caps of each part with
+    no box form."""
+    boxes, rest = s.boxes[t]
+    bags = set()
+    for box in map(_rbe.sums, boxes):
+        bags.update(product(*[range(box[a].min, min(box[a].max, cap) + 1) if a in box else (0,)
+                              for a, cap in zip(symbols, caps)]))
+    for part in rest:
+        bags |= _rbe.parikh_vectors(part, symbols, caps)
+    return sorted(bags)
 
 
 def _candidate_graph(names, out):

@@ -14,12 +14,14 @@ parser and the printer are single loops over explicit stacks.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import re
 import weakref
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import INF, ONE, OPT, PLUS, STAR, Interval, interval_sum, parse_interval_token
+from .core import INF, ONE, OPT, PLUS, STAR, ZERO, Interval, parse_interval_token
 from .errors import AlphabetError, ParseError, WorkCapError
 
 # (class, *fields) -> the one live node with those fields.
@@ -252,14 +254,15 @@ class Rbe0:
             if not iv.basic:
                 raise ValueError(f"non-basic interval {iv} in flat expression")
 
-    def sums(self) -> dict:
-        """Each symbol, in order of first occurrence, to the interval sum of
-        its atoms: the counts of that symbol over the bags of L(e0), which
-        are exactly the product of these intervals."""
-        per_symbol: dict = {}
-        for a, iv in self.atoms:
-            per_symbol.setdefault(a, []).append(iv)
-        return {a: interval_sum(ivs) for a, ivs in per_symbol.items()}
+
+def sums(atoms) -> dict:
+    """Each symbol, in order of first occurrence, to the interval sum of
+    its (symbol, interval) atoms: the counts of that symbol over the bags
+    of their flat expression, which are exactly the product of these."""
+    box: dict = {}
+    for a, iv in atoms:
+        box[a] = box[a] + iv if a in box else iv
+    return box
 
 
 def to_rbe0(e: Rbe) -> Rbe0 | None:
@@ -284,14 +287,72 @@ def to_rbe0(e: Rbe) -> Rbe0 | None:
     return Rbe0(tuple(atoms))
 
 
+BOX_CAP = 64
+
+
+def to_boxes(e: Rbe) -> list | None:
+    """L(e) as a union of boxes, each a tuple of (symbol, interval) atoms,
+    one per symbol, whose bags are the product of the intervals, built in
+    post_order: | is the union, , and & the pairwise sum and meet, and a
+    repeat [n;m] of one box is its intervals times n when n = m, or [np;mq]
+    when the box has at most one symbol, of interval [p;q] with p <= 1 (the
+    sums [kp;kq] of k copies then overlap).  None when e has no such form,
+    or past BOX_CAP boxes in one sub-expression or BOX_CAP atoms built per
+    sub-expression in all, which keeps the work linear in the size of e."""
+    boxes: dict = {}  # sub-expression -> its boxes, as dicts
+    budget = 0  # the atoms the walk may still build
+    for x in post_order(e):
+        budget += BOX_CAP
+        if isinstance(x, Sym):
+            r = [{x.symbol: ONE}]
+        elif isinstance(x, Repeat):
+            n, m = x.interval.min, x.interval.max
+            body = boxes[x.body]
+            if not body:
+                r = [] if n else [{}]
+            elif len(body) > 1 or n != m and (len(body[0]) > 1 or any(iv.min > 1 for iv in body[0].values())):
+                return None
+            else:  # m = 0 gives ε, whatever the body's max
+                budget -= len(body[0])
+                r = [{a: Interval(n * iv.min, m * iv.max) for a, iv in body[0].items() if m}]
+        elif isinstance(x, Disj):
+            r = [b for p in x.parts for b in boxes[p]]
+        elif isinstance(x, Nary):
+            lists = [boxes[p] for p in x.parts]
+            budget -= math.prod(map(len, lists)) * sum(1 + max(map(len, bs), default=0) for bs in lists)
+            if budget < 0:
+                return None
+            if isinstance(x, Concat):
+                r = [sums(a for b in bs for a in b.items()) for bs in itertools.product(*lists)]
+            else:
+                r = [b for bs in itertools.product(*lists) if (b := _box_meet(bs)) is not None]
+        else:
+            r = [{}] if isinstance(x, Epsilon) else []  # ε or ∅
+        if len(r) > BOX_CAP or budget < 0:
+            return None
+        boxes[x] = r
+    return [tuple(b.items()) for b in boxes[e]]
+
+
+def _box_meet(boxes) -> dict | None:
+    """The meet of boxes, with no symbol at [0;0], or None when empty."""
+    acc = boxes[0]
+    for b in boxes[1:]:
+        pairs = [(a, acc.get(a, ZERO), b.get(a, ZERO)) for a in {**acc, **b}]
+        if any(max(i.min, j.min) > min(i.max, j.max) for _, i, j in pairs):
+            return None
+        acc = {a: Interval(max(i.min, j.min), min(i.max, j.max)) for a, i, j in pairs if min(i.max, j.max)}
+    return acc
+
+
 def rbe0_to_rbe(e0: Rbe0) -> Rbe:
     return concat_all([atom(a, iv) for a, iv in e0.atoms])
 
 
 def rbe0_matches(e0: Rbe0, w: Counter) -> bool:
-    """w ∈ L(e0), decided per symbol against its interval sum (Rbe0.sums)."""
-    sums = e0.sums()
-    return all(a in sums for a, k in w.items() if k) and all(w[a] in iv for a, iv in sums.items())
+    """w ∈ L(e0), decided per symbol against its interval sum (sums)."""
+    box = sums(e0.atoms)
+    return all(a in box for a, k in w.items() if k) and all(w[a] in iv for a, iv in box.items())
 
 
 # --- Parsing and printing ---------------------------------------------------

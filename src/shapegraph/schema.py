@@ -21,9 +21,11 @@ class Schema:
     each type to the alphabet of its definition sorted by str, read off the
     atoms of a flat definition and walked otherwise; by_label maps each
     label a to {u: the types whose alphabet holds (a, u), in order}.
-    branches maps each type whose definition is a disjunction to its parts,
-    each as (part, its flat form or None, its alphabet sorted by str), so
-    that every part is decided on its own route.
+    boxes maps each type to (boxes, rest) over the parts of its definition,
+    a top-level disjunction's or the definition itself: the boxes of the
+    parts that have a box form (rbe.to_boxes), a flat definition's atoms
+    being its one box, and the rest.  A box is a tuple of (symbol,
+    interval) atoms whose bags are the product of their sums (rbe.sums).
     """
 
     def __init__(self, defs: dict):
@@ -32,18 +34,25 @@ class Schema:
         self.flat: dict[str, _rbe.Rbe0 | None] = {t: _rbe.to_rbe0(e) for t, e in self.defs.items()}
         self.symbols: dict[str, tuple] = {}
         self.by_label: dict[str, dict[str, list]] = {}
-        self.branches: dict[str, tuple] = {}
+        self.boxes: dict[str, tuple] = {}
         for t, e in self.defs.items():
-            self.symbols[t] = _symbols(e, self.flat[t])
+            e0 = self.flat[t]
+            sigma = {a for a, _ in e0.atoms} if e0 is not None else _rbe.alphabet(e)
+            self.symbols[t] = tuple(sorted(sigma, key=str))
             for sym in self.symbols[t]:
                 if not (isinstance(sym, tuple) and len(sym) == 2):
                     raise ValueError(f"atom {sym!r} in rule for {t} is not label::Type")
                 if sym[1] not in self.defs:
                     raise ParseError(f"rule for {t} references undefined type {sym[1]}")
                 self.by_label.setdefault(sym[0], {}).setdefault(sym[1], []).append(t)
-            if isinstance(e, _rbe.Disj):
-                forms = [(p, _rbe.to_rbe0(p)) for p in e.parts]
-                self.branches[t] = tuple((p, p0, _symbols(p, p0)) for p, p0 in forms)
+            boxes, rest = [], []
+            for p in e.parts if isinstance(e, _rbe.Disj) else (e,):
+                forms = [e0.atoms] if e0 is not None else _rbe.to_boxes(p)
+                if forms is None:
+                    rest.append(p)
+                else:
+                    boxes += forms
+            self.boxes[t] = (tuple(boxes), tuple(rest))
 
     def __eq__(self, other):
         return isinstance(other, Schema) and self.defs == other.defs
@@ -53,13 +62,6 @@ class Schema:
 
     def __repr__(self):
         return f"Schema({len(self.types)} types)"
-
-
-def _symbols(e: _rbe.Rbe, e0: _rbe.Rbe0 | None) -> tuple:
-    """The alphabet of e sorted by str: off the atoms of its flat form e0
-    when it has one, by a walk of e otherwise."""
-    sigma = {a for a, _ in e0.atoms} if e0 is not None else _rbe.alphabet(e)
-    return tuple(sorted(sigma, key=str))
 
 
 class SchemaClass(enum.Enum):

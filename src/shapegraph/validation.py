@@ -44,16 +44,12 @@ def satisfies_type(s: Schema, ty: str, out, choices) -> bool:
     only for each edge's label and occurrence [k;k], with out[i]'s target
     at the type set choices[i].
 
-    Flat definitions go through _routes: the edges routed onto the atoms
-    of the definition, straight to the one atom an edge can feed, and by
-    one capacitated flow only when some edge can feed two or more, at a
-    cost that does not depend on the cardinalities.  A disjunction holds
-    when one of its parts does, and each part is decided on its own: a
-    flat part by the same route, any other as below, over its own
-    alphabet (Schema.branches).  Any other definition goes through the
-    Parikh vectors of δ(ty) inside the box of the node's out-widths, with
-    one routing of the same kind per vector; its only bound is the
-    matcher's constant work cap (rbe.VECTOR_WORK).
+    ty holds when one box or one other part of δ(ty) does (Schema.boxes).
+    A box is decided by routing the edges onto its atoms (_routes), at a
+    cost that does not depend on the cardinalities; any other part by its
+    Parikh vectors inside the box of the node's out-widths, one routing
+    per vector, whose only bound is the matcher's constant work cap
+    (rbe.VECTOR_WORK).
     """
     if ty not in s.defs:
         raise ValueError(f"unknown type {ty!r}")
@@ -63,22 +59,15 @@ def satisfies_type(s: Schema, ty: str, out, choices) -> bool:
         out, choices = [out[i] for i in live], [choices[i] for i in live]
     if not all(choices):
         return False  # an edge to an untyped node is unsatisfiable
-
-    e0 = s.flat[ty]
-    if e0 is not None:
-        return _satisfies_flat(out, choices, e0)
-    branches = s.branches.get(ty)
-    if branches is not None:
-        return any(
-            _satisfies_flat(out, choices, p0) if p0 is not None
-            else _satisfies_exhaustive(out, choices, p, symbols)
-            for p, p0, symbols in branches
-        )
-    return _satisfies_exhaustive(out, choices, s.defs[ty], s.symbols[ty])
+    boxes, rest = s.boxes[ty]
+    for atoms in boxes:
+        if _satisfies_flat(out, choices, atoms):
+            return True
+    return any(_satisfies_exhaustive(out, choices, part, s.symbols[ty]) for part in rest)
 
 
-def _satisfies_flat(out, choices, e0: _rbe.Rbe0) -> bool:
-    return _routes(out, choices, e0.atoms)
+def _satisfies_flat(out, choices, atoms) -> bool:
+    return _routes(out, choices, atoms)
 
 
 def _routes(out, choices, atoms) -> bool:
@@ -150,11 +139,11 @@ def _satisfies_psi(out, choices, e0: _rbe.Rbe0) -> bool:
 
 def _satisfies_exhaustive(out, choices, delta: _rbe.Rbe, symbols) -> bool:
     """Some bag of L(δ) reads the signature.  The candidates are the Parikh
-    vectors v of L(δ) over symbols, its alphabet, inside the box of the
-    widths each (label, type) symbol can take from the out-edges, with the
-    node's total width as total; each is decided by one routing (_routes)
-    onto the symbols as atoms [v_s; v_s], so the k copies behind an edge
-    of cardinality k may take different types."""
+    vectors v of L(δ) over symbols, which hold its alphabet, inside the box
+    of the widths each (label, type) symbol can take from the out-edges,
+    with the node's total width as total; each is decided by one routing
+    (_routes) onto the symbols as atoms [v_s; v_s], so the k copies behind
+    an edge of cardinality k may take different types."""
     takes = [[e.label == lab and t in ch for lab, t in symbols] for e, ch in zip(out, choices)]
     if not all(any(row) for row in takes):
         return False  # an out-edge that no symbol of δ takes
@@ -184,17 +173,12 @@ class Typer(Refinement):
     type set, and a node's check reads its out-edges as (label, k, target's
     type set id) for occurrence [k;k], ordered by (label, k).  A memo miss
     is decided from that out-signature alone, by one satisfies_type call
-    per distinct definition among the types that pass two filters (see
+    per distinct definition among the types that pass a filter (see
     check)."""
 
     def __init__(self, s: Schema):
         super().__init__(s.types)
         self.s = s
-        # type -> the labels of the atoms with min >= 1 of a flat δ(type)
-        self._needs = {
-            t: {lab for (lab, _), iv in e0.atoms if iv.min >= 1} if e0 is not None else set()
-            for t, e0 in s.flat.items()
-        }
         self._fed: dict = {}  # (label, set id) -> the types such an edge can feed
 
     def typing(self, g: Graph) -> dict:
@@ -222,18 +206,17 @@ class Typer(Refinement):
     def check(self, sig) -> frozenset:
         """The types a node with out-signature sig satisfies, checked in
         Schema.types order.  A type is dropped unchecked when one of the
-        node's out-edges with k > 0 cannot feed it (feeds), or when it is
-        flat and one of its atoms with min >= 1 has a label the node lacks:
-        satisfies_type fails then.  satisfies_type reads a type only through
-        its definition, so each distinct (hash-consed) definition is decided
+        node's out-edges with k > 0 cannot feed it (feeds): satisfies_type
+        fails then.  satisfies_type reads a type only through its
+        definition, so each distinct (hash-consed) definition is decided
         once, for the first type in order that has it, and its verdict is
         shared by the others."""
         out = [_edge(lab, k) for lab, k, _ in sig]
         choices = [self.sets[j] for _, _, j in sig]
-        have = {lab for lab, k, _ in sig if k}
         types = self.order
-        if have:
-            fed = frozenset.intersection(*[self.feeds(lab, j) for lab, k, j in sig if k])
+        feeds = [self.feeds(lab, j) for lab, k, j in sig if k]
+        if feeds:
+            fed = frozenset.intersection(*feeds)
             types = [t for t in types if t in fed]
         defs = self.s.defs
         verdicts: dict = {}
@@ -242,7 +225,7 @@ class Typer(Refinement):
             d = defs[t]
             held = verdicts.get(d)
             if held is None:
-                held = verdicts[d] = self._needs[t] <= have and satisfies_type(self.s, t, out, choices)
+                held = verdicts[d] = satisfies_type(self.s, t, out, choices)
             if held:
                 kept.append(t)
         return frozenset(kept)

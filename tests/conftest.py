@@ -24,7 +24,7 @@ from shapegraph import (
     classify,
     parse_schema,
 )
-from shapegraph.rbe import Concat, Disj, Empty, Epsilon, Intersect, Repeat, Sym, EPSILON, concat_all
+from shapegraph.rbe import Concat, Disj, Empty, Epsilon, Intersect, Repeat, Sym, EMPTY, EPSILON, concat_all
 
 
 # --- Worked examples ---------------------------------------------------------
@@ -390,6 +390,21 @@ def random_flat_rbe(rng: random.Random, symbols=("a", "b", "c"), depth=3):
         return op((expr(d - 1), expr(d - 1)))
 
     return expr(depth)
+
+
+def random_rbe(rng: random.Random, symbols=("a", "b", "c"), depth=4):
+    """Random expression over every node kind: ε, ∅, symbols, |, , and &
+    of two or three parts, and repeats, nested ones included, with
+    intervals from [0;0] to [3;inf]."""
+    r = rng.random()
+    if depth == 0 or r < 0.25:
+        return rng.choice([Sym(rng.choice(symbols))] * 6 + [EPSILON, EMPTY])
+    if r < 0.55:
+        lo = rng.randint(0, 3)
+        hi = rng.choice([lo, lo, lo + 1, lo + 2, INF])
+        return Repeat(random_rbe(rng, symbols, depth - 1), Interval(lo, hi))
+    op = rng.choice([Disj, Concat, Intersect])
+    return op(tuple(random_rbe(rng, symbols, depth - 1) for _ in range(rng.randint(2, 3))))
 
 
 def random_bag(rng: random.Random, symbols=("a", "b", "c"), max_size=5):

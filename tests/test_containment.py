@@ -34,8 +34,8 @@ from shapegraph.fixtures import dnf_containment_instance, exponential_family, un
 from shapegraph.rbe import parse_rbe
 from shapegraph.schema import Schema, from_shape_graph
 
-from conftest import (BASIC, BUG_SCHEMA_TEXT, chain_schema, random_flat_rbe, random_minus_schema, random_rbe0_schema,
-                      star_chain_pair)
+from conftest import (BASIC, BUG_SCHEMA_TEXT, chain_schema, random_flat_rbe, random_minus_schema, random_rbe,
+                      random_rbe0_schema, star_chain_pair)
 
 
 def _union(e0, *es):
@@ -178,6 +178,24 @@ class TestCounterexampleSearch:
                 caps = tuple(rng.randint(0, 3) for _ in symbols)
                 expected = sorted(rbe.parikh_vectors(s.defs["t"], symbols, caps))
                 assert containment._bags_matching(s, "t", symbols, caps) == expected
+
+    def test_box_bags_equal_parikh_vectors(self):
+        # Any rule's bags are its boxes cut at the caps plus the Parikh
+        # vectors of its parts with no box form; the general matcher on the
+        # whole rule must list the same bags in the same order.
+        rng = random.Random(27)
+        syms = [(lab, "u") for lab in "abc"]
+        kinds = Counter()
+        for _ in range(400):
+            rule = random_rbe(rng, syms, depth=rng.randint(1, 4))
+            s = Schema({"t": rule, "u": rbe.EPSILON})
+            boxes, rest = s.boxes["t"]
+            kinds[bool(boxes), bool(rest)] += 1
+            symbols = s.symbols["t"]
+            caps = tuple(rng.randint(0, 3) for _ in symbols)
+            expected = sorted(rbe.parikh_vectors(rule, symbols, caps))
+            assert containment._bags_matching(s, "t", symbols, caps) == expected
+        assert len(kinds) == 4  # boxes, residual parts, both and neither
 
     def test_flat_search_matches_no_parikh_vectors(self, monkeypatch):
         # Both schemas of the DNF pair are flat: every bag list and every

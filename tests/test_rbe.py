@@ -1,5 +1,6 @@
 import copy
 import gc
+import itertools
 import pickle
 import random
 from collections import Counter
@@ -24,10 +25,12 @@ from shapegraph.rbe import (
     rbe0_matches,
     rbe0_to_rbe,
     rbe_to_text,
+    sums,
+    to_boxes,
     to_rbe0,
 )
 
-from conftest import BASIC, brute_matches, random_bag, random_flat_rbe
+from conftest import BASIC, brute_matches, random_bag, random_flat_rbe, random_rbe
 from shapegraph.errors import AlphabetError
 
 
@@ -118,6 +121,74 @@ class TestRbe0:
             e = rbe0_to_rbe(e0)
             w = random_bag(rng, symbols, 4)
             assert rbe0_matches(e0, w) == matches(e, w)
+
+
+def box_vectors(boxes, symbols, cap):
+    """The count vectors over symbols, each at most cap, in some box."""
+    vectors = set()
+    for box in map(sums, boxes):
+        assert set(box) <= set(symbols)
+        vectors.update(itertools.product(*[range(box[a].min, min(box[a].max, cap) + 1) if a in box else (0,)
+                                           for a in symbols]))
+    return vectors
+
+
+class TestBoxes:
+    @pytest.mark.parametrize(("text", "boxes"), [
+        ("eps", [()]),
+        ("a, b*", [(("a", ONE), ("b", STAR))]),
+        ("(a | b), c", [(("a", ONE), ("c", ONE)), (("b", ONE), ("c", ONE))]),
+        ("a & b", []),  # an empty meet
+        ("a? & b*", [()]),
+        ("(a*, b*) & (a*, b*)", [(("a", STAR), ("b", STAR))]),
+        ("a^[2;4], a", [(("a", Interval(3, 5)),)]),
+        ("(a?)^[2;5]", [(("a", Interval(0, 5)),)]),
+        ("(a, b^2)^3", [(("a", Interval(3, 3)), ("b", Interval(6, 6)))]),
+        ("((a^[0;2])^[3;inf])^0", [()]),  # ^0 over an unbounded body is ε
+        ("(a, b)*", None),  # a period over two symbols
+        ("a+ & (a^2)*", None),  # a period of 2
+        ("(a | b)+", None),
+    ])
+    def test_known_forms(self, text, boxes):
+        assert to_boxes(parse_rbe(text)) == boxes
+
+    def test_empty_language_has_no_box(self):
+        assert to_boxes(EMPTY) == [] and to_boxes(Repeat(EMPTY, STAR)) == [()]
+        assert to_boxes(Concat((Sym("a"), EMPTY))) == [] and to_boxes(Repeat(EMPTY, PLUS)) == []
+
+    def test_box_count_is_capped(self):
+        wide = Concat(tuple(Disj((Sym(f"a{i}"), Sym(f"b{i}"))) for i in range(7)))
+        assert to_boxes(wide) is None  # 2^7 = 128 boxes
+        assert len(to_boxes(Concat(wide.parts[:6]))) == rbe.BOX_CAP
+        # The work is charged before the pairs are made: 2^40 would not end.
+        assert to_boxes(Concat(tuple(Disj((Sym(f"a{i}"), Sym(f"b{i}"))) for i in range(40)))) is None
+
+    def test_fold_work_is_linear(self):
+        # Each level of a nested concatenation would copy the box below it,
+        # so the atoms built are capped in all, at BOX_CAP per
+        # sub-expression: a deep chain of distinct symbols has no box form.
+        def chain(depth):
+            e = Disj((Sym("x"), Sym("y")))
+            for i in range(depth):
+                e = Concat((e, Sym(f"b{i}")))
+            return e
+
+        assert len(to_boxes(chain(100))) == 2
+        assert to_boxes(chain(10**4)) is None
+
+    def test_boxes_equal_parikh_vectors(self):
+        # Inside [0;4]^k the union of the boxes holds exactly the Parikh
+        # vectors of the expression, for every expression with a box form.
+        rng = random.Random(41)
+        symbols = ("a", "b", "c")
+        boxed = 0
+        for _ in range(3000):
+            e = random_rbe(rng, symbols, depth=rng.randint(1, 4))
+            boxes = to_boxes(e)
+            if boxes is not None:
+                boxed += 1
+                assert box_vectors(boxes, symbols, 4) == rbe.parikh_vectors(e, symbols, (4,) * 3), rbe_to_text(e)
+        assert 2000 < boxed < 3000
 
 
 class TestHashConsing:

@@ -36,6 +36,7 @@ from conftest import (
     chain_schema,
     random_compressed_graph,
     random_flat_rbe,
+    random_rbe,
     random_rbe0_schema,
     random_simple_graph,
     reference_typing,
@@ -94,9 +95,13 @@ def random_non_flat_schema(rng):
 
 
 def exhaustive_twin(s: Schema) -> Schema:
-    """s with each rule e read as e & e: the same language, but no rule is
-    flat or a disjunction, so every check takes the exhaustive route."""
-    return Schema({t: Intersect((e, e)) for t, e in s.defs.items()})
+    """s with each rule e read as e & U, where U, the bags with any count
+    of each symbol of e and an even count of the fresh symbol _::t, allows
+    every bag of e: the same language, but the period (_::t^2)* leaves the
+    rule with no box form, so every check takes the exhaustive route."""
+    period = Repeat(Repeat(Sym(("_", s.types[0])), Interval(2, 2)), STAR)
+    return Schema({t: Intersect((e, concat_all([period] + [Repeat(Sym(a), STAR) for a in s.symbols[t]])))
+                   for t, e in s.defs.items()})
 
 
 def count_routes(monkeypatch) -> dict:
@@ -275,8 +280,8 @@ class TestMaxTyping:
     def test_label_reject_skips_checks(self, monkeypatch):
         # A type is dropped unchecked when one of the node's out-edges has
         # no symbol of it, of the edge's label and a type of the edge's
-        # target, or when it is flat and needs a label the node lacks.
-        # s matches x's label a, but y's set holds no p, so s is dropped.
+        # target: q has no a-symbol, and s matches x's label a, but y's set
+        # holds no p, so both are dropped at x.
         checked = set()
         check = shapegraph.validation.satisfies_type
 
@@ -289,7 +294,8 @@ class TestMaxTyping:
                          "s -> a::p?\nu -> eps\n")
         g = parse_graph("graph simple\nx a y\n")
         assert max_typing(g, s) == {"x": frozenset({"p", "r"}), "y": frozenset({"r", "w", "s", "u"})}
-        assert checked == {(("a",), "p"), (("a",), "r"), ((), "r"), ((), "w"), ((), "s"), ((), "u")}
+        assert checked == {(("a",), "p"), (("a",), "r"),
+                           ((), "p"), ((), "q"), ((), "r"), ((), "w"), ((), "s"), ((), "u")}
 
     def test_check_walks_types_in_schema_order(self, monkeypatch):
         # A type set is a frozenset, whose order follows string hashing;
@@ -587,12 +593,22 @@ class TestFlatRoute:
 
 
 class TestDisjunctionSplit:
+    @staticmethod
+    def assert_whole_rule_agrees(rng, rule):
+        """satisfies_type on t0 -> rule equals the exhaustive route over the
+        whole rule, on random out-edges."""
+        s = Schema({"t0": rule, "t1": concat_all([Sym(("a", "t1")), Repeat(Sym(("b", "t0")), STAR)])})
+        out, choices = random_out(rng, "ab", ["t0", "t1"], max_edges=3, max_width=3)
+        live = [i for i, e in enumerate(out) if e.occur.max]
+        whole = all(choices[i] for i in live) and _satisfies_exhaustive(
+            [out[i] for i in live], [choices[i] for i in live], s.defs["t0"], s.symbols["t0"])
+        assert satisfies_type(s, "t0", out, choices) == whole, rbe_to_text(rule)
+
     def test_equals_the_exhaustive_route_on_the_whole_rule(self):
         # Each part of a disjunction is decided on its own, flat parts by
         # routing; the exhaustive route over the whole rule must agree.
         rng = random.Random(26)
-        types = ["t0", "t1"]
-        syms = [(lab, t) for lab in "ab" for t in types]
+        syms = [(lab, t) for lab in "ab" for t in ("t0", "t1")]
 
         def part():
             if rng.random() < 0.5:  # flat
@@ -600,11 +616,12 @@ class TestDisjunctionSplit:
             return random_flat_rbe(rng, syms, depth=2)
 
         for _ in range(400):
-            rule = Disj(tuple(part() for _ in range(rng.randint(2, 3))))
-            s = Schema({"t0": rule, "t1": concat_all([Sym(("a", "t1")), Repeat(Sym(("b", "t0")), STAR)])})
-            out, choices = random_out(rng, "ab", types, max_edges=3, max_width=3)
-            live = [i for i, e in enumerate(out) if e.occur.max]
-            whole = all(choices[i] for i in live) and _satisfies_exhaustive(
-                [out[i] for i in live], [choices[i] for i in live], s.defs["t0"], s.symbols["t0"])
-            assert satisfies_type(s, "t0", out, choices) == whole
+            self.assert_whole_rule_agrees(rng, Disj(tuple(part() for _ in range(rng.randint(2, 3)))))
 
+    def test_boxes_equal_the_exhaustive_route(self):
+        # Rules of every node kind, meets and nested repeats included, so
+        # that each box is routed and each part with no box form is matched.
+        rng = random.Random(28)
+        syms = [(lab, t) for lab in "ab" for t in ("t0", "t1")]
+        for _ in range(600):
+            self.assert_whole_rule_agrees(rng, random_rbe(rng, syms, depth=rng.randint(1, 4)))
