@@ -19,12 +19,10 @@ from .core import (
 )
 from .errors import (
     AlphabetError,
-    BudgetError,
     ClassPreconditionError,
     GraphKindError,
     ParseError,
     ShapegraphError,
-    UnpackBudgetError,
     WorkCapError,
 )
 from .rbe import (

@@ -20,7 +20,7 @@ from . import presburger as _pa
 from . import rbe as _rbe
 from . import schema as _schema
 from . import validation as _val
-from .errors import BudgetError, ShapegraphError, WorkCapError
+from .errors import ShapegraphError, WorkCapError
 
 click.UsageError.exit_code = 3
 
@@ -46,15 +46,15 @@ def _load_schema(path: str) -> _schema.Schema:
 
 
 def handles_errors(f):
-    """Map library errors to the exit-code contract: resource caps,
-    Python's recursion limit included, to 2 with the envelope of an unknown
-    verdict, everything else (parse, kind, precondition, I/O) to 3."""
+    """Map library errors to the exit-code contract: a WorkCapError (a cap
+    ran out) to 2 with the envelope of an unknown verdict, everything else
+    (parse, kind, precondition, malformed budget, I/O) to 3."""
 
     @functools.wraps(f)
     def wrapper(*args, **kwargs):
         try:
             return f(*args, **kwargs)
-        except (WorkCapError, BudgetError, RecursionError) as exc:
+        except WorkCapError as exc:
             click.echo(f"unknown: {exc}", err=True)
             _emit(click.get_current_context(), "unknown", [], code=2)
         except click.ClickException:

@@ -12,7 +12,7 @@ from itertools import accumulate, combinations_with_replacement, groupby, permut
 from operator import itemgetter
 
 from .core import ONE, OPT, STAR, Edge, Graph, Interval
-from .errors import BudgetError, ClassPreconditionError
+from .errors import ClassPreconditionError, WorkCapError
 from . import rbe as _rbe
 from . import validation as _val
 from .embedding import embeds
@@ -45,9 +45,9 @@ class Budget:
 
     def check(self):
         if self.max_nodes < 1 or self.max_card < 1:
-            raise BudgetError("budget requires max_nodes >= 1 and max_card >= 1")
+            raise ValueError("budget requires max_nodes >= 1 and max_card >= 1")
         if self.timeout is not None and self.timeout <= 0:
-            raise BudgetError("budget timeout must be positive")
+            raise ValueError("budget timeout must be positive")
 
 
 # --- Embedding-based containment --------------------------------------------
@@ -173,7 +173,7 @@ def characterizing_graph(h: Schema) -> Graph:
                     size[e.source] = max(size[e.source], need)
                     changed = True
         if sum(size.values()) > bound:
-            raise BudgetError("characterizing cohort sizes exceed the polynomial bound")
+            raise WorkCapError("characterizing cohort sizes exceed the polynomial bound")
 
     def copy_name(t, i):
         return f"{t}.{i}"
@@ -531,7 +531,9 @@ def contains(h: Schema, k: Schema, method: str = "auto", budget: Budget = Budget
     deterministic ?-closed class, 'search' runs the bounded enumeration
     (never Contained), 'auto' picks embedding exactly when both classify
     into that class: it falls back to the search on the class check of
-    contains_detshex0minus, so each schema is classified once."""
+    contains_detshex0minus.  When the embedding refutes containment,
+    characterizing_graph classifies h again and rebuilds its shape graph
+    to build the witness."""
     if method not in ("auto", "embedding", "search"):
         raise ValueError(f"unknown method {method!r}")
     if method == "search":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import attrgetter
 
-from .errors import GraphKindError, ParseError, UnpackBudgetError
+from .errors import GraphKindError, ParseError, WorkCapError
 
 INF = math.inf
 
@@ -459,7 +459,7 @@ def unpack(f: Graph, max_nodes: int = DEFAULT_UNPACK_CAP):
             k = max(1, supply[root])
         total += k * len(comp)
         if total > max_nodes:
-            raise UnpackBudgetError(
+            raise WorkCapError(
                 f"unpacking needs more than {max_nodes} nodes ({total} so far)"
             )
         for m in comp:
@@ -481,7 +481,7 @@ def unpack(f: Graph, max_nodes: int = DEFAULT_UNPACK_CAP):
                     continue
                 targets = names[j]
                 if k > len(targets):
-                    raise UnpackBudgetError(
+                    raise WorkCapError(
                         f"cardinality {k} on edge {n} {lab} {nodes[j]} exceeds "
                         f"{len(targets)} available copies"
                     )

@@ -21,12 +21,10 @@ class GraphKindError(ShapegraphError):
     """A declared graph kind (simple/shape/compressed) is violated by an edge."""
 
 
-class UnpackBudgetError(ShapegraphError):
-    """Unpacking a compressed graph would exceed the node-count cap."""
-
-
 class WorkCapError(ShapegraphError):
-    """An exact check exceeded its configured work cap; the result is unknown."""
+    """A cap ran out before the answer was known: a work cap of an exact
+    check, unpack's node cap or copies check, or the characterizing graph's
+    cohort bound.  The CLI reports it as an unknown verdict, exit 2."""
 
 
 class AlphabetError(ShapegraphError):
@@ -35,7 +33,3 @@ class AlphabetError(ShapegraphError):
 
 class ClassPreconditionError(ShapegraphError):
     """A schema does not belong to the class required by the operation."""
-
-
-class BudgetError(ShapegraphError):
-    """A search budget is malformed or exceeded."""

@@ -9,6 +9,8 @@ property exercised by the tests is psi_e(w, 1) iff w ∈ L(e).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import count, islice
 
 from .core import INF
 from .errors import WorkCapError
@@ -125,19 +127,6 @@ def free_variables(f: PAFormula) -> frozenset:
 # --- Construction from bag expressions --------------------------------------
 
 
-class _Fresh:
-    def __init__(self):
-        self.counter = 0
-
-    def vector(self, symbols):
-        self.counter += 1
-        return {a: f"x{self.counter}_{_sym_key(a)}" for a in symbols}
-
-    def scalar(self, tag):
-        self.counter += 1
-        return f"{tag}{self.counter}"
-
-
 def _sym_key(a) -> str:
     if isinstance(a, tuple):
         return "_".join(str(p) for p in a)
@@ -148,55 +137,70 @@ def presburger_of(e: _rbe.Rbe):
     """Build psi_e with free bag variables x_<symbol> and free count n.
 
     Returns (formula, xvars, nvar) where xvars maps each alphabet symbol to
-    its variable name.
+    its variable name.  One loop over an explicit stack builds it: entering
+    a node draws its fresh names from one counter and pushes its builder
+    under its parts, so the names come in the order a recursive walk draws
+    them; a builder (None, k, make) pops its k parts' formulas.
     """
     symbols = sorted(_rbe.alphabet(e), key=_sym_key)
-    fresh = _Fresh()
+    fresh = count(1)
     xvars = {a: f"x_{_sym_key(a)}" for a in symbols}
-    nvar = "n"
-    formula = _psi(e, xvars, nvar, symbols, fresh)
-    return formula, xvars, nvar
+    out = []
+    stack = [(e, xvars, "n")]
+    while stack:
+        x, xv, m = stack.pop()
+        if x is None:
+            parts = out[-xv:]
+            del out[-xv:]
+            out.append(m(*parts))
+            continue
+        nt = var(m)
+        if isinstance(x, _rbe.Epsilon):
+            out.append(_zero(xv, symbols))
+        elif isinstance(x, _rbe.Empty):
+            out.append(FALSE)
+        elif isinstance(x, _rbe.Sym):
+            parts = [Eq(var(xv[x.symbol]), nt)]
+            parts += [Eq(var(xv[b]), const(0)) for b in symbols if b != x.symbol]
+            out.append(conj(*parts))
+        elif isinstance(x, _rbe.Repeat):
+            k, l = x.interval.min, x.interval.max
+            c = f"m{next(fresh)}"
+            bounds = [Le(const(k), var(c))] + ([Le(var(c), const(l))] if l != INF else [])
+            zero = conj(Eq(nt, const(0)), _zero(xv, symbols))
+            make = partial(_repeat, zero, Le(const(1), nt), c, bounds)
+            stack += [(None, 1, make), (x.body, xv, c)]
+        elif isinstance(x, _rbe.Intersect):
+            stack.append((None, len(x.parts), conj))
+            stack += [(p, xv, m) for p in reversed(x.parts)]
+        elif isinstance(x, (_rbe.Disj, _rbe.Concat)):
+            # One bag per part, the bags summing to xv.  A disjunction also
+            # splits the copies m between its parts; in a concatenation each
+            # part takes all m.
+            split = isinstance(x, _rbe.Disj)
+            ids = islice(fresh, len(x.parts))
+            xs = [{a: f"x{i}_{_sym_key(a)}" for a in symbols} for i in ids]
+            ns = [f"n{i}" for i in islice(fresh, len(xs))] if split else [m] * len(xs)
+            head = [Eq(nt, tsum(*map(var, ns)))] if split else []
+            head += [Eq(var(xv[a]), tsum(*[var(y[a]) for y in xs])) for a in symbols]
+            bound = tuple(y[a] for y in xs for a in symbols) + (tuple(ns) if split else ())
+            stack.append((None, len(xs), partial(_exists, bound, head)))
+            stack += reversed(list(zip(x.parts, xs, ns)))
+        else:
+            raise TypeError(f"not an expression: {x!r}")
+    return out[0], xvars, "n"
 
 
 def _zero(xvars, symbols):
     return conj(*[Eq(var(xvars[a]), const(0)) for a in symbols]) if symbols else TRUE
 
 
-def _psi(e, xvars, n, symbols, fresh) -> PAFormula:
-    nt = var(n) if isinstance(n, str) else const(n)
-    if isinstance(e, _rbe.Epsilon):
-        return _zero(xvars, symbols)
-    if isinstance(e, _rbe.Empty):
-        return FALSE
-    if isinstance(e, _rbe.Sym):
-        parts = [Eq(var(xvars[e.symbol]), nt)]
-        parts += [Eq(var(xvars[b]), const(0)) for b in symbols if b != e.symbol]
-        return conj(*parts)
-    if isinstance(e, _rbe.Repeat):
-        k, l = e.interval.min, e.interval.max
-        m = fresh.scalar("m")
-        inner = [Le(const(k), var(m))]
-        if l != INF:
-            inner.append(Le(var(m), const(l)))
-        inner.append(_psi(e.body, xvars, m, symbols, fresh))
-        positive = conj(Le(const(1), nt), Exists((m,), conj(*inner)))
-        zero = conj(Eq(nt, const(0)), _zero(xvars, symbols))
-        return disj(zero, positive)
-    if isinstance(e, _rbe.Intersect):
-        return conj(*[_psi(p, xvars, n, symbols, fresh) for p in e.parts])
-    if isinstance(e, (_rbe.Disj, _rbe.Concat)):
-        # One bag per part, the bags summing to xvars.  A disjunction also
-        # splits the copies n between its parts; in a concatenation each
-        # part takes all n.
-        split = isinstance(e, _rbe.Disj)
-        xs = [fresh.vector(symbols) for _ in e.parts]
-        ns = [fresh.scalar("n") for _ in e.parts] if split else [n] * len(xs)
-        parts = [Eq(nt, tsum(*map(var, ns)))] if split else []
-        parts += [Eq(var(xvars[a]), tsum(*[var(x[a]) for x in xs])) for a in symbols]
-        parts += [_psi(p, x, m, symbols, fresh) for p, x, m in zip(e.parts, xs, ns)]
-        bound = tuple(x[a] for x in xs for a in symbols) + (tuple(ns) if split else ())
-        return Exists(bound, conj(*parts))
-    raise TypeError(f"not an expression: {e!r}")
+def _repeat(zero, positive, m, bounds, body) -> PAFormula:
+    return disj(zero, conj(positive, Exists((m,), conj(*bounds, body))))
+
+
+def _exists(bound, head, *parts) -> PAFormula:
+    return Exists(bound, conj(*head, *parts))
 
 
 def psi_sound_cap(e: _rbe.Rbe, w, n: int = 1) -> int:
@@ -331,19 +335,23 @@ def _term_sexpr(t: Term) -> str:
 
 def to_sexpr(f: PAFormula) -> str:
     """Prefix-operator rendering with operators and, or, not, exists, =, <=, +
-    and decimal constants."""
-    if isinstance(f, Eq):
-        return f"(= {_term_sexpr(f.lhs)} {_term_sexpr(f.rhs)})"
-    if isinstance(f, Le):
-        return f"(<= {_term_sexpr(f.lhs)} {_term_sexpr(f.rhs)})"
-    if isinstance(f, And):
-        if not f.parts:
-            return "(and)"
-        return "(and " + " ".join(to_sexpr(p) for p in f.parts) + ")"
-    if isinstance(f, Or):
-        if not f.parts:
-            return "(or)"
-        return "(or " + " ".join(to_sexpr(p) for p in f.parts) + ")"
-    if isinstance(f, Exists):
-        return "(exists (" + " ".join(f.variables) + ") " + to_sexpr(f.body) + ")"
-    raise TypeError(f"not a formula: {f!r}")
+    and decimal constants: one loop pops formulas and text pieces from one
+    stack into one output list."""
+    out = []
+    stack = [f]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, str):
+            out.append(x)
+        elif isinstance(x, (Eq, Le)):
+            op = "=" if isinstance(x, Eq) else "<="
+            out.append(f"({op} {_term_sexpr(x.lhs)} {_term_sexpr(x.rhs)})")
+        elif isinstance(x, (And, Or)):
+            pieces = ["(and" if isinstance(x, And) else "(or"]
+            pieces += [y for p in x.parts for y in (" ", p)]
+            stack += reversed(pieces + [")"])
+        elif isinstance(x, Exists):
+            stack += [")", x.body, "(exists (" + " ".join(x.variables) + ") "]
+        else:
+            raise TypeError(f"not a formula: {x!r}")
+    return "".join(out)

@@ -525,6 +525,13 @@ class TestCounterexampleSearch:
         v = find_counterexample(s, s, Budget(max_nodes=6, max_card=3, timeout=0.01))
         assert isinstance(v, Unknown)
 
+    def test_malformed_budget_is_a_value_error(self):
+        # A usage error (exit 3 in the CLI), not a cap that ran out.
+        s = parse_schema(BUG_SCHEMA_TEXT)
+        for budget in (Budget(max_nodes=0), Budget(max_card=0), Budget(timeout=0)):
+            with pytest.raises(ValueError):
+                find_counterexample(s, s, budget)
+
     def test_clock_is_read_while_specs_are_built(self, monkeypatch):
         # Draws of containment._tuples between two reads of the clock: the
         # search must look at its timeout between out-specs, not only once

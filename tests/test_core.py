@@ -29,7 +29,7 @@ from shapegraph import (
     verify_witness,
 )
 from shapegraph.core import Refinement, _kind_fault, index_lists
-from shapegraph.errors import UnpackBudgetError
+from shapegraph.errors import WorkCapError
 
 from conftest import (
     random_compressed_graph,
@@ -355,7 +355,7 @@ class TestUnpack:
 
     def test_budget(self):
         g = parse_graph("graph compressed\nu a v [30;30]\nv b w [30;30]\nw c x [30;30]\n")
-        with pytest.raises(UnpackBudgetError):
+        with pytest.raises(WorkCapError):
             unpack(g, max_nodes=100)
 
     def test_copy_counts_match_the_definition(self):
@@ -365,7 +365,7 @@ class TestUnpack:
             g = random_compressed_graph(rng, max_nodes=6, max_card=3, min_card=0)
             expected = reference_copies(g)
             if sum(expected.values()) > 20:
-                with pytest.raises(UnpackBudgetError):
+                with pytest.raises(WorkCapError):
                     unpack(g, max_nodes=20)
                 raised += 1
                 continue
@@ -389,7 +389,7 @@ class TestUnpack:
             g = random_compressed_graph(rng)
             try:
                 u, cmap = unpack(g, max_nodes=3000)
-            except UnpackBudgetError:
+            except WorkCapError:
                 continue
             assert u.is_simple
             demand = {n: sum(e.occur.min for e in g.out(n)) for n in g.nodes}
@@ -404,7 +404,7 @@ class TestUnpack:
             s = random_rbe0_schema(rng)
             try:
                 u, _ = unpack(g, max_nodes=500)
-            except UnpackBudgetError:
+            except WorkCapError:
                 continue
             if validates(g, s):
                 assert validates(u, s)
