@@ -34,13 +34,10 @@ from .rbe import (
     Epsilon,
     Intersect,
     Rbe,
-    Rbe0,
     Repeat,
     Sym,
     bag_matches,
     parse_rbe,
-    rbe0_matches,
-    rbe0_to_rbe,
     rbe_to_text,
     to_rbe0,
 )

@@ -6,11 +6,12 @@ m that preserves labels, sends targets to related pairs, and for every
 out-edge f of m keeps the interval sum of λ's preimage inside occur(f).
 
 Witness existence is a flow-routing problem over bipartite sources
-(out-edges of n) and sinks (out-edges of m).  When every sink is basic,
-whatever the sources, it is the unit case of one capacitated lower-bound
-flow (feasible_flow), decided in polynomial time by augmenting paths; the
-same flow decides type satisfaction in validation.  Every routing returned
-as a "yes" is re-checked independently (verify_routing, and in validation
+(out-edges of n) and sinks (out-edges of m), each source listing the sinks
+it may feed.  When every sink is basic, whatever the sources, it is the
+unit case of one capacitated lower-bound flow (feasible_flow), decided in
+polynomial time by augmenting paths; the same flow, on the same lists,
+decides type satisfaction in validation.  Every routing returned as a
+"yes" is re-checked independently (verify_routing, and in validation
 _verify_flat_routing).  Only a non-basic sink, such as those of the SAT
 fixture, where the problem is NP-hard, goes to an exact backtracking
 search, iterative and capped in steps.
@@ -37,31 +38,32 @@ _BOUNDS = attrgetter("min", "max")
 
 @dataclass(frozen=True)
 class RoutingInstance:
-    """Sources/sinks are (id, interval) pairs; allowed ⊆ source ids × sink ids."""
+    """sinks: a tuple of Intervals; sources: (Interval, sink indexes) pairs,
+    each listing the sinks it may route to.  A routing maps each source
+    index to one sink index."""
 
     sources: tuple
     sinks: tuple
-    allowed: frozenset
 
 
 def verify_routing(inst: RoutingInstance, lam: dict) -> bool:
     """Independent check that lam is a valid total routing for inst."""
-    if set(lam) != {v for v, _ in inst.sources}:
+    if set(lam) != set(range(len(inst.sources))):
         return False
-    lo = {u: 0 for u, _ in inst.sinks}
-    hi = dict(lo)
-    for v, iv in inst.sources:
-        u = lam[v]
-        if (v, u) not in inst.allowed or u not in lo:
+    lo = [0] * len(inst.sinks)
+    hi = [0] * len(inst.sinks)
+    for i, (iv, js) in enumerate(inst.sources):
+        j = lam[i]
+        if j not in js:
             return False
-        lo[u] += iv.min
-        hi[u] += iv.max
-    return all(iv.min <= lo[u] and hi[u] <= iv.max for u, iv in inst.sinks)
+        lo[j] += iv.min
+        hi[j] += iv.max
+    return all(iv.min <= x and y <= iv.max for iv, x, y in zip(inst.sinks, lo, hi))
 
 
 # --- One capacitated flow ----------------------------------------------------
 #
-# A source ships an integer supply over its allowed arcs; a sink takes a
+# A source ships an integer supply to the sinks it lists; a sink takes a
 # total inside [lo; hi].  A source that counts adds its flow to both sides
 # of the bounds of the sinks it feeds, one that does not only to the upper
 # side.  The lower bounds (every supply shipped in full, every sink's
@@ -113,44 +115,41 @@ class _Network:
             total += amount
 
 
-def feasible_flow(sources, sinks, arcs):
-    """The flow on each arc of a feasible routing, or None.
+def feasible_flow(sources, sinks):
+    """For a feasible routing, each source's flow to each sink it lists, in
+    list order; else None.
 
-    sources: (supply, counts) pairs; sinks: (lo, hi) pairs, hi possibly INF;
-    arcs: (source index, sink index) pairs.  Every source ships exactly its
-    supply; each sink receives at most hi in all and at least lo from
+    sources: (supply, counts, sink indexes) triples; sinks: (lo, hi)
+    pairs, hi possibly INF.  Every source ships exactly its supply to sinks
+    it lists; each sink receives at most hi in all and at least lo from
     counting sources.
 
-    A source with one arc has no choice: its supply goes straight to that
-    arc's sink, off the sink's hi and, if it counts, off its lo.  Only the
-    sources with a choice, positive supply and two arcs or more, enter the
+    A source that lists one sink has no choice: its supply goes straight
+    there, off the sink's hi and, if it counts, off its lo.  Only the
+    sources with a choice, positive supply and two sinks or more, enter the
     network, against the sinks' residual bounds; when there are none, no
     network is built.  Callers still re-check every flow returned.
     """
-    arcs_of = [[] for _ in sources]
-    for a, (v, _) in enumerate(arcs):
-        arcs_of[v].append(a)
-    flow = [0] * len(arcs)
+    flow = [[0] * len(js) for _, _, js in sources]
     lo = [b for b, _ in sinks]
     hi = [b for _, b in sinks]
     free = []
-    for v, (x, counts) in enumerate(sources):
+    for v, (x, counts, js) in enumerate(sources):
         if not x:
             continue
-        if not arcs_of[v]:
+        if not js:
             return None
-        if len(arcs_of[v]) > 1:
+        if len(js) > 1:
             free.append(v)
             continue
-        (a,) = arcs_of[v]
-        u = arcs[a][1]
-        flow[a] = x
+        u = js[0]
+        flow[v][0] = x
         hi[u] -= x
         if hi[u] < 0:
             return None
         if counts:
             lo[u] = max(0, lo[u] - x)
-    counted = {arcs[a][1] for v in free if sources[v][1] for a in arcs_of[v]}
+    counted = {u for v in free if sources[v][1] for u in sources[v][2]}
     if any(lo[u] and u not in counted for u in range(len(sinks))):
         return None
     if not free:
@@ -182,16 +181,15 @@ def feasible_flow(sources, sinks, arcs):
     net.add(T, S, big)
     arc_ids = []
     for i, v in enumerate(free):
-        x, counts = sources[v]
-        for a in arcs_of[v]:
-            u = arcs[a][1]
+        x, counts, js = sources[v]
+        for k, u in enumerate(js):
             target = gate[u] if counts and u in gate else unode + u
-            arc_ids.append((a, vnode + i, net.add(vnode + i, target, x), x))
+            arc_ids.append((flow[v], k, vnode + i, net.add(vnode + i, target, x), x))
 
     if net.maxflow(SS, TT) != supply + demand:
         return None
-    for a, node, i, x in arc_ids:
-        flow[a] = x - net.adj[node][i][1]
+    for row, k, node, i, x in arc_ids:
+        row[k] = x - net.adj[node][i][1]
     return flow
 
 
@@ -200,34 +198,26 @@ def witness_exists_basic(inst: RoutingInstance):
 
     A sink's max is then 1 or ∞ and its min 0 or 1, so this is the unit
     case of feasible_flow whatever the sources are: a source may use a sink
-    iff its max is at most the sink's, ships 1 unit iff its max is at least
-    1, and counts toward the sink's min iff its own min is.  A [0;0] source
-    ships nothing but still needs an allowed sink, its first one.
+    it lists iff its max is at most the sink's, ships 1 unit iff its max is
+    at least 1, and counts toward the sink's min iff its own min is.  A
+    [0;0] source ships nothing but still needs a sink, its first one.
     """
-    for _, iv in inst.sinks:
+    sinks = inst.sinks
+    for iv in sinks:
         if not iv.basic:
             raise ClassPreconditionError(f"non-basic sink interval {iv} in routing instance")
 
-    sink_pos = {u: j for j, (u, _) in enumerate(inst.sinks)}
-    arcs = [
-        (i, sink_pos[u])
-        for i, (v, v_iv) in enumerate(inst.sources)
-        for u, u_iv in inst.sinks
-        if (v, u) in inst.allowed and v_iv.max <= u_iv.max
-    ]
-    if len({i for i, _ in arcs}) < len(inst.sources):
+    options = [[j for j in js if iv.max <= sinks[j].max] for iv, js in inst.sources]
+    if not all(options):
         return None
     flow = feasible_flow(
-        [(int(iv.max >= 1), iv.min >= 1) for _, iv in inst.sources],
-        [(iv.min, iv.max) for _, iv in inst.sinks],
-        arcs,
+        [(int(iv.max >= 1), iv.min >= 1, js) for (iv, _), js in zip(inst.sources, options)],
+        [(iv.min, iv.max) for iv in sinks],
     )
     if flow is None:
         return None
-    lam = {}
-    for (i, j), x in zip(arcs, flow):
-        if x or inst.sources[i][0] not in lam:
-            lam[inst.sources[i][0]] = inst.sinks[j][0]
+    # A row holds at most one unit: the sink that takes it, else the first.
+    lam = {i: js[row.index(max(row))] for i, (js, row) in enumerate(zip(options, flow))}
     assert verify_routing(inst, lam), "routing extraction produced an invalid witness"
     return lam
 
@@ -248,13 +238,10 @@ def witness_exists_general(inst: RoutingInstance):
     source, so no recursion depth grows with the number of sources; each
     level entered is one step of DEFAULT_ROUTING_CAP.
     """
-    sinks = list(inst.sinks)
-    options = []
-    for v, iv in inst.sources:
-        opts = tuple(j for j, (u, _) in enumerate(sinks) if (v, u) in inst.allowed)
-        if not opts:
-            return None
-        options.append((v, iv, opts))
+    sinks = inst.sinks
+    options = [(i, iv, tuple(js)) for i, (iv, js) in enumerate(inst.sources)]
+    if not all(opts for _, _, opts in options):
+        return None
     # Fewest-options first; identical sources adjacent for symmetry breaking.
     options.sort(key=lambda t: (len(t[2]), t[2], (t[1].min, t[1].max), str(t[0])))
 
@@ -277,7 +264,7 @@ def witness_exists_general(inst: RoutingInstance):
                 potential[j] -= iv.min
             start = opts.index(stack[-1][1][0]) if k and options[k - 1][1:] == (iv, opts) else 0
             stack.append([iter(opts[start:]), None])
-        elif all(siv.min <= sum_min[j] and sum_max[j] <= siv.max for j, (_, siv) in enumerate(sinks)):
+        elif all(siv.min <= sum_min[j] and sum_max[j] <= siv.max for j, siv in enumerate(sinks)):
             assert verify_routing(inst, lam), "backtracking produced an invalid witness"
             return lam
         # Move the deepest level to its next sink within max that keeps
@@ -292,13 +279,13 @@ def witness_exists_general(inst: RoutingInstance):
                 del lam[v]
                 frame[1] = None
             for j in frame[0]:
-                if sum_max[j] + iv.max <= sinks[j][1].max and all(
-                        sum_min[jj] + potential[jj] + (iv.min if jj == j else 0) >= sinks[jj][1].min
+                if sum_max[j] + iv.max <= sinks[j].max and all(
+                        sum_min[jj] + potential[jj] + (iv.min if jj == j else 0) >= sinks[jj].min
                         for jj in opts):
                     frame[1] = j, sum_max[j]
                     sum_min[j] += iv.min
                     sum_max[j] += iv.max
-                    lam[v] = sinks[j][0]
+                    lam[v] = j
                     break
             if frame[1] is not None:
                 break
@@ -330,19 +317,18 @@ class SimulationRelation:
 def routing_instance(proj) -> RoutingInstance:
     """The flow-routing instance of a projected signature (see
     _Simulation.projected): sink j is out-edge j of the h-node and source i
-    out-edge i of the g-node, allowed to route to the sinks listed."""
+    out-edge i of the g-node, with the sinks it may route to."""
     sinks, sources = proj
     return RoutingInstance(
-        tuple((i, Interval(*occ)) for i, (occ, _) in enumerate(sources)),
-        tuple((j, Interval(*occ)) for j, occ in enumerate(sinks)),
-        frozenset((i, j) for i, (_, js) in enumerate(sources) for j in js),
+        tuple((Interval(*occ), js) for occ, js in sources),
+        tuple(Interval(*occ) for occ in sinks),
     )
 
 
 def find_witness(inst: RoutingInstance):
     """A routing by the one flow when every sink is basic, else by the
     exact search."""
-    if all(iv.basic for _, iv in inst.sinks):
+    if all(iv.basic for iv in inst.sinks):
         return witness_exists_basic(inst)
     return witness_exists_general(inst)
 

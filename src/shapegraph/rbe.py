@@ -19,7 +19,6 @@ import math
 import re
 import weakref
 from collections import Counter
-from dataclasses import dataclass
 
 from .core import INF, ONE, OPT, PLUS, STAR, ZERO, Interval, parse_interval_token
 from .errors import AlphabetError, ParseError, WorkCapError
@@ -243,18 +242,6 @@ def bag_matches(e: Rbe, w: Counter) -> bool:
 # --- The flat fragment ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Rbe0:
-    """a₁^M₁ ∥ … ∥ aₙ^Mₙ with basic intervals; symbols may repeat."""
-
-    atoms: tuple  # of (symbol, Interval)
-
-    def __post_init__(self):
-        for _, iv in self.atoms:
-            if not iv.basic:
-                raise ValueError(f"non-basic interval {iv} in flat expression")
-
-
 def sums(atoms) -> dict:
     """Each symbol, in order of first occurrence, to the interval sum of
     its (symbol, interval) atoms: the counts of that symbol over the bags
@@ -265,13 +252,14 @@ def sums(atoms) -> dict:
     return box
 
 
-def to_rbe0(e: Rbe) -> Rbe0 | None:
-    """Syntactic conversion; returns None when e is not of the flat shape.
-    A nested concatenation counts as flat: `(a, b), c` reads as a, b, c.
-    The factors are popped left to right from a stack, every occurrence of
-    a shared one included (post_order would yield it once)."""
+def to_rbe0(e: Rbe) -> tuple | None:
+    """The (symbol, interval) atoms of a₁^M₁ ∥ … ∥ aₙ^Mₙ with basic
+    intervals, symbols possibly repeated, or None when e is not of that
+    flat shape.  A nested concatenation counts as flat: `(a, b), c` reads
+    as a, b, c.  The factors are popped left to right from a stack, every
+    occurrence of a shared one included (post_order would yield it once)."""
     if isinstance(e, Epsilon):
-        return Rbe0(())
+        return ()
     atoms = []
     stack = [e]
     while stack:
@@ -284,7 +272,7 @@ def to_rbe0(e: Rbe) -> Rbe0 | None:
             atoms.append((x.body.symbol, x.interval))
         else:
             return None
-    return Rbe0(tuple(atoms))
+    return tuple(atoms)
 
 
 BOX_CAP = 64
@@ -343,16 +331,6 @@ def _box_meet(boxes) -> dict | None:
             return None
         acc = {a: Interval(max(i.min, j.min), min(i.max, j.max)) for a, i, j in pairs if min(i.max, j.max)}
     return acc
-
-
-def rbe0_to_rbe(e0: Rbe0) -> Rbe:
-    return concat_all([atom(a, iv) for a, iv in e0.atoms])
-
-
-def rbe0_matches(e0: Rbe0, w: Counter) -> bool:
-    """w ∈ L(e0), decided per symbol against its interval sum (sums)."""
-    box = sums(e0.atoms)
-    return all(a in box for a, k in w.items() if k) and all(w[a] in iv for a, iv in box.items())
 
 
 # --- Parsing and printing ---------------------------------------------------

@@ -17,7 +17,8 @@ class Schema:
     """Types plus a total definition map from type name to expression.
 
     Expression atoms are Sym((label, type)) pairs.  flat maps each type to
-    the flat form of its definition, or None when it has none; symbols maps
+    its atoms, the (symbol, interval) pairs of a flat definition
+    (rbe.to_rbe0), or None when the definition is not flat; symbols maps
     each type to the alphabet of its definition sorted by str, read off the
     atoms of a flat definition and walked otherwise; by_label maps each
     label a to {u: the types whose alphabet holds (a, u), in order}.
@@ -31,13 +32,13 @@ class Schema:
     def __init__(self, defs: dict):
         self.types: tuple[str, ...] = tuple(defs)
         self.defs: dict[str, _rbe.Rbe] = dict(defs)
-        self.flat: dict[str, _rbe.Rbe0 | None] = {t: _rbe.to_rbe0(e) for t, e in self.defs.items()}
+        self.flat: dict[str, tuple | None] = {t: _rbe.to_rbe0(e) for t, e in self.defs.items()}
         self.symbols: dict[str, tuple] = {}
         self.by_label: dict[str, dict[str, list]] = {}
         self.boxes: dict[str, tuple] = {}
         for t, e in self.defs.items():
-            e0 = self.flat[t]
-            sigma = {a for a, _ in e0.atoms} if e0 is not None else _rbe.alphabet(e)
+            atoms = self.flat[t]
+            sigma = {a for a, _ in atoms} if atoms is not None else _rbe.alphabet(e)
             self.symbols[t] = tuple(sorted(sigma, key=str))
             for sym in self.symbols[t]:
                 if not (isinstance(sym, tuple) and len(sym) == 2):
@@ -47,7 +48,7 @@ class Schema:
                 self.by_label.setdefault(sym[0], {}).setdefault(sym[1], []).append(t)
             boxes, rest = [], []
             for p in e.parts if isinstance(e, _rbe.Disj) else (e,):
-                forms = [e0.atoms] if e0 is not None else _rbe.to_boxes(p)
+                forms = [atoms] if atoms is not None else _rbe.to_boxes(p)
                 if forms is None:
                     rest.append(p)
                 else:
@@ -121,12 +122,12 @@ def to_shape_graph(s: Schema) -> Graph:
     to be in the flat basic-interval fragment."""
     edges = []
     for t in s.types:
-        e0 = s.flat[t]
-        if e0 is None:
+        atoms = s.flat[t]
+        if atoms is None:
             raise ClassPreconditionError(
                 f"definition of type {t} is not a parallel composition of basic-interval atoms"
             )
-        for (lab, target), iv in e0.atoms:
+        for (lab, target), iv in atoms:
             edges.append(Edge(t, lab, target, iv))
     return Graph(s.types, edges, kind="shape")
 

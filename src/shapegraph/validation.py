@@ -77,10 +77,10 @@ def _routes(out, choices, atoms) -> bool:
 
     The atoms each edge can feed are listed once.  When every edge can
     feed exactly one, that is the only routing, and its check
-    (_verify_flat_routing) is the verdict.  Otherwise one flow decides,
-    with one source per out-edge, its cardinality as supply, and one sink
-    per atom, every unit counting toward the atom's min; the routing it
-    returns is checked the same way."""
+    (_verify_flat_routing) is the verdict.  Otherwise one flow decides on
+    those lists, with one source per out-edge, its cardinality as supply,
+    and one sink per atom, every unit counting toward the atom's min; the
+    routing it returns is checked the same way."""
     feeds = [
         [j for j, ((lab, t), _) in enumerate(atoms) if e.label == lab and t in ch]
         for e, ch in zip(out, choices)
@@ -88,17 +88,15 @@ def _routes(out, choices, atoms) -> bool:
     if all(len(f) == 1 for f in feeds):
         return _verify_flat_routing(
             out, choices, atoms, [((i, f[0]), e.occur.min) for i, (e, f) in enumerate(zip(out, feeds))])
-    arcs = [(i, j) for i, f in enumerate(feeds) for j in f]
     flow = feasible_flow(
-        [(e.occur.min, True) for e in out],
+        [(e.occur.min, True, f) for e, f in zip(out, feeds)],
         [(iv.min, iv.max) for _, iv in atoms],
-        arcs,
     )
     if flow is None:
         return False
-    assert _verify_flat_routing(out, choices, atoms, zip(arcs, flow)), (
-        "flow extraction produced an invalid routing"
-    )
+    assert _verify_flat_routing(
+        out, choices, atoms, [((i, j), x) for i, (f, row) in enumerate(zip(feeds, flow)) for j, x in zip(f, row)]
+    ), "flow extraction produced an invalid routing"
     return True
 
 
@@ -120,13 +118,13 @@ def _verify_flat_routing(out, choices, atoms, flows) -> bool:
     )
 
 
-def _satisfies_psi(out, choices, e0: _rbe.Rbe0) -> bool:
-    """The Presburger opinion on a flat check: a bounded search for a model
-    of the linear-arithmetic formula of signature ∩ definition.  No
-    validation path calls it; tests use it as an independent oracle."""
+def _satisfies_psi(out, choices, e: _rbe.Rbe) -> bool:
+    """The Presburger opinion on a check against the rule e: a bounded
+    search for a model of the linear-arithmetic formula of signature ∩ e.
+    No validation path calls it; tests use it as an independent oracle."""
     from . import presburger as _pa
 
-    expr = _rbe.Intersect((_signature(out, choices), _rbe.rbe0_to_rbe(e0)))
+    expr = _rbe.Intersect((_signature(out, choices), e))
     formula, xvars, nvar = _pa.presburger_of(expr)
     body = _pa.Exists(tuple(xvars.values()), formula) if xvars else formula
     cap = max(

@@ -36,7 +36,7 @@ from shapegraph import (
 )
 from shapegraph.errors import AlphabetError
 from shapegraph.presburger import pa_eval_bounded, presburger_of, psi_sound_cap
-from shapegraph.rbe import Intersect, Rbe0, bag_matches, rbe0_matches, rbe0_to_rbe
+from shapegraph.rbe import Intersect, atom, bag_matches, concat_all
 
 from conftest import (
     BASIC,
@@ -47,6 +47,7 @@ from conftest import (
     random_bag,
     random_flat_rbe,
     random_minus_schema,
+    routes_bag,
 )
 
 # Counter-examples found while running this module, re-checked by the
@@ -112,12 +113,9 @@ def test_flow_routing_oracle_equivalence():
     disagreements = 0
     for _ in range(100_000):
         ns, nu = rng.randint(1, 4), rng.randint(1, 4)
-        sources = tuple((f"v{i}", rng.choice(BASIC)) for i in range(ns))
-        sinks = tuple((f"u{j}", rng.choice(BASIC)) for j in range(nu))
-        allowed = frozenset(
-            (v, u) for v, _ in sources for u, _ in sinks if rng.random() < 0.6
-        )
-        inst = RoutingInstance(sources, sinks, allowed)
+        ivs = [rng.choice(BASIC) for _ in range(ns)]
+        sinks = tuple(rng.choice(BASIC) for _ in range(nu))
+        inst = RoutingInstance(tuple((iv, tuple(j for j in range(nu) if rng.random() < 0.6)) for iv in ivs), sinks)
         if (witness_exists_basic(inst) is None) != (witness_exists_general(inst) is None):
             disagreements += 1
     assert disagreements == 0
@@ -136,14 +134,13 @@ def test_rbe_oracle_equivalence():
     disagreements = 0
     for k in range(5):
         for chosen in combinations_with_replacement(atoms, k):
-            e0 = Rbe0(tuple(chosen))
-            e = rbe0_to_rbe(e0)
+            e = concat_all([atom(a, iv) for a, iv in chosen])
             for w in bags:
                 try:
                     bm = bag_matches(e, w)
                 except AlphabetError:
                     bm = False
-                if rbe0_matches(e0, w) != bm:
+                if routes_bag(chosen, w) != bm:
                     disagreements += 1
     assert disagreements == 0
     _within(start, 120.0)

@@ -79,15 +79,9 @@ GENERAL = BASIC + [Interval(2, 3), Interval(2, 2), Interval(1, 3)]
 def random_routing_instance(rng: random.Random, max_side=4, source_pool=BASIC, sink_pool=BASIC):
     ns = rng.randint(1, max_side)
     nu = rng.randint(1, max_side)
-    sources = tuple((f"v{i}", rng.choice(source_pool)) for i in range(ns))
-    sinks = tuple((f"u{j}", rng.choice(sink_pool)) for j in range(nu))
-    allowed = frozenset(
-        (v, u)
-        for v, _ in sources
-        for u, _ in sinks
-        if rng.random() < 0.6
-    )
-    return RoutingInstance(sources, sinks, allowed)
+    ivs = [rng.choice(source_pool) for _ in range(ns)]
+    sinks = tuple(rng.choice(sink_pool) for _ in range(nu))
+    return RoutingInstance(tuple((iv, tuple(j for j in range(nu) if rng.random() < 0.6)) for iv in ivs), sinks)
 
 
 def projection(g, h, n, m, rel):
@@ -104,41 +98,37 @@ def projection(g, h, n, m, rel):
 
 class TestRouting:
     def test_trivial(self):
-        inst = RoutingInstance((("v", ONE),), (("u", PLUS),), frozenset({("v", "u")}))
+        inst = RoutingInstance(((ONE, (0,)),), (PLUS,))
         lam = witness_exists_basic(inst)
-        assert lam == {"v": "u"}
+        assert lam == {0: 0}
         assert verify_routing(inst, lam)
 
     def test_infeasible_overflow(self):
-        inst = RoutingInstance(
-            (("v1", ONE), ("v2", ONE)), (("u", ONE),), frozenset({("v1", "u"), ("v2", "u")})
-        )
+        inst = RoutingInstance(((ONE, (0,)), (ONE, (0,))), (ONE,))
         assert witness_exists_basic(inst) is None
         assert witness_exists_general(inst) is None
 
     def test_min_one_needs_strong_source(self):
         # An optional source cannot satisfy a mandatory sink on its own.
-        inst = RoutingInstance((("v", OPT),), (("u", ONE),), frozenset({("v", "u")}))
+        inst = RoutingInstance(((OPT, (0,)),), (ONE,))
         assert witness_exists_basic(inst) is None
 
     def test_basic_rejects_general_intervals(self):
         # Only a non-basic sink is outside the flow; a [2;3] source on a *
         # sink routes by both.
-        inst = RoutingInstance((("v", Interval(2, 3)),), (("u", Interval(2, 6)),), frozenset({("v", "u")}))
+        inst = RoutingInstance(((Interval(2, 3), (0,)),), (Interval(2, 6),))
         with pytest.raises(ClassPreconditionError):
             witness_exists_basic(inst)
-        assert witness_exists_general(inst) == {"v": "u"}
-        inst = RoutingInstance((("v", Interval(2, 3)),), (("u", STAR),), frozenset({("v", "u")}))
-        assert witness_exists_basic(inst) == witness_exists_general(inst) == {"v": "u"}
+        assert witness_exists_general(inst) == {0: 0}
+        inst = RoutingInstance(((Interval(2, 3), (0,)),), (STAR,))
+        assert witness_exists_basic(inst) == witness_exists_general(inst) == {0: 0}
 
     def test_identical_sources_take_nondecreasing_sinks(self, monkeypatch):
         # Twelve identical sources cannot fit two sinks of max 5.  Taking
         # the sinks in nondecreasing order, the search enters 36 levels (one
         # step each) before it gives up; in every order it would enter
         # thousands.
-        sources = tuple((f"v{i}", ONE) for i in range(12))
-        sinks = (("u1", Interval(0, 5)), ("u2", Interval(0, 5)))
-        inst = RoutingInstance(sources, sinks, frozenset((v, u) for v, _ in sources for u, _ in sinks))
+        inst = RoutingInstance(((ONE, (0, 1)),) * 12, (Interval(0, 5), Interval(0, 5)))
         monkeypatch.setattr(shapegraph.embedding, "DEFAULT_ROUTING_CAP", 36)
         assert witness_exists_general(inst) is None
         monkeypatch.setattr(shapegraph.embedding, "DEFAULT_ROUTING_CAP", 35)
@@ -146,10 +136,10 @@ class TestRouting:
             witness_exists_general(inst)
 
     def test_zero_source_needs_an_allowed_sink(self):
-        sinks = (("u1", ONE), ("u2", OPT))
-        inst = RoutingInstance((("v", ZERO), ("w", ONE)), sinks, frozenset({("v", "u2"), ("w", "u1")}))
-        assert witness_exists_basic(inst) == {"v": "u2", "w": "u1"}
-        inst = RoutingInstance((("v", ZERO), ("w", ONE)), sinks, frozenset({("w", "u1")}))
+        sinks = (ONE, OPT)
+        inst = RoutingInstance(((ZERO, (1,)), (ONE, (0,))), sinks)
+        assert witness_exists_basic(inst) == {0: 1, 1: 0}
+        inst = RoutingInstance(((ZERO, ()), (ONE, (0,))), sinks)
         assert witness_exists_basic(inst) is None
 
     def test_oracle_agreement_random(self):
@@ -170,33 +160,39 @@ class TestRouting:
             if lam is not None:
                 assert verify_routing(inst, lam)
 
-    # (sources, sinks, allowed pairs, a routing verify_routing accepts, one
-    # it must reject): each good routing shows that the instance itself is
-    # routable, so the rejection is for the one fault named.
+    # (sources as (interval, sink indexes), sinks, a routing
+    # verify_routing accepts, one it must reject): each good routing shows
+    # that the instance itself is routable, so the rejection is for the one
+    # fault named.
     BAD_ROUTINGS = {
         "source to a sink it is not allowed": (
-            (("v", ONE),), (("u1", STAR), ("u2", STAR)), {("v", "u1")},
-            {"v": "u1"}, {"v": "u2"}),
+            ((ONE, (0,)),), (STAR, STAR),
+            {0: 0}, {0: 1}),
         "finite sink over its max": (
-            (("v1", ONE), ("v2", OPT)), (("u1", ONE), ("u2", OPT)),
-            {("v1", "u1"), ("v2", "u1"), ("v2", "u2")},
-            {"v1": "u1", "v2": "u2"}, {"v1": "u1", "v2": "u1"}),
+            ((ONE, (0,)), (OPT, (0, 1))), (ONE, OPT),
+            {0: 0, 1: 1}, {0: 0, 1: 0}),
         "INF source into a finite sink": (
-            (("v", PLUS),), (("u1", Interval(0, 3)), ("u2", PLUS)), {("v", "u1"), ("v", "u2")},
-            {"v": "u2"}, {"v": "u1"}),
+            ((PLUS, (0, 1)),), (Interval(0, 3), PLUS),
+            {0: 1}, {0: 0}),
         "sink under its min": (
-            (("v1", OPT), ("v2", ONE)), (("u1", ONE), ("u2", STAR)),
-            {("v1", "u1"), ("v2", "u1"), ("v1", "u2"), ("v2", "u2")},
-            {"v1": "u2", "v2": "u1"}, {"v1": "u1", "v2": "u2"}),
+            ((OPT, (0, 1)), (ONE, (0, 1))), (ONE, STAR),
+            {0: 1, 1: 0}, {0: 0, 1: 1}),
         "missing source": (
-            (("v1", ONE), ("v2", OPT)), (("u", PLUS),), {("v1", "u"), ("v2", "u")},
-            {"v1": "u", "v2": "u"}, {"v1": "u"}),
+            ((ONE, (0,)), (OPT, (0,))), (PLUS,),
+            {0: 0, 1: 0}, {0: 0}),
+        "extra source index": (
+            ((ONE, (0,)),), (PLUS,),
+            {0: 0}, {0: 0, 1: 0}),
+        # An index past the sinks, which no source lists.
+        "sink index the source does not list": (
+            ((ONE, (0, 1)),), (STAR, STAR),
+            {0: 1}, {0: 2}),
     }
 
     @pytest.mark.parametrize("fault", sorted(BAD_ROUTINGS))
     def test_verify_routing_rejects(self, fault):
-        sources, sinks, allowed, good, bad = self.BAD_ROUTINGS[fault]
-        inst = RoutingInstance(sources, sinks, frozenset(allowed))
+        sources, sinks, good, bad = self.BAD_ROUTINGS[fault]
+        inst = RoutingInstance(sources, sinks)
         assert verify_routing(inst, good)
         assert not verify_routing(inst, bad)
 
@@ -208,47 +204,38 @@ def splits(x, parts):
     return [(k,) + rest for k in range(x + 1) for rest in splits(x - k, parts - 1)]
 
 
-def flow_respects(sources, sinks, arcs, flow):
-    """The docstring of feasible_flow as a check on one flow per arc."""
-    if len(flow) != len(arcs) or any(f < 0 for f in flow):
+def flow_respects(sources, sinks, flow):
+    """The docstring of feasible_flow as a check on one flow per listed
+    sink of each source."""
+    if [len(row) for row in flow] != [len(js) for _, _, js in sources]:
         return False
-    sent = [0] * len(sources)
     total = [0] * len(sinks)
     counted = [0] * len(sinks)
-    for (v, u), f in zip(arcs, flow):
-        sent[v] += f
-        total[u] += f
-        if sources[v][1]:
-            counted[u] += f
-    return sent == [x for x, _ in sources] and all(
-        t <= hi and c >= lo for t, c, (lo, hi) in zip(total, counted, sinks)
-    )
+    for (x, counts, js), row in zip(sources, flow):
+        if any(f < 0 for f in row) or sum(row) != x:
+            return False
+        for u, f in zip(js, row):
+            total[u] += f
+            if counts:
+                counted[u] += f
+    return all(t <= hi and c >= lo for t, c, (lo, hi) in zip(total, counted, sinks))
 
 
-def brute_force_feasible(sources, sinks, arcs):
-    """Some split of every supply over its source's arcs meets the sinks'
+def brute_force_feasible(sources, sinks):
+    """Some split of every supply over its source's sinks meets the sinks'
     bounds; never builds a network."""
-    per_source = []
-    for v, (x, _) in enumerate(sources):
-        mine = [a for a, (w, _) in enumerate(arcs) if w == v]
-        per_source.append([dict(zip(mine, split)) for split in splits(x, len(mine))])
-    for choice in product(*per_source):
-        flow = [0] * len(arcs)
-        for part in choice:
-            for a, f in part.items():
-                flow[a] = f
-        if flow_respects(sources, sinks, arcs, flow):
-            return True
-    return False
+    per_source = [splits(x, len(js)) for x, _, js in sources]
+    return any(flow_respects(sources, sinks, list(flow)) for flow in product(*per_source))
 
 
 def random_flow_instance(rng: random.Random):
-    """Up to 4 sources, one each of forced (one arc), free (two arcs or
-    more) and zero-supply, the rest random; up to 3 sinks."""
+    """Up to 4 sources, one each of forced (one sink), free (two sinks or
+    more) and zero-supply, the rest random; up to 3 sinks.  The sinks each
+    source lists come in a shuffled order."""
     n_sinks = rng.randint(2, 3)
     kinds = ["forced", "free", "zero"] + rng.choice([[], ["any"]])
     rng.shuffle(kinds)
-    sources, arcs = [], []
+    supplies, arcs = [], []
     for v, kind in enumerate(kinds):
         if kind == "forced":
             targets = [rng.randrange(n_sinks)]
@@ -256,14 +243,15 @@ def random_flow_instance(rng: random.Random):
             targets = rng.sample(range(n_sinks), rng.randint(2, n_sinks))
         else:
             targets = [u for u in range(n_sinks) if rng.random() < 0.5]
-        sources.append((0 if kind == "zero" else rng.randint(0 if kind == "any" else 1, 3), rng.random() < 0.7))
+        supplies.append((0 if kind == "zero" else rng.randint(0 if kind == "any" else 1, 3), rng.random() < 0.7))
         arcs += [(v, u) for u in targets]
     rng.shuffle(arcs)
+    sources = [(x, counts, [u for w, u in arcs if w == v]) for v, (x, counts) in enumerate(supplies)]
     sinks = []
     for _ in range(n_sinks):
         lo = rng.choice([0, 0, 1, 2, 3])
         sinks.append((lo, rng.choice([lo, lo + 1, lo + 3, INF])))
-    return sources, sinks, arcs
+    return sources, sinks
 
 
 class TestFeasibleFlow:
@@ -271,12 +259,12 @@ class TestFeasibleFlow:
         rng = random.Random(47)
         outcomes = []
         for _ in range(400):
-            sources, sinks, arcs = random_flow_instance(rng)
-            flow = feasible_flow(sources, sinks, arcs)
-            expected = brute_force_feasible(sources, sinks, arcs)
-            assert (flow is not None) == expected, (sources, sinks, arcs)
+            sources, sinks = random_flow_instance(rng)
+            flow = feasible_flow(sources, sinks)
+            expected = brute_force_feasible(sources, sinks)
+            assert (flow is not None) == expected, (sources, sinks)
             if flow is not None:
-                assert flow_respects(sources, sinks, arcs, flow), (sources, sinks, arcs, flow)
+                assert flow_respects(sources, sinks, flow), (sources, sinks, flow)
             outcomes.append(expected)
         assert 50 < sum(outcomes) < 350
 
@@ -289,18 +277,17 @@ class TestFeasibleFlow:
             init(self, n)
 
         monkeypatch.setattr(shapegraph.embedding._Network, "__init__", recording)
-        sources = [(2, True), (1, True), (0, False), (3, False)]
-        sinks = [(1, 5), (0, INF)]
-        # Sources 0 and 3 have one arc, source 2 ships nothing: only
+        # Sources 0 and 3 list one sink, source 2 ships nothing: only
         # source 1 has a choice.
-        arcs = [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (3, 1)]
-        flow = feasible_flow(sources, sinks, arcs)
-        assert flow is not None and flow_respects(sources, sinks, arcs, flow)
+        sources = [(2, True, [0]), (1, True, [0, 1]), (0, False, [0, 1]), (3, False, [1])]
+        sinks = [(1, 5), (0, INF)]
+        flow = feasible_flow(sources, sinks)
+        assert flow is not None and flow_respects(sources, sinks, flow)
         # S, T, SS, TT, one source node, two sink nodes and no gate: the
         # forced source already covers sink 0's lower bound.
         assert sizes == [4 + 1 + 2]
         sizes.clear()
-        assert feasible_flow(sources, [(1, 5), (0, 2)], arcs) is None
+        assert feasible_flow(sources, [(1, 5), (0, 2)]) is None
         assert sizes == []  # source 3 alone overflows sink 1
 
 

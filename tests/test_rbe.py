@@ -16,21 +16,18 @@ from shapegraph.rbe import (
     Concat,
     Disj,
     Intersect,
-    Rbe0,
     Repeat,
     Sym,
     alphabet,
     bag_matches,
     parse_rbe,
-    rbe0_matches,
-    rbe0_to_rbe,
     rbe_to_text,
     sums,
     to_boxes,
     to_rbe0,
 )
 
-from conftest import BASIC, brute_matches, random_bag, random_flat_rbe, random_rbe
+from conftest import BASIC, brute_matches, random_bag, random_flat_rbe, random_rbe, routes_bag
 from shapegraph.errors import AlphabetError
 
 
@@ -96,19 +93,20 @@ class TestMatching:
 
 class TestRbe0:
     def test_to_rbe0_flat_only(self):
-        assert to_rbe0(parse_rbe("a?, b*, c")) is not None
+        assert to_rbe0(parse_rbe("a?, b*, c")) == (("a", OPT), ("b", STAR), ("c", ONE))
+        assert to_rbe0(parse_rbe("eps")) == ()  # flat, with no atom
         assert to_rbe0(parse_rbe("a | b")) is None
         assert to_rbe0(parse_rbe("(a, b)*")) is None
         assert to_rbe0(parse_rbe("a^[2;3]")) is None  # non-basic interval
         assert to_rbe0(parse_rbe("(a, b?), c")) == to_rbe0(parse_rbe("a, b?, c"))
 
-    def test_rbe0_matches_simple(self):
-        e0 = to_rbe0(parse_rbe("a, a?, b*"))
-        assert rbe0_matches(e0, bag("a"))
-        assert rbe0_matches(e0, bag("a", "a", "b", "b"))
-        assert not rbe0_matches(e0, bag())
-        assert not rbe0_matches(e0, bag("a", "a", "a"))
-        assert not rbe0_matches(e0, bag("a", "c"))
+    def test_flat_routing_simple(self):
+        atoms = to_rbe0(parse_rbe("a, a?, b*"))
+        assert routes_bag(atoms, bag("a"))
+        assert routes_bag(atoms, bag("a", "a", "b", "b"))
+        assert not routes_bag(atoms, bag())
+        assert not routes_bag(atoms, bag("a", "a", "a"))
+        assert not routes_bag(atoms, bag("a", "c"))
 
     def test_exhaustive_oracle_agreement_small(self):
         # The full sweep is in the acceptance suite; spot-check here.
@@ -117,10 +115,9 @@ class TestRbe0:
         rng = random.Random(3)
         for _ in range(200):
             chosen = [rng.choice(atoms) for _ in range(rng.randint(0, 3))]
-            e0 = Rbe0(tuple(chosen))
-            e = rbe0_to_rbe(e0)
+            e = rbe.concat_all([rbe.atom(a, iv) for a, iv in chosen])
             w = random_bag(rng, symbols, 4)
-            assert rbe0_matches(e0, w) == matches(e, w)
+            assert routes_bag(chosen, w) == matches(e, w)
 
 
 def box_vectors(boxes, symbols, cap):

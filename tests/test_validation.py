@@ -20,7 +20,7 @@ from shapegraph import (
 )
 from shapegraph.core import STAR, Refinement
 from shapegraph.errors import GraphKindError
-from shapegraph.rbe import Disj, Intersect, Repeat, Sym, concat_all, rbe_to_text, to_rbe0
+from shapegraph.rbe import Disj, Intersect, Repeat, Sym, concat_all, rbe_to_text
 from shapegraph.embedding import feasible_flow
 from shapegraph.validation import Typer, _routes, _satisfies_exhaustive, _satisfies_psi, _verify_flat_routing
 from shapegraph import Schema
@@ -500,7 +500,7 @@ class TestRouteAgreement:
             for t in s.types:
                 flow = satisfies_type(s, t, out, choices)
                 # Presburger arithmetic as an independent third opinion.
-                arith = _satisfies_psi(out, choices, to_rbe0(s.defs[t]))
+                arith = _satisfies_psi(out, choices, s.defs[t])
                 before = dict(routes)
                 exhaustive = satisfies_type(wrapped, t, out, choices)
                 assert routes == {"flat": before["flat"], "exhaustive": before["exhaustive"] + 1}
@@ -550,9 +550,9 @@ class TestFlatRoute:
         return calls
 
     def test_agrees_with_the_flow_alone(self):
-        # _routes skips the flow when no edge has a choice; the flow on the
-        # full arc list must give the same verdict, and every routing it
-        # finds must pass the independent check.
+        # _routes skips the flow when no edge has a choice; the flow on
+        # every edge's full list of atoms must give the same verdict, and
+        # every routing it finds must pass the independent check.
         rng = random.Random(25)
         for _ in range(3000):
             labels = "abc"[:rng.randint(1, 3)]
@@ -560,12 +560,14 @@ class TestFlatRoute:
             atoms = [((rng.choice(labels), rng.choice(types)), rng.choice(BASIC))
                      for _ in range(rng.randint(0, 4))]
             out, choices = random_out(rng, labels, types, max_edges=4, max_width=6)
-            arcs = [(i, j) for i, e in enumerate(out) for j, ((lab, t), _) in enumerate(atoms)
-                    if e.label == lab and t in choices[i]]
-            flow = feasible_flow([(e.occur.min, True) for e in out], [(iv.min, iv.max) for _, iv in atoms], arcs)
+            feeds = [[j for j, ((lab, t), _) in enumerate(atoms) if e.label == lab and t in ch]
+                     for e, ch in zip(out, choices)]
+            flow = feasible_flow([(e.occur.min, True, f) for e, f in zip(out, feeds)],
+                                 [(iv.min, iv.max) for _, iv in atoms])
             assert _routes(out, choices, atoms) == (flow is not None)
             if flow is not None:
-                assert _verify_flat_routing(out, choices, atoms, zip(arcs, flow))
+                assert _verify_flat_routing(out, choices, atoms, [
+                    ((i, j), x) for i, (f, row) in enumerate(zip(feeds, flow)) for j, x in zip(f, row)])
 
     def test_compressed_box_needs_no_flow(self, monkeypatch):
         # Every item edge feeds only item::Item and the tag edge only
