@@ -171,9 +171,10 @@ def classify(ctx, schema):
 
 
 def _budget_options(f):
-    f = click.option("--max-nodes", type=click.IntRange(min=1), default=6, show_default=True)(f)
-    f = click.option("--max-card", type=click.IntRange(min=1), default=3, show_default=True)(f)
-    f = click.option("--timeout", type=click.FloatRange(min=0, min_open=True), default=60.0, show_default=True)(f)
+    b = _cont.Budget
+    f = click.option("--max-nodes", type=click.IntRange(min=1), default=b.max_nodes, show_default=True)(f)
+    f = click.option("--max-card", type=click.IntRange(min=1), default=b.max_card, show_default=True)(f)
+    f = click.option("--timeout", type=click.FloatRange(min=0, min_open=True), default=b.timeout, show_default=True)(f)
     return f
 
 

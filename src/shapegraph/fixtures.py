@@ -18,16 +18,10 @@ from .schema import Schema
 
 @dataclass(frozen=True)
 class CnfFormula:
-    """Clauses over variables 1..num_vars; literals are signed indexes.
-
-    occurrences_per_variable is set once normalized: every variable occurs
-    exactly that many times with at least one positive and one negative
-    occurrence.
-    """
+    """Clauses over variables 1..num_vars; literals are signed indexes."""
 
     num_vars: int
     clauses: tuple  # of tuples of nonzero ints
-    occurrences_per_variable: int | None = None
 
     def __post_init__(self):
         _check_literals(self.num_vars, self.clauses)
@@ -41,15 +35,18 @@ class CnfFormula:
         return pos, neg
 
     @property
-    def is_normalized(self) -> bool:
+    def occurrences_per_variable(self) -> int | None:
+        """k when every variable occurs exactly k times, at least once with
+        each sign; None otherwise."""
         pos, neg = self.counts()
-        totals = {i: pos[i] + neg[i] for i in pos}
-        k = self.occurrences_per_variable
-        return (
-            k is not None
-            and all(totals[i] == k for i in totals)
-            and all(pos[i] >= 1 and neg[i] >= 1 for i in pos)
-        )
+        totals = {pos[i] + neg[i] for i in pos}
+        if len(totals) == 1 and all(pos[i] and neg[i] for i in pos):
+            return totals.pop()
+        return None
+
+    @property
+    def is_normalized(self) -> bool:
+        return self.occurrences_per_variable is not None
 
 
 def _check_literals(num_vars: int, clauses):
@@ -78,49 +75,30 @@ def normalize_cnf(phi: CnfFormula) -> CnfFormula:
         raise ValueError("normalizing a CNF needs at least one variable")
     clauses = [list(cl) for cl in phi.clauses]
     pos, neg = phi.counts()
-    for i in range(1, phi.num_vars + 1):
+    for i in pos:
         if pos[i] == 0 or neg[i] == 0:
             clauses.append([i, -i])
             pos[i] += 1
             neg[i] += 1
-
-    for _ in range(4 * phi.num_vars + 4):
-        totals = {i: pos[i] + neg[i] for i in pos}
-        k = max(totals.values())
-        deficits = {i: k - totals[i] for i in totals}
-        taut_indexes = [
-            idx for idx, cl in enumerate(clauses) if any(-l in cl for l in cl)
-        ]
-        for i, d in sorted(deficits.items()):
-            while d >= 2:
-                clauses.append([i, -i])
-                taut_indexes.append(len(clauses) - 1)
-                pos[i] += 1
-                neg[i] += 1
-                d -= 2
-            if d == 1:
-                if taut_indexes:
-                    clauses[taut_indexes[0]].append(i)
-                    pos[i] += 1
-                    d = 0
-                else:
-                    # No tautology to widen: create one (overshooting i's
-                    # count by one) and rebalance on the next pass.
-                    clauses.append([i, -i])
-                    pos[i] += 1
-                    neg[i] += 1
-                    break
-        totals = {i: pos[i] + neg[i] for i in pos}
-        if len(set(totals.values())) == 1:
-            k = next(iter(set(totals.values())))
-            out = CnfFormula(
-                phi.num_vars,
-                tuple(tuple(cl) for cl in clauses),
-                occurrences_per_variable=k,
-            )
-            assert out.is_normalized
-            return out
-    raise ShapegraphError("normalization failed to converge")
+    totals = {i: pos[i] + neg[i] for i in pos}
+    k = max(totals.values())
+    widen = next((cl for cl in clauses if any(-l in cl for l in cl)), None)
+    short = [i for i in totals if totals[i] < k]
+    if widen is None and short and totals[short[0]] == k - 1:
+        # Nothing to widen for the first short variable: pad it one past k
+        # instead, which makes the tautology the others widen.
+        widen = [short[0], -short[0]]
+        clauses.append(widen)
+        totals[short[0]] += 2
+        k += 1
+    for i, total in totals.items():
+        d = k - total
+        for _ in range(d // 2):
+            clauses.append([i, -i])
+            widen = widen or clauses[-1]
+        if d % 2:
+            widen.append(i)
+    return CnfFormula(phi.num_vars, tuple(map(tuple, clauses)))
 
 
 # --- Satisfiability as embedding (arbitrary intervals) -----------------------
@@ -137,9 +115,9 @@ def sat_embedding_instance(phi: CnfFormula):
     the truth node and the on-polarity cohort into clause nodes, and the +
     interval on clause edges demands every clause be hit.
     """
-    if not phi.is_normalized:
-        raise ShapegraphError("sat_embedding_instance requires a normalized formula")
     k = phi.occurrences_per_variable
+    if k is None:
+        raise ShapegraphError("sat_embedding_instance requires a normalized formula")
     n = phi.num_vars
     kk = Interval(k, k)
 
@@ -206,12 +184,10 @@ def dnf_containment_instance(num_vars: int, clauses):
 
     k_defs = {}
     for i in range(1, n + 1):
-        k_defs[f"r0_{i}"] = rule(
-            [atom((x, "v0" if j == i else "v")) for j, x in enumerate(xs, start=1)]
-        )
-        k_defs[f"r1_{i}"] = rule(
-            [atom((x, "v1" if j == i else "v")) for j, x in enumerate(xs, start=1)]
-        )
+        for b in (0, 1):
+            k_defs[f"r{b}_{i}"] = rule(
+                [atom((x, f"v{b}" if j == i else "v")) for j, x in enumerate(xs, start=1)]
+            )
     for j, cl in enumerate(clauses, start=1):
         k_defs[f"rd{j}"] = rule([atom((x, f"w{j}_{i}")) for i, x in enumerate(xs, start=1)])
         for i in range(1, n + 1):
@@ -316,9 +292,7 @@ def union_containment_instance(e0: _rbe.Rbe, es):
     es = list(es)
     if not es:
         raise ValueError("the union side must be non-empty")
-    used = set(map(str, _rbe.alphabet(e0)))
-    for e in es:
-        used |= set(map(str, _rbe.alphabet(e)))
+    used = {str(a) for e in (e0, *es) for a in _rbe.alphabet(e)}
     z = "z"
     while z in used:
         z += "_"

@@ -91,24 +91,20 @@ TRUE = And(())
 FALSE = Or(())
 
 
-def conj(*parts) -> PAFormula:
+def _flat(cls, parts) -> PAFormula:
+    """parts joined by cls, with parts of class cls spliced in."""
     flat = []
     for p in parts:
-        if isinstance(p, And):
-            flat.extend(p.parts)
-        else:
-            flat.append(p)
-    return flat[0] if len(flat) == 1 else And(tuple(flat))
+        flat.extend(p.parts if isinstance(p, cls) else (p,))
+    return flat[0] if len(flat) == 1 else cls(tuple(flat))
+
+
+def conj(*parts) -> PAFormula:
+    return _flat(And, parts)
 
 
 def disj(*parts) -> PAFormula:
-    flat = []
-    for p in parts:
-        if isinstance(p, Or):
-            flat.extend(p.parts)
-        else:
-            flat.append(p)
-    return flat[0] if len(flat) == 1 else Or(tuple(flat))
+    return _flat(Or, parts)
 
 
 def free_variables(f: PAFormula) -> frozenset:

@@ -127,11 +127,7 @@ def _satisfies_psi(out, choices, e: _rbe.Rbe) -> bool:
     expr = _rbe.Intersect((_signature(out, choices), e))
     formula, xvars, nvar = _pa.presburger_of(expr)
     body = _pa.Exists(tuple(xvars.values()), formula) if xvars else formula
-    cap = max(
-        1,
-        _rbe.max_finite_constant(expr),
-        sum(e.occur.min for e in out),
-    )
+    cap = _pa.psi_sound_cap(expr, sum(e.occur.min for e in out))
     return _pa.pa_eval_bounded(body, {nvar: 1}, cap)
 
 

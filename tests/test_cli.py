@@ -5,6 +5,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
+from shapegraph import containment as _cont
 from shapegraph import rbe
 from shapegraph.cli import main
 
@@ -281,6 +282,18 @@ class TestExitCodes:
         )
         assert r.exit_code == 2
 
+    def test_contains_default_budget(self, runner, files, monkeypatch):
+        seen = []
+
+        def contains(h, k, method, budget):
+            seen.append(budget)
+            return _cont.Contained()
+
+        monkeypatch.setattr(_cont, "contains", contains)
+        r = runner.invoke(main, ["contains", files["chain.schema"], files["chain.schema"]])
+        assert r.exit_code == 0
+        assert seen == [_cont.Budget()]
+
     @pytest.mark.parametrize(
         "option, value",
         [("--max-nodes", "0"), ("--max-card", "0"), ("--timeout", "0"), ("--timeout", "-1")],
@@ -402,6 +415,14 @@ class TestFixtureCommands:
         r = runner.invoke(main, ["fixtures", "dnf", "--vars", "2", "1,-2"])
         assert r.exit_code == 0
         assert "schema" in r.output
+
+    def test_sat_stdout_is_pinned(self, runner):
+        # A case where normalizing pads a variable one past the largest
+        # count: no clause is tautological and x1 is one short.
+        clauses = ["-1,-4", "-4,1,-4", "2", "1,2,3", "-2,-3", "4,-1,-3,4"]
+        r = runner.invoke(main, ["fixtures", "sat", "--vars", "4", "--", *clauses])
+        assert (r.exit_code, hashlib.sha256(r.stdout.encode()).hexdigest()) == (
+            0, "6523b0a845434971934a9aa49bb503842f7a1d5c15b5578de77cdf6431aad52d"), r.stdout
 
     @pytest.mark.parametrize("command, args, message", [
         pytest.param("sat", ["--vars", "1", "x"], "bad clause 'x'", id="sat"),

@@ -150,6 +150,20 @@ class TestNormalization:
             assert norm.is_normalized
             assert cnf_satisfiable(phi) == cnf_satisfiable(norm)
 
+    @pytest.mark.parametrize("num_vars, clauses, appended, k", [
+        # No clause is tautological and x1 is one short of the largest
+        # count: x1 gets one tautology past it, which x2..x4 then widen.
+        (4, ((-1, -4), (-4, 1, -4), (2,), (1, 2, 3), (-2, -3), (4, -1, -3, 4)),
+         ((1, -1, 2, 3, 4), (2, -2), (3, -3)), 6),
+        (2, ((1, 2),), ((1, -1), (2, -2)), 3),
+        (1, ((1,), (-1,)), (), 2),
+        (3, ((1, 2, 3), (-1, -2), (2,)), ((3, -3, 1),), 3),
+    ])
+    def test_appended_clauses_are_pinned(self, num_vars, clauses, appended, k):
+        phi = normalize_cnf(CnfFormula(num_vars, clauses))
+        assert phi.clauses == clauses + appended
+        assert phi.occurrences_per_variable == k
+
     def test_unsat_example(self):
         phi = normalize_cnf(CnfFormula(1, ((1,), (-1,))))
         assert not cnf_satisfiable(phi)
@@ -159,6 +173,12 @@ class TestSatInstance:
     def test_requires_normal_form(self):
         with pytest.raises(ShapegraphError):
             sat_embedding_instance(CnfFormula(1, ((1,),)))
+
+    def test_accepts_a_formula_balanced_by_hand(self):
+        phi = CnfFormula(1, ((1, -1),))
+        assert phi.occurrences_per_variable == 2
+        h, k = sat_embedding_instance(phi)
+        assert embeds(h, k)[0]
 
     def test_instances_are_general_interval_graphs(self):
         phi = normalize_cnf(CnfFormula(2, ((1, -2), (-1, 2))))
