@@ -77,9 +77,7 @@ from .containment import (
 )
 from .fixtures import (
     CnfFormula,
-    cnf_satisfiable,
     dnf_containment_instance,
-    dnf_tautology,
     exponential_family,
     normalize_cnf,
     sat_embedding_instance,

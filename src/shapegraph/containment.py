@@ -43,7 +43,7 @@ class Budget:
     max_card: int = 3
     timeout: float | None = 60.0
 
-    def check(self):
+    def __post_init__(self):
         if self.max_nodes < 1 or self.max_card < 1:
             raise ValueError("budget requires max_nodes >= 1 and max_card >= 1")
         if self.timeout is not None and self.timeout <= 0:
@@ -96,16 +96,9 @@ def fuse_to_compressed(g: Graph, h: Schema, k: Schema) -> Graph:
     for n in g.nodes:
         rep.setdefault(km[n], n)
     edges = []
-    for kind_, r in rep.items():
-        grouped = Counter()
-        order = []
-        for e in g.out(r):
-            key = (e.label, km[e.target])
-            if key not in grouped:
-                order.append(key)
-            grouped[key] += 1
-        for label, target_kind in order:
-            c = grouped[(label, target_kind)]
+    for r in rep.values():
+        grouped = Counter((e.label, km[e.target]) for e in g.out(r))
+        for (label, target_kind), c in grouped.items():
             edges.append(Edge(r, label, rep[target_kind], Interval(c, c)))
     return Graph(tuple(rep.values()), edges, kind="compressed")
 
@@ -491,7 +484,6 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
     computed only within a group of two or more hits of equal total
     cardinality, the only place where it decides the order.
     """
-    budget.check()
     start = time.monotonic()
     typer = _val.Typer(k)
     cache = {}  # _compositions' bags and spec lists, shared by every node count

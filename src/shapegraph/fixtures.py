@@ -1,11 +1,10 @@
 """Generators for the adversarial instance families used in the hardness
-arguments, plus the tiny brute-force oracles the tests compare against.
+arguments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .core import Edge, Graph, Interval, OPT, PLUS
 from .errors import ShapegraphError
@@ -44,10 +43,6 @@ class CnfFormula:
             return totals.pop()
         return None
 
-    @property
-    def is_normalized(self) -> bool:
-        return self.occurrences_per_variable is not None
-
 
 def _check_literals(num_vars: int, clauses):
     """Raise ValueError unless every literal is ±i for a variable i in
@@ -56,14 +51,6 @@ def _check_literals(num_vars: int, clauses):
         for lit in cl:
             if lit == 0 or abs(lit) > num_vars:
                 raise ValueError(f"literal {lit} out of range")
-
-
-def cnf_satisfiable(phi: CnfFormula) -> bool:
-    """Brute force over all valuations (fixture scale only)."""
-    for bits in product([False, True], repeat=phi.num_vars):
-        if all(any((lit > 0) == bits[abs(lit) - 1] for lit in cl) for cl in phi.clauses):
-            return True
-    return len(phi.clauses) == 0
 
 
 def normalize_cnf(phi: CnfFormula) -> CnfFormula:
@@ -150,16 +137,6 @@ def sat_embedding_instance(phi: CnfFormula):
 
 
 # --- DNF tautology as containment --------------------------------------------
-
-
-def dnf_tautology(num_vars: int, clauses) -> bool:
-    """Brute force: every valuation satisfies some conjunctive clause."""
-    for bits in product([False, True], repeat=num_vars):
-        if not any(
-            all((lit > 0) == bits[abs(lit) - 1] for lit in cl) for cl in clauses
-        ):
-            return False
-    return True
 
 
 def dnf_containment_instance(num_vars: int, clauses):

@@ -251,7 +251,7 @@ def _flatten_and(f: PAFormula, out: list):
         out.append(f)
 
 
-def _derived_bound(v: str, spine, env, st: _EvalState):
+def _derived_bound(v: str, spine, env):
     """Upper bound for v from spine constraints whose other side is known."""
     best = None
     for c in spine:
@@ -293,7 +293,7 @@ def _eval_exists(f: Exists, env: dict, st: _EvalState):
         if i == len(variables):
             return _eval(f.body, env, st)
         v = variables[i]
-        bound = _derived_bound(v, spine, env, st)
+        bound = _derived_bound(v, spine, env)
         if bound is None:
             bound = st.cap
         for val in range(bound + 1):

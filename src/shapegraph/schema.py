@@ -73,9 +73,6 @@ class SchemaClass(enum.Enum):
     DetShEx0 = 2
     DetShEx0Minus = 3
 
-    def at_least(self, other: "SchemaClass") -> bool:
-        return self.value >= other.value
-
 
 def parse_schema(text: str) -> Schema:
     """Parse the rule-per-line format: optional "schema" header, then

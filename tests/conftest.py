@@ -1,6 +1,8 @@
 """Shared fixtures: the worked examples used across the suite, random
-generators for schemas, graphs, and routing instances, and a brute-force
-bag matcher that test oracles use in place of the package's."""
+generators for schemas, graphs, and routing instances, a brute-force bag
+matcher that test oracles use in place of the package's, and brute-force
+CNF satisfiability and DNF tautology that the hardness reductions are
+checked against."""
 
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from shapegraph import (
+    CnfFormula,
     Edge,
     Graph,
     INF,
@@ -234,6 +237,27 @@ def routes_bag(atoms, w):
     become ((symbol, u), interval)."""
     out = [Edge(None, a, None, Interval(k, k)) for a, k in w.items()]
     return _routes(out, [frozenset({"u"})] * len(out), [((a, "u"), iv) for a, iv in atoms])
+
+
+# --- Brute-force propositional oracles ---------------------------------------
+
+
+def cnf_satisfiable(phi: CnfFormula) -> bool:
+    """Brute force over all valuations (fixture scale only)."""
+    for bits in product([False, True], repeat=phi.num_vars):
+        if all(any((lit > 0) == bits[abs(lit) - 1] for lit in cl) for cl in phi.clauses):
+            return True
+    return len(phi.clauses) == 0
+
+
+def dnf_tautology(num_vars: int, clauses) -> bool:
+    """Brute force: every valuation satisfies some conjunctive clause."""
+    for bits in product([False, True], repeat=num_vars):
+        if not any(
+            all((lit > 0) == bits[abs(lit) - 1] for lit in cl) for cl in clauses
+        ):
+            return False
+    return True
 
 
 # --- Reference fixpoints -----------------------------------------------------

@@ -21,11 +21,13 @@ from conftest import (
 from shapegraph import (
     CnfFormula,
     normalize_cnf,
+    parse_graph,
     parse_schema,
     sat_embedding_instance,
     serialize_graph,
     serialize_schema,
     to_shape_graph,
+    validates,
 )
 
 
@@ -293,6 +295,26 @@ class TestExitCodes:
         r = runner.invoke(main, ["contains", files["chain.schema"], files["chain.schema"]])
         assert r.exit_code == 0
         assert seen == [_cont.Budget()]
+
+    @pytest.mark.parametrize(
+        "command, witness",
+        [
+            ("contains", "graph simple\nt.0 a u.0\nt.0 a u.1\n"),
+            ("counterexample", "graph simple\nv0 a v1\n"),
+        ],
+    )
+    def test_not_contained_is_1(self, runner, tmp_path, command, witness):
+        h, k = tmp_path / "h.schema", tmp_path / "k.schema"
+        h.write_text("t -> a::u*\nu -> eps\n")
+        k.write_text("t -> b::u*\nu -> eps\n")
+        r = runner.invoke(main, [command, str(h), str(k)])
+        assert r.exit_code == 1
+        assert r.output == witness
+        r = runner.invoke(main, ["--json", command, str(h), str(k)])
+        assert r.exit_code == 1
+        assert json.loads(r.output) == {"stats": {}, "verdict": "not-contained", "witness": witness}
+        g = parse_graph(witness)
+        assert validates(g, parse_schema(h.read_text())) and not validates(g, parse_schema(k.read_text()))
 
     @pytest.mark.parametrize(
         "option, value",

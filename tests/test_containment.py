@@ -528,9 +528,14 @@ class TestCounterexampleSearch:
     def test_malformed_budget_is_a_value_error(self):
         # A usage error (exit 3 in the CLI), not a cap that ran out.
         s = parse_schema(BUG_SCHEMA_TEXT)
-        for budget in (Budget(max_nodes=0), Budget(max_card=0), Budget(timeout=0)):
+        for fields in ({"max_nodes": 0}, {"max_card": 0}, {"timeout": 0}):
             with pytest.raises(ValueError):
-                find_counterexample(s, s, budget)
+                find_counterexample(s, s, Budget(**fields))
+
+    def test_malformed_budget_fails_where_it_is_built(self):
+        # Also on a route that never reads it, such as the embedding.
+        with pytest.raises(ValueError):
+            Budget(max_nodes=0)
 
     def test_clock_is_read_while_specs_are_built(self, monkeypatch):
         # Draws of containment._tuples between two reads of the clock: the
@@ -610,3 +615,22 @@ class TestCanonicalCode:
         g1 = Graph(("a", "b"), [Edge("a", "x", "b")], kind="simple")
         g2 = Graph(("a", "b"), [Edge("a", "x", "a")], kind="simple")
         assert canonical_code(g1) != canonical_code(g2)
+
+    def test_refinement_splits_ties_of_the_initial_colours(self):
+        # On the path v0 -> v1 -> v2 -> v3, v1 and v2 have the same in- and
+        # out-edges and are told apart only by their neighbours' colours.
+        # The 2-cycle plus an edge has the same nodes, edges, labels and
+        # in/out degrees, but is not isomorphic to the path.
+        nodes = ("v0", "v1", "v2", "v3")
+        path = [("v0", "v1"), ("v1", "v2"), ("v2", "v3")]
+        code = canonical_code(Graph(nodes, [Edge(a, "a", b) for a, b in path], kind="simple"))
+        rng = random.Random(3)
+        for _ in range(10):
+            rename = dict(zip(nodes, rng.sample("pqrs", 4)))
+            edges = [Edge(rename[a], "a", rename[b]) for a, b in path]
+            rng.shuffle(edges)
+            g = Graph(tuple(rng.sample("pqrs", 4)), edges, kind="simple")
+            assert canonical_code(g) == code
+        other = [("v0", "v1"), ("v1", "v0"), ("v2", "v3")]
+        g = Graph(nodes, [Edge(a, "a", b) for a, b in other], kind="simple")
+        assert canonical_code(g) != code

@@ -329,6 +329,29 @@ class TestWorkedEmbedding:
         )
         assert not verify_witness(g, h, dropped)
 
+    def test_verify_witness_rejects_a_witness_outside_the_pairs(self):
+        g, h = chain_graph(), to_shape_graph(chain_schema())
+        _, sim = embeds(g, h)
+        stray = SimulationRelation(sim.pairs, {("n2", "t0"): {}, **sim.witnesses})
+        assert ("n2", "t0") not in sim.pairs
+        assert not verify_witness(g, h, stray)
+
+    def test_verify_witness_rejects_a_map_that_misses_an_out_edge(self):
+        g, h = chain_graph(), to_shape_graph(chain_schema())
+        _, sim = embeds(g, h)
+        assert sim.witnesses[("n0", "t0")] == {0: 0}
+        partial = {p: {} if p == ("n0", "t0") else lam for p, lam in sim.witnesses.items()}
+        assert not verify_witness(g, h, SimulationRelation(sim.pairs, partial))
+
+    def test_verify_witness_rejects_an_interval_sum_beyond_the_edge(self):
+        # Both a-edges of r routed onto one h-edge: their sum is [2;2].
+        g = Graph(("r", "x", "y"), [Edge("r", "a", "x"), Edge("r", "a", "y")], kind="simple")
+        witnesses = {("r", "R"): {0: 0, 1: 0}, ("x", "X"): {}, ("y", "X"): {}}
+        sim = SimulationRelation(frozenset(witnesses), witnesses)
+        for occur, ok in ((PLUS, True), (ONE, False)):
+            h = Graph(("R", "X"), [Edge("R", "a", "X", occur)], kind="shape")
+            assert verify_witness(g, h, sim) == ok
+
 
 class TestSimulationProperties:
     def test_maximality_contains_all_closures(self):
