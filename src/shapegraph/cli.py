@@ -72,9 +72,8 @@ def _emit(ctx, verdict: str, text_lines, witness=None, stats=None, code=0):
         if witness is not None:
             envelope["witness"] = witness
         click.echo(json.dumps(envelope, sort_keys=True))
-    else:
-        for line in text_lines:
-            click.echo(line)
+    elif text_lines:
+        click.echo("\n".join(text_lines))
     if ctx.obj["strict"] and code == 2:
         click.echo("strict mode: result is unknown", err=True)
     sys.exit(code)
@@ -115,9 +114,11 @@ def typing(ctx, graph, schema):
     g = _load_graph(graph)
     s = _load_schema(schema)
     typ = _val.max_typing(g, s)
-    lines = [f"{n}\t{','.join(sorted(typ[n]))}" for n in g.nodes]
     ok = all(typ[n] for n in g.nodes)
-    witness = {n: sorted(typ[n]) for n in g.nodes}
+    if ctx.obj["json"]:
+        lines, witness = (), {n: sorted(typ[n]) for n in g.nodes}
+    else:
+        lines, witness = [f"{n}\t{','.join(sorted(typ[n]))}" for n in g.nodes], None
     _emit(ctx, "valid" if ok else "invalid", lines, witness=witness, code=0 if ok else 1)
 
 
@@ -132,22 +133,23 @@ def embed(ctx, graph_g, graph_h):
     h = _load_graph(graph_h)
     ok, sim = _emb.embeds(g, h)
     pairs = sorted(sim.pairs, key=lambda p: (g.index[p[0]], h.index[p[1]]))
-    lines = [f"{n}\t{m}" for n, m in pairs]
-    witness = []
-    for n, m in pairs:
+
+    def mapped(n, m):
+        """n's out-edges in order, each with its h-edge under the witness of (n, m)."""
         lam = sim.witnesses[(n, m)]
-        lines.append(f"witness {n}\t{m}")
-        entry = {"g": n, "h": m, "map": []}
-        for i in sorted(lam):
-            e = g.out(n)[i]
-            f = h.out(m)[lam[i]]
-            lines.append(
-                f"edge({e.source},{e.label},{e.target}) => edge({f.source},{f.label},{f.target})"
-            )
-            entry["map"].append(
-                [[e.source, e.label, e.target], [f.source, f.label, f.target]]
-            )
-        witness.append(entry)
+        return [(g.out(n)[i], h.out(m)[lam[i]]) for i in sorted(lam)]
+
+    if ctx.obj["json"]:
+        lines = ()
+        witness = [{"g": n, "h": m, "map": [[[e.source, e.label, e.target], [f.source, f.label, f.target]]
+                                            for e, f in mapped(n, m)]} for n, m in pairs]
+    else:
+        witness = None
+        lines = [f"{n}\t{m}" for n, m in pairs]
+        for n, m in pairs:
+            lines.append(f"witness {n}\t{m}")
+            lines += [f"edge({e.source},{e.label},{e.target}) => edge({f.source},{f.label},{f.target})"
+                      for e, f in mapped(n, m)]
     _emit(
         ctx,
         "embeds" if ok else "not-embeds",

@@ -227,7 +227,7 @@ def _bags_matching(s: Schema, t, symbols, caps):
     no box form."""
     boxes, rest = s.boxes[t]
     bags = set()
-    for box in map(_rbe.sums, boxes):
+    for box in (_rbe.sums(b.atoms) for b in boxes):
         bags.update(product(*[range(box[a].min, min(box[a].max, cap) + 1) if a in box else (0,)
                               for a, cap in zip(symbols, caps)]))
     for part in rest:

@@ -284,9 +284,12 @@ def to_boxes(e: Rbe) -> list | None:
     post_order: | is the union, , and & the pairwise sum and meet, and a
     repeat [n;m] of one box is its intervals times n when n = m, or [np;mq]
     when the box has at most one symbol, of interval [p;q] with p <= 1 (the
-    sums [kp;kq] of k copies then overlap).  None when e has no such form,
-    or past BOX_CAP boxes in one sub-expression or BOX_CAP atoms built per
-    sub-expression in all, which keeps the work linear in the size of e."""
+    sums [kp;kq] of k copies then overlap).  Any other repeat with a finite
+    max is the union over k = n..m of the sums of k boxes of its body,
+    drawn with repetition.  None when e has no such form, or past BOX_CAP
+    boxes in one sub-expression or BOX_CAP atoms built per sub-expression
+    in all, charged before they are built, which keeps the work linear in
+    the size of e."""
     boxes: dict = {}  # sub-expression -> its boxes, as dicts
     budget = 0  # the atoms the walk may still build
     for x in post_order(e):
@@ -298,11 +301,21 @@ def to_boxes(e: Rbe) -> list | None:
             body = boxes[x.body]
             if not body:
                 r = [] if n else [{}]
-            elif len(body) > 1 or n != m and (len(body[0]) > 1 or any(iv.min > 1 for iv in body[0].values())):
-                return None
-            else:  # m = 0 gives ε, whatever the body's max
-                budget -= len(body[0])
+            elif len(body) == 1 and (n == m or len(body[0]) < 2 and all(iv.min < 2 for iv in body[0].values())):
+                budget -= len(body[0])  # m = 0 gives ε, whatever the body's max
                 r = [{a: Interval(n * iv.min, m * iv.max) for a, iv in body[0].items() if m}]
+            elif m == INF:
+                return None
+            else:  # the sums of k boxes of the body, for k = n..m
+                width, count = max(map(len, body)), 0
+                for k in range(n, m + 1):
+                    c = math.comb(len(body) + k - 1, k)
+                    count += c
+                    budget -= c * (1 + k * width)
+                    if count > BOX_CAP or budget < 0:
+                        return None
+                r = [sums(a for b in bs for a in b.items())
+                     for k in range(n, m + 1) for bs in itertools.combinations_with_replacement(body, k)]
         elif isinstance(x, Disj):
             r = [b for p in x.parts for b in boxes[p]]
         elif isinstance(x, Nary):

@@ -13,6 +13,23 @@ from .errors import ClassPreconditionError, ParseError
 from . import rbe as _rbe
 
 
+class Box:
+    """One box of a rule: atoms, its ((label, type), interval) pairs, whose
+    bags are the product of their sums (rbe.sums); bounds, each atom's
+    interval as a (min, max) pair of ints; and by_label, each label to the
+    (atom index, type) pairs of its atoms in order, the atoms an out-edge
+    of that label can feed."""
+
+    __slots__ = ("atoms", "bounds", "by_label")
+
+    def __init__(self, atoms):
+        self.atoms = atoms = tuple(atoms)
+        self.bounds = tuple([(iv.min, iv.max) for _, iv in atoms])
+        self.by_label = by_label = {}
+        for j, ((label, t), _) in enumerate(atoms):
+            by_label.setdefault(label, []).append((j, t))
+
+
 class Schema:
     """Types plus a total definition map from type name to expression.
 
@@ -23,10 +40,10 @@ class Schema:
     atoms of a flat definition and walked otherwise; by_label maps each
     label a to {u: the types whose alphabet holds (a, u), in order}.
     boxes maps each type to (boxes, rest) over the parts of its definition,
-    a top-level disjunction's or the definition itself: the boxes of the
-    parts that have a box form (rbe.to_boxes), a flat definition's atoms
-    being its one box, and the rest.  A box is a tuple of (symbol,
-    interval) atoms whose bags are the product of their sums (rbe.sums).
+    a top-level disjunction's or the definition itself: a Box for each
+    part that has a box form (rbe.to_boxes), a flat definition's atoms
+    being its one box, and the parts that have none.  Each Box carries its
+    atoms, their bounds and their index by label, built here once.
     """
 
     def __init__(self, defs: dict):
@@ -52,7 +69,7 @@ class Schema:
                 if forms is None:
                     rest.append(p)
                 else:
-                    boxes += forms
+                    boxes += map(Box, forms)
             self.boxes[t] = (tuple(boxes), tuple(rest))
 
     def __eq__(self, other):

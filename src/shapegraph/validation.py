@@ -14,7 +14,7 @@ from .core import ONE, Edge, Graph, Interval, Refinement, index_lists
 from .errors import GraphKindError
 from . import rbe as _rbe
 from .embedding import feasible_flow
-from .schema import Schema
+from .schema import Box, Schema
 
 
 def signature(g: Graph, typing: dict, n) -> _rbe.Rbe:
@@ -45,11 +45,11 @@ def satisfies_type(s: Schema, ty: str, out, choices) -> bool:
     at the type set choices[i].
 
     ty holds when one box or one other part of δ(ty) does (Schema.boxes).
-    A box is decided by routing the edges onto its atoms (_routes), at a
-    cost that does not depend on the cardinalities; any other part by its
-    Parikh vectors inside the box of the node's out-widths, one routing
-    per vector, whose only bound is the matcher's constant work cap
-    (rbe.VECTOR_WORK).
+    A box is decided by routing the edges onto its atoms (_routes), each
+    edge finding its atoms by label, at a cost that does not depend on the
+    cardinalities; any other part by its Parikh vectors inside the box of
+    the node's out-widths, one routing per vector, whose only bound is the
+    matcher's constant work cap (rbe.VECTOR_WORK).
     """
     if ty not in s.defs:
         raise ValueError(f"unknown type {ty!r}")
@@ -60,42 +60,55 @@ def satisfies_type(s: Schema, ty: str, out, choices) -> bool:
     if not all(choices):
         return False  # an edge to an untyped node is unsatisfiable
     boxes, rest = s.boxes[ty]
-    for atoms in boxes:
-        if _satisfies_flat(out, choices, atoms):
+    for box in boxes:
+        if _satisfies_flat(out, choices, box):
             return True
     return any(_satisfies_exhaustive(out, choices, part, s.symbols[ty]) for part in rest)
 
 
-def _satisfies_flat(out, choices, atoms) -> bool:
-    return _routes(out, choices, atoms)
+def _satisfies_flat(out, choices, box) -> bool:
+    return _routes(out, choices, box)
 
 
-def _routes(out, choices, atoms) -> bool:
-    """Whether the signature routes onto atoms, ((label, type), interval)
-    pairs: each out-edge sends its cardinality to atoms of its label and
-    of a type of its target, and every atom's total lies in its interval.
+def _routes(out, choices, box) -> bool:
+    """Whether the signature routes onto box (schema.Box): each out-edge
+    sends its cardinality to atoms of its label and of a type of its
+    target, and every atom's total lies in its bounds.  out holds no edge
+    of cardinality 0 (satisfies_type drops them).
 
-    The atoms each edge can feed are listed once.  When every edge can
-    feed exactly one, that is the only routing, and its check
-    (_verify_flat_routing) is the verdict.  Otherwise one flow decides on
-    those lists, with one source per out-edge, its cardinality as supply,
-    and one sink per atom, every unit counting toward the atom's min; the
-    routing it returns is checked the same way."""
-    feeds = [
-        [j for j, ((lab, t), _) in enumerate(atoms) if e.label == lab and t in ch]
-        for e, ch in zip(out, choices)
-    ]
-    if all(len(f) == 1 for f in feeds):
-        return _verify_flat_routing(
-            out, choices, atoms, [((i, f[0]), e.occur.min) for i, (e, f) in enumerate(zip(out, feeds))])
-    flow = feasible_flow(
-        [(e.occur.min, True, f) for e, f in zip(out, feeds)],
-        [(iv.min, iv.max) for _, iv in atoms],
-    )
+    Each edge keeps the atoms of its label (the box's label index) whose
+    type its target has, and an edge that keeps none fails the box.  While
+    every edge keeps exactly one, that is the only routing: each atom's
+    total against its bounds is the verdict, and no list is built.  An
+    edge that keeps two or more hands the box to the flow
+    (_routes_by_flow)."""
+    index = box.by_label
+    received = [0] * len(box.bounds)
+    for e, ch in zip(out, choices):
+        kept = None
+        for j, t in index.get(e.label, ()):
+            if t in ch:
+                if kept is not None:
+                    return _routes_by_flow(out, choices, box)
+                kept = j
+        if kept is None:
+            return False
+        received[kept] += e.occur.min
+    return all(lo <= x <= hi for x, (lo, hi) in zip(received, box.bounds))
+
+
+def _routes_by_flow(out, choices, box) -> bool:
+    """_routes decided by one flow on the atoms each edge keeps, with one
+    source per out-edge, its cardinality as supply, and one sink per atom,
+    every unit counting toward the atom's min.  The routing it returns is
+    checked independently (_verify_flat_routing)."""
+    feeds = [[j for j, t in box.by_label.get(e.label, ()) if t in ch] for e, ch in zip(out, choices)]
+    flow = feasible_flow([(e.occur.min, True, f) for e, f in zip(out, feeds)], box.bounds)
     if flow is None:
         return False
     assert _verify_flat_routing(
-        out, choices, atoms, [((i, j), x) for i, (f, row) in enumerate(zip(feeds, flow)) for j, x in zip(f, row)]
+        out, choices, box.atoms,
+        [((i, j), x) for i, (f, row) in enumerate(zip(feeds, flow)) for j, x in zip(f, row)],
     ), "flow extraction produced an invalid routing"
     return True
 
@@ -136,8 +149,8 @@ def _satisfies_exhaustive(out, choices, delta: _rbe.Rbe, symbols) -> bool:
     vectors v of L(δ) over symbols, which hold its alphabet, inside the box
     of the widths each (label, type) symbol can take from the out-edges,
     with the node's total width as total; each is decided by one routing
-    (_routes) onto the symbols as atoms [v_s; v_s], so the k copies behind
-    an edge of cardinality k may take different types."""
+    (_routes) onto the box of the symbols as atoms [v_s; v_s], so the k
+    copies behind an edge of cardinality k may take different types."""
     takes = [[e.label == lab and t in ch for lab, t in symbols] for e, ch in zip(out, choices)]
     if not all(any(row) for row in takes):
         return False  # an out-edge that no symbol of δ takes
@@ -146,7 +159,7 @@ def _satisfies_exhaustive(out, choices, delta: _rbe.Rbe, symbols) -> bool:
     symbols, box = [a for a, b in zip(symbols, box) if b], [b for b in box if b]
     total = sum(e.occur.min for e in out)
     return any(
-        _routes(out, choices, [(a, Interval(k, k)) for a, k in zip(symbols, v)])
+        _routes(out, choices, Box([(a, Interval(k, k)) for a, k in zip(symbols, v)]))
         for v in _rbe.parikh_vectors(delta, symbols, box, total)
         if sum(v) == total
     )
@@ -174,6 +187,10 @@ class Typer(Refinement):
         super().__init__(s.types)
         self.s = s
         self._fed: dict = {}  # (label, set id) -> the types such an edge can feed
+        # The types a node with no out-edge may hold: those with a part
+        # that has no box form, or with a box whose atoms all have min 0.
+        self._edgeless = [t for t in self.order if s.boxes[t][1] or any(
+            not any(lo for lo, _ in box.bounds) for box in s.boxes[t][0])]
 
     def typing(self, g: Graph) -> dict:
         """The maximal typing of g, read through its index lists
@@ -200,11 +217,12 @@ class Typer(Refinement):
     def check(self, sig) -> frozenset:
         """The types a node with out-signature sig satisfies, checked in
         Schema.types order.  A type is dropped unchecked when one of the
-        node's out-edges with k > 0 cannot feed it (feeds): satisfies_type
-        fails then.  satisfies_type reads a type only through its
-        definition, so each distinct (hash-consed) definition is decided
-        once, for the first type in order that has it, and its verdict is
-        shared by the others."""
+        node's out-edges with k > 0 cannot feed it (feeds), or when the
+        node has no such edge and every box of the type's rule needs one:
+        satisfies_type fails then.  satisfies_type reads a type
+        only through its definition, so each distinct (hash-consed)
+        definition is decided once, for the first type in order that has
+        it, and its verdict is shared by the others."""
         out = [_edge(lab, k) for lab, k, _ in sig]
         choices = [self.sets[j] for _, _, j in sig]
         types = self.order
@@ -212,6 +230,8 @@ class Typer(Refinement):
         if feeds:
             fed = frozenset.intersection(*feeds)
             types = [t for t in types if t in fed]
+        else:
+            types = self._edgeless
         defs = self.s.defs
         verdicts: dict = {}
         kept = []

@@ -28,6 +28,7 @@ from shapegraph import (
     parse_schema,
 )
 from shapegraph.rbe import Concat, Disj, Empty, Epsilon, Intersect, Repeat, Sym, EMPTY, EPSILON, concat_all
+from shapegraph.schema import Box
 from shapegraph.validation import _routes
 
 
@@ -231,12 +232,12 @@ def brute_matches(e, w):
 
 
 def routes_bag(atoms, w):
-    """w against the flat rule of (symbol, interval) atoms, by the router
-    that decides a box (validation._routes): w is a node with one [k;k]
-    out-edge per symbol, labelled by it, to a node typed u, and the atoms
-    become ((symbol, u), interval)."""
-    out = [Edge(None, a, None, Interval(k, k)) for a, k in w.items()]
-    return _routes(out, [frozenset({"u"})] * len(out), [((a, "u"), iv) for a, iv in atoms])
+    """w against the flat rule of (symbol, interval) atoms, by the decision
+    on a box (validation._routes): w is a node with one [k;k] out-edge per
+    symbol of positive count k, labelled by it, to a node typed u, and the
+    atoms become the box of ((symbol, u), interval)."""
+    out = [Edge(None, a, None, Interval(k, k)) for a, k in w.items() if k]
+    return _routes(out, [frozenset({"u"})] * len(out), Box([((a, "u"), iv) for a, iv in atoms]))
 
 
 # --- Brute-force propositional oracles ---------------------------------------

@@ -4,7 +4,12 @@ fails here, not only in the benchmark's own suite."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
+
+from shapegraph import validation
+from shapegraph.core import parse_graph
+from shapegraph.schema import parse_schema
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -33,3 +38,26 @@ def test_rebound_graph_hooks_exist():
     containment = importlib.import_module("shapegraph.containment")
     assert isinstance(core.Graph.is_simple, property) and core.Graph.is_simple.fget is not None
     assert containment.Graph is core.Graph
+
+
+def test_flat_route_note_reads_the_real_arguments(monkeypatch):
+    # The note of the route.flat span sums e.occur.min over the first
+    # argument of _satisfies_flat; it must read the arguments that one
+    # max_typing really passes, one call per box.
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    (note,) = [entry[3] for entry in tracing.TARGETS if entry[:2] == ("validation", "_satisfies_flat")]
+    real, calls = validation._satisfies_flat, []
+
+    def recording(*args):
+        result = real(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(validation, "_satisfies_flat", recording)
+    s = parse_schema("t -> a::u*, b::u | c::u^[1;2]\nu -> eps\n")
+    g = parse_graph("graph compressed\nx a y [3;3]\nx b y\nz c y [2;2]\n")
+    assert validation.max_typing(g, s) == {"x": {"t"}, "y": {"u"}, "z": {"t"}}
+    notes = [note(args, result) for args, result in calls]
+    assert sorted(notes) == [0, 2, 2, 4]  # y: u (t needs an edge); x: t; z: t twice

@@ -346,6 +346,34 @@ class TestOutputFormats:
         assert "n0\tt0" in r.output
         assert "edge(n0,a,n1) => edge(t0,a,t1)" in r.output
 
+    PINNED_G = "graph simple\nn0 a n1\nn0 a n2\nn1 b n3\n"
+    PINNED_EMBED = (
+        "n0\tt0\nn1\tt1\nn2\tt0\nn2\tt1\nn2\tt2\nn3\tt0\nn3\tt1\nn3\tt2\n"
+        "witness n0\tt0\nedge(n0,a,n1) => edge(t0,a,t1)\nedge(n0,a,n2) => edge(t0,a,t1)\n"
+        "witness n1\tt1\nedge(n1,b,n3) => edge(t1,b,t2)\n"
+        "witness n2\tt0\nwitness n2\tt1\nwitness n2\tt2\nwitness n3\tt0\nwitness n3\tt1\nwitness n3\tt2\n"
+    )
+    PINNED_EMBED_JSON = {"stats": {"pairs": 8}, "verdict": "embeds", "witness": [
+        {"g": "n0", "h": "t0", "map": [[["n0", "a", "n1"], ["t0", "a", "t1"]], [["n0", "a", "n2"], ["t0", "a", "t1"]]]},
+        {"g": "n1", "h": "t1", "map": [[["n1", "b", "n3"], ["t1", "b", "t2"]]]},
+        *[{"g": n, "h": t, "map": []} for n in ("n2", "n3") for t in ("t0", "t1", "t2")]]}
+
+    def test_embed_and_typing_stdout_are_pinned(self, runner, tmp_path):
+        # Each mode builds only what it prints; the text is one block and
+        # the JSON envelope keeps its witness.  Values read at the parent.
+        g, h, s = tmp_path / "g.graph", tmp_path / "h.graph", tmp_path / "s.schema"
+        g.write_text(self.PINNED_G)
+        h.write_text("graph shape\nt0 a t1 *\nt1 b t2 ?\n")
+        s.write_text("t0 -> a::t1*\nt1 -> b::t2?\nt2 -> eps\n")
+        assert runner.invoke(main, ["embed", str(g), str(h)]).stdout == self.PINNED_EMBED
+        r = runner.invoke(main, ["--json", "embed", str(g), str(h)])
+        assert r.stdout == json.dumps(self.PINNED_EMBED_JSON, sort_keys=True) + "\n"
+        typing = {"n0": ["t0"], "n1": ["t1"], "n2": ["t0", "t1", "t2"], "n3": ["t0", "t1", "t2"]}
+        assert runner.invoke(main, ["typing", str(g), str(s)]).stdout == "".join(
+            f"{n}\t{','.join(ts)}\n" for n, ts in typing.items())
+        r = runner.invoke(main, ["--json", "typing", str(g), str(s)])
+        assert r.stdout == json.dumps({"stats": {}, "verdict": "valid", "witness": typing}, sort_keys=True) + "\n"
+
     def test_classify_output(self, runner, files):
         r = runner.invoke(main, ["classify", files["bug.schema"]])
         assert r.exit_code == 0

@@ -145,6 +145,15 @@ class TestBoxes:
         ("(a, b)*", None),  # a period over two symbols
         ("a+ & (a^2)*", None),  # a period of 2
         ("(a | b)+", None),
+        # A finite repeat over several boxes: the sums of k boxes, k = n..m.
+        ("(a | b)?", [(), (("a", ONE),), (("b", ONE),)]),
+        ("(a | b)^[1;3]", [(("a", ONE),), (("b", ONE),),
+                           (("a", Interval(2, 2)),), (("a", ONE), ("b", ONE)), (("b", Interval(2, 2)),),
+                           (("a", Interval(3, 3)),), (("a", Interval(2, 2)), ("b", ONE)),
+                           (("a", ONE), ("b", Interval(2, 2))), (("b", Interval(3, 3)),)]),
+        ("(a, b)^[1;2]", [(("a", ONE), ("b", ONE)), (("a", Interval(2, 2)), ("b", Interval(2, 2)))]),
+        ("(a | b | c | d)^[0;4]", None),  # 70 boxes, past BOX_CAP
+        ("(a | b)^[0;8]", None),  # 45 boxes, but 285 atoms charged
     ])
     def test_known_forms(self, text, boxes):
         assert to_boxes(parse_rbe(text)) == boxes
@@ -159,6 +168,8 @@ class TestBoxes:
         assert len(to_boxes(Concat(wide.parts[:6]))) == rbe.BOX_CAP
         # The work is charged before the pairs are made: 2^40 would not end.
         assert to_boxes(Concat(tuple(Disj((Sym(f"a{i}"), Sym(f"b{i}"))) for i in range(40)))) is None
+        # So is a repeat's: the sums of up to 10^6 boxes would not end.
+        assert to_boxes(parse_rbe("(a | b)^[0;1000000]")) is None
 
     def test_fold_work_is_linear(self):
         # Each level of a nested concatenation would copy the box below it,

@@ -24,7 +24,7 @@ from shapegraph.rbe import Disj, Intersect, Repeat, Sym, concat_all, rbe_to_text
 from shapegraph.embedding import feasible_flow
 from shapegraph.validation import Typer, _routes, _satisfies_exhaustive, _satisfies_psi, _verify_flat_routing
 from shapegraph import Schema
-from shapegraph.schema import from_shape_graph
+from shapegraph.schema import Box, from_shape_graph
 
 from conftest import (
     BASIC,
@@ -281,7 +281,10 @@ class TestMaxTyping:
         # A type is dropped unchecked when one of the node's out-edges has
         # no symbol of it, of the edge's label and a type of the edge's
         # target: q has no a-symbol, and s matches x's label a, but y's set
-        # holds no p, so both are dropped at x.
+        # holds no p, so both are dropped at x.  At a node with no
+        # out-edge, a type is dropped when every box of its rule needs
+        # one: p and q at y, while r's rule has no box form and w, s and
+        # u need no edge.
         checked = set()
         check = shapegraph.validation.satisfies_type
 
@@ -294,8 +297,24 @@ class TestMaxTyping:
                          "s -> a::p?\nu -> eps\n")
         g = parse_graph("graph simple\nx a y\n")
         assert max_typing(g, s) == {"x": frozenset({"p", "r"}), "y": frozenset({"r", "w", "s", "u"})}
-        assert checked == {(("a",), "p"), (("a",), "r"),
-                           ((), "p"), ((), "q"), ((), "r"), ((), "w"), ((), "s"), ((), "u")}
+        assert checked == {(("a",), "p"), (("a",), "r"), ((), "r"), ((), "w"), ((), "s"), ((), "u")}
+
+    def test_edgeless_node_skips_types_that_need_an_edge(self, monkeypatch):
+        # Each box of t's rule needs an out-edge, one of label a and one of
+        # label b, so the edgeless y is not checked against t; z's box takes
+        # no edge, and w's rule has no box form, so both are checked there.
+        checked = set()
+        check = shapegraph.validation.satisfies_type
+
+        def recording(s, ty, out, choices):
+            checked.add((tuple(e.label for e in out), ty))
+            return check(s, ty, out, choices)
+
+        monkeypatch.setattr(shapegraph.validation, "satisfies_type", recording)
+        s = parse_schema("t -> a::u | b::u\nz -> a::u?\nw -> (a::u, b::u)*\nu -> eps\n")
+        g = parse_graph("graph simple\nx a y\n")
+        assert max_typing(g, s) == {"x": frozenset({"t", "z"}), "y": frozenset({"z", "w", "u"})}
+        assert checked == {(("a",), "t"), (("a",), "z"), (("a",), "w"), ((), "z"), ((), "w"), ((), "u")}
 
     def test_check_walks_types_in_schema_order(self, monkeypatch):
         # A type set is a frozenset, whose order follows string hashing;
@@ -550,24 +569,34 @@ class TestFlatRoute:
         return calls
 
     def test_agrees_with_the_flow_alone(self):
-        # _routes skips the flow when no edge has a choice; the flow on
-        # every edge's full list of atoms must give the same verdict, and
-        # every routing it finds must pass the independent check.
+        # The decision on a box fails an edge that finds no atom of its
+        # label and type, and skips the flow when no edge has a choice; the
+        # flow on every edge's full list of atoms must give the same
+        # verdict, and every routing it finds must pass the independent
+        # check.  Labels name several atoms, and symbols repeat.
         rng = random.Random(25)
+        shared = repeated = 0
         for _ in range(3000):
             labels = "abc"[:rng.randint(1, 3)]
             types = [f"t{i}" for i in range(rng.randint(1, 3))]
             atoms = [((rng.choice(labels), rng.choice(types)), rng.choice(BASIC))
-                     for _ in range(rng.randint(0, 4))]
+                     for _ in range(rng.randint(0, 6))]
+            atoms += [(a, rng.choice(BASIC)) for a, _ in rng.sample(atoms, rng.randint(0, len(atoms)) // 2)]
+            rng.shuffle(atoms)
             out, choices = random_out(rng, labels, types, max_edges=4, max_width=6)
+            live = [i for i, e in enumerate(out) if e.occur.min]  # satisfies_type drops the rest
+            out, choices = [out[i] for i in live], [choices[i] for i in live]
             feeds = [[j for j, ((lab, t), _) in enumerate(atoms) if e.label == lab and t in ch]
                      for e, ch in zip(out, choices)]
             flow = feasible_flow([(e.occur.min, True, f) for e, f in zip(out, feeds)],
                                  [(iv.min, iv.max) for _, iv in atoms])
-            assert _routes(out, choices, atoms) == (flow is not None)
+            assert _routes(out, choices, Box(atoms)) == (flow is not None)
             if flow is not None:
                 assert _verify_flat_routing(out, choices, atoms, [
                     ((i, j), x) for i, (f, row) in enumerate(zip(feeds, flow)) for j, x in zip(f, row)])
+            shared += len({lab for (lab, _), _ in atoms}) < len({a for a, _ in atoms})
+            repeated += len({a for a, _ in atoms}) < len(atoms)
+        assert shared > 500 and repeated > 500
 
     def test_compressed_box_needs_no_flow(self, monkeypatch):
         # Every item edge feeds only item::Item and the tag edge only
