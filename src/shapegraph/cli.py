@@ -1,7 +1,11 @@
 """Command-line front end.
 
 Exit codes: 0 the property holds / success, 1 it fails or a counter-example
-was produced, 2 unknown within budget, 3 usage or parse error.
+was produced, 2 unknown within budget, 3 usage or parse error.  Commands
+return their result; `handles_errors` prints it and exits after they have
+returned, with no exception chained, so an in-process caller that keeps the
+SystemExit (click's CliRunner, or main(standalone_mode=False)) keeps none of
+a command's graphs, schemas, memos or witnesses.
 """
 
 from __future__ import annotations
@@ -46,27 +50,34 @@ def _load_schema(path: str) -> _schema.Schema:
 
 
 def handles_errors(f):
-    """Map library errors to the exit-code contract: a WorkCapError (a cap
-    ran out) to 2 with the envelope of an unknown verdict, everything else
-    (parse, kind, precondition, malformed budget, I/O) to 3."""
+    """Print the (verdict, lines, witness, stats, code) a command returns and
+    exit with its code.  A WorkCapError (a cap ran out) exits 2 with the
+    envelope of an unknown verdict, every other library error (parse, kind,
+    precondition, malformed budget, I/O) 3."""
 
     @functools.wraps(f)
     def wrapper(*args, **kwargs):
+        ctx, error = click.get_current_context(), None
         try:
-            return f(*args, **kwargs)
+            code = _emit(ctx, *f(*args, **kwargs))
         except WorkCapError as exc:
-            click.echo(f"unknown: {exc}", err=True)
-            _emit(click.get_current_context(), "unknown", [], code=2)
-        except click.ClickException:
-            raise
+            error, code = f"unknown: {exc}", 2
+        except click.ClickException as exc:
+            exc.show()
+            code = exc.exit_code
         except (ShapegraphError, ValueError, OSError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
+            error, code = f"error: {exc}", 3
+        if error:
+            click.echo(error, err=True)
+            if code == 2:
+                _emit(ctx, "unknown", [], None, None, 2)
+        sys.exit(code)
 
     return wrapper
 
 
-def _emit(ctx, verdict: str, text_lines, witness=None, stats=None, code=0):
+def _emit(ctx, verdict: str, text_lines, witness, stats, code):
+    """Print a result and return its exit code."""
     if ctx.obj["json"]:
         envelope = {"verdict": verdict, "stats": stats or {}}
         if witness is not None:
@@ -76,7 +87,7 @@ def _emit(ctx, verdict: str, text_lines, witness=None, stats=None, code=0):
         click.echo("\n".join(text_lines))
     if ctx.obj["strict"] and code == 2:
         click.echo("strict mode: result is unknown", err=True)
-    sys.exit(code)
+    return code
 
 
 @click.group()
@@ -92,16 +103,15 @@ def main(ctx, json_out, strict):
 @main.command()
 @click.argument("graph", type=click.Path())
 @click.argument("schema", type=click.Path())
-@click.pass_context
 @handles_errors
-def validate(ctx, graph, schema):
+def validate(graph, schema):
     """Check that every node of GRAPH gets a type under SCHEMA."""
     g = _load_graph(graph)
     s = _load_schema(schema)
     typing = _val.max_typing(g, s)
     ok = all(typing[n] for n in g.nodes)
     stats = {"nodes": len(g.nodes), "types": len(s.types)}
-    _emit(ctx, "valid" if ok else "invalid", ["valid" if ok else "invalid"], stats=stats, code=0 if ok else 1)
+    return "valid" if ok else "invalid", ["valid" if ok else "invalid"], None, stats, 0 if ok else 1
 
 
 @main.command()
@@ -119,7 +129,7 @@ def typing(ctx, graph, schema):
         lines, witness = (), {n: sorted(typ[n]) for n in g.nodes}
     else:
         lines, witness = [f"{n}\t{','.join(sorted(typ[n]))}" for n in g.nodes], None
-    _emit(ctx, "valid" if ok else "invalid", lines, witness=witness, code=0 if ok else 1)
+    return "valid" if ok else "invalid", lines, witness, None, 0 if ok else 1
 
 
 @main.command()
@@ -150,26 +160,18 @@ def embed(ctx, graph_g, graph_h):
             lines.append(f"witness {n}\t{m}")
             lines += [f"edge({e.source},{e.label},{e.target}) => edge({f.source},{f.label},{f.target})"
                       for e, f in mapped(n, m)]
-    _emit(
-        ctx,
-        "embeds" if ok else "not-embeds",
-        lines,
-        witness=witness,
-        stats={"pairs": len(pairs)},
-        code=0 if ok else 1,
-    )
+    return "embeds" if ok else "not-embeds", lines, witness, {"pairs": len(pairs)}, 0 if ok else 1
 
 
 @main.command()
 @click.argument("schema", type=click.Path())
-@click.pass_context
 @handles_errors
-def classify(ctx, schema):
+def classify(schema):
     """Print the most restrictive class of SCHEMA plus diagnostics."""
     s = _load_schema(schema)
     cls, diagnostics = _schema.classify(s)
     lines = [cls.name] + [f"  {d}" for d in diagnostics]
-    _emit(ctx, cls.name, lines, witness=diagnostics, code=0)
+    return cls.name, lines, diagnostics, None, 0
 
 
 def _budget_options(f):
@@ -180,14 +182,13 @@ def _budget_options(f):
     return f
 
 
-def _report_containment(ctx, verdict):
+def _report_containment(verdict):
     if isinstance(verdict, _cont.Contained):
-        _emit(ctx, "contained", ["contained"], code=0)
-    elif isinstance(verdict, _cont.NotContained):
+        return "contained", ["contained"], None, None, 0
+    if isinstance(verdict, _cont.NotContained):
         text = _core.serialize_graph(verdict.witness)
-        _emit(ctx, "not-contained", [text.rstrip("\n")], witness=text, code=1)
-    else:
-        _emit(ctx, "unknown", [f"unknown: {verdict.reason}"], code=2)
+        return "not-contained", [text.rstrip("\n")], text, None, 1
+    return "unknown", [f"unknown: {verdict.reason}"], None, None, 2
 
 
 @main.command()
@@ -200,48 +201,44 @@ def _report_containment(ctx, verdict):
     show_default=True,
 )
 @_budget_options
-@click.pass_context
 @handles_errors
-def contains(ctx, schema_h, schema_k, method, max_nodes, max_card, timeout):
+def contains(schema_h, schema_k, method, max_nodes, max_card, timeout):
     """Decide whether every graph valid under SCHEMA_H is valid under SCHEMA_K."""
     h = _load_schema(schema_h)
     k = _load_schema(schema_k)
     budget = _cont.Budget(max_nodes=max_nodes, max_card=max_card, timeout=timeout)
-    _report_containment(ctx, _cont.contains(h, k, method=method, budget=budget))
+    return _report_containment(_cont.contains(h, k, method=method, budget=budget))
 
 
 @main.command()
 @click.argument("schema_h", type=click.Path())
 @click.argument("schema_k", type=click.Path())
 @_budget_options
-@click.pass_context
 @handles_errors
-def counterexample(ctx, schema_h, schema_k, max_nodes, max_card, timeout):
+def counterexample(schema_h, schema_k, max_nodes, max_card, timeout):
     """Search for a graph valid under SCHEMA_H but not SCHEMA_K."""
     h = _load_schema(schema_h)
     k = _load_schema(schema_k)
     budget = _cont.Budget(max_nodes=max_nodes, max_card=max_card, timeout=timeout)
-    _report_containment(ctx, _cont.find_counterexample(h, k, budget=budget))
+    return _report_containment(_cont.find_counterexample(h, k, budget=budget))
 
 
 @main.command()
 @click.argument("schema", type=click.Path())
-@click.pass_context
 @handles_errors
-def characterize(ctx, schema):
+def characterize(schema):
     """Print the characterizing graph of a DetShEx0Minus SCHEMA."""
     s = _load_schema(schema)
     g = _cont.characterizing_graph(s)
     text = _core.serialize_graph(g)
-    _emit(ctx, "ok", [text.rstrip("\n")], witness=text, stats={"nodes": len(g.nodes)}, code=0)
+    return "ok", [text.rstrip("\n")], text, {"nodes": len(g.nodes)}, 0
 
 
 @main.command()
 @click.argument("expression")
 @click.option("--emit", "emit_path", type=click.Path(), default=None, help="Write the S-expression to a file.")
-@click.pass_context
 @handles_errors
-def presburger(ctx, expression, emit_path):
+def presburger(expression, emit_path):
     """Print the linear-arithmetic membership formula for an EXPRESSION."""
     e = _rbe.parse_rbe(expression)
     formula, xvars, nvar = _pa.presburger_of(e)
@@ -253,14 +250,8 @@ def presburger(ctx, expression, emit_path):
     if emit_path:
         with open(emit_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    _emit(
-        ctx,
-        "ok",
-        [text.rstrip("\n")] if not emit_path else [f"wrote {emit_path}"],
-        witness=sexpr,
-        stats={"variables": len(xvars)},
-        code=0,
-    )
+    lines = [f"wrote {emit_path}"] if emit_path else [text.rstrip("\n")]
+    return "ok", lines, sexpr, {"variables": len(xvars)}, 0
 
 
 @main.group()
@@ -278,7 +269,7 @@ def _parse_clauses(clause_args):
     return tuple(clauses)
 
 
-def _emit_pair(ctx, name_a, text_a, name_b, text_b, out_h, out_k):
+def _emit_pair(name_a, text_a, name_b, text_b, out_h, out_k):
     if out_h:
         with open(out_h, "w", encoding="utf-8") as fh:
             fh.write(text_a)
@@ -292,7 +283,7 @@ def _emit_pair(ctx, name_a, text_a, name_b, text_b, out_h, out_k):
         lines += [f"# {name_b}", text_b.rstrip("\n")]
     if out_h and out_k:
         lines = [f"wrote {out_h} and {out_k}"]
-    _emit(ctx, "ok", lines, witness={name_a: text_a, name_b: text_b}, code=0)
+    return "ok", lines, {name_a: text_a, name_b: text_b}, None, 0
 
 
 def _with_pair_out(f):
@@ -305,9 +296,8 @@ def _with_pair_out(f):
 @click.option("--vars", "num_vars", type=click.IntRange(min=0), required=True)
 @click.argument("clauses", nargs=-1, required=True)
 @_with_pair_out
-@click.pass_context
 @handles_errors
-def sat(ctx, num_vars, clauses, out_h, out_k):
+def sat(num_vars, clauses, out_h, out_k):
     """Interval graphs (H, K) with: the CNF is satisfiable iff H embeds in K.
 
     Clauses are given as signed integers, e.g. "1,-2" for (x1 or not x2);
@@ -315,45 +305,42 @@ def sat(ctx, num_vars, clauses, out_h, out_k):
     """
     phi = _fx.normalize_cnf(_fx.CnfFormula(num_vars, _parse_clauses(clauses)))
     h, k = _fx.sat_embedding_instance(phi)
-    _emit_pair(ctx, "H", _core.serialize_graph(h), "K", _core.serialize_graph(k), out_h, out_k)
+    return _emit_pair("H", _core.serialize_graph(h), "K", _core.serialize_graph(k), out_h, out_k)
 
 
 @fixtures.command()
 @click.option("--vars", "num_vars", type=click.IntRange(min=0), required=True)
 @click.argument("clauses", nargs=-1, required=True)
 @_with_pair_out
-@click.pass_context
 @handles_errors
-def dnf(ctx, num_vars, clauses, out_h, out_k):
+def dnf(num_vars, clauses, out_h, out_k):
     """Schemas (H, K) with: the DNF is a tautology iff H is contained in K."""
     h, k = _fx.dnf_containment_instance(num_vars, _parse_clauses(clauses))
-    _emit_pair(ctx, "H", _schema.serialize_schema(h), "K", _schema.serialize_schema(k), out_h, out_k)
+    return _emit_pair("H", _schema.serialize_schema(h), "K", _schema.serialize_schema(k), out_h, out_k)
 
 
 @fixtures.command()
 @click.argument("n", type=int)
 @_with_pair_out
-@click.pass_context
 @handles_errors
-def exp(ctx, n, out_h, out_k):
+def exp(n, out_h, out_k):
     """The depth-N family whose minimal counter-examples grow with N."""
     h, k = _fx.exponential_family(n)
-    _emit_pair(ctx, "H", _schema.serialize_schema(h), "K", _schema.serialize_schema(k), out_h, out_k)
+    return _emit_pair("H", _schema.serialize_schema(h), "K", _schema.serialize_schema(k), out_h, out_k)
 
 
 @fixtures.command()
 @click.argument("e0")
 @click.argument("alternatives", nargs=-1, required=True)
 @_with_pair_out
-@click.pass_context
 @handles_errors
-def union(ctx, e0, alternatives, out_h, out_k):
+def union(e0, alternatives, out_h, out_k):
     """Schemas (H, K) with: L(E0) is inside the union of the ALTERNATIVES
     iff H is contained in K."""
     h, k = _fx.union_containment_instance(
         _rbe.parse_rbe(e0), [_rbe.parse_rbe(a) for a in alternatives]
     )
-    _emit_pair(ctx, "H", _schema.serialize_schema(h), "K", _schema.serialize_schema(k), out_h, out_k)
+    return _emit_pair("H", _schema.serialize_schema(h), "K", _schema.serialize_schema(k), out_h, out_k)
 
 
 if __name__ == "__main__":

@@ -2,16 +2,20 @@
 generators for schemas, graphs, and routing instances, a brute-force bag
 matcher that test oracles use in place of the package's, and brute-force
 CNF satisfiability and DNF tautology that the hardness reductions are
-checked against."""
+checked against, and a probe for what a call leaves in reference cycles."""
 
 from __future__ import annotations
 
+import gc
+import os
 import random
+import types
 from collections import Counter
 from itertools import combinations_with_replacement, product
 
 import pytest
 
+import shapegraph
 from shapegraph import (
     CnfFormula,
     Edge,
@@ -30,6 +34,36 @@ from shapegraph import (
 from shapegraph.rbe import Concat, Disj, Empty, Epsilon, Intersect, Repeat, Sym, EMPTY, EPSILON, concat_all
 from shapegraph.schema import Box
 from shapegraph.validation import _routes
+
+
+# --- Reference cycles --------------------------------------------------------
+
+PACKAGE_DIR = os.path.join(shapegraph.__path__[0], "")
+
+
+def package_garbage(call, exempt=()):
+    """What call() leaves of the package in reference cycles: the instances
+    of its classes and the frames of its functions (except frames running a
+    code object in exempt) that a full collection finds unreachable after
+    the call, with what it returns dropped.  Each is named by its type or,
+    for a frame, by its function."""
+    gc.collect()
+    gc.garbage.clear()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        call()
+        gc.collect()
+    finally:
+        gc.set_debug(0)
+    found = []
+    for o in gc.garbage:
+        if isinstance(o, types.FrameType):
+            if o.f_code.co_filename.startswith(PACKAGE_DIR) and o.f_code not in exempt:
+                found.append(f"frame {o.f_code.co_name}")
+        elif type(o).__module__.partition(".")[0] == "shapegraph":
+            found.append(type(o).__qualname__)
+    gc.garbage.clear()
+    return sorted(found)
 
 
 # --- Worked examples ---------------------------------------------------------

@@ -6,8 +6,9 @@ import pytest
 from click.testing import CliRunner
 
 from shapegraph import containment as _cont
+from shapegraph import embedding as _emb
 from shapegraph import rbe
-from shapegraph.cli import main
+from shapegraph.cli import handles_errors, main
 
 from conftest import (
     BUG_GRAPH_TEXT,
@@ -16,6 +17,7 @@ from conftest import (
     CHAIN_SCHEMA_TEXT,
     bug_chain_graph,
     chain_graph,
+    package_garbage,
     star_chain_pair,
 )
 from shapegraph import (
@@ -61,6 +63,14 @@ def files(tmp_path):
     g, h = star_chain_pair()
     write("star_g.graph", serialize_graph(g))
     write("star_h.graph", serialize_graph(h))
+    write("bad.graph", "graph simple\nx nosuchlabel y\n")
+    write("wide.graph", TestExitCodes.WIDE)
+    write("wide.schema", "t -> (a::u*, b::u*)*\nu -> eps\n")  # past the matcher's work cap
+    write("broken.schema", "t -> ((\n")
+    write("a.schema", "t -> a::u*\nu -> eps\n")
+    write("b.schema", "t -> b::u*\nu -> eps\n")
+    write("hub.graph", "graph compressed\ng a x0 [2;2]\n")
+    write("hub_h.graph", "graph general\nH a X [0;6000]\n")  # a non-basic sink: the exact search
     paths["tmp"] = str(tmp_path)
     return paths
 
@@ -400,6 +410,19 @@ class TestOutputFormats:
         assert r.exit_code == 0
         assert out.read_text().startswith(";")
 
+    @pytest.mark.parametrize(("argv", "code", "stdout", "stderr"), [
+        (["validate", "wide.graph", "wide.schema"], 2, '{"stats": {}, "verdict": "unknown"}\n',
+         "unknown: bag matching exceeded 1000000 vector additions\nstrict mode: result is unknown\n"),
+        (["classify", "broken.schema"], 3, "",
+         "error: in rule for t: expected an expression, got None at line 1\n"),
+    ], ids=["work-cap", "parse-error"])
+    def test_strict_json_errors_are_pinned(self, runner, files, argv, code, stdout, stderr):
+        # A work cap prints its reason, then the unknown envelope, then the
+        # strict line; a parse error prints one line and no envelope.
+        # Values read at the parent.
+        r = runner.invoke(main, ["--strict", "--json", argv[0], *(files[a] for a in argv[1:])])
+        assert (r.exit_code, r.stdout, r.stderr) == (code, stdout, stderr)
+
     def test_strict_flag_messages(self, runner, files):
         # The flag's only effect is one stderr line on an unknown result.
         args = ["counterexample", files["chain.schema"], files["chain.schema"],
@@ -502,3 +525,61 @@ class TestFixtureCommands:
         r = runner.invoke(main, ["fixtures", "union", "a*", "a?", "a"])
         assert r.exit_code == 0
         assert "z::t0" in r.output
+
+
+# The frame that raises each command's exit.  It holds the click context,
+# the command's arguments and the exit code, and an in-process caller that
+# keeps the exit's traceback (click's CliRunner does) keeps it in a cycle.
+EXIT_POINT = handles_errors(lambda ctx: None).__code__
+
+SMALL_BUDGET = ["--max-nodes", "2", "--max-card", "1"]
+
+# Each command on each exit code it gives: (argv, exit code, routing cap).
+FREED = [
+    (["validate", "bug.graph", "bug.schema"], 0, None),
+    (["validate", "bad.graph", "bug.schema"], 1, None),
+    (["--strict", "--json", "validate", "wide.graph", "wide.schema"], 2, None),
+    (["validate", "bug.graph", "broken.schema"], 3, None),
+    (["validate", "bug.graph", "absent.schema"], 3, None),
+    (["typing", "bug.graph", "bug.schema"], 0, None),
+    (["--json", "typing", "bad.graph", "bug.schema"], 1, None),
+    (["typing", "wide.graph", "wide.schema"], 2, None),
+    (["typing", "bug.graph", "broken.schema"], 3, None),
+    (["embed", "bug.graph", "bug.graph"], 0, None),
+    (["--json", "embed", "star_g.graph", "star_h.graph"], 1, None),
+    (["embed", "hub.graph", "hub_h.graph"], 2, 0),
+    (["embed", "bug.graph", "absent.graph"], 3, None),
+    (["classify", "bug.schema"], 0, None),
+    (["classify", "broken.schema"], 3, None),
+    (["contains", "bug.schema", "bug.schema"], 0, None),
+    (["contains", "a.schema", "b.schema"], 1, None),
+    (["contains", "chain.schema", "chain.schema", *SMALL_BUDGET], 2, None),
+    (["contains", "chain.schema", "chain.schema", "--method", "embedding"], 3, None),
+    (["--json", "counterexample", "a.schema", "b.schema"], 1, None),
+    (["counterexample", "chain.schema", "chain.schema", *SMALL_BUDGET], 2, None),
+    (["counterexample", "a.schema", "broken.schema"], 3, None),
+    (["characterize", "bug.schema"], 0, None),
+    (["characterize", "chain.schema"], 3, None),
+    (["presburger", "(a | b)*, c?"], 0, None),
+    (["presburger", "(a"], 3, None),
+    (["fixtures", "sat", "--vars", "2", "--", "1,-2", "-1,2"], 0, None),
+    (["fixtures", "sat", "--vars", "1", "x"], 3, None),
+    (["fixtures", "dnf", "--vars", "2", "1,-2"], 0, None),
+    (["fixtures", "exp", "1"], 0, None),
+    (["fixtures", "union", "a*", "a?", "a"], 0, None),
+]
+
+
+@pytest.mark.parametrize(("argv", "code", "routing_cap"), FREED, ids=[" ".join(a) for a, _, _ in FREED])
+def test_command_frees_its_data_on_return(runner, files, monkeypatch, argv, code, routing_cap):
+    # The exit is raised after the command has returned, with no exception
+    # chained to it, so nothing the command built (graphs, schemas, memos,
+    # witnesses, the failing frames of an error) waits for the cyclic
+    # collector, although the runner keeps the exit's traceback.
+    if routing_cap is not None:
+        monkeypatch.setattr(_emb, "DEFAULT_ROUTING_CAP", routing_cap)
+    args = [files.get(a, a) for a in argv]  # absent.* name no file
+    codes = []
+    left = package_garbage(lambda: codes.append(runner.invoke(main, args).exit_code), exempt={EXIT_POINT})
+    assert codes == [code]
+    assert left == []
