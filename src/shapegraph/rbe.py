@@ -17,14 +17,30 @@ import functools
 import itertools
 import math
 import re
+import string
 import weakref
 from collections import Counter
 
 from .core import INF, ONE, OPT, PLUS, STAR, ZERO, Interval, parse_interval_token
 from .errors import AlphabetError, ParseError, WorkCapError
 
-# (class, *fields) -> the one live node with those fields.
-_TABLE: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+# (class, *fields) -> a weak reference to the one live node with those
+# fields; the entry goes when the node does (_forget).
+_TABLE: dict = {}
+
+
+class _Ref(weakref.ref):
+    """A table entry: a weak reference that knows its key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref, table=_TABLE):
+    """The callback of a node's reference: drop its entry, unless a new
+    node took the key.  The table is bound here, so the callback works
+    while the module is torn down too."""
+    if table.get(ref.key) is ref:
+        del table[ref.key]
 
 
 class Rbe:
@@ -39,11 +55,14 @@ class Rbe:
             raise TypeError(f"{cls.__name__} takes the fields {cls.__match_args__}")
         key = (cls, *fields)
         node = _TABLE.get(key)
+        if node is not None:
+            node = node()
         if node is None:
             node = object.__new__(cls)
             for name, value in zip(cls.__match_args__, fields):
                 object.__setattr__(node, name, value)
-            _TABLE[key] = node
+            ref = _TABLE[key] = _Ref(node, _forget)
+            ref.key = key
         return node
 
     def __setattr__(self, name, value=None):
@@ -284,12 +303,15 @@ def to_boxes(e: Rbe) -> list | None:
     post_order: | is the union, , and & the pairwise sum and meet, and a
     repeat [n;m] of one box is its intervals times n when n = m, or [np;mq]
     when the box has at most one symbol, of interval [p;q] with p <= 1 (the
-    sums [kp;kq] of k copies then overlap).  Any other repeat with a finite
-    max is the union over k = n..m of the sums of k boxes of its body,
-    drawn with repetition.  None when e has no such form, or past BOX_CAP
-    boxes in one sub-expression or BOX_CAP atoms built per sub-expression
-    in all, charged before they are built, which keeps the work linear in
-    the size of e."""
+    sums [kp;kq] of k copies then overlap).  A * or + of boxes that each
+    have at most one symbol, of interval [p;q] with p <= 1 <= q, is every
+    bag over those symbols: one box, all at [0;∞], or for a + whose boxes
+    all need their symbol, one box per symbol s, s at [1;∞] and the others
+    at [0;∞].  Any other repeat with a finite max is the union over k =
+    n..m of the sums of k boxes of its body, drawn with repetition.  None
+    when e has no such form, or past BOX_CAP boxes in one sub-expression
+    or BOX_CAP atoms built per sub-expression in all, charged before they
+    are built, which keeps the work linear in the size of e."""
     boxes: dict = {}  # sub-expression -> its boxes, as dicts
     budget = 0  # the atoms the walk may still build
     for x in post_order(e):
@@ -304,6 +326,18 @@ def to_boxes(e: Rbe) -> list | None:
             elif len(body) == 1 and (n == m or len(body[0]) < 2 and all(iv.min < 2 for iv in body[0].values())):
                 budget -= len(body[0])  # m = 0 gives ε, whatever the body's max
                 r = [{a: Interval(n * iv.min, m * iv.max) for a, iv in body[0].items() if m}]
+            elif m == INF and n < 2 and all(len(b) < 2 and all(iv.min < 2 for iv in b.values()) for b in body):
+                # Each box holds the bag of one copy of its symbol (no atom
+                # built here has max 0) or is ε, so every bag over the
+                # symbols is a sum of bags of the body: all of them under *,
+                # and under + the nonzero ones, or all again when a box
+                # holds the zero bag.
+                syms = list(dict.fromkeys(a for b in body for a in b))
+                if n == 0 or any(all(iv.min == 0 for iv in b.values()) for b in body):
+                    r = [dict.fromkeys(syms, STAR)]
+                else:
+                    budget -= len(syms) * len(syms)
+                    r = [{a: PLUS if a == s else STAR for a in syms} for s in syms]
             elif m == INF:
                 return None
             else:  # the sums of k boxes of the body, for k = n..m
@@ -348,29 +382,27 @@ def _box_meet(boxes) -> dict | None:
 
 # --- Parsing and printing ---------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""\s*(?:
-        (?P<interval>\[\s*\d+\s*;\s*(?:\d+|inf)\s*\])
-      | (?P<dcolon>::)
-      | (?P<arrow>->)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*|\d+)
-      | (?P<punct>[()|,&^?*+])
-      | (?P<bad>\S)
-    )""",
-    re.VERBOSE,
-)
+_TOKEN_RE = re.compile(r"\s*(\[\s*\d+\s*;\s*(?:\d+|inf)\s*\]|::|->|[A-Za-z_][A-Za-z0-9_]*|\d+|[()|,&^?*+]|\S)")
+# A token's kind by its first character.  '[', ':' and '-' start a token
+# only as an interval, '::' and '->': alone, each is a bad character.
+_KIND = {**dict.fromkeys(string.ascii_letters + string.digits + "_", "ident"),
+         **dict.fromkeys("()|,&^?*+", "punct"), "[": "interval", ":": "dcolon", "-": "arrow"}
 
 
 def tokenize(text: str):
     """(kind, text) per token up to a '#' comment; the matches cover the
-    text with no gap, since any non-blank character matches `bad`."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text.split("#", 1)[0]):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group(kind)!r}", column=m.start() + 1)
-        tokens.append((kind, m.group(kind)))
-    return tokens
+    text with no gap, since any non-blank character is a token of its own
+    when no longer one starts there.  One findall; only a text with a
+    character that _KIND does not know is scanned again, for its column."""
+    text = text.split("#", 1)[0]
+    toks = _TOKEN_RE.findall(text)
+    kinds = [_KIND.get(tok[0]) if len(tok) > 1 or tok not in "[:-" else None for tok in toks]
+    if None in kinds:
+        for kind, m in zip(kinds, _TOKEN_RE.finditer(text)):
+            if kind is None and not m.group(1).isdecimal():
+                raise ParseError(f"unexpected character {m.group(1)!r}", column=m.start() + 1)
+        kinds = [kind or "ident" for kind in kinds]  # numbers in other scripts' digits
+    return list(zip(kinds, toks))
 
 
 # Precedence (higher binds tighter) and separator of each chain operator.

@@ -43,34 +43,55 @@ class Schema:
     a top-level disjunction's or the definition itself: a Box for each
     part that has a box form (rbe.to_boxes), a flat definition's atoms
     being its one box, and the parts that have none.  Each Box carries its
-    atoms, their bounds and their index by label, built here once.
+    atoms, their bounds and their index by label.  edgeless lists, in
+    order, the types a node with no out-edge may hold: those with a part
+    that has no box form, or with a box whose atoms all have min 0.
+
+    Expressions are hash-consed, so types with equal definitions share one
+    object; all of the above is derived once per distinct definition, for
+    the first type that has it, and shared by the others.
     """
 
     def __init__(self, defs: dict):
         self.types: tuple[str, ...] = tuple(defs)
         self.defs: dict[str, _rbe.Rbe] = dict(defs)
-        self.flat: dict[str, tuple | None] = {t: _rbe.to_rbe0(e) for t, e in self.defs.items()}
+        self.flat: dict[str, tuple | None] = {}
         self.symbols: dict[str, tuple] = {}
         self.by_label: dict[str, dict[str, list]] = {}
         self.boxes: dict[str, tuple] = {}
+        edgeless = []
+        derived: dict = {}  # definition -> (flat, symbols, boxes, edgeless)
         for t, e in self.defs.items():
-            atoms = self.flat[t]
-            sigma = {a for a, _ in atoms} if atoms is not None else _rbe.alphabet(e)
-            self.symbols[t] = tuple(sorted(sigma, key=str))
-            for sym in self.symbols[t]:
-                if not (isinstance(sym, tuple) and len(sym) == 2):
-                    raise ValueError(f"atom {sym!r} in rule for {t} is not label::Type")
-                if sym[1] not in self.defs:
-                    raise ParseError(f"rule for {t} references undefined type {sym[1]}")
-                self.by_label.setdefault(sym[0], {}).setdefault(sym[1], []).append(t)
-            boxes, rest = [], []
-            for p in e.parts if isinstance(e, _rbe.Disj) else (e,):
-                forms = [atoms] if atoms is not None else _rbe.to_boxes(p)
-                if forms is None:
-                    rest.append(p)
-                else:
-                    boxes += map(Box, forms)
-            self.boxes[t] = (tuple(boxes), tuple(rest))
+            d = derived.get(e)
+            if d is None:
+                d = derived[e] = self._derive(t, e)
+            self.flat[t], self.symbols[t], self.boxes[t], bare = d
+            if bare:
+                edgeless.append(t)
+            for label, u in self.symbols[t]:
+                self.by_label.setdefault(label, {}).setdefault(u, []).append(t)
+        self.edgeless: tuple[str, ...] = tuple(edgeless)
+
+    def _derive(self, t, e) -> tuple:
+        """(flat, symbols, boxes, edgeless) of the definition e of type t,
+        the first type that has it; errors name t."""
+        atoms = _rbe.to_rbe0(e)
+        sigma = {a for a, _ in atoms} if atoms is not None else _rbe.alphabet(e)
+        symbols = tuple(sorted(sigma, key=str))
+        for sym in symbols:
+            if not (isinstance(sym, tuple) and len(sym) == 2):
+                raise ValueError(f"atom {sym!r} in rule for {t} is not label::Type")
+            if sym[1] not in self.defs:
+                raise ParseError(f"rule for {t} references undefined type {sym[1]}")
+        boxes, rest = [], []
+        for p in e.parts if isinstance(e, _rbe.Disj) else (e,):
+            forms = [atoms] if atoms is not None else _rbe.to_boxes(p)
+            if forms is None:
+                rest.append(p)
+            else:
+                boxes += map(Box, forms)
+        bare = bool(rest) or any(not any(lo for lo, _ in box.bounds) for box in boxes)
+        return atoms, symbols, (tuple(boxes), tuple(rest)), bare
 
     def __eq__(self, other):
         return isinstance(other, Schema) and self.defs == other.defs
@@ -93,8 +114,11 @@ class SchemaClass(enum.Enum):
 
 def parse_schema(text: str) -> Schema:
     """Parse the rule-per-line format: optional "schema" header, then
-    "T -> expr" lines; '#' starts a comment."""
+    "T -> expr" lines; '#' starts a comment.  Each distinct body text is
+    parsed once: expressions are hash-consed, so a second parse would
+    return the same object."""
     defs: dict[str, _rbe.Rbe] = {}
+    bodies: dict[str, _rbe.Rbe] = {}  # body text -> its expression
     seen_header = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -112,10 +136,13 @@ def parse_schema(text: str) -> Schema:
             raise ParseError(f"bad rule head {head!r}", line=lineno)
         if head in defs:
             raise ParseError(f"duplicate rule for type {head}", line=lineno)
-        try:
-            defs[head] = _rbe.parse_rbe(body, typed=True)
-        except ParseError as exc:
-            raise ParseError(f"in rule for {head}: {exc}", line=lineno) from None
+        e = bodies.get(body)
+        if e is None:
+            try:
+                e = bodies[body] = _rbe.parse_rbe(body, typed=True)
+            except ParseError as exc:
+                raise ParseError(f"in rule for {head}: {exc}", line=lineno) from None
+        defs[head] = e
     if not defs:
         raise ParseError("no rules found", line=1)
     try:

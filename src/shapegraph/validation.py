@@ -187,10 +187,6 @@ class Typer(Refinement):
         super().__init__(s.types)
         self.s = s
         self._fed: dict = {}  # (label, set id) -> the types such an edge can feed
-        # The types a node with no out-edge may hold: those with a part
-        # that has no box form, or with a box whose atoms all have min 0.
-        self._edgeless = [t for t in self.order if s.boxes[t][1] or any(
-            not any(lo for lo, _ in box.bounds) for box in s.boxes[t][0])]
 
     def typing(self, g: Graph) -> dict:
         """The maximal typing of g, read through its index lists
@@ -218,7 +214,7 @@ class Typer(Refinement):
         """The types a node with out-signature sig satisfies, checked in
         Schema.types order.  A type is dropped unchecked when one of the
         node's out-edges with k > 0 cannot feed it (feeds), or when the
-        node has no such edge and every box of the type's rule needs one:
+        node has no such edge and the type is not among Schema.edgeless:
         satisfies_type fails then.  satisfies_type reads a type
         only through its definition, so each distinct (hash-consed)
         definition is decided once, for the first type in order that has
@@ -231,7 +227,7 @@ class Typer(Refinement):
             fed = frozenset.intersection(*feeds)
             types = [t for t in types if t in fed]
         else:
-            types = self._edgeless
+            types = self.s.edgeless
         defs = self.s.defs
         verdicts: dict = {}
         kept = []

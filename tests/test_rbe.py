@@ -3,6 +3,7 @@ import gc
 import itertools
 import pickle
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -144,7 +145,7 @@ class TestBoxes:
         ("((a^[0;2])^[3;inf])^0", [()]),  # ^0 over an unbounded body is ε
         ("(a, b)*", None),  # a period over two symbols
         ("a+ & (a^2)*", None),  # a period of 2
-        ("(a | b)+", None),
+        ("(a | b)+", [(("a", PLUS), ("b", STAR)), (("a", STAR), ("b", PLUS))]),  # nonzero bags of a, b
         # A finite repeat over several boxes: the sums of k boxes, k = n..m.
         ("(a | b)?", [(), (("a", ONE),), (("b", ONE),)]),
         ("(a | b)^[1;3]", [(("a", ONE),), (("b", ONE),),
@@ -154,6 +155,12 @@ class TestBoxes:
         ("(a, b)^[1;2]", [(("a", ONE), ("b", ONE)), (("a", Interval(2, 2)), ("b", Interval(2, 2)))]),
         ("(a | b | c | d)^[0;4]", None),  # 70 boxes, past BOX_CAP
         ("(a | b)^[0;8]", None),  # 45 boxes, but 285 atoms charged
+        # A * or + of one-symbol boxes that each hold their symbol once.
+        ("(a | b)*", [(("a", STAR), ("b", STAR))]),
+        ("(a | b? | c^[1;4])+", [(("a", STAR), ("b", STAR), ("c", STAR))]),  # b? holds the zero bag
+        ("(a | a+)+", [(("a", PLUS),)]),
+        ("(a^2 | b)*", None),  # a period of 2
+        ("(a | b)^[2;inf]", None),
     ])
     def test_known_forms(self, text, boxes):
         assert to_boxes(parse_rbe(text)) == boxes
@@ -198,6 +205,26 @@ class TestBoxes:
                 assert box_vectors(boxes, symbols, 4) == rbe.parikh_vectors(e, symbols, (4,) * 3), rbe_to_text(e)
         assert 2000 < boxed < 3000
 
+    def test_star_and_plus_of_one_symbol_boxes(self):
+        # A * or + over a union of boxes of at most one symbol each, every
+        # interval [p;q] with p <= 1 <= q, folds to one box or one box per
+        # symbol; inside [0;4]^3 those hold exactly the Parikh vectors.
+        rng = random.Random(43)
+        symbols = ("a", "b", "c")
+        intervals = [ONE, OPT, STAR, PLUS, Interval(0, 2), Interval(1, 3), Interval(0, 0), Interval(2, 3)]
+        folded = 0
+        for _ in range(1500):
+            parts = [EPSILON if rng.random() < 0.1 else rbe.atom(rng.choice(symbols), rng.choice(intervals))
+                     for _ in range(rng.randint(2, 4))]
+            e = Repeat(rbe.disj_all(parts), rng.choice([STAR, PLUS]))
+            boxes = to_boxes(e)
+            foldable = all(not isinstance(p, Repeat) or p.interval.min < 2 for p in parts)
+            assert (boxes is not None) == foldable, rbe_to_text(e)
+            if boxes is not None:
+                folded += 1
+                assert box_vectors(boxes, symbols, 4) == rbe.parikh_vectors(e, symbols, (4,) * 3), rbe_to_text(e)
+        assert 500 < folded < 1500
+
 
 class TestHashConsing:
     def test_equal_expressions_are_one_node(self):
@@ -232,6 +259,20 @@ class TestHashConsing:
         del nodes
         gc.collect()
         assert len(rbe._TABLE) == before
+
+    def test_a_dead_node_leaves_the_table(self):
+        key = (Sym, "phoenix")
+        Sym("phoenix")
+        assert key not in rbe._TABLE
+        x = Sym("phoenix")
+        # A stale callback, of a reference that is no longer the entry,
+        # leaves the live node's entry alone.
+        stale = rbe._Ref(x)
+        stale.key = key
+        rbe._forget(stale)
+        assert Sym("phoenix") is x and rbe._TABLE[key]() is x
+        del x
+        assert key not in rbe._TABLE
 
 
 class TestParser:
@@ -287,6 +328,31 @@ class TestParser:
         with pytest.raises(ParseError) as exc:
             rbe.tokenize(text)
         assert (str(exc.value), exc.value.column) == (f"unexpected character {char!r}", column)
+
+    def test_tokenizer_agrees_with_named_groups(self):
+        # One group per kind, read off the match: the kinds, texts and
+        # error columns must be those of the single-group scan.
+        named = re.compile(r"""\s*(?:(?P<interval>\[\s*\d+\s*;\s*(?:\d+|inf)\s*\])|(?P<dcolon>::)|(?P<arrow>->)
+                               |(?P<ident>[A-Za-z_][A-Za-z0-9_]*|\d+)|(?P<punct>[()|,&^?*+])|(?P<bad>\S))""", re.X)
+
+        def reference(text):
+            tokens = []
+            for m in named.finditer(text.split("#", 1)[0]):
+                if m.lastgroup == "bad":
+                    return f"unexpected character {m.group('bad')!r}", m.start() + 1
+                tokens.append((m.lastgroup, m.group(m.lastgroup)))
+            return tokens
+
+        pieces = ["a", "b1", "_x", "12", "٣", "inf", " ", "\t", ":", "::", "-", "->", "[", "]", ";", "[1;2]",
+                  "[ 0 ; inf ]", "[3;", "^", "?", "*", "+", ",", "|", "&", "(", ")", "#", "$", "é", ">"]
+        rng = random.Random(11)
+        for _ in range(3000):
+            text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 8)))
+            try:
+                got = rbe.tokenize(text)
+            except ParseError as exc:
+                got = str(exc), exc.column
+            assert got == reference(text), text
 
     @pytest.mark.parametrize("text, tokens", [
         ("a # $", [("ident", "a")]),

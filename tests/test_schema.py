@@ -1,4 +1,7 @@
+import ast
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -12,8 +15,9 @@ from shapegraph import (
     serialize_schema,
     to_shape_graph,
 )
-from shapegraph.errors import ClassPreconditionError
+from shapegraph.errors import ClassPreconditionError, ShapegraphError
 from shapegraph import rbe
+from shapegraph.fixtures import dnf_containment_instance, exponential_family, union_containment_instance
 from shapegraph.schema import Schema, star_closed_references
 
 from conftest import (
@@ -24,6 +28,7 @@ from conftest import (
     chain_schema,
     random_flat_rbe,
     random_minus_schema,
+    random_rbe,
 )
 
 
@@ -43,6 +48,21 @@ class TestParsing:
 
     def test_header_optional(self):
         assert parse_schema("t -> eps\n").types == ("t",)
+
+    def test_undefined_type_in_a_shared_rule_names_the_first_type(self):
+        # v and t share one definition, derived once: the error still names
+        # the first type in order that has it.
+        with pytest.raises(ParseError, match="^rule for v references undefined type x$"):
+            parse_schema("u -> eps\nv -> a::x, b::u\nt -> a::x, b::u\n")
+
+    def test_bad_body_reports_its_own_line(self):
+        good = "a::u, b::u?"
+        for text, line in [(f"u -> eps\nt -> {good}\nv -> {good}\nw -> a::u, $\n", 4),
+                           (f"u -> eps\nt -> {good}\nv -> a::u |\nw -> a::u |\n", 3),
+                           (f"u -> eps\nt -> a::u^[2;\nv -> {good}\n", 2)]:
+            with pytest.raises(ParseError) as exc:
+                parse_schema(text)
+            assert exc.value.line == line, text
 
     def test_deep_schemas_compare_equal(self):
         # Nodes are hash-consed, so equality is identity, not a walk that
@@ -151,3 +171,113 @@ class TestSymbols:
                 assert s.symbols[t] == tuple(sorted(rbe.alphabet(defs[t]), key=str))
         assert 0 < flat < 600
 
+
+def _reference(defs, t):
+    """What Schema derives for type t, computed from defs[t] alone:
+    (flat, symbols, boxes as (atoms, bounds, by_label) triples, rest,
+    whether a node with no out-edge may hold t)."""
+    e = defs[t]
+    flat = rbe.to_rbe0(e)
+    forms, rest = [], []
+    if flat is not None:
+        forms.append(flat)
+    else:
+        for p in e.parts if isinstance(e, rbe.Disj) else (e,):
+            boxes = rbe.to_boxes(p)
+            if boxes is None:
+                rest.append(p)
+            else:
+                forms += boxes
+    boxes = []
+    for atoms in forms:
+        by_label = {}
+        for j, ((label, u), _) in enumerate(atoms):
+            by_label.setdefault(label, []).append((j, u))
+        boxes.append((tuple(atoms), tuple((iv.min, iv.max) for _, iv in atoms), by_label))
+    bare = bool(rest) or any(all(iv.min == 0 for _, iv in atoms) for atoms in forms)
+    return flat, tuple(sorted(rbe.alphabet(e), key=str)), boxes, tuple(rest), bare
+
+
+def assert_derived_per_type(s: Schema):
+    by_label = {}
+    edgeless = []
+    for t in s.types:
+        flat, symbols, boxes, rest, bare = _reference(s.defs, t)
+        assert s.flat[t] == flat and s.symbols[t] == symbols, t
+        got, got_rest = s.boxes[t]
+        assert [(b.atoms, b.bounds, b.by_label) for b in got] == boxes and got_rest == rest, t
+        if bare:
+            edgeless.append(t)
+        if rbe.bag_matches(s.defs[t], Counter()):
+            assert bare, t  # a rule that holds ε is never filtered out
+        for label, u in symbols:
+            by_label.setdefault(label, {}).setdefault(u, []).append(t)
+    assert s.by_label == by_label
+    assert s.edgeless == tuple(edgeless)
+
+
+def _schema_literals():
+    """Every string literal in tests/ that parses as a schema."""
+    found = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and "->" in node.value:
+                try:
+                    found.append(parse_schema(node.value))
+                except ShapegraphError:
+                    pass
+    return found
+
+
+class TestDerivedOncePerDefinition:
+    def test_parse_and_derive_once_per_distinct_rule(self, monkeypatch):
+        _, k = dnf_containment_instance(4, ((1, -2), (2, 3), (-1, -3, 4), (-4,)))
+        text = serialize_schema(k)
+        bodies = [line.partition("->")[2] for line in text.splitlines()[1:]]
+        assert len(set(bodies)) < len(bodies)  # the K schema repeats bodies
+        calls = Counter()
+        for name in ("parse_rbe", "to_rbe0", "to_boxes"):
+            real = getattr(rbe, name)
+
+            def counting(*args, real=real, name=name, **kwargs):
+                calls[name, args[0]] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(rbe, name, counting)
+        s = parse_schema(text)
+        assert s == k
+        parsed = [body for (name, body) in calls if name == "parse_rbe"]
+        assert sorted(parsed) == sorted(set(bodies))
+        assert {calls[key] for key in calls} == {1}
+        assert [e for (name, e) in calls if name == "to_rbe0"] == list(dict.fromkeys(s.defs.values()))
+
+    def test_shared_definitions_share_their_boxes(self):
+        s = parse_schema("u -> eps\nt -> (a::u | b::u), c::u\nv -> (a::u | b::u), c::u\n")
+        assert s.boxes["t"] is s.boxes["v"] and len(s.boxes["t"][0]) == 2
+
+    def test_fixtures_and_literals_match_a_per_type_reference(self):
+        schemas = [s for n in (1, 2, 3) for s in exponential_family(n)]
+        schemas += dnf_containment_instance(3, ((1, 2), (-1, 3), (-2, -3)))
+        schemas += dnf_containment_instance(5, ((1, -2, 3), (-1,), (2, 4, -5), (5,), (-3, -4)))
+        for e0, es in [("a, b", ["a | b", "(a, b)*"]), ("(a | b)+", ["a*, b+", "a+, b*"]),
+                       ("a^[1;3], b?", ["(a | b)^[1;4]", "a^2"]), ("(a, b)*", ["(a | b)*"])]:
+            schemas += union_containment_instance(rbe.parse_rbe(e0), [rbe.parse_rbe(e) for e in es])
+        literals = _schema_literals()
+        assert len(literals) > 50
+        for s in schemas + literals:
+            assert_derived_per_type(s)
+
+    def test_random_schemas_with_repeated_bodies(self):
+        rng = random.Random(33)
+        types = [f"t{i}" for i in range(6)]
+        syms = [(lab, t) for lab in "ab" for t in types[:3]]
+        for _ in range(150):
+            pool = [random_rbe(rng, syms, depth=rng.randint(0, 3)) for _ in range(rng.randint(1, 3))]
+            pool.append(random_flat_rbe(rng, syms, depth=2))
+            defs = {t: rng.choice(pool) for t in types}
+            s = Schema(defs)
+            assert_derived_per_type(s)
+            text = serialize_schema(s)
+            if "<empty>" not in text:
+                assert parse_schema(text) == s
+                assert_derived_per_type(parse_schema(text))
