@@ -19,21 +19,19 @@ search, iterative and capped in steps.
 The greatest simulation refines one interned set of h-nodes per g-node
 through the fixpoint typing uses (core.Refinement), so a g-node's check
 walks the h-nodes and is decided from the g-node's out-signature alone:
-the signature projected onto an h-node fixes the routing instance.  A
-check first runs after its successors' checks unless they share a cycle,
-and runs again only after the set of one of its successors shrank.
+the signature projected onto an h-node is the routing instance, with the
+edges' own Intervals.  A check first runs after its successors' checks
+unless they share a cycle, and runs again only after the set of one of
+its successors shrank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from operator import attrgetter
 
-from .core import INF, Graph, Interval, Refinement, index_lists, interval_sum
+from .core import INF, Graph, Refinement, index_lists, interval_sum
 from .errors import ClassPreconditionError, WorkCapError
-
-_BOUNDS = attrgetter("min", "max")
 
 
 @dataclass(frozen=True)
@@ -301,28 +299,29 @@ def witness_exists_general(inst: RoutingInstance):
 
 @dataclass(frozen=True)
 class SimulationRelation:
-    """Pairs (g-node, h-node) with one witness per pair.
+    """Pairs (g-node, h-node), each the key of its one witness.
 
     A witness maps out-edge indexes of the g-node to out-edge indexes of the
     h-node (indexes into Graph.out of the respective node).
     """
 
-    pairs: frozenset
     witnesses: dict
 
+    @property
+    def pairs(self):
+        """The related pairs: a view of the witnesses' keys."""
+        return self.witnesses.keys()
+
     def domain(self):
-        return {n for n, _ in self.pairs}
+        return {n for n, _ in self.witnesses}
 
 
 def routing_instance(proj) -> RoutingInstance:
     """The flow-routing instance of a projected signature (see
-    _Simulation.projected): sink j is out-edge j of the h-node and source i
-    out-edge i of the g-node, with the sinks it may route to."""
+    _Simulation.projected), as it stands: sink j is out-edge j of the h-node
+    and source i out-edge i of the g-node, with the sinks it may route to."""
     sinks, sources = proj
-    return RoutingInstance(
-        tuple((Interval(*occ), js) for occ, js in sources),
-        tuple(Interval(*occ) for occ in sinks),
-    )
+    return RoutingInstance(sources, sinks)
 
 
 def find_witness(inst: RoutingInstance):
@@ -336,15 +335,15 @@ def find_witness(inst: RoutingInstance):
 class _Simulation(Refinement):
     """The greatest simulation in h as a refinement: each g-node's set is
     the h-nodes still related to it.  On a memo miss, each h-node m is
-    checked, in h.nodes order, by a witness search on the routing instance
-    that the out-signature projected onto m fixes (projected).  The search
-    is memoized on that projection."""
+    checked, in h.nodes order, by a witness search on the out-signature
+    projected onto m (projected), which holds the routing instance.  The
+    search is memoized on that projection."""
 
     def __init__(self, h: Graph):
         super().__init__(h.nodes)
-        # h-node -> (its out-edges' occurrences, label -> [(index in h.out(m), target)])
+        # h-node -> (its out-edges' intervals, label -> [(index in h.out(m), target)])
         self.h_out = {}
-        for m, o in zip(h.nodes, index_lists(h, _BOUNDS)[0]):
+        for m, o in zip(h.nodes, index_lists(h, lambda occ: occ)[0]):
             by_label = {}
             for j, (lab, _, t) in enumerate(o):
                 by_label.setdefault(lab, []).append((j, h.nodes[t]))
@@ -365,9 +364,10 @@ class _Simulation(Refinement):
         kept = []
         for m in self.order:
             proj = self.projected(m, sig)
-            if proj not in self.witnesses:
-                self.witnesses[proj] = find_witness(routing_instance(proj))
-            if self.witnesses[proj] is not None:
+            lam = self.witnesses.get(proj, False)  # a witness is a dict or None
+            if lam is False:
+                lam = self.witnesses[proj] = find_witness(routing_instance(proj))
+            if lam is not None:
                 kept.append(m)
         return frozenset(kept)
 
@@ -379,13 +379,13 @@ def max_simulation(g: Graph, h: Graph) -> SimulationRelation:
     that typing uses (core.Refinement): every g-node starts related to all
     of h, and a g-node is checked again only after the set of one of its
     successors shrank.  A check is memoized on the g-node's out-signature,
-    its out-edges in order as (label, occurrence, the target's set), and
+    its out-edges in order as (label, Interval, the target's set), and
     each witness search on that signature projected onto the h-node, which
-    fixes the routing instance, so one witness serves, index for index,
+    holds the routing instance, so one witness serves, index for index,
     every pair that routes alike.  The witness of (n, m) is the one found
     for m under n's final signature.
     """
-    out, inc = index_lists(g, _BOUNDS)
+    out, inc = index_lists(g, lambda occ: occ)
     sim = _Simulation(h)
     state = sim.fixpoint(out, inc)
     witnesses = {}
@@ -393,7 +393,7 @@ def max_simulation(g: Graph, h: Graph) -> SimulationRelation:
         sig = [(lab, occ, state[j]) for lab, occ, j in o]
         for m in sim.sets[own]:
             witnesses[(n, m)] = sim.witnesses[sim.projected(m, sig)]
-    return SimulationRelation(frozenset(witnesses), witnesses)
+    return SimulationRelation(witnesses)
 
 
 def embeds(g: Graph, h: Graph):
@@ -406,8 +406,6 @@ def verify_witness(g: Graph, h: Graph, sim: SimulationRelation) -> bool:
     """Check the three witness conditions for every pair, independently of
     how the witnesses were found."""
     for (n, m), lam in sim.witnesses.items():
-        if (n, m) not in sim.pairs:
-            return False
         g_out = g.out(n)
         h_out = h.out(m)
         if set(lam) != set(range(len(g_out))):
@@ -421,4 +419,4 @@ def verify_witness(g: Graph, h: Graph, sim: SimulationRelation) -> bool:
         for j, f in enumerate(h_out):
             if not interval_sum(inflow[j]).subset(f.occur):
                 return False
-    return sim.pairs == set(sim.witnesses)
+    return True

@@ -303,12 +303,12 @@ def to_boxes(e: Rbe) -> list | None:
     post_order: | is the union, , and & the pairwise sum and meet, and a
     repeat [n;m] of one box is its intervals times n when n = m, or [np;mq]
     when the box has at most one symbol, of interval [p;q] with p <= 1 (the
-    sums [kp;kq] of k copies then overlap).  A * or + of boxes that each
-    have at most one symbol, of interval [p;q] with p <= 1 <= q, is every
-    bag over those symbols: one box, all at [0;∞], or for a + whose boxes
-    all need their symbol, one box per symbol s, s at [1;∞] and the others
-    at [0;∞].  Any other repeat with a finite max is the union over k =
-    n..m of the sums of k boxes of its body, drawn with repetition.  None
+    sums [kp;kq] of k copies then overlap).  A * or + of boxes that hold
+    the unit bag of each of their symbols is every bag over those symbols:
+    one box, all at [0;∞], or for a + whose boxes all exclude the zero bag,
+    one box per symbol s, s at [1;∞] and the others at [0;∞].  Any other
+    repeat with a finite max is the union over k = n..m of the sums of k
+    boxes of its body, drawn with repetition.  None
     when e has no such form, or past BOX_CAP boxes in one sub-expression
     or BOX_CAP atoms built per sub-expression in all, charged before they
     are built, which keeps the work linear in the size of e."""
@@ -326,20 +326,22 @@ def to_boxes(e: Rbe) -> list | None:
             elif len(body) == 1 and (n == m or len(body[0]) < 2 and all(iv.min < 2 for iv in body[0].values())):
                 budget -= len(body[0])  # m = 0 gives ε, whatever the body's max
                 r = [{a: Interval(n * iv.min, m * iv.max) for a, iv in body[0].items() if m}]
-            elif m == INF and n < 2 and all(len(b) < 2 and all(iv.min < 2 for iv in b.values()) for b in body):
-                # Each box holds the bag of one copy of its symbol (no atom
-                # built here has max 0) or is ε, so every bag over the
-                # symbols is a sum of bags of the body: all of them under *,
-                # and under + the nonzero ones, or all again when a box
-                # holds the zero bag.
+            elif m == INF:
+                # When some box holds the unit bag of each symbol (that
+                # symbol at an interval holding 1, every other at min 0),
+                # every bag over the symbols is a sum of bags of the body:
+                # all of them under *, and under + the nonzero ones, or all
+                # again when a box holds the zero bag.
                 syms = list(dict.fromkeys(a for b in body for a in b))
+                units = {a for b in body for low in [sum(iv.min for iv in b.values())]
+                         for a, iv in b.items() if 1 in iv and iv.min == low}
+                if n > 1 or len(units) < len(syms):
+                    return None
                 if n == 0 or any(all(iv.min == 0 for iv in b.values()) for b in body):
                     r = [dict.fromkeys(syms, STAR)]
                 else:
                     budget -= len(syms) * len(syms)
                     r = [{a: PLUS if a == s else STAR for a in syms} for s in syms]
-            elif m == INF:
-                return None
             else:  # the sums of k boxes of the body, for k = n..m
                 width, count = max(map(len, body)), 0
                 for k in range(n, m + 1):

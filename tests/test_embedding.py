@@ -89,8 +89,8 @@ def projection(g, h, n, m, rel):
     definition: m's out-edge occurrences and, per out-edge of n, its
     occurrence and the same-label out-edges of m whose target rel relates
     to its target."""
-    return (tuple((f.occur.min, f.occur.max) for f in h.out(m)),
-            tuple(((e.occur.min, e.occur.max),
+    return (tuple(f.occur for f in h.out(m)),
+            tuple((e.occur,
                    tuple(j for j, f in enumerate(h.out(m))
                          if f.label == e.label and (e.target, f.target) in rel))
                   for e in g.out(n)))
@@ -311,29 +311,21 @@ class TestWorkedEmbedding:
         ok, _ = embeds(g, g)
         assert ok
 
-    def test_verify_witness_rejects_a_pair_without_witness(self):
-        g, h = chain_graph(), to_shape_graph(chain_schema())
-        _, sim = embeds(g, h)
-        assert verify_witness(g, h, sim) and ("n2", "t0") not in sim.pairs
-        extra = SimulationRelation(sim.pairs | {("n2", "t0")}, sim.witnesses)
-        assert not verify_witness(g, h, extra)
-
     def test_verify_witness_rejects_routing_through_a_dropped_pair(self):
         # (n0, t0) routes its a-edge onto t0 -> t1, so it needs (n1, t1).
         g, h = chain_graph(), to_shape_graph(chain_schema())
         _, sim = embeds(g, h)
         assert sim.witnesses[("n0", "t0")] == {0: 0} and ("n1", "t1") in sim.pairs
-        dropped = SimulationRelation(
-            sim.pairs - {("n1", "t1")},
-            {p: lam for p, lam in sim.witnesses.items() if p != ("n1", "t1")},
-        )
+        dropped = SimulationRelation({p: lam for p, lam in sim.witnesses.items() if p != ("n1", "t1")})
         assert not verify_witness(g, h, dropped)
 
     def test_verify_witness_rejects_a_witness_outside_the_pairs(self):
+        # The empty map of the stray pair (n2, t0) leaves t0's a-edge unfed.
         g, h = chain_graph(), to_shape_graph(chain_schema())
         _, sim = embeds(g, h)
-        stray = SimulationRelation(sim.pairs, {("n2", "t0"): {}, **sim.witnesses})
-        assert ("n2", "t0") not in sim.pairs
+        assert verify_witness(g, h, sim) and ("n2", "t0") not in sim.pairs
+        stray = SimulationRelation({("n2", "t0"): {}, **sim.witnesses})
+        assert ("n2", "t0") in stray.pairs
         assert not verify_witness(g, h, stray)
 
     def test_verify_witness_rejects_a_map_that_misses_an_out_edge(self):
@@ -341,13 +333,13 @@ class TestWorkedEmbedding:
         _, sim = embeds(g, h)
         assert sim.witnesses[("n0", "t0")] == {0: 0}
         partial = {p: {} if p == ("n0", "t0") else lam for p, lam in sim.witnesses.items()}
-        assert not verify_witness(g, h, SimulationRelation(sim.pairs, partial))
+        assert not verify_witness(g, h, SimulationRelation(partial))
 
     def test_verify_witness_rejects_an_interval_sum_beyond_the_edge(self):
         # Both a-edges of r routed onto one h-edge: their sum is [2;2].
         g = Graph(("r", "x", "y"), [Edge("r", "a", "x"), Edge("r", "a", "y")], kind="simple")
         witnesses = {("r", "R"): {0: 0, 1: 0}, ("x", "X"): {}, ("y", "X"): {}}
-        sim = SimulationRelation(frozenset(witnesses), witnesses)
+        sim = SimulationRelation(witnesses)
         for occur, ok in ((PLUS, True), (ONE, False)):
             h = Graph(("R", "X"), [Edge("R", "a", "X", occur)], kind="shape")
             assert verify_witness(g, h, sim) == ok
@@ -494,6 +486,27 @@ class TestSimulationProperties:
         # Per h-node, at most the literal's key and a user's key before and
         # after a drop at the literal.
         assert counts[0] == counts[1] <= len(h.nodes) * 3
+
+    def test_max_simulation_builds_no_interval(self, monkeypatch, bug_schema):
+        # The memo keys and routing instances hold the edges' own Intervals,
+        # so on graphs already built the simulation constructs none.
+        rng = random.Random(89)
+        pairs = [(bug_chain_graph(50, ring), to_shape_graph(bug_schema)) for ring in (False, True)]
+        pairs += [(random_shape_graph(rng, max_nodes=4), random_shape_graph(rng, max_nodes=4))
+                  for _ in range(60)]
+        built = [0]
+        post_init = Interval.__post_init__
+
+        def counting(self):
+            built[0] += 1
+            post_init(self)
+
+        monkeypatch.setattr(Interval, "__post_init__", counting)
+        sims = [max_simulation(g, h) for g, h in pairs]
+        assert built[0] == 0
+        monkeypatch.undo()
+        assert all(verify_witness(g, h, sim) for (g, h), sim in zip(pairs, sims))
+        assert ("bug0", "Bug") not in sims[0].pairs and ("user", "User") in sims[0].pairs
 
     def test_twin_nodes_equal_reference(self):
         rng = random.Random(83)

@@ -161,6 +161,15 @@ class TestBoxes:
         ("(a | a+)+", [(("a", PLUS),)]),
         ("(a^2 | b)*", None),  # a period of 2
         ("(a | b)^[2;inf]", None),
+        # A * or + of boxes of several symbols, when some box holds the unit
+        # bag of each symbol: that symbol at an interval holding 1, the
+        # others at min 0.
+        ("(a*, b*)*", [(("a", STAR), ("b", STAR))]),
+        ("(a?, b*)+", [(("a", STAR), ("b", STAR))]),  # the box holds the zero bag
+        ("(a, b* | b)+", [(("a", PLUS), ("b", STAR)), (("a", STAR), ("b", PLUS))]),
+        ("(a, b? | b, c? | c)*", [(("a", STAR), ("b", STAR), ("c", STAR))]),
+        ("(a, b | c)+", None),  # no box holds the unit bag of a or b
+        ("(a?, b | a, b?)^[2;inf]", None),
     ])
     def test_known_forms(self, text, boxes):
         assert to_boxes(parse_rbe(text)) == boxes
@@ -205,25 +214,32 @@ class TestBoxes:
                 assert box_vectors(boxes, symbols, 4) == rbe.parikh_vectors(e, symbols, (4,) * 3), rbe_to_text(e)
         assert 2000 < boxed < 3000
 
-    def test_star_and_plus_of_one_symbol_boxes(self):
-        # A * or + over a union of boxes of at most one symbol each, every
-        # interval [p;q] with p <= 1 <= q, folds to one box or one box per
-        # symbol; inside [0;4]^3 those hold exactly the Parikh vectors.
+    def test_star_and_plus_fold_when_every_unit_bag_is_a_box(self):
+        # A * or + over a union of boxes, each a concatenation of one to
+        # three atoms or ε, folds exactly when the body's language holds
+        # the unit bag of every symbol it uses (read off parikh_vectors);
+        # inside [0;4]^3 the fold holds exactly the Parikh vectors.
         rng = random.Random(43)
         symbols = ("a", "b", "c")
+        units = [tuple(int(a == s) for a in symbols) for s in symbols]
         intervals = [ONE, OPT, STAR, PLUS, Interval(0, 2), Interval(1, 3), Interval(0, 0), Interval(2, 3)]
-        folded = 0
-        for _ in range(1500):
-            parts = [EPSILON if rng.random() < 0.1 else rbe.atom(rng.choice(symbols), rng.choice(intervals))
+        folded = several = 0
+        for _ in range(2000):
+            parts = [EPSILON if rng.random() < 0.1 else
+                     rbe.concat_all([rbe.atom(a, rng.choice(intervals))
+                                     for a in rng.sample(symbols, rng.choice([1, 1, 2, 3]))])
                      for _ in range(rng.randint(2, 4))]
-            e = Repeat(rbe.disj_all(parts), rng.choice([STAR, PLUS]))
+            body = rbe.disj_all(parts)
+            e = Repeat(body, rng.choice([STAR, PLUS]))
             boxes = to_boxes(e)
-            foldable = all(not isinstance(p, Repeat) or p.interval.min < 2 for p in parts)
-            assert (boxes is not None) == foldable, rbe_to_text(e)
+            bags = rbe.parikh_vectors(body, symbols, (4,) * 3)
+            used = {i for v in bags for i, k in enumerate(v) if k}
+            assert (boxes is not None) == all(units[i] in bags for i in used), rbe_to_text(e)
             if boxes is not None:
                 folded += 1
+                several += any(len(b) > 1 for b in to_boxes(body))
                 assert box_vectors(boxes, symbols, 4) == rbe.parikh_vectors(e, symbols, (4,) * 3), rbe_to_text(e)
-        assert 500 < folded < 1500
+        assert 500 < folded < 2000 and several > 200
 
 
 class TestHashConsing:
