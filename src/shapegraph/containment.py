@@ -128,8 +128,9 @@ def characterizing_graph(h: Schema) -> Graph:
 
     The least-fixpoint reading of *-closure guarantees covering references
     never form a cycle, so the size demands converge.  Copy i of type t is
-    named t.i, as unpack names copies: type names are identifiers, so no
-    two copies share a name, and the graph's text parses back.
+    named t.i, the name unpack gives a copy where nothing collides: type
+    names are identifiers, with no dot, so no copy's name is a type's or
+    another copy's, and the graph's text parses back.
     """
     _require_minus(h, "input")
     g = to_shape_graph(h)

@@ -414,77 +414,57 @@ def unpack(f: Graph, max_nodes: int = DEFAULT_UNPACK_CAP):
     """Expand a compressed graph into a simple graph plus a copy map.
 
     Every copy of a node n has, for each edge (n,a,m,[k;k]), exactly k
-    outgoing a-edges to k distinct copies of m.  Copy counts follow the
-    incoming-cardinality product along the condensation; members of a
-    non-trivial strongly connected component all receive as many copies as
-    the largest incoming cardinality, wired round-robin (a copy may target
-    itself; a card-1 self-loop is a fixed point).  f is read through the
-    fixpoint's index lists (index_lists), and the components come from its
-    depth-first post-order (_post_order), as in
-    Kosaraju-Sharir: the in-edge closures of the nodes not yet placed,
-    taken in reverse post-order, are the components in topological order.
+    outgoing a-edges to k distinct copies of m.  Each node gets max(1, its
+    largest incoming cardinality) copies, so every edge finds enough
+    distinct target copies, and the edges into each (label, target) are
+    wired round-robin over the target's copies (a copy may target itself;
+    a card-1 self-loop is a fixed point).  That many copies suffice: a
+    node's types depend only on its out-edges, so every copy of n has n's
+    out-edges and n's types, however its in-edges are shared out.  f is
+    read through the fixpoint's index lists (index_lists).
+
+    A node with one copy keeps its name; otherwise copy i of n is named
+    n.i, with a _j suffix where n.i is already a name (x's copy x.0 and a
+    node x.0), so the names are distinct and the graph's text parses back.
 
     Returns (simple_graph, copy_map) where copy_map sends each new node
-    to the original it copies.
+    to the original it copies.  WorkCapError when that takes more than
+    max_nodes nodes.
     """
     if not f.is_compressed:
         raise GraphKindError("unpack requires a compressed graph")
 
     nodes = f.nodes
-    out, inc = index_lists(f, attrgetter("min"))
-    placed = [False] * len(nodes)
-    copies = [0] * len(nodes)
-    # Per node, over its in-edges from the components placed so far: the
-    # sum of cardinality times the source's copies, and the largest
-    # cardinality.  Components come in topological order, so a node's
-    # in-edges from other components are all counted when it is reached.
-    supply = [0] * len(nodes)
-    top = [0] * len(nodes)
-    total = 0
-    for root in reversed(_post_order(out)):
-        if placed[root]:
-            continue
-        placed[root] = True
-        comp = [root]
-        for m in comp:
-            for j in inc[m]:
-                if not placed[j]:
-                    placed[j] = True
-                    comp.append(j)
-        if len(comp) > 1 or any(j == root for _, _, j in out[root]):
-            members = set(comp)
-            k = max([1] + [top[m] for m in comp]
-                    + [c for m in comp for _, c, j in out[m] if j in members])
-        else:
-            k = max(1, supply[root])
-        total += k * len(comp)
-        if total > max_nodes:
-            raise WorkCapError(
-                f"unpacking needs more than {max_nodes} nodes ({total} so far)"
-            )
-        for m in comp:
-            copies[m] = k
-            for _, c, j in out[m]:
-                supply[j] += c * k
-                if c > top[j]:
-                    top[j] = c
+    out, _ = index_lists(f, attrgetter("min"))
+    copies = [1] * len(nodes)
+    for o in out:
+        for _, c, j in o:
+            if c > copies[j]:
+                copies[j] = c
+    total = sum(copies)
+    if total > max_nodes:
+        raise WorkCapError(f"unpacking needs {total} nodes, more than {max_nodes}")
 
-    names = [[n] if k == 1 else [f"{n}.{i}" for i in range(k)] for n, k in zip(nodes, copies)]
+    taken = set(nodes)
+
+    def fresh(name):
+        """name, or name_j for the least j making it a name not yet taken."""
+        free, j = name, 0
+        while free in taken:
+            j += 1
+            free = f"{name}_{j}"
+        taken.add(free)
+        return free
+
+    names = [[n] if k == 1 else [fresh(f"{n}.{i}") for i in range(k)] for n, k in zip(nodes, copies)]
     new_nodes = [m for ms in names for m in ms]
     copy_map = {m: n for n, ms in zip(nodes, names) for m in ms}
     new_edges = []
     cursor: dict[tuple, int] = {}
-    for n, ms, o in zip(nodes, names, out):
+    for ms, o in zip(names, out):
         for src in ms:
             for lab, k, j in o:
-                if k == 0:
-                    continue
                 targets = names[j]
-                if k > len(targets):
-                    raise WorkCapError(
-                        f"cardinality {k} on edge {n} {lab} {nodes[j]} exceeds "
-                        f"{len(targets)} available copies"
-                    )
                 c = cursor.get((lab, j), 0)
                 for x in range(k):
                     new_edges.append(Edge(src, lab, targets[(c + x) % len(targets)]))

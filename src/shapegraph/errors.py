@@ -23,8 +23,8 @@ class GraphKindError(ShapegraphError):
 
 class WorkCapError(ShapegraphError):
     """A cap ran out before the answer was known: a work cap of an exact
-    check, unpack's node cap or copies check, or the characterizing graph's
-    cohort bound.  The CLI reports it as an unknown verdict, exit 2."""
+    check, unpack's node cap, or the characterizing graph's cohort bound.
+    The CLI reports it as an unknown verdict, exit 2."""
 
 
 class AlphabetError(ShapegraphError):

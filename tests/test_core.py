@@ -23,6 +23,7 @@ from shapegraph import (
     max_typing,
     parse_graph,
     parse_interval_token,
+    parse_schema,
     serialize_graph,
     unpack,
     validates,
@@ -309,31 +310,9 @@ class TestRefinementOrder:
 
 
 def reference_copies(g):
-    """Copy counts of unpack, from the definition: a node on a cycle gets
-    the largest incoming cardinality of its component (the nodes it reaches
-    that reach it back), any other node the sum of cardinality times the
-    source's copies over its in-edges; at least 1 each."""
-    reach = {}
-    for n in g.nodes:
-        seen, todo = set(), [n]
-        while todo:
-            for e in g.out(todo.pop()):
-                if e.target not in seen:
-                    seen.add(e.target)
-                    todo.append(e.target)
-        reach[n] = seen
-    copies = {}
-
-    def count(n):
-        if n not in copies:
-            if n in reach[n]:
-                comp = [m for m in g.nodes if m in reach[n] and n in reach[m]]
-                copies[n] = max([1] + [e.occur.min for e in g.edges if e.target in comp])
-            else:
-                copies[n] = max(1, sum(e.occur.min * count(e.source) for e in g.edges if e.target == n))
-        return copies[n]
-
-    return {n: count(n) for n in g.nodes}
+    """Copy counts of unpack, from the definition: each node gets its
+    largest incoming cardinality, and at least 1."""
+    return {n: max([1] + [e.occur.min for e in g.edges if e.target == n]) for n in g.nodes}
 
 
 class TestUnpack:
@@ -354,9 +333,31 @@ class TestUnpack:
         assert len(targets) == 2  # two distinct copies of v
 
     def test_budget(self):
-        g = parse_graph("graph compressed\nu a v [30;30]\nv b w [30;30]\nw c x [30;30]\n")
-        with pytest.raises(WorkCapError):
+        g = parse_graph("graph compressed\nu a v [150;150]\n")
+        with pytest.raises(WorkCapError, match="151 nodes, more than 100"):
             unpack(g, max_nodes=100)
+
+    def test_chain_of_pairs_is_linear(self):
+        # Each node needs only as many copies as its largest incoming
+        # cardinality, whatever the copies of its sources: 2 per [2;2]
+        # edge, not 2**20 at the chain's end.
+        g = Graph((), [Edge(f"v{i}", "a", f"v{i + 1}", Interval(2, 2)) for i in range(20)],
+                  kind="compressed")
+        u, cmap = unpack(g)
+        assert u.is_simple and len(u.nodes) == 41 and len(u.edges) == 78
+        assert Counter(cmap.values()) == {"v0": 1, **{f"v{i}": 2 for i in range(1, 21)}}
+        assert all(len(u.out(m)) == (cmap[m] != "v20") * 2 for m in u.nodes)
+
+    def test_copy_names_avoid_node_names(self):
+        # x's two copies would be x.0 and x.1, but x.0 is a node of its own.
+        f = parse_graph("graph compressed\nr a x 2\nr c x.0\nx b y\n")
+        s = parse_schema("R -> a::X^2, c::Z\nX -> b::Y\nY -> eps\nZ -> eps\n")
+        u, cmap = unpack(f)
+        assert len(u.nodes) == len(cmap) == 5
+        assert Counter(cmap.values()) == {"r": 1, "x": 2, "x.0": 1, "y": 1}
+        assert cmap["x.0"] == "x.0" and cmap["x.1"] == "x"
+        assert validates(f, s) and validates(u, s)
+        assert parse_graph(serialize_graph(u)) == u
 
     def test_copy_counts_match_the_definition(self):
         rng = random.Random(19)
@@ -364,12 +365,12 @@ class TestUnpack:
         for _ in range(300):
             g = random_compressed_graph(rng, max_nodes=6, max_card=3, min_card=0)
             expected = reference_copies(g)
-            if sum(expected.values()) > 20:
+            if sum(expected.values()) > 10:
                 with pytest.raises(WorkCapError):
-                    unpack(g, max_nodes=20)
+                    unpack(g, max_nodes=10)
                 raised += 1
                 continue
-            _, cmap = unpack(g, max_nodes=20)
+            _, cmap = unpack(g, max_nodes=10)
             assert Counter(cmap.values()) == expected
         assert 0 < raised < 300
 

@@ -491,6 +491,21 @@ class TestCompressed:
             s = random_non_flat_schema(rng)
             assert validates(f, s) == validates(unpack(f)[0], s)
 
+    def test_copies_keep_their_originals_types(self):
+        # A node's types depend only on its out-edges, and every copy has
+        # its original's, so it has its original's types too: on cycles,
+        # over [0;0] edges, under flat and non-flat rules.
+        rng = random.Random(41)
+        typed_copies = 0
+        for _ in range(80):
+            f = random_compressed_with_zero_edges(rng)
+            u, cmap = unpack(f)
+            for s in (random_rbe0_schema(rng), random_non_flat_schema(rng)):
+                tu, tf = max_typing(u, s), max_typing(f, s)
+                assert all(tu[m] == tf[cmap[m]] for m in u.nodes)
+                typed_copies += sum(1 for m in u.nodes if m != cmap[m] and tu[m])
+        assert typed_copies >= 20
+
     def test_zero_cardinality_edge_is_epsilon(self):
         g = Graph(("x", "y"), [Edge("x", "a", "y", Interval(0, 0))], kind="compressed")
         s = parse_schema("t -> eps\n")
