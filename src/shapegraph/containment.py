@@ -16,7 +16,7 @@ from .errors import ClassPreconditionError, WorkCapError
 from . import rbe as _rbe
 from . import validation as _val
 from .embedding import embeds
-from .schema import Schema, SchemaClass, classify, star_closed_references, to_shape_graph
+from .schema import Schema, SchemaClass, classify, star_closed_references
 
 
 # --- Verdicts ---------------------------------------------------------------
@@ -50,25 +50,6 @@ class Budget:
             raise ValueError("budget timeout must be positive")
 
 
-# --- Embedding-based containment --------------------------------------------
-
-
-def _require_minus(s: Schema, side: str):
-    cls, diags = classify(s)
-    if cls != SchemaClass.DetShEx0Minus:
-        detail = f": {diags[0]}" if diags else ""
-        raise ClassPreconditionError(f"{side} schema classifies as {cls.name}{detail}")
-
-
-def contains_detshex0minus(h: Schema, k: Schema) -> bool:
-    """H ⊆ K decided as shape-graph embedding; both schemas must classify as
-    deterministic with ?-closed references."""
-    _require_minus(h, "left")
-    _require_minus(k, "right")
-    ok, _ = embeds(to_shape_graph(h), to_shape_graph(k))
-    return ok
-
-
 # --- Kinds and fusing --------------------------------------------------------
 
 
@@ -80,8 +61,7 @@ class Kind:
 
 def kinds(g: Graph, h: Schema, k: Schema) -> dict:
     """Per node, the pair of maximal type sets against the two schemas."""
-    th = _val.max_typing(g, h)
-    tk = _val.max_typing(g, k)
+    th, tk = _val.max_typing(g, h), _val.max_typing(g, k)
     return {n: Kind(th[n], tk[n]) for n in g.nodes}
 
 
@@ -132,8 +112,10 @@ def characterizing_graph(h: Schema) -> Graph:
     names are identifiers, with no dot, so no copy's name is a type's or
     another copy's, and the graph's text parses back.
     """
-    _require_minus(h, "input")
-    g = to_shape_graph(h)
+    return _characterizing_graph(_minus_shape_graph(h, "input"))
+
+
+def _characterizing_graph(g: Graph) -> Graph:
     closed = star_closed_references(g)
     out_edges = {t: [] for t in g.nodes}  # (index in g.edges, edge) per source
     refs_to = {t: [] for t in g.nodes}
@@ -150,12 +132,9 @@ def characterizing_graph(h: Schema) -> Graph:
     # and each cohort's size: a closed non-* reference to a covered type
     # covers its source, whose cohort must be at least as large.
     covered = {t for t in g.nodes if opt_edges[t]}
-    size = {
-        t: max(1 + len(opt_edges[t]), 2 if star_referenced[t] else 1) for t in g.nodes
-    }
-    total_opts = sum(len(v) for v in opt_edges.values())
-    total_stars = sum(1 for e in g.edges if e.occur == STAR)
-    bound = len(g.nodes) * (2 + total_opts) * (1 + total_stars)
+    size = {t: max(1 + len(opt_edges[t]), 2 if star_referenced[t] else 1) for t in g.nodes}
+    stars = sum(1 for e in g.edges if e.occur == STAR)
+    bound = len(g.nodes) * (2 + sum(map(len, opt_edges.values()))) * (1 + stars)
     changed = True
     while changed:
         changed = False
@@ -169,28 +148,23 @@ def characterizing_graph(h: Schema) -> Graph:
         if sum(size.values()) > bound:
             raise WorkCapError("characterizing cohort sizes exceed the polynomial bound")
 
-    def copy_name(t, i):
-        return f"{t}.{i}"
-
-    nodes = [copy_name(t, i) for t in g.nodes for i in range(size[t])]
+    nodes = [f"{t}.{i}" for t in g.nodes for i in range(size[t])]
     edges = []
     for t in g.nodes:
         for i in range(size[t]):
             for index, e in out_edges[t]:
                 if e.occur == STAR:
                     for j in range(size[e.target]):
-                        edges.append(Edge(copy_name(t, i), e.label, copy_name(e.target, j)))
+                        edges.append(Edge(f"{t}.{i}", e.label, f"{e.target}.{j}"))
                     continue
                 if omitted_by.get(index) == i:
                     continue
+                j = 0
                 if e.target in covered and closed[index]:
-                    # Rank of this copy among the cohort copies emitting e:
-                    # the copies before it but the one omitting e.
-                    rank = i - (omitted_by.get(index, i) < i)
-                    j = rank % size[e.target]
-                else:
-                    j = 0
-                edges.append(Edge(copy_name(t, i), e.label, copy_name(e.target, j)))
+                    # Rank of this copy among the cohort copies emitting e
+                    # (the copies before it but the one omitting e).
+                    j = (i - (omitted_by.get(index, i) < i)) % size[e.target]
+                edges.append(Edge(f"{t}.{i}", e.label, f"{e.target}.{j}"))
     return Graph(nodes, edges, kind="simple")
 
 
@@ -244,41 +218,28 @@ def _candidate_graph(names, out):
 def canonical_code(g: Graph):
     """Isomorphism-invariant code: color refinement, then the minimum edge
     list over node orders consistent with the refined cells."""
-    nodes = g.nodes
-    index = g.index
+    nodes, index = range(len(g.nodes)), g.index
     edges = [(index[e.source], e.label, index[e.target], (e.occur.min, e.occur.max)) for e in g.edges]
-    colors = {
-        i: (
-            tuple(sorted((lab, card) for a, lab, b, card in edges if a == i)),
-            tuple(sorted((lab, card) for a, lab, b, card in edges if b == i)),
-        )
-        for i in range(len(nodes))
-    }
-    for _ in range(len(nodes)):
-        nxt = {}
-        for i in range(len(nodes)):
-            nxt[i] = (
-                colors[i],
+    colors = [(tuple(sorted((lab, card) for a, lab, b, card in edges if a == i)),
+               tuple(sorted((lab, card) for a, lab, b, card in edges if b == i))) for i in nodes]
+    for _ in nodes:
+        nxt = [(colors[i],
                 tuple(sorted((lab, card, colors[b]) for a, lab, b, card in edges if a == i)),
-                tuple(sorted((lab, card, colors[a]) for a, lab, b, card in edges if b == i)),
-            )
-        if len(set(nxt.values())) == len(set(colors.values())):
-            colors = nxt
-            break
+                tuple(sorted((lab, card, colors[a]) for a, lab, b, card in edges if b == i))) for i in nodes]
+        stable = len(set(nxt)) == len(set(colors))
         colors = nxt
+        if stable:
+            break
     cells: dict = {}
-    for i in range(len(nodes)):
+    for i in nodes:
         cells.setdefault(colors[i], []).append(i)
-    ordered_cells = [cells[c] for c in sorted(cells, key=repr)]
 
-    best = None
-    for perm_parts in product(*[permutations(cell) for cell in ordered_cells]):
-        order = [i for part in perm_parts for i in part]
+    def code(parts):
+        order = [i for part in parts for i in part]
         pos = {i: p for p, i in enumerate(order)}
-        code = tuple(sorted((pos[a], lab, pos[b], card) for a, lab, b, card in edges))
-        if best is None or code < best:
-            best = code
-    return (len(nodes), best)
+        return tuple(sorted((pos[a], lab, pos[b], card) for a, lab, b, card in edges))
+
+    return (len(nodes), min(map(code, product(*[permutations(cells[c]) for c in sorted(cells, key=repr)]))))
 
 
 def _compositions(h: Schema, n_nodes: int, max_card: int, cache: dict, timed_out=lambda: False):
@@ -289,12 +250,11 @@ def _compositions(h: Schema, n_nodes: int, max_card: int, cache: dict, timed_out
     h.types order.  specs[t] lists the out-specs a node of type t can take:
     an out-bag from L(δ(t)) realized as edges with cardinalities up to
     max_card, each a tuple of (label, k, target index) sorted on (label, k),
-    as core.Refinement.fixpoint takes them.  A spec list depends only on
-    the type and the node range of each of its symbols' target types, so
-    cache keeps it under ("specs", type, those ranges) across compositions
-    and calls with the same max_card, next to _bags_matching under ("bags",
-    type, caps).  Stops between two specs once timed_out(); a list cut
-    short is not cached."""
+    as core.Refinement.fixpoint takes them.  cache keeps each spec list
+    under ("specs", type, the node range of each symbol's target type),
+    all it depends on, for compositions and calls with the same max_card,
+    and _bags_matching under ("bags", type, caps).  Stops between two specs
+    once timed_out(); a list cut short is not cached."""
     types = h.types
     none = range(0)
     edges: dict = {}  # one copy of each edge tuple, shared by the specs that hold it
@@ -359,17 +319,18 @@ def _hits(typer, targets_of, specs, timed_out):
     """(picks, out) for every candidate of one composition that leaves a
     node untyped by typer: picks holds each type's pick of specs in
     targets_of order, and out is the candidate's out-lists.  One
-    depth-first walk over the levels (_levels, or the types in targets_of
-    order when they reference each other in a cycle), with a stack of each
-    level's picks drawn lazily; stops early once timed_out().  The typing
-    of each level is described in find_counterexample.
-
-    A typed level's subtree depends only on its state: its depth and the
-    set ids of its watched nodes (_levels).  Each state whose subtree
-    yielded no hit is recorded, and a pick that leads into a recorded state
-    is passed over, without typing the level below it.  The table lives
-    for one composition.  The cyclic case has no levels and no states: it
-    types every candidate by its own fixpoint and builds in-lists for it."""
+    depth-first walk over the levels (_levels), with a stack of each
+    level's picks drawn lazily; stops early once timed_out().  A level is
+    typed on entry, each spec once against its targets' type sets, which
+    the earlier levels have settled, so this is the greatest fixpoint.
+    Below a pick that leaves a node untyped nothing is typed, and every
+    candidate is a hit; otherwise the last level draws only the picks that
+    hold an untyped spec.  A typed level's subtree depends only on its
+    state, its depth and the set ids of its watched nodes: a state whose
+    subtree yielded no hit is recorded for the composition, and not
+    entered again.  When the types reference each other in a cycle there
+    are no levels and no states: every candidate is typed by its own
+    fixpoint (core.Refinement.fixpoint), with in-lists built for it."""
     sets = typer.sets
     levels = _levels(targets_of, specs)
     cyclic = levels is None
@@ -445,48 +406,32 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
     Candidates are built from h's compositions and out-specs
     (_compositions), so every one validates h by construction.  Node
     counts are searched smallest first, and that alone roots every hit
-    reported at a node k leaves untyped, with no connectivity test.  Take
-    a hit W and a node x of it that k leaves untyped.  The nodes x
-    reaches keep their out-specs, since all their targets stay inside, so
-    they validate h, and x stays untyped, since a node's k-types depend
-    only on what it reaches.  Renumbered in order, they form a candidate
-    of their own node count: dropping the all-zero target slots keeps the
-    lexicographic order of bags and distributions, so each type's picks
-    stay non-decreasing.  That candidate is a hit that re-verifies, so the
-    search returns at its node count, before W's unless it is all of W.
+    reported at a node k leaves untyped, with no connectivity test: in a
+    hit W, the nodes that a node x untyped by k reaches keep their
+    out-specs and so validate h, and x stays untyped, since its k-types
+    depend only on what it reaches.  Renumbered in order, they form a
+    candidate (dropping all-zero target slots keeps the lexicographic order
+    of bags and distributions), a hit of their own node count, which the
+    search reports before W's unless it is all of W.
 
-    Note the one-type-per-node generation: graphs needing a node to be read
-    under different types by different referers are not enumerated.  Within
-    this space the search is exhaustive and the reported witness has minimal
-    node count.
+    Each node has one type of h: graphs needing a node to be read under
+    different types by different referers are not enumerated.  Within this
+    space the search is exhaustive and the witness has minimal node count.
 
-    Candidates are typed against k through the memo of one
-    validation.Typer shared by the whole search, by out-spec rather than by
-    candidate (_hits).  In each composition the types become levels,
-    ordered so that each spec targets only earlier levels, and one
-    depth-first walk draws each level's picks lazily.  A level is typed
-    when the walk enters it, once per pick of the earlier levels: each spec
-    once, against its targets' type sets, which the earlier levels have
-    already settled, so this is the greatest fixpoint.  A memo miss is
-    decided from the spec's out-signature alone, with no Graph.  Below a
-    pick that leaves a node untyped nothing is typed, and every candidate
-    is a hit; otherwise the last level draws only the picks that hold an
-    untyped spec.  A typed level state whose subtree yielded no hit is not
-    walked again (_hits), and each spec list is built once per type and
-    target ranges (_compositions).  When types reference each other in a
-    cycle there are no levels to type: the walk draws every pick of every
-    type, and each candidate is typed by the fixpoint
-    (core.Refinement.fixpoint); neither the level states nor the typer's
-    per-definition sharing shrinks that count of candidates.  One Graph is
-    built per hit.  The hits of the least node count are re-verified with
-    validation.validates in (total cardinality, canonical_code, rank)
+    Candidates are typed against k by out-spec, through the memo of one
+    validation.Typer for the whole search (_hits), and one Graph is built
+    per hit.  The hits of the least node count are re-verified, by that
+    Typer and one for h, in (total cardinality, canonical_code, rank)
     order, the rank being the composition's index and the picks in h.types
-    order, and the first that passes is reported.  canonical_code is
-    computed only within a group of two or more hits of equal total
-    cardinality, the only place where it decides the order.
-    """
+    order; the first that passes is reported.  canonical_code is computed
+    only to order two or more hits of equal total cardinality."""
+    return _find_counterexample(_Context(h, k, budget))
+
+
+def _find_counterexample(ctx: _Context):
+    h, budget = ctx.h, ctx.budget
     start = time.monotonic()
-    typer = _val.Typer(k)
+    typer = ctx.typer(ctx.k)
     cache = {}  # _compositions' bags and spec lists, shared by every node count
 
     def timed_out():
@@ -507,42 +452,97 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
             if len(group) > 1:
                 group.sort(key=lambda hit: (canonical_code(hit[2]), hit[1]))
             for *_, g in group:
-                if _val.validates(g, h) and not _val.validates(g, k):
+                if ctx.refutes(g):
                     return NotContained(g)
         if timed_out():
             return Unknown("timeout before exhausting the budget")
-    return Unknown(
-        f"no counter-example with <= {budget.max_nodes} nodes and cardinalities <= {budget.max_card}"
-    )
+    return Unknown(f"no counter-example with <= {budget.max_nodes} nodes"
+                   f" and cardinalities <= {budget.max_card}")
 
 
-# --- Front-door decision ------------------------------------------------------
+# --- Front-door decision: ordered stages over one call's context ------------
+
+
+class _Context:
+    """One containment call: its schemas and budget, whether the embedding
+    stage refuted containment, and one validation.Typer per schema, made on
+    first use, whose memo serves the search and every re-verification."""
+
+    def __init__(self, h: Schema, k: Schema, budget: Budget = Budget()):
+        self.h, self.k, self.budget, self.refuted = h, k, budget, False
+        self._typers: dict = {}  # id of a schema -> its Typer
+
+    def typer(self, s: Schema) -> _val.Typer:
+        if id(s) not in self._typers:
+            self._typers[id(s)] = _val.Typer(s)
+        return self._typers[id(s)]
+
+    def refutes(self, g: Graph) -> bool:
+        """g validates h and not k, as validation.validates decides."""
+        return all(self.typer(self.h).typing(g).values()) and not all(self.typer(self.k).typing(g).values())
+
+
+def _minus_shape_graph(s: Schema, side: str) -> Graph:
+    """s's shape graph (classify's); ClassPreconditionError naming side unless s is DetShEx0Minus."""
+    cls, diags = classify(s)
+    if cls != SchemaClass.DetShEx0Minus:
+        detail = f": {diags[0]}" if diags else ""
+        raise ClassPreconditionError(f"{side} schema classifies as {cls.name}{detail}")
+    return s._shape_graph
+
+
+def contains_detshex0minus(h: Schema, k: Schema) -> bool:
+    """H ⊆ K decided as shape-graph embedding; both schemas must classify as
+    deterministic with ?-closed references."""
+    ok, _ = embeds(_minus_shape_graph(h, "left"), _minus_shape_graph(k, "right"))
+    return ok
+
+
+def _embedding(ctx: _Context):
+    ctx.refuted = not contains_detshex0minus(ctx.h, ctx.k)
+    return None if ctx.refuted else Contained()
+
+
+def _embedding_in_class(ctx: _Context):
+    try:
+        return _embedding(ctx)
+    except ClassPreconditionError:
+        return None
+
+
+def _characterizing_witness(ctx: _Context):
+    witness = _characterizing_graph(ctx.h._shape_graph) if ctx.refuted else None
+    return NotContained(witness) if witness is not None and ctx.refutes(witness) else None
+
+
+def _search(ctx: _Context):
+    verdict = _find_counterexample(ctx)
+    if ctx.refuted and not isinstance(verdict, NotContained):
+        return Unknown("embedding refuted containment but no witness materialized")
+    return verdict
+
+
+_STAGES = {  # each method's stages, in the order contains runs them
+    "auto": (_embedding_in_class, _characterizing_witness, _search),
+    "embedding": (_embedding, _characterizing_witness, _search),
+    "search": (_search,),
+}
 
 
 def contains(h: Schema, k: Schema, method: str = "auto", budget: Budget = Budget()):
-    """Containment verdict; method 'embedding' requires both schemas in the
-    deterministic ?-closed class, 'search' runs the bounded enumeration
-    (never Contained), 'auto' picks embedding exactly when both classify
-    into that class: it falls back to the search on the class check of
-    contains_detshex0minus.  When the embedding refutes containment,
-    characterizing_graph classifies h again and rebuilds its shape graph
-    to build the witness."""
-    if method not in ("auto", "embedding", "search"):
+    """Containment verdict: the first answer of method's stages, run in
+    order over one _Context, so that each schema is classified, has its
+    shape graph built and gets its Typer at most once per call:
+      1. embedding (contains_detshex0minus), for schemas that both classify
+         as DetShEx0Minus; 'auto' passes over others, 'embedding' raises;
+      2. after a refuted embedding, h's characterizing graph as witness;
+      3. the bounded search (find_counterexample), never Contained; after a
+         refuted embedding, Unknown unless it finds a witness.
+    'search' runs the third stage alone."""
+    if method not in _STAGES:
         raise ValueError(f"unknown method {method!r}")
-    if method == "search":
-        return find_counterexample(h, k, budget)
-    try:
-        contained = contains_detshex0minus(h, k)
-    except ClassPreconditionError:
-        if method == "embedding":
-            raise
-        return find_counterexample(h, k, budget)
-    if contained:
-        return Contained()
-    witness = characterizing_graph(h)
-    if _val.validates(witness, h) and not _val.validates(witness, k):
-        return NotContained(witness)
-    fallback = find_counterexample(h, k, budget)
-    if isinstance(fallback, NotContained):
-        return fallback
-    return Unknown("embedding refuted containment but no witness materialized")
+    ctx = _Context(h, k, budget)
+    for stage in _STAGES[method]:
+        verdict = stage(ctx)
+        if verdict is not None:
+            return verdict

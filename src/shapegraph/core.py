@@ -9,7 +9,7 @@ provided for all of them.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter, deque, namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import attrgetter
@@ -19,20 +19,20 @@ from .errors import GraphKindError, ParseError, WorkCapError
 INF = math.inf
 
 
-@dataclass(frozen=True, order=False)
-class Interval:
-    """Occurrence interval [min;max] over naturals, max possibly infinite."""
+class Interval(namedtuple("Interval", "min max")):
+    """Occurrence interval [min;max] over naturals, max possibly infinite:
+    a (min, max) tuple, so the memo keys that hold one hash it in C."""
 
-    min: int
-    max: int | float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.min, int) or self.min < 0:
-            raise ValueError(f"interval lower bound must be a natural, got {self.min!r}")
-        if self.max != INF and (not isinstance(self.max, int) or self.max < 0):
-            raise ValueError(f"interval upper bound must be a natural or INF, got {self.max!r}")
-        if self.min > self.max:
-            raise ValueError(f"empty interval [{self.min};{self.max}]")
+    def __new__(cls, min: int, max: int | float):
+        if not isinstance(min, int) or min < 0:
+            raise ValueError(f"interval lower bound must be a natural, got {min!r}")
+        if max != INF and (not isinstance(max, int) or max < 0):
+            raise ValueError(f"interval upper bound must be a natural or INF, got {max!r}")
+        if min > max:
+            raise ValueError(f"empty interval [{min};{max}]")
+        return tuple.__new__(cls, (min, max))
 
     def __contains__(self, k: int) -> bool:
         return self.min <= k <= self.max
@@ -47,9 +47,7 @@ class Interval:
         return self.min == self.max and self.max != INF
 
     def __add__(self, other: "Interval") -> "Interval":
-        lo = self.min + other.min
-        hi = INF if INF in (self.max, other.max) else self.max + other.max
-        return Interval(lo, hi)
+        return Interval(self.min + other.min, self.max + other.max)  # INF + n is INF
 
     def subset(self, other: "Interval") -> bool:
         return other.min <= self.min and self.max <= other.max
@@ -73,10 +71,7 @@ ZERO = Interval(0, 0)
 
 def interval_sum(intervals) -> Interval:
     """Fold of pointwise addition; the empty fold is [0;0]."""
-    acc = ZERO
-    for i in intervals:
-        acc = acc + i
-    return acc
+    return sum(intervals, ZERO)
 
 
 _SHORTHAND = {"1": ONE, "?": OPT, "+": PLUS, "*": STAR}

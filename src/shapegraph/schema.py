@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
+from functools import cached_property
 
 from .core import OPT, PLUS, STAR, Edge, Graph
 from .errors import ClassPreconditionError, ParseError
@@ -92,6 +93,10 @@ class Schema:
                 boxes += map(Box, forms)
         bare = bool(rest) or any(not any(lo for lo, _ in box.bounds) for box in boxes)
         return atoms, symbols, (tuple(boxes), tuple(rest)), bare
+
+    @cached_property
+    def _shape_graph(self) -> Graph:  # built once: classify and containment read it
+        return to_shape_graph(self)
 
     def __eq__(self, other):
         return isinstance(other, Schema) and self.defs == other.defs
@@ -223,7 +228,7 @@ def classify(s: Schema):
     if not flat:
         return SchemaClass.ShEx, diagnostics
 
-    g = to_shape_graph(s)
+    g = s._shape_graph
     deterministic = True
     for n in g.nodes:
         counts = Counter(e.label for e in g.out(n))

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from shapegraph import containment, rbe, validation
+from shapegraph import containment, rbe, schema, validation
 
 from shapegraph import (
     Budget,
@@ -93,6 +93,60 @@ class TestEmbeddingDecision:
         v = contains(k, h, method="embedding")
         assert isinstance(v, NotContained)
         assert validates(v.witness, k) and not validates(v.witness, h)
+
+
+class TestOneContextPerCall:
+    """contains derives each schema at most once per call: one classify
+    call, one shape graph and one Typer per schema, whichever stages run."""
+
+    A = "t -> a::u*\nu -> eps\n"
+    B = "t -> b::u*\nu -> eps\n"
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = Counter()
+
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # Every shape graph is built by schema.to_shape_graph: containment
+        # has no name of its own for it.
+        assert not hasattr(containment, "to_shape_graph")
+        monkeypatch.setattr(containment, "classify", counting("classify", containment.classify))
+        monkeypatch.setattr(schema, "to_shape_graph", counting("shape graphs", schema.to_shape_graph))
+        monkeypatch.setattr(validation.Typer, "__init__", counting("typers", validation.Typer.__init__))
+        return counts
+
+    def test_refuted_embedding(self, counts):
+        # Embedding, then the characterizing graph as witness.
+        v = contains(parse_schema(self.A), parse_schema(self.B))
+        assert isinstance(v, NotContained)
+        assert counts == {"classify": 2, "shape graphs": 2, "typers": 2}
+
+    def test_embedding_decides(self, counts):
+        v = contains(parse_schema(BUG_SCHEMA_TEXT), parse_schema(BUG_SCHEMA_TEXT))
+        assert isinstance(v, Contained)
+        assert counts == {"classify": 2, "shape graphs": 2}
+
+    def test_search(self, counts):
+        v = contains(parse_schema(self.A), parse_schema(self.B), method="search")
+        assert isinstance(v, NotContained)
+        assert counts == {"typers": 2}
+
+    def test_search_outside_the_class(self, counts):
+        h, k = exponential_family(1)
+        v = contains(h, k, budget=Budget(6, 1, None))
+        assert isinstance(v, NotContained)
+        assert counts["typers"] == 2 and counts["classify"] <= 2
+
+    def test_entry_points_classify_each_schema_once(self, counts):
+        h, k = parse_schema(self.A), parse_schema(self.B)
+        assert not contains_detshex0minus(h, k)
+        characterizing_graph(h)
+        assert counts == {"classify": 3, "shape graphs": 2}
 
 
 class TestCharacterizingGraph:
@@ -229,14 +283,16 @@ class TestCounterexampleSearch:
     def test_many_types_do_not_deepen_recursion(self, monkeypatch):
         # One composition part per h-type: a generator nested once per part
         # would pass Python's recursion limit here.
+        # Re-verification types the graph with the search's Typers; the
+        # search itself types specs through the memo and never calls typing.
         calls = []
-        checked = validation.validates
+        typing = validation.Typer.typing
 
-        def counting_validates(g, s):
-            calls.append(s)
-            return checked(g, s)
+        def counting_typing(typer, g):
+            calls.append(typer.s)
+            return typing(typer, g)
 
-        monkeypatch.setattr(validation, "validates", counting_validates)
+        monkeypatch.setattr(validation.Typer, "typing", counting_typing)
         h = parse_schema("".join(f"t{i} -> eps\n" for i in range(1100)))
         k = parse_schema("u -> a::u\n")
         v = contains(h, k, method="search", budget=Budget(max_nodes=1, max_card=1, timeout=None))

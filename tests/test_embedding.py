@@ -495,13 +495,13 @@ class TestSimulationProperties:
         pairs += [(random_shape_graph(rng, max_nodes=4), random_shape_graph(rng, max_nodes=4))
                   for _ in range(60)]
         built = [0]
-        post_init = Interval.__post_init__
+        new = Interval.__new__
 
-        def counting(self):
+        def counting(cls, *args):
             built[0] += 1
-            post_init(self)
+            return new(cls, *args)
 
-        monkeypatch.setattr(Interval, "__post_init__", counting)
+        monkeypatch.setattr(Interval, "__new__", counting)
         sims = [max_simulation(g, h) for g, h in pairs]
         assert built[0] == 0
         monkeypatch.undo()

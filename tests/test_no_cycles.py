@@ -38,6 +38,7 @@ CALLS = {
     "embeds-sat": lambda: embeds(*sat_embedding_instance(normalize_cnf(CnfFormula(2, ((1, 2), (-1, 2), (1, -2)))))),
     "contains-embedding": lambda: contains(*_schemas(BUG_SCHEMA_TEXT, BUG_SCHEMA_TEXT), method="embedding"),
     "contains-search": lambda: contains(*_schemas(A, B), method="search"),
+    "contains-refuted-embedding": lambda: contains(*_schemas(A, B)),
     "contains-search-unknown": lambda: contains(*_schemas(CHAIN_SCHEMA_TEXT, CHAIN_SCHEMA_TEXT),
                                                 budget=Budget(max_nodes=2, max_card=1)),
     "find_counterexample": lambda: find_counterexample(*exponential_family(1)),
