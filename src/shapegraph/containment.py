@@ -411,8 +411,8 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
     out-specs and so validate h, and x stays untyped, since its k-types
     depend only on what it reaches.  Renumbered in order, they form a
     candidate (dropping all-zero target slots keeps the lexicographic order
-    of bags and distributions), a hit of their own node count, which the
-    search reports before W's unless it is all of W.
+    of bags and distributions), a hit that re-verifies, so the search
+    returns at its node count, before W's unless it is all of W.
 
     Each node has one type of h: graphs needing a node to be read under
     different types by different referers are not enumerated.  Within this

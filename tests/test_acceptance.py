@@ -215,9 +215,9 @@ def test_sat_reduction_fidelity():
 
 @pytest.fixture(scope="module")
 def dnf_verdicts():
-    """(v, clauses, h, k, verdict) for each DNF instance searched: every
-    one- and two-clause DNF over v = 1..3 variables (40 of the pairs, drawn
-    at random), and one tautology per v."""
+    """(v, clauses, h, k, verdict) for each DNF instance searched: for v =
+    1..3 variables, every one-clause DNF, 40 two-clause ones drawn at
+    random, and one tautology."""
     rng = random.Random(115)
     verdicts = []
     for v in (1, 2, 3):

@@ -32,7 +32,7 @@ EXPRESSIONS = ["(a | b)*, (c, a)^[1;3] | b?", "a^[2;4], b+ | eps", "(a, b)* | c?
 # but in no type name, digits, occurrence marks and separators.
 CLASSES = ["cdnz", "0123456789", "*+?", ",|"]
 ALPHABET = "".join(CLASSES) + "abtuxy:;()[]^-> #\n"
-CAPS = ["--max-nodes", "3", "--max-card", "2"]
+CAPS = ["--max-nodes", "2", "--max-card", "2"]
 RUNS = 300
 
 
