@@ -464,9 +464,8 @@ def _find_counterexample(ctx: _Context):
 
 
 class _Context:
-    """One containment call: its schemas and budget, whether the embedding
-    stage refuted containment, and one validation.Typer per schema, made on
-    first use, whose memo serves the search and every re-verification."""
+    """One containment call: h, k, the budget, whether embedding refuted
+    containment, and one validation.Typer per schema, made on first use."""
 
     def __init__(self, h: Schema, k: Schema, budget: Budget = Budget()):
         self.h, self.k, self.budget, self.refuted = h, k, budget, False
@@ -533,12 +532,13 @@ def contains(h: Schema, k: Schema, method: str = "auto", budget: Budget = Budget
     """Containment verdict: the first answer of method's stages, run in
     order over one _Context, so that each schema is classified, has its
     shape graph built and gets its Typer at most once per call:
-      1. embedding (contains_detshex0minus), for schemas that both classify
-         as DetShEx0Minus; 'auto' passes over others, 'embedding' raises;
+      1. embedding (contains_detshex0minus): Contained iff h's shape graph
+         embeds in k's; outside DetShEx0Minus, 'auto' skips this stage and
+         'embedding' raises ClassPreconditionError;
       2. after a refuted embedding, h's characterizing graph as witness;
-      3. the bounded search (find_counterexample), never Contained; after a
-         refuted embedding, Unknown unless it finds a witness.
-    'search' runs the third stage alone."""
+      3. the bounded search (find_counterexample; 'search' runs it alone),
+         never Contained, and Unknown after a refuted embedding unless it
+         finds a witness."""
     if method not in _STAGES:
         raise ValueError(f"unknown method {method!r}")
     ctx = _Context(h, k, budget)
