@@ -12,11 +12,11 @@ from itertools import accumulate, combinations_with_replacement, groupby, permut
 from operator import itemgetter
 
 from .core import ONE, OPT, STAR, Edge, Graph, Interval
-from .errors import ClassPreconditionError, WorkCapError
+from .errors import ClassPreconditionError
 from . import rbe as _rbe
 from . import validation as _val
 from .embedding import embeds
-from .schema import Schema, SchemaClass, classify, star_closed_references
+from .schema import Schema, SchemaClass, _references, classify, star_closed_references
 
 
 # --- Verdicts ---------------------------------------------------------------
@@ -107,46 +107,48 @@ def characterizing_graph(h: Schema) -> Graph:
         always link to full copies.
 
     The least-fixpoint reading of *-closure guarantees covering references
-    never form a cycle, so the size demands converge.  Copy i of type t is
-    named t.i, the name unpack gives a copy where nothing collides: type
-    names are identifiers, with no dot, so no copy's name is a type's or
-    another copy's, and the graph's text parses back.
+    never form a cycle, so one worklist over the references settles each
+    cohort size once.  Copy i of type t is named t.i, the name unpack gives
+    a copy where nothing collides: type names are identifiers, with no dot,
+    so no copy's name is a type's or another copy's, and the graph's text
+    parses back.
     """
     return _characterizing_graph(_minus_shape_graph(h, "input"))
 
 
 def _characterizing_graph(g: Graph) -> Graph:
     closed = star_closed_references(g)
+    refs = _references(g)
     out_edges = {t: [] for t in g.nodes}  # (index in g.edges, edge) per source
-    refs_to = {t: [] for t in g.nodes}
     for i, e in enumerate(g.edges):
         out_edges[e.source].append((i, e))
-        refs_to[e.target].append(i)
 
     opt_edges = {t: [i for i, e in out_edges[t] if e.occur == OPT] for t in g.nodes}
     # Copy c of a type (1 <= c) omits the type's c-th ?-edge.
     omitted_by = {i: c for t in g.nodes for c, i in enumerate(opt_edges[t], start=1)}
-    star_referenced = {t: any(g.edges[i].occur == STAR for i in refs_to[t]) for t in g.nodes}
 
     # Types whose whole cohort must end up co-related to one partner node,
     # and each cohort's size: a closed non-* reference to a covered type
-    # covers its source, whose cohort must be at least as large.
+    # covers its source, whose cohort must be at least as large.  These
+    # references form no cycle, so each type is examined once, after the
+    # targets of all of its own, and its size is then final.
     covered = {t for t in g.nodes if opt_edges[t]}
-    size = {t: max(1 + len(opt_edges[t]), 2 if star_referenced[t] else 1) for t in g.nodes}
-    stars = sum(1 for e in g.edges if e.occur == STAR)
-    bound = len(g.nodes) * (2 + sum(map(len, opt_edges.values()))) * (1 + stars)
-    changed = True
-    while changed:
-        changed = False
-        for i, e in enumerate(g.edges):
-            if e.target in covered and closed[i] and e.occur != STAR:
-                need = size[e.target] + (1 if e.occur == OPT else 0)
-                if e.source not in covered or size[e.source] < need:
+    starred = {e.target for e in g.edges if e.occur == STAR}
+    size = {t: max(1 + len(opt_edges[t]), 2 if t in starred else 1) for t in g.nodes}
+    covering = [closed[i] and e.occur != STAR for i, e in enumerate(g.edges)]
+    pending = Counter(e.source for i, e in enumerate(g.edges) if covering[i])
+    ready = [t for t in g.nodes if not pending[t]]
+    while ready:
+        t = ready.pop()
+        for i in refs[t]:
+            if covering[i]:
+                e = g.edges[i]
+                if t in covered:
                     covered.add(e.source)
-                    size[e.source] = max(size[e.source], need)
-                    changed = True
-        if sum(size.values()) > bound:
-            raise WorkCapError("characterizing cohort sizes exceed the polynomial bound")
+                    size[e.source] = max(size[e.source], size[t] + (1 if e.occur == OPT else 0))
+                pending[e.source] -= 1
+                if not pending[e.source]:
+                    ready.append(e.source)
 
     nodes = [f"{t}.{i}" for t in g.nodes for i in range(size[t])]
     edges = []

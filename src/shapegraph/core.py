@@ -347,7 +347,7 @@ def parse_graph(text: str) -> Graph:
 
     Line 1 declares the kind ("graph simple|shape|compressed|general");
     the matching invariant is enforced.  Edge lines read
-    "source label target [occur]", isolated nodes "node name".
+    "source label target [occur]", isolated nodes "node name" (two tokens).
     """
     kind = None
     nodes: list[str] = []
@@ -363,9 +363,7 @@ def parse_graph(text: str) -> Graph:
             if kind not in KINDS:
                 raise ParseError(f"unknown graph kind {kind!r}", line=lineno)
             continue
-        if parts[0] == "node":
-            if len(parts) != 2:
-                raise ParseError("expected 'node <name>'", line=lineno)
+        if parts[0] == "node" and len(parts) == 2:
             nodes.append(parts[1])
             continue
         if len(parts) == 3:

@@ -446,6 +446,9 @@ def parse_rbe(text: str, typed: bool = False) -> Rbe:
     tokens = tokenize(text)
     if not tokens:
         raise ParseError("empty expression")
+    if typed and ("ident", "eps") in tokens:  # eps before :: is a label
+        tokens = [("label", v) if v == "eps" and nxt[0] == "dcolon" else (k, v)
+                  for (k, v), nxt in zip(tokens, tokens[1:] + [(None, None)])]
     take = functools.partial(next, iter(tokens), (None, None))
     frames = [[[] for _ in _NARY]]
     e = None  # the operand read so far; None while one is expected
@@ -454,10 +457,10 @@ def parse_rbe(text: str, typed: bool = False) -> Rbe:
         if e is None:
             if (k, v) == ("punct", "("):
                 frames.append([[] for _ in _NARY])
-            elif k != "ident":
-                raise ParseError(f"expected an expression, got {v!r}")
-            elif v == "eps":
+            elif (k, v) == ("ident", "eps"):
                 e = EPSILON
+            elif k != "ident" and k != "label":
+                raise ParseError(f"expected an expression, got {v!r}")
             elif typed:
                 _expect(take, "dcolon")
                 e = Sym((v, _expect(take, "ident")))

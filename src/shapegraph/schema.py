@@ -188,6 +188,15 @@ def from_shape_graph(g: Graph) -> Schema:
     return Schema(defs)
 
 
+def _references(g: Graph) -> dict:
+    """Each node of g to its references: the indexes in g.edges of the
+    edges into it, in edge order."""
+    refs: dict = {n: [] for n in g.nodes}
+    for i, e in enumerate(g.edges):
+        refs[e.target].append(i)
+    return refs
+
+
 def star_closed_references(g: Graph) -> dict:
     """Least fixed point of: a reference (edge) is *-closed iff its
     occurrence is *, or its source has at least one reference and all
@@ -196,72 +205,56 @@ def star_closed_references(g: Graph) -> dict:
     The inductive reading means a closed non-* reference always has an
     ascending chain of closed references ending in an actual *-edge; pure
     reference cycles and reference-free sources are not closed.  That anchor
-    is what the characterizing-graph construction relies on.
+    is what the characterizing-graph construction relies on.  Computed in
+    one pass: each type counts its open references, and a type whose count
+    reaches 0 closes its out-edges, counting down their targets'.
     Returns a mapping edge-index -> bool over g.edges.
     """
-    refs_to = {n: [] for n in g.nodes}
-    for i, e in enumerate(g.edges):
-        refs_to[e.target].append(i)
-    closed = [e.occur == STAR for e in g.edges]
-    changed = True
-    while changed:
-        changed = False
-        for i, e in enumerate(g.edges):
-            if closed[i]:
-                continue
-            incoming = refs_to[e.source]
-            if incoming and all(closed[j] for j in incoming):
-                closed[i] = True
-                changed = True
-    return {i: closed[i] for i in range(len(g.edges))}
+    # An unreferenced type waits on one reference that never closes.
+    open_refs = {n: sum(g.edges[i].occur != STAR for i in r) if r else 1 for n, r in _references(g).items()}
+    ready = [n for n, count in open_refs.items() if not count]
+    while ready:
+        for e in g.out(ready.pop()):
+            if e.occur != STAR:
+                open_refs[e.target] -= 1
+                if not open_refs[e.target]:
+                    ready.append(e.target)
+    return {i: e.occur == STAR or not open_refs[e.source] for i, e in enumerate(g.edges)}
 
 
 def classify(s: Schema):
-    """Most restrictive applicable class plus diagnostics for each stricter
-    class that fails."""
+    """Most restrictive applicable class, plus diagnostics saying why the
+    next stricter class fails."""
     diagnostics: list[str] = []
-    flat = True
     for t in s.types:
         if s.flat[t] is None:
             diagnostics.append(f"rule for {t} is not a parallel composition of basic-interval atoms")
-            flat = False
-    if not flat:
+    if diagnostics:
         return SchemaClass.ShEx, diagnostics
 
     g = s._shape_graph
-    deterministic = True
     for n in g.nodes:
         counts = Counter(e.label for e in g.out(n))
         for lab in sorted(counts):
             if counts[lab] > 1:
                 diagnostics.append(f"type {n} uses label {lab} more than once")
-                deterministic = False
-    if not deterministic:
+    if diagnostics:
         return SchemaClass.ShEx0, diagnostics
 
-    minus = True
     for e in g.edges:
         if e.occur == PLUS:
             diagnostics.append(f"edge {e.source} {e.label} {e.target} uses the + interval")
-            minus = False
     closed = star_closed_references(g)
-    refs_to = {n: [] for n in g.nodes}
-    for i, e in enumerate(g.edges):
-        refs_to[e.target].append(i)
+    refs = _references(g)
     for n in g.nodes:
         if not any(e.occur == OPT for e in g.out(n)):
             continue
-        if not refs_to[n]:
+        if not refs[n]:
             diagnostics.append(f"type {n} uses ? but is never referenced")
-            minus = False
-            continue
-        for i in refs_to[n]:
+        for i in refs[n]:
             if not closed[i]:
                 e = g.edges[i]
                 diagnostics.append(
                     f"type {n} uses ? but the reference {e.source} {e.label} {e.target} is not *-closed"
                 )
-                minus = False
-    if not minus:
-        return SchemaClass.DetShEx0, diagnostics
-    return SchemaClass.DetShEx0Minus, diagnostics
+    return SchemaClass.DetShEx0 if diagnostics else SchemaClass.DetShEx0Minus, diagnostics

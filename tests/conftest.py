@@ -2,13 +2,16 @@
 generators for schemas, graphs, and routing instances, a brute-force bag
 matcher that test oracles use in place of the package's, and brute-force
 CNF satisfiability and DNF tautology that the hardness reductions are
-checked against, and a probe for what a call leaves in reference cycles."""
+checked against, sweep-until-stable oracles for the *-closure and the
+characterizing cohort sizes, a probe for what a call leaves in reference
+cycles, and a count of the lines a call runs."""
 
 from __future__ import annotations
 
 import gc
 import os
 import random
+import sys
 import types
 from collections import Counter
 from itertools import combinations_with_replacement, product
@@ -150,6 +153,16 @@ def star_chain_pair():
         kind="shape",
     )
     return g, h
+
+
+def deep_chain_text(n, star=True):
+    """Schema text of a chain of n ?-using types listed deepest first:
+    r -> a::t1*, then tn, t(n-1), ..., t1, each t(i) -> a::t(i+1), b::o?,
+    then o -> eps.  Without star, r -> a::t1, and no reference closes."""
+    rules = [f"r -> a::t1{'*' if star else ''}", f"t{n} -> b::o?"]
+    rules += [f"t{i} -> a::t{i + 1}, b::o?" for i in range(n - 1, 0, -1)]
+    rules.append("o -> eps")
+    return "".join(rule + "\n" for rule in rules)
 
 
 def bug_chain_graph(n=200, ring=False):
@@ -322,6 +335,69 @@ def reference_typing(g, s):
         if nxt == typing:
             return typing
         typing = nxt
+
+
+def sweep_star_closed(g) -> dict:
+    """star_closed_references by its definition: sweep every edge until a
+    sweep closes none; an edge closes when it is a *-edge, or when its
+    source is referenced and every reference to the source is closed."""
+    refs_to = {n: [i for i, e in enumerate(g.edges) if e.target == n] for n in g.nodes}
+    closed = [e.occur == STAR for e in g.edges]
+    changed = True
+    while changed:
+        changed = False
+        for i, e in enumerate(g.edges):
+            if not closed[i] and refs_to[e.source] and all(closed[j] for j in refs_to[e.source]):
+                closed[i] = changed = True
+    return dict(enumerate(closed))
+
+
+def sweep_cohort_sizes(g) -> Counter:
+    """The characterizing graph's cohort size per type, by its definition:
+    a type starts covered when it has a ?-edge, with one copy plus one per
+    ?-edge, and at least two when a *-edge points at it; every sweep over
+    the edges lets each closed non-* reference to a covered type cover its
+    source and raise the source's size to the target's (plus one for a
+    ?-edge), until a sweep changes nothing."""
+    closed = sweep_star_closed(g)
+    opts = Counter(e.source for e in g.edges if e.occur == OPT)
+    covered = set(opts)
+    size = Counter({t: max(1 + opts[t], 2 if any(e.occur == STAR and e.target == t for e in g.edges) else 1)
+                    for t in g.nodes})
+    changed = True
+    while changed:
+        changed = False
+        for i, e in enumerate(g.edges):
+            need = size[e.target] + (e.occur == OPT)
+            if closed[i] and e.occur != STAR and e.target in covered and (
+                    e.source not in covered or size[e.source] < need):
+                covered.add(e.source)
+                size[e.source] = max(size[e.source], need)
+                changed = True
+    return size
+
+
+def lines_run(call, modules, cap):
+    """call()'s result, and how many lines it ran in the source files of
+    modules, counted by a trace function: a count of work that does not
+    read the clock.  Fails at the line past cap, so a run that would be
+    far over the cap stops there."""
+    files = {m.__file__ for m in modules}
+    count = [0]
+
+    def local(frame, event, arg):
+        if event == "line":
+            count[0] += 1
+            if count[0] > cap:
+                raise AssertionError(f"ran more than {cap} lines")
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code.co_filename in files else None)
+    try:
+        result = call()
+    finally:
+        sys.settrace(None)
+    return result, count[0]
 
 
 # --- Random generators -------------------------------------------------------

@@ -112,6 +112,16 @@ class TestGraphText:
         assert parse_graph(serialize_graph(g)) == g
         assert set(g.nodes) == {"lonely", "x", "y"}
 
+    def test_node_named_node_round_trips(self):
+        # Only a two-token line declares a node, so the word node can also
+        # name an edge's source, label or target.
+        for g in (Graph((), [Edge("node", "a", "x")], kind="simple"),
+                  Graph(("node", "y"), [Edge("x", "node", "node"), Edge("node", "node", "node")], kind="simple"),
+                  Graph(("node", "lonely"), [Edge("node", "a", "node")], kind="shape")):
+            text = serialize_graph(g)
+            assert parse_graph(text) == g, text
+        assert parse_graph("graph simple\nnode node\n").nodes == ("node",)
+
     def test_comments_and_occurrences(self):
         g = parse_graph("graph shape\n# comment\nx a y *\nx b y ?\n")
         occ = {e.label: e.occur for e in g.edges}

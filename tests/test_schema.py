@@ -1,11 +1,14 @@
 import ast
 import random
+import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from shapegraph import (
+    Edge,
+    Graph,
     ParseError,
     STAR,
     SchemaClass,
@@ -16,7 +19,7 @@ from shapegraph import (
     to_shape_graph,
 )
 from shapegraph.errors import ClassPreconditionError, ShapegraphError
-from shapegraph import rbe
+from shapegraph import rbe, schema
 from shapegraph.fixtures import dnf_containment_instance, exponential_family, union_containment_instance
 from shapegraph.schema import Schema, star_closed_references
 
@@ -26,9 +29,12 @@ from conftest import (
     BUG_VARIANT_TEXT,
     CHAIN_SCHEMA_TEXT,
     chain_schema,
+    deep_chain_text,
+    lines_run,
     random_flat_rbe,
     random_minus_schema,
     random_rbe,
+    sweep_star_closed,
 )
 
 
@@ -45,6 +51,16 @@ class TestParsing:
     def test_duplicate_head(self):
         with pytest.raises(ParseError):
             parse_schema("schema\nt -> eps\nt -> eps\n")
+
+    def test_eps_label_round_trips(self):
+        # eps followed by :: is a label; anywhere else it is the empty word.
+        s = from_shape_graph(Graph(("t", "u"), [Edge("t", "eps", "u")], kind="shape"))
+        text = serialize_schema(s)
+        assert "t -> eps::u\n" in text
+        assert parse_schema(text) == s
+        s = parse_schema("t -> eps::eps?, a::t*\neps -> eps\n")
+        assert s.symbols["t"] == (("a", "t"), ("eps", "eps")) and s.symbols["eps"] == ()
+        assert parse_schema(serialize_schema(s)) == s
 
     def test_header_optional(self):
         assert parse_schema("t -> eps\n").types == ("t",)
@@ -109,6 +125,47 @@ class TestStarClosure:
         g = to_shape_graph(parse_schema("t -> a::t\n"))
         closed = star_closed_references(g)
         assert not any(closed.values())
+
+    def test_matches_the_sweep_on_random_graphs(self):
+        # Random edges among t0..t5, self-loops included, plus the pure
+        # reference cycle u0 <-> u1 (whose types also point at t-types) and
+        # the unreferenced type v; each graph in two edge orders.
+        rng = random.Random(39)
+        closed_non_star = 0
+        for _ in range(300):
+            ts = [f"t{i}" for i in range(rng.randint(1, 6))]
+            edges = [Edge(rng.choice(ts + ["u0", "u1"]), rng.choice("ab"), rng.choice(ts), rng.choice(BASIC))
+                     for _ in range(rng.randint(0, 2 * len(ts) + 4))]
+            edges += [Edge("u0", "a", "u1"), Edge("u1", "a", "u0"), Edge("v", "a", rng.choice(ts))]
+            types = ts + ["u0", "u1", "v"]
+            for _ in range(2):
+                rng.shuffle(edges)
+                g = Graph(types, edges, kind="shape")
+                closed = star_closed_references(g)
+                assert closed == sweep_star_closed(g), edges
+                closed_non_star += sum(closed[i] and e.occur != STAR for i, e in enumerate(g.edges))
+        assert closed_non_star > 50
+
+
+class TestDeepChain:
+    """deep_chain_text at 4,000 types: the rules come deepest first, so a
+    sweep over the edges in order closes one more reference per sweep."""
+
+    def test_classify_does_linear_work(self):
+        start = time.monotonic()
+        n = 4000
+        for star, expected in ((True, SchemaClass.DetShEx0Minus), (False, SchemaClass.DetShEx0)):
+            s = parse_schema(deep_chain_text(n, star))
+            size = len(s.types) + sum(len(s.symbols[t]) for t in s.types)
+            (cls, diags), _ = lines_run(lambda: classify(s), [schema], cap=40 * size)
+            assert cls == expected
+            if star:
+                assert diags == []
+            else:
+                sources = [f"t{i - 1}" for i in range(n, 1, -1)] + ["r"]
+                assert diags == [f"type t{i} uses ? but the reference {src} a t{i} is not *-closed"
+                                 for i, src in zip(range(n, 0, -1), sources)]
+        assert time.monotonic() - start < 10.0
 
 
 class TestClassification:
