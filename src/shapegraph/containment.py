@@ -244,6 +244,15 @@ def canonical_code(g: Graph):
     return (len(nodes), min(map(code, product(*[permutations(cells[c]) for c in sorted(cells, key=repr)]))))
 
 
+def _rootable(refs, targets_of) -> bool:
+    """Whether one node may reach all nodes targets_of[t] of each type t,
+    refs[t] the types of t's symbols.  A type that no other one refers to
+    is reached only from its own nodes, so it holds the root, and is
+    nothing but the root when it does not refer to itself either."""
+    roots = [u for u in targets_of if not any(u in refs[t] for t in targets_of if t != u)]
+    return not roots or len(roots) == 1 and (len(targets_of[roots[0]]) == 1 or roots[0] in refs[roots[0]])
+
+
 def _compositions(h: Schema, n_nodes: int, max_card: int, cache: dict, timed_out=lambda: False):
     """Each composition of n_nodes nodes over h's types (node counts per
     type, in _tuples order) whose types all have an out-spec, as (index in
@@ -256,14 +265,18 @@ def _compositions(h: Schema, n_nodes: int, max_card: int, cache: dict, timed_out
     under ("specs", type, the node range of each symbol's target type),
     all it depends on, for compositions and calls with the same max_card,
     and _bags_matching under ("bags", type, caps).  Stops between two specs
-    once timed_out(); a list cut short is not cached."""
+    once timed_out(); a list cut short is not cached.  A composition that
+    _rootable rejects is skipped; the next keeps its own index."""
     types = h.types
+    refs = {t: {u for _, u in h.symbols[t]} for t in types}
     none = range(0)
     edges: dict = {}  # one copy of each edge tuple, shared by the specs that hold it
     for index, counts in enumerate(_tuples(n_nodes, len(types), n_nodes)):
         # Only types with nodes count.
         targets_of = {t: range(end - c, end)
                       for t, c, end in zip(types, counts, accumulate(counts)) if c}
+        if not _rootable(refs, targets_of):
+            continue
         specs = {}
         for t in targets_of:
             symbols = h.symbols[t]
@@ -414,7 +427,9 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
     depend only on what it reaches.  Renumbered in order, they form a
     candidate (dropping all-zero target slots keeps the lexicographic order
     of bags and distributions), a hit that re-verifies, so the search
-    returns at its node count, before W's unless it is all of W.
+    returns at its node count, before W's unless it is all of W.  So a
+    composition that no one node can reach all of (_rootable) holds no
+    hit at the first node count that has one, and is skipped.
 
     Each node has one type of h: graphs needing a node to be read under
     different types by different referers are not enumerated.  Within this

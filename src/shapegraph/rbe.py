@@ -492,7 +492,8 @@ def parse_rbe(text: str, typed: bool = False) -> Rbe:
 
 def rbe_to_text(e: Rbe) -> str:
     """The text of e: one loop pops (node, context) pairs and text pieces
-    from one stack into one output list."""
+    from one stack into one output list.  ValueError for an untyped symbol
+    named eps, which parse_rbe reads as ε: it has no text form."""
     out = []
     stack = [(e, 0)]
     while stack:
@@ -507,6 +508,8 @@ def rbe_to_text(e: Rbe) -> str:
             out.append("<empty>")
         elif isinstance(x, Sym):
             s = x.symbol
+            if s == "eps":
+                raise ValueError("the untyped symbol eps has no text form")
             out.append(f"{s[0]}::{s[1]}" if isinstance(s, tuple) else str(s))
         elif isinstance(x, Repeat):
             iv = x.interval

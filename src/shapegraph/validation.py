@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import lru_cache
 from operator import attrgetter
 
-from .core import ONE, Edge, Graph, Interval, Refinement, index_lists
+from .core import INF, ONE, Edge, Graph, Interval, Refinement, index_lists
 from .errors import GraphKindError
 from . import rbe as _rbe
 from .embedding import feasible_flow
@@ -39,7 +39,7 @@ def _signature(out, choices) -> _rbe.Rbe:
     return _rbe.concat_all(factors)
 
 
-def satisfies_type(s: Schema, ty: str, out, choices) -> bool:
+def satisfies_type(s: Schema, ty: str, out, choices, solved=None) -> bool:
     """L(signature) ∩ L(δ(ty)) ≠ ∅ for a node whose out-edges are out, read
     only for each edge's label and occurrence [k;k], with out[i]'s target
     at the type set choices[i].
@@ -49,7 +49,9 @@ def satisfies_type(s: Schema, ty: str, out, choices) -> bool:
     edge finding its atoms by label, at a cost that does not depend on the
     cardinalities; any other part by its Parikh vectors inside the box of
     the node's out-widths, one routing per vector, whose only bound is the
-    matcher's constant work cap (rbe.VECTOR_WORK).
+    matcher's constant work cap (rbe.VECTOR_WORK).  solved, when given, is
+    the caller's memo of flow verdicts per routing instance
+    (_routes_by_flow).
     """
     if ty not in s.defs:
         raise ValueError(f"unknown type {ty!r}")
@@ -61,56 +63,71 @@ def satisfies_type(s: Schema, ty: str, out, choices) -> bool:
         return False  # an edge to an untyped node is unsatisfiable
     boxes, rest = s.boxes[ty]
     for box in boxes:
-        if _satisfies_flat(out, choices, box):
+        if _satisfies_flat(out, choices, box, solved):
             return True
     return any(_satisfies_exhaustive(out, choices, part, s.symbols[ty]) for part in rest)
 
 
-def _satisfies_flat(out, choices, box) -> bool:
-    return _routes(out, choices, box)
+def _satisfies_flat(out, choices, box, solved=None) -> bool:
+    return _routes(out, choices, box, solved)
 
 
-def _routes(out, choices, box) -> bool:
+def _routes(out, choices, box, solved=None) -> bool:
     """Whether the signature routes onto box (schema.Box): each out-edge
     sends its cardinality to atoms of its label and of a type of its
     target, and every atom's total lies in its bounds.  out holds no edge
     of cardinality 0 (satisfies_type drops them).
 
     Each edge keeps the atoms of its label (the box's label index) whose
-    type its target has, and an edge that keeps none fails the box.  While
-    every edge keeps exactly one, that is the only routing: each atom's
-    total against its bounds is the verdict, and no list is built.  An
-    edge that keeps two or more hands the box to the flow
-    (_routes_by_flow)."""
-    index = box.by_label
-    received = [0] * len(box.bounds)
+    type its target has, and an edge that keeps none fails the box.  An
+    edge that keeps one sends it all its cardinality; so does an edge that
+    keeps two or more of which one has max ∞, to that atom, since no
+    bound caps it.  When every atom's total then lies in its bounds, that
+    routing is the witness and no flow is solved; when it does not, and
+    no edge had a choice, it was the only routing and the box fails.  An
+    edge whose choice is between bounded atoms only, and a choice whose
+    totals fail, hand the box to the flow (_routes_by_flow)."""
+    index, bounds = box.by_label, box.bounds
+    received = [0] * len(bounds)
+    chose = False
     for e, ch in zip(out, choices):
         kept = None
         for j, t in index.get(e.label, ()):
             if t in ch:
-                if kept is not None:
-                    return _routes_by_flow(out, choices, box)
+                if kept is not None:  # a choice: the first unbounded atom takes it all
+                    kept = next((i for i, u in index[e.label] if u in ch and bounds[i][1] == INF), None)
+                    if kept is None:
+                        return _routes_by_flow(out, choices, box, solved)
+                    chose = True
+                    break
                 kept = j
         if kept is None:
             return False
         received[kept] += e.occur.min
-    return all(lo <= x <= hi for x, (lo, hi) in zip(received, box.bounds))
+    return all(lo <= x <= hi for x, (lo, hi) in zip(received, bounds)) or (
+        chose and _routes_by_flow(out, choices, box, solved))
 
 
-def _routes_by_flow(out, choices, box) -> bool:
+def _routes_by_flow(out, choices, box, solved=None) -> bool:
     """_routes decided by one flow on the atoms each edge keeps, with one
     source per out-edge, its cardinality as supply, and one sink per atom,
     every unit counting toward the atom's min.  The routing it returns is
-    checked independently (_verify_flat_routing)."""
-    feeds = [[j for j, t in box.by_label.get(e.label, ()) if t in ch] for e, ch in zip(out, choices)]
+    checked independently (_verify_flat_routing).  The verdict depends
+    only on the box and each edge's cardinality and kept atoms, the
+    routing instance; solved, a dict the caller owns, keeps it under
+    that key, so each instance is solved once per owner."""
+    feeds = [tuple([j for j, t in box.by_label.get(e.label, ()) if t in ch]) for e, ch in zip(out, choices)]
+    key = (box, tuple(zip([e.occur.min for e in out], feeds)))
+    if solved is not None and key in solved:
+        return solved[key]
     flow = feasible_flow([(e.occur.min, True, f) for e, f in zip(out, feeds)], box.bounds)
-    if flow is None:
-        return False
-    assert _verify_flat_routing(
+    assert flow is None or _verify_flat_routing(
         out, choices, box.atoms,
         [((i, j), x) for i, (f, row) in enumerate(zip(feeds, flow)) for j, x in zip(f, row)],
     ), "flow extraction produced an invalid routing"
-    return True
+    if solved is not None:
+        solved[key] = flow is not None
+    return flow is not None
 
 
 def _verify_flat_routing(out, choices, atoms, flows) -> bool:
@@ -181,12 +198,14 @@ class Typer(Refinement):
     type set id) for occurrence [k;k], ordered by (label, k).  A memo miss
     is decided from that out-signature alone, by one satisfies_type call
     per distinct definition among the types that pass a filter (see
-    check)."""
+    check), each flow verdict kept per routing instance for the Typer's
+    life (_routes_by_flow)."""
 
     def __init__(self, s: Schema):
         super().__init__(s.types)
         self.s = s
         self._fed: dict = {}  # (label, set id) -> the types such an edge can feed
+        self._solved: dict = {}  # routing instance -> its flow verdict
 
     def typing(self, g: Graph) -> dict:
         """The maximal typing of g, read through its index lists
@@ -235,7 +254,7 @@ class Typer(Refinement):
             d = defs[t]
             held = verdicts.get(d)
             if held is None:
-                held = verdicts[d] = satisfies_type(self.s, t, out, choices)
+                held = verdicts[d] = satisfies_type(self.s, t, out, choices, self._solved)
             if held:
                 kept.append(t)
         return frozenset(kept)

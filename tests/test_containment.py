@@ -77,6 +77,22 @@ PINNED = {
 }
 
 
+def random_acyclic_pair(rng, max_types):
+    """Flat schemas (h, k) over 1..max_types types, each of h's rules
+    referencing only later types, and k h with one or two rules redrawn
+    over every type, so that it types some candidates and not others."""
+    types = [f"h{i}" for i in range(rng.randint(1, max_types))]
+    defs = {}
+    for i, t in enumerate(types):
+        syms = [(lab, u) for lab in "ab" for u in types[i + 1:]]
+        defs[t] = random_flat_rbe(rng, syms, depth=2) if syms and rng.random() < 0.8 else parse_rbe("eps")
+    h = Schema(defs)
+    for t in rng.sample(types, min(len(types), rng.randint(1, 2))):
+        syms = [(lab, u) for lab in "ab" for u in types]
+        defs[t] = random_flat_rbe(rng, syms, depth=2) if rng.random() < 0.8 else parse_rbe("eps")
+    return h, Schema(defs)
+
+
 class TestEmbeddingDecision:
     def test_reflexivity(self):
         s = parse_schema(BUG_SCHEMA_TEXT)
@@ -418,9 +434,9 @@ class TestCounterexampleSearch:
         checks = []
         satisfies = validation.satisfies_type
 
-        def recording(s, ty, out, choices):
+        def recording(s, ty, out, choices, *solved):
             checks.append((ty, tuple((e.label, e.occur.min) for e in out), tuple(choices)))
-            return satisfies(s, ty, out, choices)
+            return satisfies(s, ty, out, choices, *solved)
 
         for n_nodes in range(1, 4):
             names = [f"v{i}" for i in range(n_nodes)]
@@ -454,19 +470,7 @@ class TestCounterexampleSearch:
         pairs = [(parse_schema("l -> eps\na -> a::l?\nb -> b::l?\nc -> c::a, d::b\n"),
                   parse_schema("l -> eps\na0 -> eps\na1 -> a::l\nb -> b::l?\nc -> c::a0, d::b\n"))]
         rng = random.Random(24)
-        for _ in range(40):
-            types = [f"h{i}" for i in range(rng.randint(1, 4))]
-            defs = {}
-            for i, t in enumerate(types):
-                syms = [(lab, u) for lab in "ab" for u in types[i + 1:]]
-                defs[t] = random_flat_rbe(rng, syms, depth=2) if syms and rng.random() < 0.8 else parse_rbe("eps")
-            h = Schema(defs)
-            # k is h with one or two rules redrawn, so that it types some
-            # candidates and not others.
-            for t in rng.sample(types, min(len(types), rng.randint(1, 2))):
-                syms = [(lab, u) for lab in "ab" for u in types]
-                defs[t] = random_flat_rbe(rng, syms, depth=2) if rng.random() < 0.8 else parse_rbe("eps")
-            pairs.append((h, Schema(defs)))
+        pairs += [random_acyclic_pair(rng, 4) for _ in range(40)]
         compositions = hits = 0
         for h, k in pairs:
             typer, cache = validation.Typer(k), {}
@@ -610,6 +614,67 @@ class TestCounterexampleSearch:
                 rooted = rooted or reached == set(g.nodes)
             assert rooted, serialize_graph(g)
         assert witnesses > 10
+
+    @pytest.mark.parametrize("schemas, budget, flows, compositions", [
+        (lambda: exponential_family(2), Budget(6, 1, None), 10, 42),
+        (lambda: tuple(map(from_shape_graph, star_chain_pair())), Budget(5, 3, None), 34, 17),
+    ], ids=["exponential-2", "star-chain"])
+    def test_search_work_counts(self, monkeypatch, schemas, budget, flows, compositions):
+        # Neither search finds a counter-example.  Each routing instance
+        # is solved once per search, a choice with an unbounded atom needs
+        # no flow, and a composition with no rooted candidate is skipped:
+        # without these, 136 and 170 flows, 97 and 55 compositions.
+        counts = Counter()
+        flow, compose = validation.feasible_flow, containment._compositions
+
+        def counting_flow(*args):
+            counts["flows"] += 1
+            return flow(*args)
+
+        def counting_compositions(*args):
+            for c in compose(*args):
+                counts["compositions"] += 1
+                yield c
+
+        monkeypatch.setattr(validation, "feasible_flow", counting_flow)
+        monkeypatch.setattr(containment, "_compositions", counting_compositions)
+        v = find_counterexample(*schemas(), budget)
+        assert v == Unknown(f"no counter-example with <= {budget.max_nodes} nodes"
+                            f" and cardinalities <= {budget.max_card}")
+        assert counts["flows"] <= flows and counts["compositions"] <= compositions
+
+    def test_skipped_compositions_change_no_verdict(self, monkeypatch):
+        # A composition _rootable rejects holds no hit at the first node
+        # count that has one, so searching every composition gives the
+        # same verdict and the same witness text.  Random pairs with cycles
+        # run at 3 nodes and cardinality 1: a cyclic h is typed per
+        # candidate, which at 4 nodes or cardinality 2 takes seconds.
+        rng = random.Random(38)
+        cases = [(*random_acyclic_pair(rng, 3), Budget(4, 2, None)) for _ in range(200)]
+        cases += [(random_rbe0_schema(rng, max_types=3), random_rbe0_schema(rng, max_types=3),
+                   Budget(3, 1, None)) for _ in range(100)]
+        cases += [(*dnf_containment_instance(2, ((1, 2), (-1,), (-2,))), Budget(4, 1, None)),
+                  (*PINNED["dnf-non-tautology"][0](), Budget(5, 1, None)),
+                  (*exponential_family(1), Budget(8, 1, None)),
+                  (*exponential_family(2), Budget(6, 1, None))]
+        rootable, skipped = containment._rootable, Counter()
+
+        def every(*args):
+            skipped[not rootable(*args)] += 1
+            return True
+
+        sizes = Counter()
+        for h, k, budget in cases:
+            v = find_counterexample(h, k, budget)
+            with monkeypatch.context() as m:
+                m.setattr(containment, "_rootable", every)
+                searched = find_counterexample(h, k, budget)
+            if isinstance(v, NotContained):
+                sizes[len(v.witness.nodes)] += 1
+                assert serialize_graph(v.witness) == serialize_graph(searched.witness)
+            else:
+                assert v == searched
+        assert sizes[2] + sizes[3] > 60 and skipped[True] > 600
 
     def test_timeout_reports_unknown(self):
         s = parse_schema(BUG_SCHEMA_TEXT)

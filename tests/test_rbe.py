@@ -297,6 +297,16 @@ class TestParser:
             e = parse_rbe(text)
             assert parse_rbe(rbe_to_text(e)) == e
 
+    def test_untyped_eps_symbol_has_no_text(self):
+        # parse_rbe reads the text eps as ε, so a symbol of that name would
+        # print as text that reads back as another expression; typed, eps
+        # is a label or a type and round-trips.
+        with pytest.raises(ValueError):
+            rbe_to_text(Concat((Sym("eps"), Sym("a"))))
+        e = parse_rbe("eps::eps, a::t", typed=True)
+        assert rbe_to_text(e) == "eps::eps, a::t"
+        assert parse_rbe(rbe_to_text(e), typed=True) == e
+
     def test_one_node_per_operator_chain(self):
         a, b, c = Sym("a"), Sym("b"), Sym("c")
         assert parse_rbe("a, b, c") == Concat((a, b, c))

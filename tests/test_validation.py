@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,7 +19,7 @@ from shapegraph import (
     unpack,
     validates,
 )
-from shapegraph.core import STAR, Refinement
+from shapegraph.core import INF, OPT, STAR, Refinement
 from shapegraph.errors import GraphKindError
 from shapegraph.rbe import Disj, Intersect, Repeat, Sym, concat_all, rbe_to_text
 from shapegraph.embedding import feasible_flow
@@ -288,9 +289,9 @@ class TestMaxTyping:
         checked = set()
         check = shapegraph.validation.satisfies_type
 
-        def recording(s, ty, out, choices):
+        def recording(s, ty, out, choices, *solved):
             checked.add((tuple(e.label for e in out), ty))
-            return check(s, ty, out, choices)
+            return check(s, ty, out, choices, *solved)
 
         monkeypatch.setattr(shapegraph.validation, "satisfies_type", recording)
         s = parse_schema("p -> a::u\nq -> b::u\nr -> (a::u | b::u)*\nw -> c::u?\n"
@@ -306,9 +307,9 @@ class TestMaxTyping:
         checked = set()
         check = shapegraph.validation.satisfies_type
 
-        def recording(s, ty, out, choices):
+        def recording(s, ty, out, choices, *solved):
             checked.add((tuple(e.label for e in out), ty))
-            return check(s, ty, out, choices)
+            return check(s, ty, out, choices, *solved)
 
         monkeypatch.setattr(shapegraph.validation, "satisfies_type", recording)
         s = parse_schema("t -> a::u | b::u\nz -> a::u?\nw -> (a::u, b::u)*\nu -> eps\n")
@@ -322,9 +323,9 @@ class TestMaxTyping:
         checked = []
         check = shapegraph.validation.satisfies_type
 
-        def recording(s, ty, out, choices):
+        def recording(s, ty, out, choices, *solved):
             checked.append((tuple(e.label for e in out), ty))
-            return check(s, ty, out, choices)
+            return check(s, ty, out, choices, *solved)
 
         monkeypatch.setattr(shapegraph.validation, "satisfies_type", recording)
         names = ["zeta", "alpha", "m7", "b", "t10", "t2", "q", "kappa", "c3", "omega", "d", "e9"]
@@ -341,9 +342,9 @@ class TestMaxTyping:
         checked = []
         check = shapegraph.validation.satisfies_type
 
-        def recording(s, ty, out, choices):
+        def recording(s, ty, out, choices, *solved):
             checked.append((tuple(e.label for e in out), ty))
-            return check(s, ty, out, choices)
+            return check(s, ty, out, choices, *solved)
 
         monkeypatch.setattr(shapegraph.validation, "satisfies_type", recording)
         names = ["zeta", "alpha", "m7", "b", "t10", "t2", "q", "kappa", "c3", "omega", "d", "e9"]
@@ -583,20 +584,26 @@ class TestFlatRoute:
         monkeypatch.setattr(shapegraph.validation, "feasible_flow", counting)
         return calls
 
-    def test_agrees_with_the_flow_alone(self):
+    def test_agrees_with_the_flow_alone(self, monkeypatch):
         # The decision on a box fails an edge that finds no atom of its
-        # label and type, and skips the flow when no edge has a choice; the
-        # flow on every edge's full list of atoms must give the same
-        # verdict, and every routing it finds must pass the independent
-        # check.  Labels name several atoms, and symbols repeat.
+        # label and type, and skips the flow when no edge has a choice or
+        # when every edge with one can route to an unbounded atom and the
+        # totals then hold; the flow on every edge's full list of atoms must
+        # give the same verdict, and every routing it finds must pass the
+        # independent check.  Labels name several atoms, and symbols
+        # repeat.  Boxes whose only choices keep an unbounded atom are
+        # counted by whether the flow was skipped or decided, either way.
+        calls = self.count_flows(monkeypatch)
         rng = random.Random(25)
         shared = repeated = 0
+        unbounded = Counter()
         for _ in range(3000):
             labels = "abc"[:rng.randint(1, 3)]
             types = [f"t{i}" for i in range(rng.randint(1, 3))]
-            atoms = [((rng.choice(labels), rng.choice(types)), rng.choice(BASIC))
+            kinds = rng.choice([BASIC, [OPT, STAR]])  # in half the boxes no atom has a min
+            atoms = [((rng.choice(labels), rng.choice(types)), rng.choice(kinds))
                      for _ in range(rng.randint(0, 6))]
-            atoms += [(a, rng.choice(BASIC)) for a, _ in rng.sample(atoms, rng.randint(0, len(atoms)) // 2)]
+            atoms += [(a, rng.choice(kinds)) for a, _ in rng.sample(atoms, rng.randint(0, len(atoms)) // 2)]
             rng.shuffle(atoms)
             out, choices = random_out(rng, labels, types, max_edges=4, max_width=6)
             live = [i for i, e in enumerate(out) if e.occur.min]  # satisfies_type drops the rest
@@ -605,13 +612,19 @@ class TestFlatRoute:
                      for e, ch in zip(out, choices)]
             flow = feasible_flow([(e.occur.min, True, f) for e, f in zip(out, feeds)],
                                  [(iv.min, iv.max) for _, iv in atoms])
+            before = calls[0]
             assert _routes(out, choices, Box(atoms)) == (flow is not None)
             if flow is not None:
                 assert _verify_flat_routing(out, choices, atoms, [
                     ((i, j), x) for i, (f, row) in enumerate(zip(feeds, flow)) for j, x in zip(f, row)])
+            multi = [f for f in feeds if len(f) > 1]
+            if all(feeds) and multi and all(any(atoms[j][1].max == INF for j in f) for f in multi):
+                unbounded["decided" if calls[0] > before else "skipped", flow is not None] += 1
             shared += len({lab for (lab, _), _ in atoms}) < len({a for a, _ in atoms})
             repeated += len({a for a, _ in atoms}) < len(atoms)
         assert shared > 500 and repeated > 500
+        assert unbounded[("skipped", False)] == 0
+        assert min(unbounded[key] for key in [("skipped", True), ("decided", True), ("decided", False)]) > 50
 
     def test_compressed_box_needs_no_flow(self, monkeypatch):
         # Every item edge feeds only item::Item and the tag edge only
@@ -628,14 +641,44 @@ class TestFlatRoute:
         assert calls[0] == 0
 
     def test_choice_between_atoms_reaches_the_flow(self, monkeypatch):
+        # y and w read as u and as v, so each of x's a-edges can feed a::u
+        # and a::v, both [1;1]: a choice the flow decides.
+        calls = self.count_flows(monkeypatch)
+        s = parse_schema("X -> a::u, a::v\nu -> eps\nv -> eps\n")
+        g = parse_graph("graph simple\nx a y\nx a w\n")
+        assert max_typing(g, s)["x"] == frozenset({"X"})
+        assert calls[0] == 1
+
+    def test_choice_with_an_unbounded_atom_needs_no_flow(self, monkeypatch):
         # In the star-chain unfolding, y reads as v2 and as v4, so x's
-        # a-edge can feed a::v2* and a::v4*: a choice the flow decides.
+        # a-edge can feed a::v2* and a::v4*: it goes to either, no bound
+        # caps it, and the totals hold, so no flow is solved for x.  The
+        # check of y alone solves one: its b-edge can feed b::v5 and
+        # b::v6*, and sent to b::v6* it leaves b::v5 below its min.
         calls = self.count_flows(monkeypatch)
         s = from_shape_graph(star_chain_pair()[1])
         g = parse_graph("graph simple\nx a y\ny b z\n")
         typing = max_typing(g, s)
         assert typing["y"] == frozenset({"v2", "v4"}) and "v0" in typing["x"]
-        assert calls[0] > 0
+        assert calls[0] == 1
+        assert max_typing(parse_graph("graph simple\nx a y\nx a w\n"),
+                          parse_schema("X -> a::u*, a::v*\nu -> eps\nv -> eps\n"))["x"] == frozenset({"X"})
+        assert calls[0] == 1
+
+    def test_typer_solves_each_routing_instance_once(self, monkeypatch):
+        # y reads as u, v and w, y2 and y3 as u and v, so x and z have
+        # different out-signatures, but each of their a-edges keeps a::u
+        # and a::v: one routing instance, solved once per Typer.  A second
+        # Typer solves it again.
+        calls = self.count_flows(monkeypatch)
+        s = parse_schema("X -> a::u, a::v\nu -> c::w?\nv -> c::w?\nw -> eps\n")
+        g = parse_graph("graph simple\nx a y\nx a y2\nz a y2\nz a y3\ny2 c y\ny3 c y\n")
+        typing = max_typing(g, s)
+        assert typing["y"] == frozenset({"u", "v", "w"}) and typing["y2"] == frozenset({"u", "v"})
+        assert typing["x"] == typing["z"] == frozenset({"X"})
+        assert calls[0] == 1
+        max_typing(g, s)
+        assert calls[0] == 2
 
 
 class TestDisjunctionSplit:
