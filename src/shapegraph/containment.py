@@ -253,20 +253,20 @@ def _rootable(refs, targets_of) -> bool:
     return not roots or len(roots) == 1 and (len(targets_of[roots[0]]) == 1 or roots[0] in refs[roots[0]])
 
 
-def _compositions(h: Schema, n_nodes: int, max_card: int, cache: dict, timed_out=lambda: False):
+def _compositions(h: Schema, n_nodes: int, max_card: int, cache: dict, timed_out=lambda: False, caps={}):
     """Each composition of n_nodes nodes over h's types (node counts per
     type, in _tuples order) whose types all have an out-spec, as (index in
     that order, targets_of, specs).  Nodes are numbered by type in order and
     targets_of maps each type with nodes to its range of node indices, in
     h.types order.  specs[t] lists the out-specs a node of type t can take:
     an out-bag from L(δ(t)) realized as edges with cardinalities up to
-    max_card, each a tuple of (label, k, target index) sorted on (label, k),
-    as core.Refinement.fixpoint takes them.  cache keeps each spec list
-    under ("specs", type, the node range of each symbol's target type),
-    all it depends on, for compositions and calls with the same max_card,
-    and _bags_matching under ("bags", type, caps).  Stops between two specs
-    once timed_out(); a list cut short is not cached.  A composition that
-    _rootable rejects is skipped; the next keeps its own index."""
+    max_card, or caps[label] below it, each a tuple of (label, k, target
+    index) sorted on (label, k), as core.Refinement.fixpoint takes them.
+    cache keeps each spec list under ("specs", type, the node range of each
+    symbol's target type), all it depends on, for calls with the same caps,
+    and _bags_matching under ("bags", type, its caps).  Stops between two
+    specs once timed_out(); a list cut short is not cached.  A composition
+    that _rootable rejects is skipped; the next keeps its own index."""
     types = h.types
     refs = {t: {u for _, u in h.symbols[t]} for t in types}
     none = range(0)
@@ -283,19 +283,20 @@ def _compositions(h: Schema, n_nodes: int, max_card: int, cache: dict, timed_out
             ranges = tuple([targets_of.get(u, none) for _, u in symbols])
             spec_list = cache.get(("specs", t, ranges))
             if spec_list is None:
-                caps = tuple(max_card * len(r) for r in ranges)
-                bags = cache.get(("bags", t, caps))
+                cap = [min(max_card, caps.get(lab, max_card)) for lab, _ in symbols]
+                bag_caps = tuple(c * len(r) for c, r in zip(cap, ranges))
+                bags = cache.get(("bags", t, bag_caps))
                 if bags is None:
-                    bags = cache[("bags", t, caps)] = _bags_matching(h, t, symbols, caps)
+                    bags = cache[("bags", t, bag_caps)] = _bags_matching(h, t, symbols, bag_caps)
                 spec_list = []
                 for v in bags:
-                    used = [(a, c) for a, c in zip(symbols, v) if c]
-                    dists = [_tuples(c, len(targets_of[a[1]]), max_card) for a, c in used]
+                    used = [(a, c, m) for a, c, m in zip(symbols, v, cap) if c]
+                    dists = [_tuples(c, len(targets_of[a[1]]), m) for a, c, m in used]
                     for combo in product(*dists):
                         if timed_out():
                             return
                         spec = sorted((lab, card, targets_of[tgt_t][slot])
-                                      for ((lab, tgt_t), _), dist in zip(used, combo)
+                                      for ((lab, tgt_t), _, _), dist in zip(used, combo)
                                       for slot, card in enumerate(dist) if card)
                         spec_list.append(tuple([edges.setdefault(e, e) for e in spec]))
                 cache[("specs", t, ranges)] = spec_list
@@ -441,7 +442,12 @@ def find_counterexample(h: Schema, k: Schema, budget: Budget = Budget()):
     Typer and one for h, in (total cardinality, canonical_code, rank)
     order, the rank being the composition's index and the picks in h.types
     order; the first that passes is reported.  canonical_code is computed
-    only to order two or more hits of equal total cardinality."""
+    only to order two or more hits of equal total cardinality.
+
+    When h and k both have thresholds (Schema.thresholds), no card passes
+    the larger of its label's two: a hit with one has a twin with it cut
+    there, in the same composition, typed alike by both and of less total
+    card, so no verdict, witness, rank or Unknown reason changes."""
     return _find_counterexample(_Context(h, k, budget))
 
 
@@ -450,6 +456,8 @@ def _find_counterexample(ctx: _Context):
     start = time.monotonic()
     typer = ctx.typer(ctx.k)
     cache = {}  # _compositions' bags and spec lists, shared by every node count
+    th_h, th_k = (h.thresholds, ctx.k.thresholds) if budget.max_card > 1 else (None, None)  # lazy
+    caps = {} if th_h is None or th_k is None else {lab: max(c, th_k.get(lab, 1)) for lab, c in th_h.items()}
 
     def timed_out():
         return budget.timeout is not None and time.monotonic() - start > budget.timeout
@@ -457,7 +465,7 @@ def _find_counterexample(ctx: _Context):
     for n_nodes in range(1, budget.max_nodes + 1):
         names = [f"v{i}" for i in range(n_nodes)]
         hits = []
-        for index, targets_of, specs in _compositions(h, n_nodes, budget.max_card, cache, timed_out):
+        for index, targets_of, specs in _compositions(h, n_nodes, budget.max_card, cache, timed_out, caps):
             for picks, out in _hits(typer, targets_of, specs, timed_out):
                 card = sum(c for o in out for _, c, _ in o)
                 hits.append((card, (index, picks), _candidate_graph(names, out)))

@@ -9,7 +9,7 @@ import enum
 from collections import Counter
 from functools import cached_property
 
-from .core import OPT, PLUS, STAR, Edge, Graph
+from .core import INF, OPT, PLUS, STAR, Edge, Graph
 from .errors import ClassPreconditionError, ParseError
 from . import rbe as _rbe
 
@@ -93,6 +93,39 @@ class Schema:
                 boxes += map(Box, forms)
         bare = bool(rest) or any(not any(lo for lo, _ in box.bounds) for box in boxes)
         return atoms, symbols, (tuple(boxes), tuple(rest)), bare
+
+    @cached_property
+    def thresholds(self) -> dict | None:
+        """Each label l of a box to its cardinality threshold T: an out-edge
+        of label l with cardinality k > T satisfies a type of this schema
+        iff the same edge at T does, the other edges unchanged; a label no
+        box has reads as 1 (an edge of it fits no box at any k > 0).  None
+        when some type has a part with no box form: the Parikh vectors
+        that decide it are not threshold-stable.  Computed on first use,
+        once per distinct definition.
+
+        T is the max over boxes B of max(F + L, F + 1), F the sum of the
+        maxes of B's l-atoms whose max is finite and L the sum of the mins
+        of those whose max is ∞.  Take a routing of the edge at k onto B
+        (validation._routes).  At most F of its k units go to bounded
+        atoms, so at least k - F go to unbounded ones, which need no more
+        than L units in all to reach their mins: the edge can take back
+        k - F - L >= k - T of them, and at T it routes.  Conversely, when
+        the edge at T routes and keeps an unbounded atom, that atom takes
+        k - T more units; when it keeps none, it routes at most F < T
+        units, so neither card routes.  A type holds when one of its boxes
+        does, so the max over boxes serves every type."""
+        th: dict = {}
+        for boxes, rest in {self.defs[t]: self.boxes[t] for t in self.types}.values():
+            if rest:
+                return None
+            for box in boxes:
+                for label, atoms in box.by_label.items():
+                    bounds = [box.bounds[j] for j, _ in atoms]
+                    bounded = sum(hi for _, hi in bounds if hi != INF)  # F
+                    unbounded = sum(lo for lo, hi in bounds if hi == INF)  # L
+                    th[label] = max(th.get(label, 1), bounded + unbounded, bounded + 1)
+        return th
 
     @cached_property
     def _shape_graph(self) -> Graph:  # built once: classify and containment read it

@@ -195,7 +195,9 @@ def _edge(label, k) -> Edge:
 class Typer(Refinement):
     """The maximal-typing refinement for one schema: each node's set is a
     type set, and a node's check reads its out-edges as (label, k, target's
-    type set id) for occurrence [k;k], ordered by (label, k).  A memo miss
+    type set id) for occurrence [k;k], ordered by (label, k), with k cut
+    at the label's threshold (Schema.thresholds) on a compressed graph, so
+    the memo does not grow with widths that change no check.  A memo miss
     is decided from that out-signature alone, by one satisfies_type call
     per distinct definition among the types that pass a filter (see
     check), each flow verdict kept per routing instance for the Typer's
@@ -209,10 +211,17 @@ class Typer(Refinement):
 
     def typing(self, g: Graph) -> dict:
         """The maximal typing of g, read through its index lists
-        (core.index_lists) with each node's out-edges sorted."""
-        if not (g.is_simple or g.is_compressed):
+        (core.index_lists) with each node's out-edges sorted.  On a graph
+        that is not simple, each out-edge's k is first cut to its label's
+        threshold (Schema.thresholds), which changes no check, so nodes
+        whose widths differ only above it share one memo entry."""
+        simple = g.is_simple
+        if not (simple or g.is_compressed):
             raise GraphKindError("validation requires a simple or compressed graph")
         out, inc = index_lists(g, _MIN)
+        th = None if simple else self.s.thresholds
+        if th is not None:
+            out = [[(lab, min(k, th.get(lab, 1)), j) for lab, k, j in o] for o in out]
         for o in out:
             o.sort()
         ids = self.fixpoint(out, inc)

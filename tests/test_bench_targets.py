@@ -60,4 +60,6 @@ def test_flat_route_note_reads_the_real_arguments(monkeypatch):
     g = parse_graph("graph compressed\nx a y [3;3]\nx b y\nz c y [2;2]\n")
     assert validation.max_typing(g, s) == {"x": {"t"}, "y": {"u"}, "z": {"t"}}
     notes = [note(args, result) for args, result in calls]
-    assert sorted(notes) == [0, 2, 2, 4]  # y: u (t needs an edge); x: t; z: t twice
+    # y: u (t needs an edge); x: t, its [3;3] a-edge read at a's threshold
+    # 1 under a::u*; z: t twice, [2;2] being below c's threshold 3.
+    assert sorted(notes) == [0, 2, 2, 2]

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import time
+from collections import Counter
 
 import pytest
 from click.testing import CliRunner
@@ -8,6 +9,7 @@ from click.testing import CliRunner
 from shapegraph import containment as _cont
 from shapegraph import embedding as _emb
 from shapegraph import rbe
+from shapegraph import validation as _val
 from shapegraph.cli import handles_errors, main
 
 from conftest import (
@@ -38,6 +40,30 @@ def _nested(inner, atom, depth):
     for _ in range(depth):
         inner = f"({inner}, {atom})?"
     return inner
+
+
+def width_work(monkeypatch) -> Counter:
+    """The work of typing, kept up to date in the returned Counter:
+    satisfies_type calls, the widest card that one of them reads, flows
+    solved and Parikh vector sets built."""
+    work = Counter()
+    check, flow, vectors = _val.satisfies_type, _val.feasible_flow, rbe.parikh_vectors
+
+    def counting_check(s, ty, out, *rest):
+        work["checks"] += 1
+        work["widest"] = max([work["widest"]] + [e.occur.min for e in out])
+        return check(s, ty, out, *rest)
+
+    def counting(name, real):
+        def counted(*args, **kwargs):
+            work[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(_val, "satisfies_type", counting_check)
+    monkeypatch.setattr(_val, "feasible_flow", counting("flows", flow))
+    monkeypatch.setattr(rbe, "parikh_vectors", counting("vectors", vectors))
+    return work
 
 
 @pytest.fixture
@@ -173,9 +199,11 @@ class TestExitCodes:
         assert json.loads(r.stdout) == {"verdict": "unknown", "stats": {}}
         assert time.monotonic() - start < 10
 
-    def test_wide_meet_of_boxes_is_decided(self, runner, tmp_path):
+    def test_wide_meet_of_boxes_is_decided(self, runner, tmp_path, monkeypatch):
         # The meet of two boxes is a box, routed at a cost that does not
-        # depend on the widths.
+        # depend on the widths: past its threshold 1 under a *, each edge
+        # is checked as an edge of one, with no flow and no vector.
+        work = width_work(monkeypatch)
         g = tmp_path / "wide.graph"
         g.write_text(self.WIDE)
         s = tmp_path / "wide.schema"
@@ -184,19 +212,14 @@ class TestExitCodes:
         r = runner.invoke(main, ["--json", "validate", str(g), str(s)])
         assert r.exit_code == 0, r.output
         assert json.loads(r.stdout)["verdict"] == "valid"
-        assert time.monotonic() - start < 1
+        # y checks t and u, x checks t.
+        assert [work[w] for w in ("checks", "widest", "flows", "vectors")] == [3, 1, 0, 0]
+        assert time.monotonic() - start < 1  # the outer net; the work decides
 
     def test_wide_disjunction_of_flat_parts_is_decided(self, runner, tmp_path, monkeypatch):
         # Each part of the disjunction is flat, so each is routed on its
         # own, at a cost that does not depend on the widths.
-        calls = [0]
-        vectors = rbe.parikh_vectors
-
-        def counting(*args, **kwargs):
-            calls[0] += 1
-            return vectors(*args, **kwargs)
-
-        monkeypatch.setattr(rbe, "parikh_vectors", counting)
+        work = width_work(monkeypatch)
         g = tmp_path / "wide.graph"
         g.write_text(self.WIDE)
         s = tmp_path / "wide.schema"
@@ -205,8 +228,8 @@ class TestExitCodes:
         r = runner.invoke(main, ["--json", "validate", str(g), str(s)])
         assert r.exit_code == 0, r.output
         assert json.loads(r.stdout)["verdict"] == "valid"
-        assert calls[0] == 0
-        assert time.monotonic() - start < 1
+        assert [work[w] for w in ("checks", "widest", "flows", "vectors")] == [3, 1, 0, 0]
+        assert time.monotonic() - start < 1  # the outer net; the work decides
 
     # One compressed node with 3,000 [2;2] a-edges: the exact search, which
     # takes one level per source, and the flow both embed it.

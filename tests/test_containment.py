@@ -676,6 +676,56 @@ class TestCounterexampleSearch:
                 assert v == searched
         assert sizes[2] + sizes[3] > 60 and skipped[True] > 600
 
+    def test_card_caps_change_no_verdict(self, monkeypatch):
+        # A hit with a card past the larger of its label's thresholds has a
+        # twin cut there, of smaller total card, so searching every card up
+        # to max_card (both schemas read with no thresholds) gives the same
+        # verdict and the same witness text.
+        rng = random.Random(39)
+        cases = [(*random_acyclic_pair(rng, 3), Budget(4, 3, None)) for _ in range(300)]
+        cases += [(*map(from_shape_graph, star_chain_pair()), Budget(5, 3, None)),
+                  (*PINNED["union-within"][0](), Budget(2, 3, None)),
+                  (*PINNED["self-reference"][0](), Budget(4, 2, None))]
+        capped, witnesses = 0, 0
+        for h, k, budget in cases:
+            v = find_counterexample(h, k, budget)
+            th_h, th_k = h.thresholds, k.thresholds
+            capped += th_h is not None and th_k is not None and any(
+                max(c, th_k.get(lab, 1)) < budget.max_card for lab, c in th_h.items())
+            with monkeypatch.context() as m:
+                m.setattr(Schema, "thresholds", None)
+                searched = find_counterexample(Schema(h.defs), Schema(k.defs), budget)
+            if isinstance(v, NotContained):
+                witnesses += 1
+                assert serialize_graph(v.witness) == serialize_graph(searched.witness)
+            else:
+                assert v == searched
+        assert capped > 60 and witnesses > 150
+
+    def test_card_caps_work_counts(self, monkeypatch):
+        # star-chain: every a-atom is *, so an a-edge past 1 types like one
+        # of 1, and b-edges stop at k's threshold 2.  With every card up to
+        # 3: 685 specs at 5 nodes and 269 memo misses.
+        counts = Counter()
+        check, compose = validation.Typer.check, containment._compositions
+
+        def counting_check(self, sig):
+            counts["misses"] += 1
+            return check(self, sig)
+
+        def counting_compositions(h, n_nodes, *args):
+            for c in compose(h, n_nodes, *args):
+                counts["specs"] += sum(map(len, c[2].values())) if n_nodes == 5 else 0
+                yield c
+
+        monkeypatch.setattr(validation.Typer, "check", counting_check)
+        monkeypatch.setattr(containment, "_compositions", counting_compositions)
+        h, k = map(from_shape_graph, star_chain_pair())
+        assert (h.thresholds, k.thresholds) == ({"a": 1, "b": 1}, {"a": 1, "b": 2})
+        v = find_counterexample(h, k, Budget(5, 3, None))
+        assert v == Unknown("no counter-example with <= 5 nodes and cardinalities <= 3")
+        assert counts == {"specs": 155, "misses": 35}
+
     def test_timeout_reports_unknown(self):
         s = parse_schema(BUG_SCHEMA_TEXT)
         v = find_counterexample(s, s, Budget(max_nodes=6, max_card=3, timeout=0.01))

@@ -21,7 +21,7 @@ from shapegraph import (
 )
 from shapegraph.core import INF, OPT, STAR, Refinement
 from shapegraph.errors import GraphKindError
-from shapegraph.rbe import Disj, Intersect, Repeat, Sym, concat_all, rbe_to_text
+from shapegraph.rbe import Disj, Intersect, Repeat, Sym, atom, concat_all, rbe_to_text
 from shapegraph.embedding import feasible_flow
 from shapegraph.validation import Typer, _routes, _satisfies_exhaustive, _satisfies_psi, _verify_flat_routing
 from shapegraph import Schema
@@ -521,6 +521,89 @@ class TestCompressed:
         assert not satisfies_type(s, "t", [Edge("x", "a", "y")], [frozenset({"t"})])
         with pytest.raises(ValueError):
             satisfies_type(s, "u", zero, [frozenset()])
+
+
+GENERAL = [Interval(2, 4), Interval(3, INF), Interval(2, 2), Interval(0, 2), Interval(1, 3), ONE, OPT, STAR]
+
+
+def random_box_schema(rng):
+    """Rules over labels a and b, each one box or a choice of two, with up
+    to two atoms per label and general intervals: every part has a box
+    form, so the schema has thresholds."""
+    types = [f"t{i}" for i in range(rng.randint(1, 3))]
+
+    def box():
+        return concat_all([atom((lab, rng.choice(types)), rng.choice(GENERAL))
+                           for lab in "ab" for _ in range(rng.randint(0, 2))])
+
+    return Schema({t: box() if rng.random() < 0.5 else Disj((box(), box())) for t in types})
+
+
+class TestThresholds:
+    @pytest.mark.parametrize("text, thresholds", [
+        ("t -> a::u^[1;2]", {"a": 3}),  # F + 1: past 2, a-edges fit no atom
+        ("t -> a::u^[3;inf]", {"a": 3}),  # F + L: below 3, the min fails
+        ("t -> a::u^[2;4], a::w^[3;inf], b::u?", {"a": 7, "b": 2}),
+        ("t -> a::u*, b::u+ | a::u^[0;2]", {"a": 3, "b": 1}),
+        ("t -> eps", {}),  # every label reads as 1
+        ("t -> (a::u, b::u?)*", None),  # no box form
+    ])
+    def test_read_off_the_boxes(self, text, thresholds):
+        assert parse_schema(text + "\nu -> eps\nw -> eps\n").thresholds == thresholds
+
+    @pytest.mark.parametrize("rule, k, held", [
+        ("a::u^[1;2]", 2, True), ("a::u^[1;2]", 3, False), ("a::u^[1;2]", 30, False),
+        ("a::u^[3;inf]", 2, False), ("a::u^[3;inf]", 3, True), ("a::u^[3;inf]", 30, True),
+    ])
+    def test_cards_at_the_threshold(self, rule, k, held):
+        s = parse_schema(f"t -> {rule}\nu -> eps\n")
+        g = parse_graph(f"graph compressed\nx a y [{k};{k}]\n")
+        assert ("t" in max_typing(g, s)["x"]) == held
+
+    def test_agrees_with_typing_without_thresholds(self, monkeypatch):
+        # Cards up to 3 times each label's threshold, plus 2, on random box
+        # schemas: cutting each card to its threshold changes no type.
+        rng = random.Random(39)
+        cut = 0
+        for _ in range(300):
+            s = random_box_schema(rng)
+            th = s.thresholds
+            nodes = [f"c{i}" for i in range(rng.randint(1, 4))]
+            edges = []
+            for a in nodes:
+                for b in nodes:
+                    for lab in "ab":
+                        if rng.random() < 0.4:
+                            k = rng.randint(0, 3 * th.get(lab, 1) + 2)
+                            cut += k > th.get(lab, 1)
+                            edges.append(Edge(a, lab, b, Interval(k, k)))
+            g = Graph(nodes, edges, kind="compressed")
+            with monkeypatch.context() as m:
+                m.setattr(Schema, "thresholds", None)
+                exact = max_typing(g, Schema(s.defs))
+            assert max_typing(g, s) == exact
+        assert cut > 500
+
+    def test_memo_does_not_grow_with_widths(self):
+        # Every card at or past its label's threshold: multiplied by 7, the
+        # graph is typed through the same memo entries, one per kind of node.
+        s = parse_schema("Box -> item::Item*, tag::Tag^[2;inf]\nItem -> val::Leaf+, tag::Tag?\n"
+                         "Tag -> eps\nLeaf -> eps\n")
+        assert s.thresholds == {"item": 1, "tag": 2, "val": 1}
+        rng = random.Random(7)
+        # 40 boxes over 5 items: (source, label, target, card).
+        edges = [(f"b{i}", "item", f"i{i % 5}", rng.randint(1, 60)) for i in range(40)]
+        edges += [(f"b{i}", "tag", "tag", rng.randint(2, 9)) for i in range(40)]
+        edges += [(f"i{i}", "val", "leaf", rng.randint(1, 60)) for i in range(5)]
+        assert len({k for _, lab, _, k in edges if lab == "item"}) > 20  # widths differ
+        sizes = []
+        for factor in (1, 7):
+            graph = [Edge(a, lab, b, Interval(k * factor, k * factor)) for a, lab, b, k in edges]
+            typer = Typer(s)
+            typing = typer.typing(Graph((), graph, kind="compressed"))
+            assert all(typing[f"b{i}"] == {"Box"} for i in range(40))
+            sizes.append(len(typer.memo))
+        assert sizes == [3, 3]
 
 
 class TestRouteAgreement:
