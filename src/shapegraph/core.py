@@ -146,57 +146,72 @@ class Graph:
 
     Nodes keep their insertion order, which the text format and all
     deterministic outputs rely on; index maps each node to its position
-    in nodes.  out(n) gives n's out-edges in edge order; their tuples are
-    built for every node on the first call, since callers that walk the
-    whole graph read index_lists instead.  Instances are treated as
-    immutable.  The declared kind is enforced here: GraphKindError names
-    the first edge that breaks it (_kind_fault).
+    in nodes.  The edges are held as four columns in edge order: sources
+    and targets (node indexes), labels and occurs (intervals), which is
+    all that index_lists and the kind flags read.  edges, the Edge tuple,
+    is the one given to the constructor or, for a parsed graph
+    (parse_graph), built from the columns on its first read; out(n) gives
+    n's out-edges in edge order, their tuples built for every node on the
+    first call.  Instances are treated as immutable.  The declared kind is
+    enforced here: GraphKindError names the first edge that breaks it
+    (_kind_fault).
     """
 
     def __init__(self, nodes=(), edges=(), kind: str = "general"):
         if kind not in KINDS:
             raise GraphKindError(f"unknown graph kind {kind!r}")
-        self.edges: tuple[Edge, ...] = tuple(edges)
-        self.kind = kind
-        # One pass over the edges numbers the nodes in order and collects
-        # the kind flags; a simple graph is also compressed, since [1;1] is
-        # a singleton.
+        edges = tuple(edges)
+        # One pass over the edges numbers the nodes in order and fills
+        # the columns.
         index = {n: i for i, n in enumerate(dict.fromkeys(nodes))}
-        triples = set()
-        ones = singletons = basic = True
-        for e in self.edges:
-            src, tgt, occur = e.source, e.target, e.occur
-            if src not in index:
-                index[src] = len(index)
-            if tgt not in index:
-                index[tgt] = len(index)
-            triples.add((src, e.label, tgt))
-            if occur is ONE:
-                continue
-            lo, hi = occur.min, occur.max
-            if lo != 1 or hi != 1:
-                ones = False
-                if lo != hi:
-                    singletons = False
-                if lo > 1 or (hi != 1 and hi != INF):
-                    basic = False
-        distinct = len(triples) == len(self.edges)
-        self._simple = ones and distinct
-        self._compressed = singletons and distinct
-        self._shape = basic
+        sources, labels, targets, occurs = [], [], [], []
+        for e in edges:
+            sources.append(index.setdefault(e.source, len(index)))
+            labels.append(e.label)
+            targets.append(index.setdefault(e.target, len(index)))
+            occurs.append(e.occur)
+        self.edges = edges
+        self._set_columns(index, sources, labels, targets, occurs, kind)
+
+    @classmethod
+    def _from_columns(cls, index, sources, labels, targets, occurs, kind):
+        """The graph whose node i is the i-th key of index and whose
+        edges are the columns'; parse_graph builds no Edge."""
+        g = cls.__new__(cls)
+        g._set_columns(index, sources, labels, targets, occurs, kind)
+        return g
+
+    def _set_columns(self, index, sources, labels, targets, occurs, kind):
+        """Keep the columns and check the declared kind on them.  A simple
+        graph is also compressed, since [1;1] is a singleton."""
+        self.kind = kind
+        self.index = index
+        self.nodes: tuple[str, ...] = tuple(index)
+        self.sources, self.labels = sources, labels
+        self.targets, self.occurs = targets, occurs
+        distinct = len(set(zip(sources, labels, targets))) == len(sources)
+        found = set(occurs)  # the distinct intervals decide the kind flags
+        found.discard(ONE)
+        self._simple = distinct and not found
+        self._compressed = distinct and all([iv.singleton for iv in found])
+        self._shape = all([iv.basic for iv in found])
         if not {"general": True, "simple": self._simple,
                 "compressed": self._compressed, "shape": self._shape}[kind]:
             e, why = _kind_fault(self.edges, kind)
             raise GraphKindError(f"{why}: {e.source} {e.label} {e.target} {e.occur}")
-        self.index = index
-        self.nodes: tuple[str, ...] = tuple(index)
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        name = self.nodes.__getitem__
+        return tuple(map(Edge, map(name, self.sources), self.labels,
+                         map(name, self.targets), self.occurs))
 
     @cached_property
     def _out(self) -> dict[str, tuple[Edge, ...]]:
-        out: dict = {n: [] for n in self.index}
-        for e in self.edges:
-            out[e.source].append(e)
-        return {n: tuple(es) for n, es in out.items()}
+        out: list = [[] for _ in self.nodes]
+        for i, e in zip(self.sources, self.edges):
+            out[i].append(e)
+        return {n: tuple(es) for n, es in zip(self.nodes, out)}
 
     def __contains__(self, n) -> bool:
         return n in self.index
@@ -227,22 +242,21 @@ class Graph:
         return hash((frozenset(self.nodes), frozenset(Counter(self.edges).items())))
 
     def __repr__(self):
-        return f"Graph({len(self.nodes)} nodes, {len(self.edges)} edges, kind={self.kind!r})"
+        return f"Graph({len(self.nodes)} nodes, {len(self.sources)} edges, kind={self.kind!r})"
 
 
-def index_lists(g: Graph, occurrence) -> tuple[list, list]:
+def index_lists(g: Graph, values) -> tuple[list, list]:
     """The lists Refinement.fixpoint takes for g, built in one pass over
-    g.edges: out[i] holds the out-edges of node i (g.nodes[i]) as (label,
-    occurrence(e.occur), target index), in the order of g.out(g.nodes[i]),
-    and inc[i] the source index of each in-edge of node i, both in edge
-    order.  occurrence maps an edge's interval to the form the
-    caller's out-signatures carry it in."""
-    index = g.index
-    out: list = [[] for _ in index]
-    inc: list = [[] for _ in index]
-    for e in g.edges:
-        i, j = index[e.source], index[e.target]
-        out[i].append((e.label, occurrence(e.occur), j))
+    g's columns, with no Edge read: out[i] holds the out-edges of node i
+    (g.nodes[i]) as (label, value, target index), in the order of
+    g.out(g.nodes[i]), and inc[i] the source index of each in-edge of
+    node i, both in edge order.  values gives one value per edge, in edge
+    order: the form the caller's out-signatures carry the edge's interval
+    in, such as g.occurs itself."""
+    out: list = [[] for _ in g.nodes]
+    inc: list = [[] for _ in g.nodes]
+    for i, lab, value, j in zip(g.sources, g.labels, values, g.targets):
+        out[i].append((lab, value, j))
         inc[j].append(i)
     return out, inc
 
@@ -348,10 +362,20 @@ def parse_graph(text: str) -> Graph:
     Line 1 declares the kind ("graph simple|shape|compressed|general");
     the matching invariant is enforced.  Edge lines read
     "source label target [occur]", isolated nodes "node name" (two tokens).
+
+    The lines fill the graph's columns directly, with no Edge built.  Nodes
+    are numbered as Graph(nodes, edges) numbers them: the "node" lines
+    first, in order, then the edges' endpoints in edge order.  A "node"
+    line after an edge line renumbers the columns once, at the end.
     """
     kind = None
-    nodes: list[str] = []
-    edges: list[Edge] = []
+    index: dict = {}
+    listed: list = []  # the names of the "node" lines
+    late = False  # whether a "node" line follows an edge line
+    sources: list = []
+    labels: list = []
+    targets: list = []
+    occurs: list = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = (raw.split("#", 1)[0] if "#" in raw else raw).split()
         if not parts:
@@ -363,24 +387,39 @@ def parse_graph(text: str) -> Graph:
             if kind not in KINDS:
                 raise ParseError(f"unknown graph kind {kind!r}", line=lineno)
             continue
-        if parts[0] == "node" and len(parts) == 2:
-            nodes.append(parts[1])
-            continue
         if len(parts) == 3:
             src, lab, tgt = parts
             occur = ONE
         elif len(parts) == 4:
-            src, lab, tgt = parts[:3]
+            src, lab, tgt, tok = parts
             try:
-                occur = parse_interval_token(parts[3])
+                occur = parse_interval_token(tok)
             except ParseError as exc:
                 raise ParseError(str(exc), line=lineno) from None
+        elif parts[0] == "node" and len(parts) == 2:
+            listed.append(parts[1])
+            if sources:
+                late = True
+            else:
+                index.setdefault(parts[1], len(index))
+            continue
         else:
             raise ParseError("expected 'source label target [occur]'", line=lineno)
-        edges.append(Edge(src, lab, tgt, occur))
+        sources.append(index.setdefault(src, len(index)))
+        labels.append(lab)
+        targets.append(index.setdefault(tgt, len(index)))
+        occurs.append(occur)
     if kind is None:
         raise ParseError("empty input: missing 'graph <kind>' header", line=1)
-    return Graph(nodes, edges, kind=kind)
+    if late:
+        # The listed nodes go first; the endpoints keep their order of
+        # first appearance after them.
+        renumbered = {n: i for i, n in enumerate(dict.fromkeys([*listed, *index]))}
+        moved = [renumbered[n] for n in index]
+        index = renumbered
+        sources = [moved[i] for i in sources]
+        targets = [moved[i] for i in targets]
+    return Graph._from_columns(index, sources, labels, targets, occurs, kind)
 
 
 def serialize_graph(g: Graph) -> str:
@@ -428,7 +467,7 @@ def unpack(f: Graph, max_nodes: int = DEFAULT_UNPACK_CAP):
         raise GraphKindError("unpack requires a compressed graph")
 
     nodes = f.nodes
-    out, _ = index_lists(f, attrgetter("min"))
+    out, _ = index_lists(f, map(attrgetter("min"), f.occurs))
     copies = [1] * len(nodes)
     for o in out:
         for _, c, j in o:

@@ -343,7 +343,7 @@ class _Simulation(Refinement):
         super().__init__(h.nodes)
         # h-node -> (its out-edges' intervals, label -> [(index in h.out(m), target)])
         self.h_out = {}
-        for m, o in zip(h.nodes, index_lists(h, lambda occ: occ)[0]):
+        for m, o in zip(h.nodes, index_lists(h, h.occurs)[0]):
             by_label = {}
             for j, (lab, _, t) in enumerate(o):
                 by_label.setdefault(lab, []).append((j, h.nodes[t]))
@@ -385,7 +385,7 @@ def max_simulation(g: Graph, h: Graph) -> SimulationRelation:
     every pair that routes alike.  The witness of (n, m) is the one found
     for m under n's final signature.
     """
-    out, inc = index_lists(g, lambda occ: occ)
+    out, inc = index_lists(g, g.occurs)
     sim = _Simulation(h)
     state = sim.fixpoint(out, inc)
     witnesses = {}

@@ -8,6 +8,7 @@ are treated as untyped.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import repeat
 from operator import attrgetter
 
 from .core import INF, ONE, Edge, Graph, Interval, Refinement, index_lists
@@ -209,22 +210,31 @@ class Typer(Refinement):
         self._fed: dict = {}  # (label, set id) -> the types such an edge can feed
         self._solved: dict = {}  # routing instance -> its flow verdict
 
-    def typing(self, g: Graph) -> dict:
-        """The maximal typing of g, read through its index lists
-        (core.index_lists) with each node's out-edges sorted.  On a graph
-        that is not simple, each out-edge's k is first cut to its label's
-        threshold (Schema.thresholds), which changes no check, so nodes
-        whose widths differ only above it share one memo entry."""
-        simple = g.is_simple
-        if not (simple or g.is_compressed):
+    def lists(self, g: Graph) -> tuple[list, list]:
+        """The lists fixpoint takes for g: its edge lists
+        (core.index_lists) with each out-edge's k, and each node's
+        out-edges sorted.  On a graph that is not simple, k is cut to its
+        label's threshold (Schema.thresholds), which changes no check, so
+        nodes whose widths differ only above it share one memo entry; the
+        cut is worked out once per distinct (label, interval) pair."""
+        if g.is_simple:
+            ks = repeat(1)
+        elif not g.is_compressed:
             raise GraphKindError("validation requires a simple or compressed graph")
-        out, inc = index_lists(g, _MIN)
-        th = None if simple else self.s.thresholds
-        if th is not None:
-            out = [[(lab, min(k, th.get(lab, 1)), j) for lab, k, j in o] for o in out]
+        elif self.s.thresholds is None:
+            ks = map(_MIN, g.occurs)
+        else:
+            th = self.s.thresholds
+            cut = {(lab, iv): min(iv.min, th.get(lab, 1)) for lab, iv in set(zip(g.labels, g.occurs))}
+            ks = map(cut.__getitem__, zip(g.labels, g.occurs))
+        out, inc = index_lists(g, ks)
         for o in out:
             o.sort()
-        ids = self.fixpoint(out, inc)
+        return out, inc
+
+    def typing(self, g: Graph) -> dict:
+        """The maximal typing of g."""
+        ids = self.fixpoint(*self.lists(g))
         return {n: self.sets[i] for n, i in zip(g.nodes, ids)}
 
     def feeds(self, label, j) -> frozenset:
@@ -281,6 +291,9 @@ def max_typing(g: Graph, s: Schema) -> dict:
 
 
 def validates(g: Graph, s: Schema) -> bool:
-    """Every node gets at least one type in the maximal typing."""
-    typing = max_typing(g, s)
-    return all(typing[n] for n in g.nodes)
+    """Every node gets at least one type in the maximal typing.  The
+    fixpoint stops at the first node whose type set is empty: sets only
+    shrink, so that node stays untyped."""
+    typer = Typer(s)
+    ids = typer.fixpoint(*typer.lists(g), stop_untyped=True)
+    return ids is not None and all(map(typer.sets.__getitem__, ids))

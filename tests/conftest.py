@@ -4,7 +4,8 @@ matcher that test oracles use in place of the package's, and brute-force
 CNF satisfiability and DNF tautology that the hardness reductions are
 checked against, sweep-until-stable oracles for the *-closure and the
 characterizing cohort sizes, a probe for what a call leaves in reference
-cycles, and a count of the lines a call runs."""
+cycles, and counts of the lines a call runs and of the nodes the
+fixpoints visit."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import sys
 import types
 from collections import Counter
 from itertools import combinations_with_replacement, product
+from unittest import mock
 
 import pytest
 
@@ -34,6 +36,7 @@ from shapegraph import (
     classify,
     parse_schema,
 )
+from shapegraph.core import Refinement
 from shapegraph.rbe import Concat, Disj, Empty, Epsilon, Intersect, Repeat, Sym, EMPTY, EPSILON, concat_all
 from shapegraph.schema import Box
 from shapegraph.validation import _routes
@@ -398,6 +401,14 @@ def lines_run(call, modules, cap):
     finally:
         sys.settrace(None)
     return result, count[0]
+
+
+def visits(run) -> int:
+    """The number of nodes the fixpoints take off their queues while run
+    runs: each asks Refinement.kept once per node it takes."""
+    with mock.patch.object(Refinement, "kept", autospec=True, side_effect=Refinement.kept) as kept:
+        run()
+    return kept.call_count
 
 
 # --- Random generators -------------------------------------------------------

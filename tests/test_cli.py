@@ -1,11 +1,17 @@
+import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
 
 import pytest
 from click.testing import CliRunner
 
+import shapegraph
+from shapegraph import cli as _cli
 from shapegraph import containment as _cont
 from shapegraph import embedding as _emb
 from shapegraph import rbe
@@ -428,6 +434,41 @@ class TestOutputFormats:
         outs = {runner.invoke(main, args).output for _ in range(3)}
         assert len(outs) == 1
 
+    HASH_SEED_SCRIPT = (
+        "import json, sys\n"
+        "from click.testing import CliRunner\n"
+        "from shapegraph.cli import main\n"
+        "runs = [CliRunner().invoke(main, argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([[r.exit_code, r.stdout] for r in runs]))\n"
+    )
+
+    def test_stdout_does_not_depend_on_the_hash_seed(self, files):
+        # Sets and dicts keyed by strings iterate in an order that moves
+        # with the process's hash seed; no command may print in that order.
+        argvs = [
+            ["validate", "bug.graph", "bug.schema"],
+            ["--json", "validate", "bad.graph", "bug.schema"],
+            ["typing", "bug.graph", "variant.schema"],
+            ["--json", "typing", "chain.graph", "chain.schema"],
+            ["embed", "star_h.graph", "star_h.graph"],
+            ["--json", "embed", "star_g.graph", "star_h.graph"],
+            ["contains", "a.schema", "b.schema"],
+            ["--json", "contains", "b.schema", "a.schema"],
+        ]
+        argvs = json.dumps([[files.get(a, a) for a in argv] for argv in argvs])
+        src = os.path.dirname(os.path.dirname(shapegraph.__file__))
+        path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+        outputs = [
+            subprocess.run([sys.executable, "-c", self.HASH_SEED_SCRIPT, argvs], capture_output=True,
+                           text=True, check=True, env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+                           ).stdout
+            for seed in ("1", "2")
+        ]
+        runs = json.loads(outputs[0])
+        assert [code for code, _ in runs] == [0, 1, 0, 0, 0, 1, 1, 1]
+        assert all(stdout for _, stdout in runs)
+        assert outputs[0] == outputs[1]
+
     def test_presburger_emit(self, runner, tmp_path):
         out = tmp_path / "psi.sexpr"
         r = runner.invoke(main, ["presburger", "(a | b)*, c?", "--emit", str(out)])
@@ -607,3 +648,68 @@ def test_command_frees_its_data_on_return(runner, files, monkeypatch, argv, code
     left = package_garbage(lambda: codes.append(runner.invoke(main, args).exit_code), exempt={EXIT_POINT})
     assert codes == [code]
     assert left == []
+
+
+# One command on each exit code; the loaders and the clause parser record
+# whether the collector runs while the command does.
+PAUSED = [
+    (["validate", "bug.graph", "bug.schema"], 0),
+    (["validate", "bad.graph", "bug.schema"], 1),
+    (["validate", "wide.graph", "wide.schema"], 2),  # the wide node's work cap
+    (["validate", "bug.graph", "broken.schema"], 3),  # a parse error
+    (["validate", "bug.graph", "absent.schema"], 3),  # an I/O error
+    (["fixtures", "sat", "--vars", "1", "x"], 3),  # a usage error: a bad clause
+]
+
+
+def collector_seen(monkeypatch) -> list:
+    """Whether the collector was enabled at each call to cli._read or
+    cli._parse_clauses, kept up to date in the returned list."""
+    seen = []
+    for name in ("_read", "_parse_clauses"):
+        def recording(*args, real=getattr(_cli, name)):
+            seen.append(gc.isenabled())
+            return real(*args)
+
+        monkeypatch.setattr(_cli, name, recording)
+    return seen
+
+
+def invoke_with_collector(runner, argv, collecting):
+    """The result of runner.invoke(main, argv) with the collector on or off
+    in the caller, and whether it was on once the command had exited."""
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        result = runner.invoke(main, argv)
+        return result, gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize(("argv", "code"), PAUSED, ids=[" ".join(a) for a, _ in PAUSED])
+def test_command_runs_with_the_collector_paused(runner, files, monkeypatch, argv, code, collecting):
+    seen = collector_seen(monkeypatch)
+    r, after = invoke_with_collector(runner, [files.get(a, a) for a in argv], collecting)
+    assert r.exit_code == code
+    assert seen and not any(seen)
+    assert after is collecting
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+def test_collector_setting_survives_a_crash_and_a_usage_error(runner, files, monkeypatch, collecting):
+    # An exception that no handler maps to an exit code, and a usage error
+    # that click raises before the command runs.
+    seen = collector_seen(monkeypatch)
+
+    def crash(g, s):
+        raise RuntimeError("crash")
+
+    monkeypatch.setattr(_val, "validates", crash)
+    r, after = invoke_with_collector(runner, ["validate", files["bug.graph"], files["bug.schema"]], collecting)
+    assert isinstance(r.exception, RuntimeError) and after is collecting
+    assert seen == [False, False]
+    r, after = invoke_with_collector(runner, ["validate", files["bug.graph"]], collecting)
+    assert r.exit_code == 3 and after is collecting
+    assert seen == [False, False]

@@ -29,15 +29,18 @@ from shapegraph import (
     validates,
     verify_witness,
 )
-from shapegraph.core import Refinement, _kind_fault, index_lists
+from shapegraph.core import _kind_fault, index_lists
 from shapegraph.errors import WorkCapError
 
 from conftest import (
+    BUG_GRAPH_TEXT,
+    BUG_SCHEMA_TEXT,
     random_compressed_graph,
     random_rbe0_schema,
     random_shape_graph,
     random_simple_graph,
     reference_typing,
+    visits,
 )
 
 intervals = st.builds(
@@ -211,7 +214,7 @@ class TestEdgeAndGraphContract:
             for n in g.nodes:
                 assert n in g
                 assert g.out(n) == tuple(e for e in g.edges if e.source == n)
-            out, inc = index_lists(g, lambda iv: iv)
+            out, inc = index_lists(g, g.occurs)
             assert out == [[(e.label, e.occur, g.index[e.target]) for e in g.out(n)] for n in g.nodes]
             assert inc == [[g.index[e.source] for e in g.edges if e.target == n] for n in g.nodes]
 
@@ -271,6 +274,104 @@ class TestKindFlags:
         assert str(exc.value) == message
 
 
+# Body lines of a graph text: ("node", name), ("edge", source, label,
+# target, occurrence token or None, trailing comment) or ("blank", text).
+# "node" is also a node name, so "node a x" is an edge line.
+_names = st.sampled_from(["x", "y", "z", "node"])
+_body_line = st.one_of(
+    st.tuples(st.just("node"), _names),
+    st.tuples(st.just("edge"), _names, st.sampled_from("ab"), _names,
+              st.sampled_from([None, "1", "?", "+", "*", "2", "[2;2]", "[0;0]", "[0;3]", "[1;inf]"]),
+              st.booleans()),
+    st.tuples(st.just("blank"), st.sampled_from(["", "   ", "# a comment", "  # x a y"])),
+)
+
+
+def _text_of(line) -> str:
+    if line[0] == "node":
+        return f"node {line[1]}"
+    if line[0] == "blank":
+        return line[1]
+    _, src, lab, tgt, tok, comment = line
+    return f"{src} {lab} {tgt}" + (f" {tok}" if tok else "") + ("  # why" if comment else "")
+
+
+@st.composite
+def graph_texts(draw):
+    """(text, kind, body lines, line number of the first body line).  Node
+    lines fall before, between and after edge lines, a few edge lines are
+    repeated as duplicate triples, and some texts carry one bad token."""
+    kind = draw(st.sampled_from(["simple", "shape", "compressed", "general"]))
+    lines = draw(st.lists(_body_line, max_size=10))
+    edges = [i for i, line in enumerate(lines) if line[0] == "edge"]
+    if edges:
+        for i in draw(st.lists(st.sampled_from(edges), max_size=2)):
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        bad = draw(st.sampled_from([None, None, None, "[3;1]", "q"]))
+        if bad:
+            i = draw(st.sampled_from([i for i, line in enumerate(lines) if line[0] == "edge"]))
+            lines[i] = (*lines[i][:4], bad, lines[i][5])
+    head = ["# a graph", f"graph {kind}"] if draw(st.booleans()) else [f"graph {kind}"]
+    return "\n".join(head + [_text_of(line) for line in lines]) + "\n", kind, lines, len(head) + 1
+
+
+def _constructed(kind, lines, first):
+    """The graph of the body lines, built by Graph(nodes, edges, kind) from
+    the lines themselves; a bad token raises the ParseError that parsing
+    gives, with its line number."""
+    nodes, edges = [], []
+    for lineno, line in enumerate(lines, start=first):
+        if line[0] == "node":
+            nodes.append(line[1])
+        elif line[0] == "edge":
+            _, src, lab, tgt, tok, _ = line
+            try:
+                occur = parse_interval_token(tok) if tok else ONE
+            except ParseError as exc:
+                raise ParseError(str(exc), line=lineno) from None
+            edges.append(Edge(src, lab, tgt, occur))
+    return Graph(nodes, edges, kind)
+
+
+def _outcome(build):
+    try:
+        return build()
+    except (ParseError, GraphKindError) as exc:
+        return type(exc), str(exc)
+
+
+class TestColumnParser:
+    @settings(max_examples=300, deadline=None)
+    @given(graph_texts())
+    def test_parser_matches_the_edge_constructor(self, case):
+        text, kind, lines, first = case
+        parsed = _outcome(lambda: parse_graph(text))
+        built = _outcome(lambda: _constructed(kind, lines, first))
+        if not isinstance(built, Graph):
+            assert parsed == built
+            return
+        # The fixpoint's lists come from the columns, before any Edge.
+        assert index_lists(parsed, parsed.occurs) == index_lists(built, built.occurs)
+        assert "edges" not in vars(parsed)
+        assert parsed.nodes == built.nodes and parsed.index == built.index
+        assert parsed.edges == built.edges
+        flags = [(g.is_simple, g.is_shape, g.is_compressed) for g in (parsed, built)]
+        assert flags[0] == flags[1]
+        assert serialize_graph(parsed) == serialize_graph(built)
+
+    def test_late_node_lines_are_numbered_first(self):
+        g = parse_graph("graph simple\nx a y\nnode z\ny b x\nnode y\n")
+        assert g.nodes == ("z", "y", "x") and g.index == {"z": 0, "y": 1, "x": 2}
+        assert index_lists(g, g.occurs) == ([[], [("b", ONE, 2)], [("a", ONE, 1)]], [[], [2], [1]])
+
+    def test_typing_a_parsed_graph_builds_no_edge(self):
+        g = parse_graph(BUG_GRAPH_TEXT)
+        s = parse_schema(BUG_SCHEMA_TEXT)
+        assert validates(g, s) and all(max_typing(g, s).values())
+        assert "edges" not in vars(g) and "_out" not in vars(g)
+        assert g.edges[0] == Edge("bug1", "descr", "lit1")
+
+
 @st.composite
 def shuffled_graphs(draw, acyclic=False, max_nodes=5):
     """(g, the same graph with its nodes and edges in another order); with
@@ -283,14 +384,6 @@ def shuffled_graphs(draw, acyclic=False, max_nodes=5):
     edges = [Edge(src, lab, tgt, draw(st.sampled_from([ONE, Interval(2, 2)]))) for src, lab, tgt in chosen]
     g = Graph(nodes, edges, kind="compressed")
     return g, Graph(draw(st.permutations(nodes)), draw(st.permutations(edges)), kind="compressed")
-
-
-def visits(run) -> int:
-    """The number of nodes the fixpoints take off their queues while run
-    runs: each asks Refinement.kept once per node it takes."""
-    with mock.patch.object(Refinement, "kept", autospec=True, side_effect=Refinement.kept) as kept:
-        run()
-    return kept.call_count
 
 
 class TestRefinementOrder:

@@ -43,6 +43,7 @@ from conftest import (
     reference_typing,
     star_chain_pair,
     users_graph,
+    visits,
     with_twins,
 )
 
@@ -257,6 +258,32 @@ class TestMaxTyping:
         typing = Typer(bug_schema).typing(g)
         assert typing["bug0"] == frozenset() and typing["user"] == frozenset({"User"})
         assert visits[0] == len(g.nodes)
+
+    @pytest.mark.parametrize("ring", [False, True], ids=["chain", "ring"])
+    def test_validates_stops_at_the_first_untyped_node(self, bug_schema, ring):
+        # Successors first: lit, user, then the last bug, which has no
+        # reporter and so no type; validates stops there.
+        g = bug_chain_graph(200, ring)
+        assert validates(g, bug_schema) is False
+        assert visits(lambda: validates(g, bug_schema)) == 3
+        assert visits(lambda: max_typing(g, bug_schema)) >= len(g.nodes)
+
+    @pytest.mark.parametrize("kind", ["simple", "compressed"])
+    def test_validates_agrees_with_the_typing(self, kind):
+        # The random graphs have cycles and self-loops; the compressed ones
+        # also [0;0] edges.
+        rng = random.Random(71 if kind == "simple" else 73)
+        verdicts = Counter()
+        for _ in range(150):
+            if kind == "simple":
+                g = random_simple_graph(rng, max_nodes=5)
+            else:
+                g = random_compressed_with_zero_edges(rng)
+            s = random_rbe0_schema(rng, max_types=4)
+            verdict = validates(g, s)
+            assert verdict == all(max_typing(g, s).values())
+            verdicts[verdict] += 1
+        assert verdicts[True] and verdicts[False]
 
     def test_identical_nodes_share_checks(self, monkeypatch, bug_schema):
         calls = [0]
