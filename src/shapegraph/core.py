@@ -94,9 +94,9 @@ def parse_interval_token(tok: str) -> Interval:
             raise ParseError(f"bad interval {tok!r}: {exc}") from None
     try:
         k = int(tok)
+        return Interval(k, k)
     except ValueError:
         raise ParseError(f"bad occurrence token {tok!r}") from None
-    return Interval(k, k)
 
 
 # --- Graphs ----------------------------------------------------------------

@@ -51,8 +51,7 @@ def satisfies_type(s: Schema, ty: str, out, choices, solved=None) -> bool:
     cardinalities; any other part by its Parikh vectors inside the box of
     the node's out-widths, one routing per vector, whose only bound is the
     matcher's constant work cap (rbe.VECTOR_WORK).  solved, when given, is
-    the caller's memo of flow verdicts per routing instance
-    (_routes_by_flow).
+    the caller's memo of flow verdicts per routing instance (_routes).
     """
     if ty not in s.defs:
         raise ValueError(f"unknown type {ty!r}")
@@ -79,56 +78,49 @@ def _routes(out, choices, box, solved=None) -> bool:
     target, and every atom's total lies in its bounds.  out holds no edge
     of cardinality 0 (satisfies_type drops them).
 
-    Each edge keeps the atoms of its label (the box's label index) whose
-    type its target has, and an edge that keeps none fails the box.  An
-    edge that keeps one sends it all its cardinality; so does an edge that
-    keeps two or more of which one has max ∞, to that atom, since no
-    bound caps it.  When every atom's total then lies in its bounds, that
-    routing is the witness and no flow is solved; when it does not, and
-    no edge had a choice, it was the only routing and the box fails.  An
-    edge whose choice is between bounded atoms only, and a choice whose
-    totals fail, hand the box to the flow (_routes_by_flow)."""
+    One pass keeps each edge's atoms, those of its label (the box's label
+    index) whose type its target has; an edge that keeps none fails the
+    box.  Each edge sends all its cardinality to its first kept atom of
+    max ∞, which no bound caps, or else to its first kept atom.  When
+    every atom's total then lies in its bounds, that routing is the
+    witness; when it does not and every edge kept one atom, it was the
+    only routing and the box fails.  Otherwise one flow decides on the
+    kept atoms, with one source per edge, its cardinality as supply, and
+    one sink per atom; its routing is checked independently
+    (_verify_flat_routing).  The flow's verdict depends only on the box
+    and each edge's cardinality and kept atoms, the routing instance;
+    solved, a dict the caller owns, keeps it under that key, so each
+    instance is solved once per owner."""
     index, bounds = box.by_label, box.bounds
     received = [0] * len(bounds)
-    chose = False
+    feeds = []
     for e, ch in zip(out, choices):
-        kept = None
+        kept = ()
         for j, t in index.get(e.label, ()):
             if t in ch:
-                if kept is not None:  # a choice: the first unbounded atom takes it all
-                    kept = next((i for i, u in index[e.label] if u in ch and bounds[i][1] == INF), None)
-                    if kept is None:
-                        return _routes_by_flow(out, choices, box, solved)
-                    chose = True
-                    break
-                kept = j
-        if kept is None:
+                kept += (j,)
+        if not kept:
             return False
-        received[kept] += e.occur.min
-    return all(lo <= x <= hi for x, (lo, hi) in zip(received, bounds)) or (
-        chose and _routes_by_flow(out, choices, box, solved))
-
-
-def _routes_by_flow(out, choices, box, solved=None) -> bool:
-    """_routes decided by one flow on the atoms each edge keeps, with one
-    source per out-edge, its cardinality as supply, and one sink per atom,
-    every unit counting toward the atom's min.  The routing it returns is
-    checked independently (_verify_flat_routing).  The verdict depends
-    only on the box and each edge's cardinality and kept atoms, the
-    routing instance; solved, a dict the caller owns, keeps it under
-    that key, so each instance is solved once per owner."""
-    feeds = [tuple([j for j, t in box.by_label.get(e.label, ()) if t in ch]) for e, ch in zip(out, choices)]
+        feeds.append(kept)
+        j = kept[0]
+        if len(kept) > 1 and bounds[j][1] != INF:
+            j = next((i for i in kept if bounds[i][1] == INF), j)
+        received[j] += e.occur.min
+    if all(lo <= x <= hi for x, (lo, hi) in zip(received, bounds)):
+        return True
+    if len(feeds) == sum(map(len, feeds)):  # every edge kept one atom: the only routing
+        return False
     key = (box, tuple(zip([e.occur.min for e in out], feeds)))
-    if solved is not None and key in solved:
-        return solved[key]
-    flow = feasible_flow([(e.occur.min, True, f) for e, f in zip(out, feeds)], box.bounds)
-    assert flow is None or _verify_flat_routing(
-        out, choices, box.atoms,
-        [((i, j), x) for i, (f, row) in enumerate(zip(feeds, flow)) for j, x in zip(f, row)],
-    ), "flow extraction produced an invalid routing"
-    if solved is not None:
+    if solved is None:
+        solved = {}
+    if key not in solved:
+        flow = feasible_flow([(e.occur.min, True, f) for e, f in zip(out, feeds)], bounds)
+        assert flow is None or _verify_flat_routing(
+            out, choices, box.atoms,
+            [((i, j), x) for i, (f, row) in enumerate(zip(feeds, flow)) for j, x in zip(f, row)],
+        ), "flow extraction produced an invalid routing"
         solved[key] = flow is not None
-    return flow is not None
+    return solved[key]
 
 
 def _verify_flat_routing(out, choices, atoms, flows) -> bool:
@@ -202,7 +194,7 @@ class Typer(Refinement):
     is decided from that out-signature alone, by one satisfies_type call
     per distinct definition among the types that pass a filter (see
     check), each flow verdict kept per routing instance for the Typer's
-    life (_routes_by_flow)."""
+    life (_routes)."""
 
     def __init__(self, s: Schema):
         super().__init__(s.types)

@@ -142,6 +142,13 @@ class TestGraphText:
         with pytest.raises(ParseError):
             parse_graph("x a y\n")
 
+    def test_negative_bare_card_names_its_line(self):
+        # A bare k below 0 is a bad token, as [3;1] is, and names its line.
+        for tok in ("-1", "[3;1]"):
+            with pytest.raises(ParseError) as err:
+                parse_graph(f"graph compressed\nx a y {tok}\n")
+            assert err.value.line == 2, tok
+
     @given(st.integers(min_value=0, max_value=2**31))
     def test_roundtrip_random(self, seed):
         rng = random.Random(seed)

@@ -759,6 +759,27 @@ class TestFlatRoute:
         assert max_typing(g, s)["x"] == frozenset({"X"})
         assert calls[0] == 1
 
+    def test_bounded_choice_that_fits_its_first_atom_needs_no_flow(self, monkeypatch):
+        # y reads as u and v, so x's a-edge can feed a::u^[0;2] and a::v?,
+        # both bounded.  Sent to its first atom, a::u, every total holds:
+        # that routing is the witness.
+        calls = self.count_flows(monkeypatch)
+        s = parse_schema("t -> a::u^[0;2], a::v?\nu -> eps\nv -> eps\n")
+        typing = max_typing(parse_graph("graph simple\nx a y\n"), s)
+        assert typing["y"] >= {"u", "v"} and typing["x"] == frozenset({"t"})
+        assert calls[0] == 0
+
+    def test_edge_that_keeps_no_atom_fails_before_the_flow(self, monkeypatch):
+        # x's a-edge has a choice between the bounded a::u and a::v of the
+        # first box, but its b-edge, to z that is not a w, keeps no atom
+        # there, and its a-edge keeps none in the second box: both boxes
+        # fail without a flow.
+        calls = self.count_flows(monkeypatch)
+        s = parse_schema("t -> a::u, a::v, b::w | b::u\nu -> eps\nv -> eps\nw -> c::u\n")
+        typing = max_typing(parse_graph("graph simple\nx a y\nx b z\n"), s)
+        assert typing["z"] == frozenset({"u", "v"}) and typing["x"] == frozenset()
+        assert calls[0] == 0
+
     def test_choice_with_an_unbounded_atom_needs_no_flow(self, monkeypatch):
         # In the star-chain unfolding, y reads as v2 and as v4, so x's
         # a-edge can feed a::v2* and a::v4*: it goes to either, no bound
